@@ -17,7 +17,7 @@ GO ?= go
 # Per-target budget for fuzz-smoke; CI keeps the default.
 FUZZTIME ?= 30s
 
-.PHONY: build test vet fmt race bench bench-smoke bench-baseline bench-compare smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission lint fuzz-smoke race-stress ci
+.PHONY: build test vet fmt race bench bench-smoke bench-check bench-baseline bench-compare smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission lint fuzz-smoke race-stress ci
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,13 @@ bench:
 # without paying for statistically meaningful numbers.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout 30m .
+
+# The end-to-end benchmark is a frozen module of its own (bench/go.mod),
+# outside ./...: vet and test it against this tree so that deleting an
+# internal API it calls fails here instead of in the benchmark driver.
+bench-check:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
 
 # End-to-end smoke of the user-facing entrypoints: the quickstart
 # example (train + serve in-process) and the datagen → train → infer
@@ -170,4 +177,4 @@ race-stress:
 smoke-admission:
 	scripts/smoke_admission.sh
 
-ci: build fmt lint test race bench-smoke fuzz-smoke smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission
+ci: build fmt lint test race bench-smoke bench-check fuzz-smoke smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission

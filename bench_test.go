@@ -126,59 +126,8 @@ func BenchmarkTable1_FullNetwork(b *testing.B) {
 }
 
 // -----------------------------------------------------------------------------
-// Convolution engine — GEMM fast path vs naive reference loops.
+// Convolution engine.
 // -----------------------------------------------------------------------------
-
-// BenchmarkConvGEMMvsNaive compares the two convolution engines
-// (DESIGN.md §3) on the paper's Table-I architecture at 128×128 — the
-// grid size of the paper's full-domain experiments — for the forward
-// pass (the rollout/inference hot path) and the forward+backward pass
-// (the training hot path). The naive sub-benchmarks report
-// speedup_vs_naive, the ratio of their per-op time to the GEMM
-// engine's for the same mode; scripts/bench.sh snapshots these numbers
-// into BENCH_baseline.json.
-func BenchmarkConvGEMMvsNaive(b *testing.B) {
-	run := func(b *testing.B, backend nn.ConvBackend, backward bool) float64 {
-		prev := nn.Backend
-		nn.Backend = backend
-		defer func() { nn.Backend = prev }()
-		m, err := model.Build(model.PaperConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.SetScratch(nn.NewArena())
-		x := tensor.Normal(tensor.NewRNG(1), 0, 1, 1, grid.NumChannels, 128, 128)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			y := m.Forward(x)
-			if backward {
-				m.Backward(y)
-				nn.ZeroGrads(m)
-			}
-		}
-		b.StopTimer()
-		return b.Elapsed().Seconds() / float64(b.N)
-	}
-	for _, mode := range []struct {
-		name     string
-		backward bool
-	}{
-		{"forward", false},
-		{"forward+backward", true},
-	} {
-		var gemmPerOp float64
-		b.Run(mode.name+"/gemm", func(b *testing.B) {
-			gemmPerOp = run(b, nn.FastPath, mode.backward)
-		})
-		b.Run(mode.name+"/naive", func(b *testing.B) {
-			naivePerOp := run(b, nn.SlowPath, mode.backward)
-			if gemmPerOp > 0 {
-				b.ReportMetric(naivePerOp/gemmPerOp, "speedup_vs_naive")
-			}
-		})
-	}
-}
 
 // BenchmarkConvGEMMWorkers measures the Workers knob on the GEMM
 // engine's forward pass (Table-I at 128×128). Results are

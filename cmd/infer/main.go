@@ -52,7 +52,6 @@ func main() {
 		trainFrac = flag.Float64("trainfrac", 2.0/3.0, "train fraction used at training time")
 		network   = flag.String("network", "ethernet", "virtual network model: ethernet | infiniband | none")
 		workers   = flag.Int("workers", 1, "intra-layer parallelism of the convolution kernels (results are bit-identical for any value)")
-		backend   = flag.String("conv", "gemm", "convolution engine: gemm (im2col fast path) | naive (reference loops)")
 		precision = flag.String("precision", "f64", "compute precision: f64 (reference, bit-reproducible) | f32 (faster, within documented error budget)")
 		exchange  = flag.String("exchange", "blocking", "halo exchange schedule: blocking | overlap (bit-identical frames)")
 		transport = flag.String("transport", "mem", "mpi transport: mem (in-process) | tcp (multi-process; see cmd/mpirun)")
@@ -80,15 +79,6 @@ func main() {
 	}
 	nds := dataset.NormalizeDataset(ds, norm)
 
-	var convBackend nn.ConvBackend
-	switch *backend {
-	case "gemm":
-		convBackend = nn.FastPath
-	case "naive":
-		convBackend = nn.SlowPath
-	default:
-		log.Fatalf("unknown convolution engine %q", *backend)
-	}
 	prec, err := nn.ParsePrecision(*precision)
 	if err != nil {
 		log.Fatal(err)
@@ -140,7 +130,6 @@ func main() {
 	engOpts := []core.EngineOption{
 		core.WithWorkers(*workers),
 		core.WithNetModel(nm),
-		core.WithConvBackend(convBackend),
 		core.WithPrecision(prec),
 		core.WithExchangeMode(mode),
 	}

@@ -135,7 +135,6 @@ func main() {
 		initPath     = flag.String("init", "", "dataset (.gob) whose opening snapshots seed GET rollouts")
 		replicaID    = flag.String("replica", "", "fleet identity reported in /healthz when this process runs behind cmd/router")
 		workers      = flag.Int("workers", 0, "serving parallelism: ranks fan out per micro-batch and convolution kernels tile-parallelize (0 = single-threaded; results are bit-identical for any value)")
-		backend      = flag.String("conv", "gemm", "convolution engine: gemm | naive")
 		precision    = flag.String("precision", "f64", "serving compute precision: f64 (reference, bit-reproducible) | f32 (faster, within documented error budget)")
 		exchange     = flag.String("exchange", "blocking", "halo exchange schedule for rollout sessions: blocking | overlap")
 		maxBatch     = flag.Int("max-batch", 8, "micro-batch size cap for predict coalescing (per model)")
@@ -151,15 +150,6 @@ func main() {
 	)
 	flag.Parse()
 
-	var convBackend nn.ConvBackend
-	switch *backend {
-	case "gemm":
-		convBackend = nn.FastPath
-	case "naive":
-		convBackend = nn.SlowPath
-	default:
-		log.Fatalf("unknown convolution engine %q", *backend)
-	}
 	prec, err := nn.ParsePrecision(*precision)
 	if err != nil {
 		log.Fatal(err)
@@ -179,7 +169,6 @@ func main() {
 		e.ModelCfg.Strategy, max(e.Window, 1))
 
 	engOpts := []core.EngineOption{
-		core.WithConvBackend(convBackend),
 		core.WithPrecision(prec),
 		core.WithExchangeMode(mode),
 	}

@@ -130,7 +130,11 @@
 // budget (EXPERIMENTS.md). The fused steady state allocates nothing
 // per step, and the f32 path keeps its own determinism: bit-identical
 // across worker counts, batch sizes, transports and reruns (cmd/serve,
-// cmd/infer and cmd/train take -precision f64|f32).
+// cmd/infer and cmd/train take -precision f64|f32). The float32 path
+// is forward-only — training is always float64 — and both widths run
+// the same generic im2col + GEMM kernels (DESIGN.md §3): there is one
+// convolution engine, and the nested-loop reference it is checked
+// against is compiled only into the tests.
 //
 // The message-passing runtime is transport-agnostic (DESIGN.md §8):
 // the same World/Comm semantics (non-overtaking tagged p2p,

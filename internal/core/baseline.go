@@ -1,9 +1,6 @@
 package core
 
 import (
-	"context"
-
-	"repro/internal/dataset"
 	"repro/internal/mpi"
 	"repro/internal/nn"
 )
@@ -36,24 +33,4 @@ func (r *DataParallelResult) FinalLoss() float64 {
 		return 0
 	}
 	return r.History[len(r.History)-1]
-}
-
-// TrainDataParallel runs the weight-averaging baseline on `ranks`
-// replicas: whole-domain samples are dealt round-robin to the ranks,
-// each rank performs one local epoch, and after every epoch the
-// replicas' flattened weights are averaged with an Allreduce.
-//
-// Deprecated: use NewTrainer(cfg, WithDataParallel(ranks)) and
-// Trainer.Train, which add context cancellation and progress
-// reporting. This wrapper produces bit-identical models.
-func TrainDataParallel(ds *dataset.Dataset, ranks int, cfg TrainConfig) (*DataParallelResult, error) {
-	t, err := NewTrainer(cfg, WithDataParallel(ranks))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := t.Train(context.Background(), ds)
-	if err != nil {
-		return nil, err
-	}
-	return rep.DataParallel, nil
 }

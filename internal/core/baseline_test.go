@@ -11,7 +11,7 @@ func TestDataParallelBasic(t *testing.T) {
 	ds := tinyDataset(t, 16, 9)
 	cfg := tinyCfg()
 	cfg.Epochs = 4
-	res, err := TrainDataParallel(ds, 4, cfg)
+	res, err := trainDataParallel(ds, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +38,12 @@ func TestDataParallelCommVolumeScalesWithEpochs(t *testing.T) {
 	ds := tinyDataset(t, 16, 9)
 	cfg := tinyCfg()
 	cfg.Epochs = 2
-	a, err := TrainDataParallel(ds, 2, cfg)
+	a, err := trainDataParallel(ds, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Epochs = 4
-	b, err := TrainDataParallel(ds, 2, cfg)
+	b, err := trainDataParallel(ds, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestDataParallelReplicasConverge(t *testing.T) {
 	ds := tinyDataset(t, 16, 9)
 	cfg := tinyCfg()
 	cfg.Epochs = 2
-	a, err := TrainDataParallel(ds, 2, cfg)
+	a, err := trainDataParallel(ds, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrainDataParallel(ds, 2, cfg)
+	b, err := trainDataParallel(ds, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,20 +76,20 @@ func TestDataParallelReplicasConverge(t *testing.T) {
 
 func TestDataParallelValidation(t *testing.T) {
 	ds := tinyDataset(t, 16, 6)
-	if _, err := TrainDataParallel(ds, 0, tinyCfg()); err == nil {
+	if _, err := trainDataParallel(ds, 0, tinyCfg()); err == nil {
 		t.Fatal("zero ranks accepted")
 	}
-	if _, err := TrainDataParallel(ds, 50, tinyCfg()); err == nil {
+	if _, err := trainDataParallel(ds, 50, tinyCfg()); err == nil {
 		t.Fatal("more ranks than samples accepted")
 	}
 	cfg := tinyCfg()
 	cfg.Model.Strategy = model.NeighborPad
-	if _, err := TrainDataParallel(ds, 2, cfg); err == nil {
+	if _, err := trainDataParallel(ds, 2, cfg); err == nil {
 		t.Fatal("non-zero-pad strategy accepted")
 	}
 	cfg = tinyCfg()
 	cfg.Epochs = 0
-	if _, err := TrainDataParallel(ds, 2, cfg); err == nil {
+	if _, err := trainDataParallel(ds, 2, cfg); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

@@ -60,17 +60,17 @@ func (eng *Engine) batchChunk(he, we int) int {
 // error (cancelled context, empty batch, an engine that cannot serve
 // Predict at all) means no request was evaluated.
 //
-// Results are bit-identical to per-request Predict calls: the layers
-// guarantee a batched forward equals batch-of-1 forwards image for
-// image (nn/batched_test.go), and the inputs assembled here are
-// byte-identical to Predict's. The Batcher builds on exactly this
-// property to coalesce concurrent Predict callers transparently.
+// Results are bit-identical to evaluating each request in a batch of
+// its own (which is what Predict does): the layers guarantee a batched
+// forward equals batch-of-1 forwards image for image
+// (nn/batched_test.go). The Batcher builds on exactly this property to
+// coalesce concurrent Predict callers transparently.
 func (eng *Engine) PredictBatch(ctx context.Context, reqs [][]*tensor.Tensor) ([]PredictResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if eng.local != nil {
-		return nil, fmt.Errorf("core: PredictBatch evaluates every rank in-process; this engine's world hosts only rank(s) %v — build an engine without WithWorld for one-step prediction", eng.world.LocalRanks())
+		return nil, fmt.Errorf("core: one-step prediction evaluates every rank in-process; this engine's world hosts only rank(s) %v — build an engine without WithWorld for one-step prediction", eng.world.LocalRanks())
 	}
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("core: PredictBatch of zero requests")
@@ -99,7 +99,7 @@ func (eng *Engine) PredictBatch(ctx context.Context, reqs [][]*tensor.Tensor) ([
 
 	// One SplitCHW per (request, history frame): pieces[vi][k][r] is
 	// rank r's halo-extended slice of valid request vi's k-th newest
-	// window frame — the same slicing Predict performs per request.
+	// window frame.
 	pieces := make([][][]*tensor.Tensor, len(valid))
 	for vi, i := range valid {
 		states := reqs[i]

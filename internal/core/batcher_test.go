@@ -11,9 +11,24 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestPredictBatchMatchesPredict asserts the tentpole contract: a
-// micro-batch of requests through PredictBatch is bit-identical,
-// request for request, to sequential unbatched Predict calls — the
+// predictByHand evaluates one step without the engine: each rank's
+// halo-extended slice of the state through that rank's own model as a
+// batch of one, gathered — the definition PredictBatch must reproduce.
+func predictByHand(e *Ensemble, state *tensor.Tensor) *tensor.Tensor {
+	p, halo := e.Partition, e.ModelCfg.Halo()
+	parts := make([]*tensor.Tensor, p.Ranks())
+	for r, piece := range p.SplitCHW(state, halo) {
+		b := p.BlockOfRank(r)
+		in := piece.Reshape(1, state.Dim(0), b.Height()+2*halo, b.Width()+2*halo)
+		parts[r] = e.Models[r].CloneShared().Forward(in).Reshape(state.Dim(0), b.Height(), b.Width())
+	}
+	return p.GatherCHW(parts)
+}
+
+// TestPredictBatchMatchesPredict asserts the batching contract: a
+// micro-batch of B requests through PredictBatch is bit-identical,
+// request for request, to B single-request calls (Predict is the
+// one-request batch) and to the engine-free per-rank evaluation — the
 // property that makes the Batcher's coalescing invisible to callers.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	ds := tinyDataset(t, 16, 10)
@@ -48,6 +63,9 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 				if !r.Frame.Equal(want) {
 					t.Fatalf("request %d: batched frame differs from unbatched Predict", i)
 				}
+				if !want.Equal(predictByHand(e, ds.Snapshots[i])) {
+					t.Fatalf("request %d: Predict differs from the per-rank evaluation", i)
+				}
 			}
 		})
 	}
@@ -60,7 +78,7 @@ func TestPredictBatchTemporalWindow(t *testing.T) {
 	ds := tinyDataset(t, 16, 10)
 	cfg := windowCfg(2)
 	cfg.Epochs = 1
-	res, err := TrainParallel(ds, 2, 2, cfg, CriticalPath)
+	res, err := trainParallel(ds, 2, 2, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}

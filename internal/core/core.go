@@ -8,11 +8,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/decomp"
 	"repro/internal/grid"
 	"repro/internal/loss"
@@ -150,18 +148,6 @@ func NewLoss(name string) (loss.Loss, error) {
 		return loss.NewHuber(), nil
 	}
 	return nil, fmt.Errorf("core: unknown loss %q", name)
-}
-
-// trainOne runs the full training loop for one network on one set of
-// samples and returns the trained model plus the per-epoch mean loss
-// history.
-//
-// Deprecated: the inner kernel now lives on Trainer (with context
-// cancellation and progress reporting); this wrapper is kept for the
-// original call sites and produces bit-identical models.
-func trainOne(samples []dataset.Sample, cfg TrainConfig, modelSeed, shuffleSeed int64) (*nn.Sequential, []float64, error) {
-	t := &Trainer{cfg: cfg, px: 1, py: 1}
-	return t.trainOne(context.Background(), samples, cfg, modelSeed, shuffleSeed, 0)
 }
 
 // RankResult is the outcome of training one subdomain network.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -75,10 +76,11 @@ func TestTrainSequentialLearns(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Epochs = 15
 	cfg.Loss = "mse"
-	res, err := TrainSequential(ds, cfg)
+	par, err := trainParallel(ds, 1, 1, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := &par.Ranks[0]
 	if len(res.History) != 15 {
 		t.Fatalf("history length %d", len(res.History))
 	}
@@ -96,7 +98,7 @@ func TestTrainSequentialLearns(t *testing.T) {
 
 func TestTrainParallelCriticalPath(t *testing.T) {
 	ds := tinyDataset(t, 16, 8)
-	res, err := TrainParallel(ds, 2, 2, tinyCfg(), CriticalPath)
+	res, err := trainParallel(ds, 2, 2, tinyCfg(), CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +130,11 @@ func TestTrainParallelConcurrentMatchesCriticalPath(t *testing.T) {
 	// per-rank seeds, no cross-rank coupling).
 	ds := tinyDataset(t, 16, 6)
 	cfg := tinyCfg()
-	a, err := TrainParallel(ds, 2, 1, cfg, CriticalPath)
+	a, err := trainParallel(ds, 2, 1, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrainParallel(ds, 2, 1, cfg, Concurrent)
+	b, err := trainParallel(ds, 2, 1, cfg, Concurrent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +156,8 @@ func TestTrainParallelConcurrentMatchesCriticalPath(t *testing.T) {
 func TestTrainParallelDeterministic(t *testing.T) {
 	ds := tinyDataset(t, 16, 6)
 	cfg := tinyCfg()
-	a, _ := TrainParallel(ds, 2, 2, cfg, CriticalPath)
-	b, _ := TrainParallel(ds, 2, 2, cfg, CriticalPath)
+	a, _ := trainParallel(ds, 2, 2, cfg, CriticalPath)
+	b, _ := trainParallel(ds, 2, 2, cfg, CriticalPath)
 	for r := range a.Ranks {
 		if a.Ranks[r].FinalLoss() != b.Ranks[r].FinalLoss() {
 			t.Fatalf("rank %d losses differ between identical runs", r)
@@ -168,7 +170,7 @@ func TestTrainParallelRanksIndependent(t *testing.T) {
 	// rank-0 model: ranks share nothing.
 	ds := tinyDataset(t, 16, 6)
 	cfg := tinyCfg()
-	full, err := TrainParallel(ds, 2, 1, cfg, CriticalPath)
+	full, err := trainParallel(ds, 2, 1, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestTrainParallelRanksIndependent(t *testing.T) {
 	halo := cfg.Model.Halo()
 	samples := dataset.SubdomainSamples(ds, p, 0, halo)
 	ms, ss := rankSeeds(cfg, 0)
-	m, _, err := trainOne(samples, cfg, ms, ss)
+	m, _, err := (&Trainer{cfg: cfg, px: 1, py: 1}).trainOne(context.Background(), samples, cfg, ms, ss, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,16 +194,16 @@ func TestTrainParallelRanksIndependent(t *testing.T) {
 
 func TestTrainParallelValidation(t *testing.T) {
 	ds := tinyDataset(t, 16, 6)
-	if _, err := TrainParallel(ds, 32, 1, tinyCfg(), CriticalPath); err == nil {
+	if _, err := trainParallel(ds, 32, 1, tinyCfg(), CriticalPath); err == nil {
 		t.Fatal("oversubscribed partition accepted")
 	}
 	cfg := tinyCfg()
 	cfg.Model.Strategy = model.InnerCrop
 	// 16/2 = 8 < MinInputSize 17 for inner-crop.
-	if _, err := TrainParallel(ds, 2, 2, cfg, CriticalPath); err == nil {
+	if _, err := trainParallel(ds, 2, 2, cfg, CriticalPath); err == nil {
 		t.Fatal("too-small blocks for inner-crop accepted")
 	}
-	if _, err := TrainParallel(ds, 1, 1, tinyCfg(), ExecMode(9)); err == nil {
+	if _, err := trainParallel(ds, 1, 1, tinyCfg(), ExecMode(9)); err == nil {
 		t.Fatal("invalid exec mode accepted")
 	}
 }
@@ -213,7 +215,7 @@ func TestAllStrategiesTrain(t *testing.T) {
 		cfg := tinyCfg()
 		cfg.Epochs = 2
 		cfg.Model.Strategy = strat
-		res, err := TrainParallel(ds, 2, 1, cfg, CriticalPath)
+		res, err := trainParallel(ds, 2, 1, cfg, CriticalPath)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -226,7 +228,7 @@ func TestAllStrategiesTrain(t *testing.T) {
 		cfg := tinyCfg()
 		cfg.Epochs = 2
 		cfg.Model.Strategy = strat
-		res, err := TrainParallel(ds, 1, 1, cfg, CriticalPath)
+		res, err := trainParallel(ds, 1, 1, cfg, CriticalPath)
 		if err != nil {
 			t.Fatalf("%v on full domain: %v", strat, err)
 		}
@@ -234,7 +236,7 @@ func TestAllStrategiesTrain(t *testing.T) {
 			t.Fatalf("%v: NaN loss", strat)
 		}
 		// And a decomposition with too-small blocks is rejected.
-		if _, err := TrainParallel(ds, 2, 1, cfg, CriticalPath); err == nil {
+		if _, err := trainParallel(ds, 2, 1, cfg, CriticalPath); err == nil {
 			t.Fatalf("%v: 10-wide blocks accepted (min is 17)", strat)
 		}
 	}

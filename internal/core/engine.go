@@ -16,8 +16,7 @@ import (
 // Ensemble. It never mutates the ensemble it wraps: every session (and
 // every Predict call) runs on weight-sharing clones of the rank models
 // (nn.Sequential.CloneShared) drawn from an internal pool, each with
-// its own scratch arena, worker count and convolution-engine pin. Any
-// number of sessions can therefore roll out concurrently over one
+// its own scratch arena and worker count. Any number of sessions can therefore roll out concurrently over one
 // Engine — the serving property the paper's cheap per-subdomain
 // inference (§III) is meant to enable.
 //
@@ -31,7 +30,6 @@ type Engine struct {
 	workersSet bool // false = clones inherit the ensemble models' knob
 	netModel   *mpi.NetModel
 	chaos      *mpi.ChaosPlan
-	backend    *nn.ConvBackend
 	precision  nn.Precision
 	mode       ExchangeMode
 	world      *mpi.World
@@ -52,9 +50,8 @@ type EngineOption func(*Engine)
 // single-threaded; results are bit-identical for any value): the
 // intra-layer tile parallelism of the convolution kernels in every
 // session, and the per-rank fan-out of PredictBatch micro-batches.
-// Unlike the deprecated Ensemble.SetWorkers this never touches the
-// shared models — the knob is applied to each session's private
-// clones. Without this option, clones inherit whatever knob the
+// This never touches the shared models — the knob is applied to each
+// session's private clones. Without this option, clones inherit whatever knob the
 // ensemble's models already carry (e.g. from TrainConfig.Workers).
 func WithWorkers(n int) EngineOption {
 	return func(e *Engine) { e.workers, e.workersSet = n, true }
@@ -76,14 +73,6 @@ func WithNetModel(m *mpi.NetModel) EngineOption {
 // distributed job must share one plan).
 func WithChaos(plan mpi.ChaosPlan) EngineOption {
 	return func(e *Engine) { e.chaos = &plan }
-}
-
-// WithConvBackend pins the convolution engine (nn.FastPath or
-// nn.SlowPath) for this engine's sessions instead of following the
-// package-level nn.Backend switch, so engines with different backends
-// can coexist in one process.
-func WithConvBackend(b nn.ConvBackend) EngineOption {
-	return func(e *Engine) { e.backend = &b }
 }
 
 // WithPrecision selects the numeric width of this engine's compute
@@ -192,9 +181,6 @@ func (eng *Engine) newRankModels() *rankModels {
 		if eng.workersSet {
 			c.SetWorkers(eng.workers)
 		}
-		if eng.backend != nil {
-			c.SetConvBackend(*eng.backend)
-		}
 		if eng.precision == nn.F32 {
 			if err := c.SetPrecision(nn.F32); err != nil {
 				// Unreachable: NewEngine probed every model.
@@ -244,45 +230,14 @@ func (eng *Engine) validateStates(states []*tensor.Tensor) (window int, err erro
 // Predict evaluates one step from a fully known history of full-domain
 // states (oldest first, at least Window of them) without any message
 // passing — the §IV-B one-step evaluation path, served concurrently:
-// any number of Predict calls may run at once.
+// any number of Predict calls may run at once. It is the one-request
+// case of PredictBatch.
 func (eng *Engine) Predict(ctx context.Context, states ...*tensor.Tensor) (*tensor.Tensor, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if eng.local != nil {
-		return nil, fmt.Errorf("core: Predict evaluates every rank in-process; this engine's world hosts only rank(s) %v — build an engine without WithWorld for one-step prediction", eng.world.LocalRanks())
-	}
-	window, err := eng.validateStates(states)
+	res, err := eng.PredictBatch(ctx, [][]*tensor.Tensor{states})
 	if err != nil {
 		return nil, err
 	}
-	rm := eng.acquire()
-	defer eng.release(rm)
-	p := eng.ens.Partition
-	halo := eng.ens.ModelCfg.Halo()
-	c := states[0].Dim(0)
-	// One SplitCHW per frame (not per rank per frame): pieces[k][r] is
-	// rank r's halo-extended slice of the k-th history frame.
-	pieces := make([][]*tensor.Tensor, window)
-	for k := 0; k < window; k++ {
-		pieces[k] = p.SplitCHW(states[len(states)-window+k], halo)
-	}
-	parts := make([]*tensor.Tensor, p.Ranks())
-	for r := 0; r < p.Ranks(); r++ {
-		b := p.BlockOfRank(r)
-		he, we := b.Height()+2*halo, b.Width()+2*halo
-		frames := make([]*tensor.Tensor, window)
-		for k := 0; k < window; k++ {
-			frames[k] = pieces[k][r].Reshape(1, c, he, we)
-		}
-		in4 := frames[0]
-		if window > 1 {
-			in4 = tensor.ConcatChannels(frames...)
-		}
-		out := rm.models[r].Forward(in4)
-		parts[r] = out.Reshape(c, b.Height(), b.Width())
-	}
-	return p.GatherCHW(parts), nil
+	return res[0].Frame, res[0].Err
 }
 
 // sessionRank is one rank's pipeline state within a Session: its tile

@@ -12,26 +12,6 @@ import (
 	"repro/internal/tensor"
 )
 
-func TestEnginePredictMatchesPredictOneStep(t *testing.T) {
-	ds := tinyDataset(t, 16, 6)
-	_, e := trainTinyEnsemble(t, model.NeighborPad, 2, 2)
-	want, err := e.PredictOneStep(ds.Snapshots[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.Predict(context.Background(), ds.Snapshots[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("Engine.Predict differs from PredictOneStep")
-	}
-}
-
 func TestEngineDoesNotMutateEnsemble(t *testing.T) {
 	_, e := trainTinyEnsemble(t, model.NeighborPad, 2, 2)
 	conv := e.Models[0].Layers()[0].(*nn.Conv2D)
@@ -58,7 +38,9 @@ func TestEngineWorkersInheritedWithoutOption(t *testing.T) {
 	// Without WithWorkers, clones keep the knob the ensemble models
 	// carry (e.g. from TrainConfig.Workers); the option overrides it.
 	_, e := trainTinyEnsemble(t, model.ZeroPad, 2, 1)
-	e.SetWorkers(3)
+	for _, m := range e.Models {
+		m.SetWorkers(3)
+	}
 	inherit, err := NewEngine(e)
 	if err != nil {
 		t.Fatal(err)
@@ -80,18 +62,16 @@ func TestEngineWorkersInheritedWithoutOption(t *testing.T) {
 
 // TestConcurrentSessionsBitIdentical is the satellite's -race test:
 // two sessions over ONE engine roll out concurrently and must each
-// reproduce the sequential RolloutSeq frames bit for bit — proving
-// sessions share nothing mutable (the SetWorkers data race is gone by
-// design, not by locking). Because RolloutSeq now delegates to a
-// session itself, the frames are additionally checked against an
-// independent reference: iterating Engine.Predict, whose halos come
+// reproduce the frames of a lone sequential session bit for bit —
+// proving sessions share nothing mutable. The frames are additionally
+// checked against an independent reference: iterating Engine.Predict, whose halos come
 // from direct slicing of each full-domain frame instead of the
 // point-to-point exchange.
 func TestConcurrentSessionsBitIdentical(t *testing.T) {
 	ds := tinyDataset(t, 16, 8)
 	_, e := trainTinyEnsemble(t, model.NeighborPad, 2, 2)
 	const steps = 4
-	ref, err := e.RolloutSeq([]*tensor.Tensor{ds.Snapshots[0]}, steps, nil)
+	ref, err := rollout(e, steps, nil, ds.Snapshots[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +126,7 @@ func TestConcurrentSessionsBitIdentical(t *testing.T) {
 			}
 			for k := 0; k < steps; k++ {
 				if !frames[s][k].Equal(ref.Steps[k]) {
-					t.Fatalf("workers=%d session %d step %d differs from sequential RolloutSeq", workers, s, k)
+					t.Fatalf("workers=%d session %d step %d differs from the lone sequential session", workers, s, k)
 				}
 			}
 		}
@@ -286,7 +266,7 @@ func TestSessionStatsIncremental(t *testing.T) {
 		t.Fatalf("cumulative stats %d != 2 steps × %d", got, comm1.MessagesSent)
 	}
 	// Parity with the deprecated one-world rollout accounting.
-	ref, err := e.RolloutSeq([]*tensor.Tensor{ds.Snapshots[0]}, 2, nil)
+	ref, err := rollout(e, 2, nil, ds.Snapshots[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,41 +298,12 @@ func TestSessionClosedRejectsStep(t *testing.T) {
 	}
 }
 
-func TestEngineConvBackendPin(t *testing.T) {
-	ds := tinyDataset(t, 16, 6)
-	_, e := trainTinyEnsemble(t, model.NeighborPad, 2, 2)
-	fast, err := NewEngine(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := NewEngine(e, WithConvBackend(nn.SlowPath))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := fast.Predict(context.Background(), ds.Snapshots[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := slow.Predict(context.Background(), ds.Snapshots[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The two engines agree to round-off (the crosscheck contract),
-	// proving the pin reached the clones without moving nn.Backend.
-	if !a.AllClose(b, 1e-10) {
-		t.Fatalf("backend-pinned engine diverged: max diff %g", a.Sub(b).AbsMax())
-	}
-	if nn.Backend != nn.FastPath {
-		t.Fatal("engine pin moved the package-level backend switch")
-	}
-}
-
 func TestEngineRejectsInnerCrop(t *testing.T) {
 	ds := tinyDataset(t, 20, 5)
 	cfg := tinyCfg()
 	cfg.Epochs = 1
 	cfg.Model.Strategy = model.InnerCrop
-	res, err := TrainParallel(ds, 1, 1, cfg, CriticalPath)
+	res, err := trainParallel(ds, 1, 1, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,11 @@ func TestSaveLoadEnsembleRoundTrip(t *testing.T) {
 		t.Fatalf("strategy lost")
 	}
 	// Predictions must be identical.
-	a, err := e.PredictOneStep(ds.Snapshots[0])
+	a, err := predictOneStep(e, ds.Snapshots[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := got.PredictOneStep(ds.Snapshots[0])
+	b, err := predictOneStep(got, ds.Snapshots[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestSaveLoadEnsembleRoundTrip(t *testing.T) {
 
 func TestSaveLoadEnsembleWindowed(t *testing.T) {
 	ds := tinyDataset(t, 16, 10)
-	res, err := TrainParallel(ds, 2, 1, windowCfg(3), CriticalPath)
+	res, err := trainParallel(ds, 2, 1, windowCfg(3), CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSaveLoadEnsembleWindowed(t *testing.T) {
 	if got.Window != 3 {
 		t.Fatalf("temporal window lost: %d", got.Window)
 	}
-	if _, err := got.PredictOneStepSeq(ds.Snapshots[:3]); err != nil {
+	if _, err := predictOneStep(got, ds.Snapshots[:3]...); err != nil {
 		t.Fatal(err)
 	}
 }

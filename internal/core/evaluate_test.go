@@ -29,7 +29,7 @@ func TestEvaluateOneStep(t *testing.T) {
 
 func TestEvaluateOneStepWindowed(t *testing.T) {
 	ds := tinyDataset(t, 16, 10)
-	res, err := TrainParallel(ds, 2, 1, windowCfg(2), CriticalPath)
+	res, err := trainParallel(ds, 2, 1, windowCfg(2), CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestTrainingDivergenceDetected(t *testing.T) {
 	cfg.LR = 1e9 // guaranteed blow-up
 	cfg.Loss = "mse"
 	cfg.Epochs = 20
-	_, err := TrainParallel(ds, 1, 1, cfg, CriticalPath)
+	_, err := trainParallel(ds, 1, 1, cfg, CriticalPath)
 	if err == nil {
 		t.Fatal("divergence not detected")
 	}

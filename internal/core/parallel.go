@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/dataset"
 	"repro/internal/decomp"
 	"repro/internal/mpi"
 )
@@ -91,39 +89,4 @@ func validatePartition(p *decomp.Partition, cfg TrainConfig) error {
 		}
 	}
 	return nil
-}
-
-// TrainParallel trains one independent network per subdomain on a
-// Px × Py process grid — the paper's §III scheme. The training data of
-// each rank is its subdomain slice of every (t → t+1) pair, with a
-// halo where the model strategy requires one. No data is exchanged
-// between ranks during training.
-//
-// Deprecated: use NewTrainer(cfg, WithTopology(px, py),
-// WithExecMode(mode)) and Trainer.Train, which add context
-// cancellation and progress reporting. This wrapper produces
-// bit-identical models.
-func TrainParallel(ds *dataset.Dataset, px, py int, cfg TrainConfig, mode ExecMode) (*ParallelResult, error) {
-	t, err := NewTrainer(cfg, WithTopology(px, py), WithExecMode(mode))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := t.Train(context.Background(), ds)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Parallel, nil
-}
-
-// TrainSequential trains a single whole-domain network — the P = 1
-// reference point of the Fig. 4 scaling study.
-//
-// Deprecated: use NewTrainer(cfg) and Trainer.Train (the default
-// topology is 1×1).
-func TrainSequential(ds *dataset.Dataset, cfg TrainConfig) (*RankResult, error) {
-	res, err := TrainParallel(ds, 1, 1, cfg, CriticalPath)
-	if err != nil {
-		return nil, err
-	}
-	return &res.Ranks[0], nil
 }

@@ -22,7 +22,7 @@ func registryFixture(t *testing.T) (ds *dataset.Dataset, engA, engB *Engine) {
 		cfg.Epochs = 1
 		cfg.Seed = seed
 		cfg.Model.Seed = seed
-		res, err := TrainParallel(ds, 2, 2, cfg, CriticalPath)
+		res, err := trainParallel(ds, 2, 2, cfg, CriticalPath)
 		if err != nil {
 			t.Fatal(err)
 		}

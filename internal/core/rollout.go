@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/decomp"
 	"repro/internal/model"
-	"repro/internal/mpi"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -32,22 +30,6 @@ func (e *Ensemble) window() int {
 	return e.Window
 }
 
-// SetWorkers sets the intra-layer parallelism knob on every rank's
-// network (see nn.Sequential.SetWorkers); results are bit-identical
-// for any value.
-//
-// Deprecated: this mutates the shared models, so it races with any
-// concurrent use of the ensemble. Use NewEngine(e, WithWorkers(n))
-// instead — the engine applies the knob to per-session clones and
-// never touches the ensemble.
-func (e *Ensemble) SetWorkers(workers int) {
-	for _, m := range e.Models {
-		if m != nil {
-			m.SetWorkers(workers)
-		}
-	}
-}
-
 // Validate reports structural problems.
 func (e *Ensemble) Validate() error {
 	if e.Partition == nil {
@@ -62,98 +44,6 @@ func (e *Ensemble) Validate() error {
 		}
 	}
 	return nil
-}
-
-// RolloutResult carries the predictions of a multi-step parallel
-// rollout and its communication cost.
-type RolloutResult struct {
-	// Steps[k] is the predicted full-domain CHW state after k+1 steps.
-	Steps []*tensor.Tensor
-	// CommStats aggregates the halo-exchange and gather traffic.
-	CommStats mpi.CommStats
-	// HaloCommStats isolates the halo-exchange traffic (excluding the
-	// result gathers), the number the paper's §III discussion is
-	// about.
-	HaloCommStats mpi.CommStats
-}
-
-// Rollout runs `steps` of parallel autoregressive inference from the
-// full-domain CHW state `initial`: each rank repeatedly predicts its
-// own subdomain, exchanging halo data point-to-point before each step
-// when the model strategy consumes a halo. Predictions are gathered on
-// rank 0 after every step. netModel (optional) prices the traffic for
-// the virtual-time accounting. For ensembles trained with a temporal
-// window > 1 use RolloutSeq, which takes the required history.
-//
-// The inner-crop strategy cannot roll out (its output is smaller than
-// its subdomain — the usability objection the paper raises against
-// approach 3) and returns an error.
-//
-// Deprecated: use NewEngine + Engine.NewSession, which stream frames
-// in O(1) memory, are cancellable, and run concurrently.
-func (e *Ensemble) Rollout(initial *tensor.Tensor, steps int, netModel *mpi.NetModel) (*RolloutResult, error) {
-	return e.RolloutSeq([]*tensor.Tensor{initial}, steps, netModel)
-}
-
-// RolloutSeq is Rollout for temporal-window ensembles: initials must
-// hold at least Window consecutive full-domain states, oldest first;
-// the rollout continues from the last of them.
-//
-// Deprecated: use NewEngine + Engine.NewSession. This wrapper drives a
-// session and materializes every frame, so it keeps the original
-// O(steps) memory behaviour; results are bit-identical.
-func (e *Ensemble) RolloutSeq(initials []*tensor.Tensor, steps int, netModel *mpi.NetModel) (*RolloutResult, error) {
-	if steps <= 0 {
-		return nil, fmt.Errorf("core: non-positive rollout steps %d", steps)
-	}
-	var opts []EngineOption
-	if netModel != nil {
-		opts = append(opts, WithNetModel(netModel))
-	}
-	eng, err := NewEngine(e, opts...)
-	if err != nil {
-		return nil, err
-	}
-	ctx := context.Background()
-	ses, err := eng.NewSession(ctx, initials...)
-	if err != nil {
-		return nil, err
-	}
-	defer ses.Close()
-	res := &RolloutResult{Steps: make([]*tensor.Tensor, steps)}
-	if err := ses.Run(ctx, steps, func(k int, frame *tensor.Tensor) error {
-		res.Steps[k] = frame
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	res.CommStats = ses.CommStats()
-	res.HaloCommStats = ses.HaloCommStats()
-	return res, nil
-}
-
-// PredictOneStep evaluates the ensemble on a known full-domain state
-// without any message passing: because the state at time t is fully
-// known, each rank's halo can be sliced directly. This is the §IV-B
-// one-step accuracy evaluation path (Fig. 3); use Rollout for
-// multi-step prediction where halos must genuinely be communicated.
-func (e *Ensemble) PredictOneStep(state *tensor.Tensor) (*tensor.Tensor, error) {
-	return e.PredictOneStepSeq([]*tensor.Tensor{state})
-}
-
-// PredictOneStepSeq is PredictOneStep for temporal-window ensembles:
-// states holds at least Window consecutive full-domain states, oldest
-// first; the prediction follows the last of them.
-//
-// Deprecated: use NewEngine + Engine.Predict, which serves any number
-// of concurrent callers. This wrapper delegates to a throwaway engine;
-// results are bit-identical.
-func (e *Ensemble) PredictOneStepSeq(states []*tensor.Tensor) (*tensor.Tensor, error) {
-	eng, err := NewEngine(e)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Predict(context.Background(), states...)
 }
 
 // SerialRollout runs autoregressive inference with a single

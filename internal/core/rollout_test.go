@@ -16,7 +16,7 @@ func trainTinyEnsemble(t *testing.T, strat model.Strategy, px, py int) (*Paralle
 	cfg := tinyCfg()
 	cfg.Epochs = 2
 	cfg.Model.Strategy = strat
-	res, err := TrainParallel(ds, px, py, cfg, CriticalPath)
+	res, err := trainParallel(ds, px, py, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestEnsembleValidate(t *testing.T) {
 func TestPredictOneStepShapes(t *testing.T) {
 	ds := tinyDataset(t, 16, 6)
 	_, e := trainTinyEnsemble(t, model.NeighborPad, 2, 2)
-	pred, err := e.PredictOneStep(ds.Snapshots[0])
+	pred, err := predictOneStep(e, ds.Snapshots[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestRolloutMatchesPredictOneStepFirstStep(t *testing.T) {
 	ds := tinyDataset(t, 16, 6)
 	for _, strat := range []model.Strategy{model.ZeroPad, model.NeighborPad} {
 		_, e := trainTinyEnsemble(t, strat, 2, 2)
-		direct, err := e.PredictOneStep(ds.Snapshots[0])
+		direct, err := predictOneStep(e, ds.Snapshots[0])
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
-		roll, err := e.Rollout(ds.Snapshots[0], 1, nil)
+		roll, err := rollout(e, 1, nil, ds.Snapshots[0])
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -83,16 +83,16 @@ func TestRolloutHaloCorners(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Epochs = 1
 	cfg.Model.Strategy = model.NeighborPad
-	res, err := TrainParallel(ds, 3, 3, cfg, CriticalPath)
+	res, err := trainParallel(ds, 3, 3, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := res.Ensemble()
-	direct, err := e.PredictOneStep(ds.Snapshots[0])
+	direct, err := predictOneStep(e, ds.Snapshots[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	roll, err := e.Rollout(ds.Snapshots[0], 1, nil)
+	roll, err := rollout(e, 1, nil, ds.Snapshots[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRolloutHaloCorners(t *testing.T) {
 func TestRolloutMultiStepAutoregressive(t *testing.T) {
 	ds := tinyDataset(t, 16, 6)
 	_, e := trainTinyEnsemble(t, model.NeighborPad, 2, 2)
-	roll, err := e.Rollout(ds.Snapshots[0], 3, nil)
+	roll, err := rollout(e, 3, nil, ds.Snapshots[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestRolloutZeroPadNoHaloTraffic(t *testing.T) {
 	// result gathers communicate.
 	ds := tinyDataset(t, 16, 6)
 	_, e := trainTinyEnsemble(t, model.ZeroPad, 2, 2)
-	roll, err := e.Rollout(ds.Snapshots[0], 2, nil)
+	roll, err := rollout(e, 2, nil, ds.Snapshots[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRolloutZeroPadNoHaloTraffic(t *testing.T) {
 func TestRolloutNetModelCharged(t *testing.T) {
 	ds := tinyDataset(t, 16, 6)
 	_, e := trainTinyEnsemble(t, model.NeighborPad, 2, 2)
-	roll, err := e.Rollout(ds.Snapshots[0], 2, mpi.ClusterEthernet())
+	roll, err := rollout(e, 2, mpi.ClusterEthernet(), ds.Snapshots[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,15 +160,15 @@ func TestRolloutRejectsInnerCrop(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Epochs = 1
 	cfg.Model.Strategy = model.InnerCrop
-	res, err := TrainParallel(ds, 1, 1, cfg, CriticalPath)
+	res, err := trainParallel(ds, 1, 1, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := res.Ensemble()
-	if _, err := e.Rollout(ds.Snapshots[0], 1, nil); err == nil {
+	if _, err := rollout(e, 1, nil, ds.Snapshots[0]); err == nil {
 		t.Fatal("inner-crop rollout accepted")
 	}
-	if _, err := e.PredictOneStep(ds.Snapshots[0]); err == nil {
+	if _, err := predictOneStep(e, ds.Snapshots[0]); err == nil {
 		t.Fatal("inner-crop one-step accepted")
 	}
 }
@@ -176,13 +176,13 @@ func TestRolloutRejectsInnerCrop(t *testing.T) {
 func TestRolloutValidation(t *testing.T) {
 	ds := tinyDataset(t, 16, 6)
 	_, e := trainTinyEnsemble(t, model.ZeroPad, 2, 2)
-	if _, err := e.Rollout(ds.Snapshots[0], 0, nil); err == nil {
+	if _, err := rollout(e, 0, nil, ds.Snapshots[0]); err == nil {
 		t.Fatal("zero steps accepted")
 	}
-	if _, err := e.Rollout(tensor.New(4, 8, 8), 1, nil); err == nil {
+	if _, err := rollout(e, 1, nil, tensor.New(4, 8, 8)); err == nil {
 		t.Fatal("wrong-size initial state accepted")
 	}
-	if _, err := e.PredictOneStep(tensor.New(4, 8, 8)); err == nil {
+	if _, err := predictOneStep(e, tensor.New(4, 8, 8)); err == nil {
 		t.Fatal("wrong-size state accepted")
 	}
 }
@@ -191,10 +191,11 @@ func TestSerialRollout(t *testing.T) {
 	ds := tinyDataset(t, 16, 6)
 	cfg := tinyCfg()
 	cfg.Epochs = 2
-	seq, err := TrainSequential(ds, cfg)
+	par, err := trainParallel(ds, 1, 1, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq := &par.Ranks[0]
 	steps, err := SerialRollout(seq.Model, cfg.Model, ds.Snapshots[0], 3)
 	if err != nil {
 		t.Fatal(err)
@@ -218,12 +219,12 @@ func TestParallelSingleRankMatchesSerial(t *testing.T) {
 	ds := tinyDataset(t, 16, 6)
 	cfg := tinyCfg()
 	cfg.Epochs = 2
-	res, err := TrainParallel(ds, 1, 1, cfg, CriticalPath)
+	res, err := trainParallel(ds, 1, 1, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := res.Ensemble()
-	roll, err := e.Rollout(ds.Snapshots[0], 2, nil)
+	roll, err := rollout(e, 2, nil, ds.Snapshots[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +247,13 @@ func TestRolloutErrorGrowsWithDepth(t *testing.T) {
 	cfg.Epochs = 150
 	cfg.Loss = "mse"
 	cfg.BatchSize = 4
-	res, err := TrainParallel(ds, 2, 2, cfg, CriticalPath)
+	res, err := trainParallel(ds, 2, 2, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := res.Ensemble()
 	const depth = 10
-	roll, err := e.Rollout(ds.Snapshots[0], depth, nil)
+	roll, err := rollout(e, depth, nil, ds.Snapshots[0])
 	if err != nil {
 		t.Fatal(err)
 	}

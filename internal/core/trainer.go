@@ -32,9 +32,7 @@ type ProgressFunc func(Progress)
 // the paper's communication-free parallel scheme (§III), the P = 1
 // sequential reference, and the Viviani-style data-parallel
 // weight-averaging baseline [4] behind one configuration + options
-// API with context cancellation and progress reporting. The deprecated
-// free functions TrainParallel / TrainSequential / TrainDataParallel
-// are thin wrappers over it.
+// API with context cancellation and progress reporting.
 type Trainer struct {
 	cfg      TrainConfig
 	px, py   int

@@ -7,13 +7,12 @@ import (
 	"testing"
 )
 
-func TestTrainerMatchesDeprecatedTrainParallel(t *testing.T) {
-	ds := tinyDataset(t, 16, 6)
+// TestTrainerReportMode: the report carries exactly the result of the
+// mode that ran, and only the subdomain scheme yields an ensemble.
+func TestTrainerReportMode(t *testing.T) {
+	ds := tinyDataset(t, 16, 9)
 	cfg := tinyCfg()
-	want, err := TrainParallel(ds, 2, 1, cfg, CriticalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Epochs = 2
 	tr, err := NewTrainer(cfg, WithTopology(2, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -25,33 +24,14 @@ func TestTrainerMatchesDeprecatedTrainParallel(t *testing.T) {
 	if rep.Parallel == nil || rep.DataParallel != nil {
 		t.Fatalf("report mode wrong: %+v", rep)
 	}
-	for r := range want.Ranks {
-		pa := want.Ranks[r].Model.Params()
-		pb := rep.Parallel.Ranks[r].Model.Params()
-		for i := range pa {
-			if !pa[i].Value.Equal(pb[i].Value) {
-				t.Fatalf("rank %d param %d differs between Trainer and TrainParallel", r, i)
-			}
-		}
-	}
 	if rep.Ensemble() == nil {
 		t.Fatal("no ensemble from parallel report")
 	}
-}
-
-func TestTrainerMatchesDeprecatedDataParallel(t *testing.T) {
-	ds := tinyDataset(t, 16, 9)
-	cfg := tinyCfg()
-	cfg.Epochs = 2
-	want, err := TrainDataParallel(ds, 2, cfg)
+	tr, err = NewTrainer(cfg, WithDataParallel(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewTrainer(cfg, WithDataParallel(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := tr.Train(context.Background(), ds)
+	rep, err = tr.Train(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +40,6 @@ func TestTrainerMatchesDeprecatedDataParallel(t *testing.T) {
 	}
 	if rep.Ensemble() != nil {
 		t.Fatal("data-parallel report produced an ensemble")
-	}
-	pa, pb := want.Model.Params(), rep.DataParallel.Model.Params()
-	for i := range pa {
-		if !pa[i].Value.Equal(pb[i].Value) {
-			t.Fatalf("param %d differs between Trainer and TrainDataParallel", i)
-		}
 	}
 }
 
@@ -192,7 +166,7 @@ func TestTrainerDataParallelCancellableCtxSameCommStats(t *testing.T) {
 	ds := tinyDataset(t, 16, 9)
 	cfg := tinyCfg()
 	cfg.Epochs = 2
-	want, err := TrainDataParallel(ds, 2, cfg)
+	want, err := trainDataParallel(ds, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

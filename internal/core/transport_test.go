@@ -177,7 +177,7 @@ func TestOverlapBitIdenticalUnevenPartition(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Epochs = 2
 	cfg.Model.Strategy = model.NeighborPad
-	res, err := TrainParallel(ds, 3, 2, cfg, CriticalPath)
+	res, err := trainParallel(ds, 3, 2, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestOverlapBitIdenticalTemporalWindow(t *testing.T) {
 	cfg.TemporalWindow = 3
 	cfg.Model.Channels = append([]int(nil), cfg.Model.Channels...)
 	cfg.Model.Channels[0] = 3 * ds.Snapshots[0].Dim(0)
-	res, err := TrainParallel(ds, 2, 2, cfg, CriticalPath)
+	res, err := trainParallel(ds, 2, 2, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestDistributedTrainerLocalRanks(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Epochs = 1
 	const ranks = 4
-	ref, err := TrainParallel(ds, 2, 2, cfg, Concurrent)
+	ref, err := trainParallel(ds, 2, 2, cfg, Concurrent)
 	if err != nil {
 		t.Fatal(err)
 	}

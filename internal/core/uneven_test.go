@@ -33,17 +33,17 @@ func TestUnevenBlocksTrainAndRollout(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Epochs = 2
 	cfg.Model.Strategy = model.NeighborPad
-	res, err := TrainParallel(ds, 2, 3, cfg, CriticalPath)
+	res, err := trainParallel(ds, 2, 3, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := res.Ensemble()
 
-	direct, err := e.PredictOneStep(ds.Snapshots[0])
+	direct, err := predictOneStep(e, ds.Snapshots[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	roll, err := e.Rollout(ds.Snapshots[0], 2, nil)
+	roll, err := rollout(e, 2, nil, ds.Snapshots[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +69,12 @@ func TestUnevenBlocksZeroPad(t *testing.T) {
 	ds := unevenDataset(t, 13, 5)
 	cfg := tinyCfg()
 	cfg.Epochs = 1
-	res, err := TrainParallel(ds, 3, 2, cfg, CriticalPath)
+	res, err := trainParallel(ds, 3, 2, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := res.Ensemble()
-	pred, err := e.PredictOneStep(ds.Snapshots[0])
+	pred, err := predictOneStep(e, ds.Snapshots[0])
 	if err != nil {
 		t.Fatal(err)
 	}

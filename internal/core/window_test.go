@@ -41,7 +41,7 @@ func TestWindowConfigValidation(t *testing.T) {
 func TestTrainParallelWindowed(t *testing.T) {
 	ds := tinyDataset(t, 16, 10)
 	cfg := windowCfg(3)
-	res, err := TrainParallel(ds, 2, 2, cfg, CriticalPath)
+	res, err := trainParallel(ds, 2, 2, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,17 +61,17 @@ func TestWindowedRolloutMatchesDirectPrediction(t *testing.T) {
 	ds := tinyDataset(t, 16, 10)
 	cfg := windowCfg(2)
 	cfg.Model.Strategy = model.NeighborPad
-	res, err := TrainParallel(ds, 2, 2, cfg, CriticalPath)
+	res, err := trainParallel(ds, 2, 2, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := res.Ensemble()
 	states := ds.Snapshots[:2]
-	direct, err := e.PredictOneStepSeq(states)
+	direct, err := predictOneStep(e, states...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	roll, err := e.RolloutSeq(states, 1, nil)
+	roll, err := rollout(e, 1, nil, states...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +85,12 @@ func TestWindowedRolloutMultiStep(t *testing.T) {
 	ds := tinyDataset(t, 16, 10)
 	cfg := windowCfg(2)
 	cfg.Model.Strategy = model.NeighborPad
-	res, err := TrainParallel(ds, 2, 1, cfg, CriticalPath)
+	res, err := trainParallel(ds, 2, 1, cfg, CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := res.Ensemble()
-	roll, err := e.RolloutSeq(ds.Snapshots[:2], 4, nil)
+	roll, err := rollout(e, 4, nil, ds.Snapshots[:2]...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,27 +113,27 @@ func TestWindowedRolloutMultiStep(t *testing.T) {
 
 func TestWindowedRolloutValidation(t *testing.T) {
 	ds := tinyDataset(t, 16, 10)
-	res, err := TrainParallel(ds, 2, 1, windowCfg(3), CriticalPath)
+	res, err := trainParallel(ds, 2, 1, windowCfg(3), CriticalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := res.Ensemble()
 	// Too few initial states.
-	if _, err := e.RolloutSeq(ds.Snapshots[:2], 2, nil); err == nil {
+	if _, err := rollout(e, 2, nil, ds.Snapshots[:2]...); err == nil {
 		t.Fatal("short history accepted")
 	}
-	if _, err := e.PredictOneStepSeq(ds.Snapshots[:1]); err == nil {
-		t.Fatal("short history accepted by PredictOneStepSeq")
+	if _, err := predictOneStep(e, ds.Snapshots[:1]...); err == nil {
+		t.Fatal("short history accepted by Predict")
 	}
 	// Plain Rollout requires window 1.
-	if _, err := e.Rollout(ds.Snapshots[0], 2, nil); err == nil {
+	if _, err := rollout(e, 2, nil, ds.Snapshots[0]); err == nil {
 		t.Fatal("plain Rollout accepted for window-3 ensemble")
 	}
 }
 
 func TestWindowedDatasetTooShort(t *testing.T) {
 	ds := tinyDataset(t, 16, 3)
-	if _, err := TrainParallel(ds, 1, 1, windowCfg(3), CriticalPath); err == nil {
+	if _, err := trainParallel(ds, 1, 1, windowCfg(3), CriticalPath); err == nil {
 		t.Fatal("dataset shorter than window accepted")
 	}
 }

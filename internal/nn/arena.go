@@ -1,5 +1,7 @@
 package nn
 
+import "repro/internal/tensor"
+
 // Arena is a grow-only bump allocator for per-call scratch buffers.
 // The GEMM convolution path needs a large im2col workspace (C·K²
 // times the input size) on every Forward and Backward; allocating it
@@ -14,18 +16,22 @@ package nn
 // never outlives the layer call that requested it). An Arena is NOT
 // safe for concurrent use; concurrent ranks each own their models and
 // therefore their arenas.
-// Float32 scratch (the F32 compute path, DESIGN.md §13) lives in its
+//
+// Float32 scratch (the F32 inference path, DESIGN.md §13) lives in its
 // own chunk list inside the same arena, so one Mark/Release bracket
 // governs both element types and the f32 layers share the network's
 // arena without mixing widths within a chunk.
 type Arena struct {
-	chunks [][]float64
+	f64 bump[float64]
+	f32 bump[float32]
+}
+
+// bump is the arena's allocator for one element width: a list of
+// grow-only chunks and the position of the next free element.
+type bump[T tensor.Float] struct {
+	chunks [][]T
 	cur    int // index of the chunk being bumped
 	off    int // bump offset within chunks[cur]
-
-	chunks32 [][]float32
-	cur32    int
-	off32    int
 }
 
 // NewArena returns an empty arena; chunks are grown on demand.
@@ -33,39 +39,38 @@ func NewArena() *Arena { return &Arena{} }
 
 // Reset rewinds the arena to empty, keeping its chunks for reuse. It
 // is equivalent to releasing a mark taken before the first Alloc.
-func (a *Arena) Reset() { a.cur, a.off, a.cur32, a.off32 = 0, 0, 0, 0 }
+func (a *Arena) Reset() { a.Release(ArenaMark{}) }
 
 // arenaMinChunk is the smallest chunk the arena allocates (64 KiB of
 // float64s), so tiny requests don't fragment into many chunks.
 const arenaMinChunk = 1 << 13
 
-// Alloc returns a scratch slice of n float64s with arbitrary contents.
-// The slice is valid until the enclosing Mark is Released (or the
-// arena is reused past it); callers must not retain it beyond that.
-func (a *Arena) Alloc(n int) []float64 {
+// alloc returns a scratch slice of n elements with arbitrary contents.
+func (b *bump[T]) alloc(n int) []T {
 	if n == 0 {
 		return nil
 	}
-	for a.cur < len(a.chunks) {
-		c := a.chunks[a.cur]
-		if a.off+n <= len(c) {
-			s := c[a.off : a.off+n]
-			a.off += n
+	for b.cur < len(b.chunks) {
+		c := b.chunks[b.cur]
+		if b.off+n <= len(c) {
+			s := c[b.off : b.off+n]
+			b.off += n
 			return s
 		}
-		a.cur++
-		a.off = 0
+		b.cur++
+		b.off = 0
 	}
-	size := n
-	if size < arenaMinChunk {
-		size = arenaMinChunk
-	}
-	c := make([]float64, size)
-	a.chunks = append(a.chunks, c)
-	a.cur = len(a.chunks) - 1
-	a.off = n
+	c := make([]T, max(n, arenaMinChunk))
+	b.chunks = append(b.chunks, c)
+	b.cur = len(b.chunks) - 1
+	b.off = n
 	return c[:n]
 }
+
+// Alloc returns a scratch slice of n float64s with arbitrary contents.
+// The slice is valid until the enclosing Mark is Released (or the
+// arena is reused past it); callers must not retain it beyond that.
+func (a *Arena) Alloc(n int) []float64 { return a.f64.alloc(n) }
 
 // AllocZero is Alloc with the returned slice cleared.
 func (a *Arena) AllocZero(n int) []float64 {
@@ -78,52 +83,20 @@ func (a *Arena) AllocZero(n int) []float64 {
 
 // Alloc32 returns a scratch slice of n float32s with arbitrary
 // contents, under the same Mark/Release discipline as Alloc.
-func (a *Arena) Alloc32(n int) []float32 {
-	if n == 0 {
-		return nil
-	}
-	for a.cur32 < len(a.chunks32) {
-		c := a.chunks32[a.cur32]
-		if a.off32+n <= len(c) {
-			s := c[a.off32 : a.off32+n]
-			a.off32 += n
-			return s
-		}
-		a.cur32++
-		a.off32 = 0
-	}
-	size := n
-	if size < arenaMinChunk {
-		size = arenaMinChunk
-	}
-	c := make([]float32, size)
-	a.chunks32 = append(a.chunks32, c)
-	a.cur32 = len(a.chunks32) - 1
-	a.off32 = n
-	return c[:n]
-}
-
-// AllocZero32 is Alloc32 with the returned slice cleared.
-func (a *Arena) AllocZero32(n int) []float32 {
-	s := a.Alloc32(n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
+func (a *Arena) Alloc32(n int) []float32 { return a.f32.alloc(n) }
 
 // ArenaMark is a position in the arena's bump stack (both widths).
 type ArenaMark struct{ cur, off, cur32, off32 int }
 
 // Mark records the current allocation position. Pair it with Release
 // to return every slice handed out in between to the arena.
-func (a *Arena) Mark() ArenaMark { return ArenaMark{a.cur, a.off, a.cur32, a.off32} }
+func (a *Arena) Mark() ArenaMark { return ArenaMark{a.f64.cur, a.f64.off, a.f32.cur, a.f32.off} }
 
 // Release rewinds the arena to a previous Mark, invalidating all
 // slices allocated after it.
 func (a *Arena) Release(m ArenaMark) {
-	a.cur, a.off = m.cur, m.off
-	a.cur32, a.off32 = m.cur32, m.off32
+	a.f64.cur, a.f64.off = m.cur, m.off
+	a.f32.cur, a.f32.off = m.cur32, m.off32
 }
 
 // scratchUser is implemented by layers that consume arena scratch.
@@ -138,22 +111,6 @@ func (s *Sequential) SetScratch(a *Arena) {
 	for _, l := range s.layers {
 		if u, ok := l.(scratchUser); ok {
 			u.SetScratch(a)
-		}
-	}
-}
-
-// backendUser is implemented by layers with a per-instance convolution
-// engine pin.
-type backendUser interface{ SetConvBackend(ConvBackend) }
-
-// SetConvBackend pins the convolution engine on every contained layer
-// that has one, overriding the package-level Backend switch for this
-// network only. Networks with different pins can then coexist in one
-// process without racing on the global switch.
-func (s *Sequential) SetConvBackend(b ConvBackend) {
-	for _, l := range s.layers {
-		if u, ok := l.(backendUser); ok {
-			u.SetConvBackend(b)
 		}
 	}
 }

@@ -77,17 +77,17 @@ func batchedForwardCases(g *tensor.RNG) []batchCase {
 }
 
 // TestBatchedForwardBitIdentical asserts Forward on a batch of B
-// images equals B batch-of-1 Forwards bit-for-bit, per backend and
-// per worker count.
+// images equals B batch-of-1 Forwards bit-for-bit, on the engine and
+// on the reference loops, per worker count.
 func TestBatchedForwardBitIdentical(t *testing.T) {
 	const B = 5
-	for _, backend := range []ConvBackend{FastPath, SlowPath} {
+	for _, reference := range []bool{false, true} {
 		for _, workers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("backend=%v/workers=%d", backend, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("reference=%v/workers=%d", reference, workers), func(t *testing.T) {
 				g := tensor.NewRNG(42)
 				for _, tc := range batchedForwardCases(g) {
-					if s, ok := tc.layer.(interface{ SetConvBackend(ConvBackend) }); ok {
-						s.SetConvBackend(backend)
+					if reference {
+						tc.layer = asReference(tc.layer)
 					}
 					if s, ok := tc.layer.(interface{ SetWorkers(int) }); ok {
 						s.SetWorkers(workers)
@@ -120,12 +120,12 @@ func TestBatchedForwardBitIdentical(t *testing.T) {
 // serving path relies on.)
 func TestBatchedBackwardInputGradBitIdentical(t *testing.T) {
 	const B = 4
-	for _, backend := range []ConvBackend{FastPath, SlowPath} {
-		t.Run(fmt.Sprintf("backend=%v", backend), func(t *testing.T) {
+	for _, reference := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reference=%v", reference), func(t *testing.T) {
 			g := tensor.NewRNG(7)
 			for _, tc := range batchedForwardCases(g) {
-				if s, ok := tc.layer.(interface{ SetConvBackend(ConvBackend) }); ok {
-					s.SetConvBackend(backend)
+				if reference {
+					tc.layer = asReference(tc.layer)
 				}
 				xs := make([]*tensor.Tensor, B)
 				gs := make([]*tensor.Tensor, B)

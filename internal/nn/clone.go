@@ -32,10 +32,10 @@ func (s *Sequential) CloneShared() *Sequential {
 		out.layers[i] = c.CloneShared()
 	}
 	out.SetScratch(NewArena())
-	// The precision pin is a per-instance property like the backend pin,
-	// and the clone's layers share the master's packed f32 weights (the
-	// pack pointers were copied above), so propagating the pin costs no
-	// re-narrowing — pack-once-per-Engine.
+	// The precision pin is a per-instance property, and the clone's
+	// layers share the master's packed f32 weights (the pack pointers
+	// were copied above), so propagating the pin costs no re-narrowing
+	// — pack-once-per-Engine.
 	if s.f32 != nil {
 		if err := out.SetPrecision(F32); err != nil {
 			panic(fmt.Sprintf("nn: CloneShared precision pin: %v", err))
@@ -55,7 +55,6 @@ func (c *Conv2D) CloneShared() Layer {
 		Workers:     c.Workers,
 		weight:      c.weight,
 		bias:        c.bias,
-		backend:     c.backend,
 		scratch:     NewArena(),
 		pack:        c.pack,
 		name:        c.name,
@@ -71,7 +70,6 @@ func (c *ConvTranspose2D) CloneShared() Layer {
 		Workers:     c.Workers,
 		weight:      c.weight,
 		bias:        c.bias,
-		backend:     c.backend,
 		scratch:     NewArena(),
 		pack:        c.pack,
 		name:        c.name,

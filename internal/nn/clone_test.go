@@ -108,18 +108,3 @@ func TestCloneSharedAllLayerKinds(t *testing.T) {
 		t.Fatal("cloned LSTM differs")
 	}
 }
-
-func TestSetConvBackendPerInstance(t *testing.T) {
-	m := buildTestNet()
-	slow := m.CloneShared()
-	slow.SetConvBackend(SlowPath)
-	x := tensor.Normal(tensor.NewRNG(4), 0, 1, 1, 2, 8, 8)
-	a := m.Forward(x)    // package default: fast path
-	b := slow.Forward(x) // pinned: slow path
-	if Backend != FastPath {
-		t.Fatal("package switch moved")
-	}
-	if !a.AllClose(b, 1e-10) {
-		t.Fatalf("pinned slow path diverged: %g", a.Sub(b).AbsMax())
-	}
-}

@@ -6,42 +6,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// ConvBackend selects between the two convolution engines (DESIGN.md
-// §3): the default FastPath lowers every convolution to a blocked
-// matrix product via im2col, SlowPath keeps the original nested loops
-// as an independently-derived reference implementation. The two agree
-// to float round-off on forward results and on all gradients — the
-// crosscheck tests assert it — so the switch is a debugging and
-// benchmarking aid, never a semantic choice.
-type ConvBackend int
-
-const (
-	// FastPath routes Conv2D and ConvTranspose2D through the im2col +
-	// GEMM engine in internal/tensor (gemm.go, im2col.go).
-	FastPath ConvBackend = iota
-	// SlowPath uses the naive 6-deep loop nests, kept as the readable
-	// reference the fast path is validated against.
-	SlowPath
-)
-
-// String implements fmt.Stringer.
-func (b ConvBackend) String() string {
-	switch b {
-	case FastPath:
-		return "gemm"
-	case SlowPath:
-		return "naive"
-	}
-	return fmt.Sprintf("ConvBackend(%d)", int(b))
-}
-
-// Backend is the package-level switch selecting the convolution
-// engine. It is read once at the start of each Forward (Backward
-// follows whatever path its Forward took), so flipping it between a
-// Forward/Backward pair is safe; flipping it while other goroutines
-// are inside Forward is not.
-var Backend = FastPath
-
 // Conv2D is a stride-1 two-dimensional convolution layer operating on
 // NCHW tensors, the workhorse of the paper's Table-I architecture.
 //
@@ -58,41 +22,30 @@ type Conv2D struct {
 	Kernel      int
 	Pad         int
 
-	// Workers enables intra-layer parallelism. On the GEMM fast path
-	// the forward pass fans output-column tiles out to goroutines and
-	// the backward pass parallelizes row bands inside each panel
-	// product; on the naive slow path the forward pass fans out over
-	// (batch × output channel) tasks and the backward pass over input
-	// channels. 0 or 1 (the default) keeps the layer strictly
-	// single-threaded, which the critical-path timing model relies on
-	// (DESIGN.md §5); results are bit-identical either way.
+	// Workers enables intra-layer parallelism: the forward pass fans
+	// output-column tiles out to goroutines and the backward pass
+	// parallelizes row bands inside each panel product. 0 or 1 (the
+	// default) keeps the layer strictly single-threaded, which the
+	// critical-path timing model relies on (DESIGN.md §5); results are
+	// bit-identical either way.
 	Workers int
 
 	weight *Param // [Cout, Cin, K, K]
 	bias   *Param // [Cout]
 
-	// cacheInput holds what Backward needs from the last Forward: a
-	// padded copy of the input on the slow path, a reference to the
-	// raw input on the fast path (which re-lowers it instead of
-	// padding). cacheFast records which, so a Backward always matches
-	// its own Forward even if the Backend switch moves in between.
+	// cacheInput holds what Backward needs from the last float64
+	// Forward: a reference to the raw input, which Backward re-lowers.
 	cacheInput *tensor.Tensor
-	cacheFast  bool
-	scratch    *Arena       // im2col workspace (never nil after NewConv2D)
-	backend    *ConvBackend // per-layer pin; nil follows the package switch
+	scratch    *Arena // im2col workspace (never nil after NewConv2D)
 	name       string
 
-	// Float32 compute path (DESIGN.md §13): pack caches the weights
-	// narrowed to f32 (shared across clones, see pack32), f32on pins
-	// the layer, and cacheX32 keeps a persistent copy of the last f32
-	// input — chain activations live in the arena, so Backward cannot
-	// cache them by reference the way the f64 path does.
-	f32on     bool
-	f32arena  *Arena
-	pack      *pack32
-	cacheX32  []float32
-	cacheF32  bool
-	cacheDims [3]int // n, h, w of the cached f32 input
+	// Float32 inference path (DESIGN.md §13): pack caches the weights
+	// narrowed to f32 (shared across clones, see pack32) and f32on pins
+	// the layer. The path is forward-only — Backward panics while the
+	// layer is pinned.
+	f32on    bool
+	f32arena *Arena
+	pack     *pack32
 }
 
 // NewConv2D builds a convolution layer with He-initialized weights.
@@ -149,63 +102,57 @@ func (c *Conv2D) SetScratch(a *Arena) {
 // SetWorkers sets the intra-layer parallelism knob.
 func (c *Conv2D) SetWorkers(workers int) { c.Workers = workers }
 
-// SetConvBackend pins this layer to one convolution engine regardless
-// of the package-level Backend switch — the per-instance form of the
-// switch, needed when engines with different backends coexist in one
-// process (see Sequential.SetConvBackend).
-func (c *Conv2D) SetConvBackend(b ConvBackend) { c.backend = &b }
+// convShape is the geometry of one batched convolution call: n images
+// of cin×h×w through a cout-channel k×k kernel with zero padding pad.
+type convShape struct{ n, cin, h, w, k, pad, cout int }
 
-// engine returns the convolution engine this layer uses: the pinned
-// one if set, else the package-level switch.
-func (c *Conv2D) engine() ConvBackend {
-	if c.backend != nil {
-		return *c.backend
-	}
-	return Backend
+// out returns the spatial output size.
+func (g convShape) out() (oh, ow int) {
+	return tensor.ConvOutSize(g.h, g.k, g.pad), tensor.ConvOutSize(g.w, g.k, g.pad)
 }
 
-// Forward implements Layer.
+// shapeFor validates an NCHW input against the layer and returns the
+// call geometry.
+func (c *Conv2D) shapeFor(n, cin, h, w int) convShape {
+	if cin != c.InChannels {
+		panic(fmt.Sprintf("nn: Conv2D %s expects %d input channels, got %d", c.name, c.InChannels, cin))
+	}
+	g := convShape{n: n, cin: cin, h: h, w: w, k: c.Kernel, pad: c.Pad, cout: c.OutChannels}
+	if oh, ow := g.out(); oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("nn: conv input %dx%d smaller than kernel %d", h+2*c.Pad, w+2*c.Pad, c.Kernel))
+	}
+	return g
+}
+
+// panicF32Backward is the one failure every parameterised layer (and
+// Sequential) reports when asked for gradients while pinned to F32.
+func panicF32Backward(layer string) {
+	panic(fmt.Sprintf("nn: %s Backward while pinned to F32: the float32 path is forward-only (DESIGN.md §13); SetPrecision(F64) and run Forward again before Backward", layer))
+}
+
+// Forward implements Layer: the convolution as matrix products over
+// cache-sized column tiles (convForward), with the raw input cached by
+// reference for Backward. That relies on the layer protocol's
+// single-flight contract — the input must not be mutated between
+// Forward and the matching Backward — which holds everywhere in this
+// repository, where layer inputs are the previous layer's freshly
+// built output. Steady-state calls allocate nothing in the lowering;
+// only the output tensor is new.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: Conv2D %s needs NCHW input, got shape %v", c.name, x.Shape()))
 	}
-	if x.Dim(1) != c.InChannels {
-		panic(fmt.Sprintf("nn: Conv2D %s expects %d input channels, got %d", c.name, c.InChannels, x.Dim(1)))
-	}
 	if c.f32on {
 		return forwardVia32(c, c.f32arena, x)
 	}
-	if c.engine() == FastPath {
-		return c.forwardGEMM(x)
-	}
-	xp := x
-	if c.Pad > 0 {
-		xp = tensor.Pad2D(x, c.Pad)
-	} else {
-		xp = x.Clone() // keep an immutable copy for backward
-	}
-	c.cacheInput = xp
-	c.cacheFast = false
-	return validConvForward(xp, c.weight.Value, c.bias.Value, c.Workers)
-}
-
-// Backward implements Layer.
-func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if c.cacheF32 {
-		return c.backward32(gradOut)
-	}
-	if c.cacheInput == nil {
-		panic(fmt.Sprintf("nn: Conv2D %s Backward before Forward", c.name))
-	}
-	if c.cacheFast {
-		return c.backwardGEMM(gradOut)
-	}
-	dxPadded := validConvBackward(c.cacheInput, c.weight.Value, gradOut, c.weight.Grad, c.bias.Grad, c.Workers)
-	c.cacheInput = nil
-	if c.Pad > 0 {
-		return tensor.Crop2D(dxPadded, c.Pad)
-	}
-	return dxPadded
+	g := c.shapeFor(x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3))
+	c.cacheInput = x
+	oh, ow := g.out()
+	y := tensor.New(g.n, g.cout, oh, ow)
+	mark := c.scratch.Mark()
+	convForward(&c.scratch.f64, c.Workers, g, x.Data(), c.weight.Value.Data(), c.bias.Value.Data(), y.Data())
+	c.scratch.Release(mark)
+	return y
 }
 
 // convTileCols returns the column-tile width of the tiled GEMM engine:
@@ -229,13 +176,14 @@ func convTileCols(ckk, frame int) int {
 	return tw
 }
 
-// forwardGEMM computes the convolution as matrix products over
-// cache-sized column tiles (DESIGN.md §3): each tile of output
-// positions is lowered with Im2ColWindow into a [Cin·K² × tile] panel
-// resident in the scratch arena, the kernel tensor is viewed as a
-// [Cout × Cin·K²] matrix, and the tile's output columns are
+// convForward computes the convolution as matrix products over
+// cache-sized column tiles (DESIGN.md §3), for either element width:
+// each tile of output positions is lowered with Im2ColWindow into a
+// [Cin·K² × tile] panel taken from scratch, the kernel tensor is viewed
+// as a [Cout × Cin·K²] matrix, and the tile's output columns are
 // Y[:, tile] = W·panel + b. Padding is folded into the lowering, so no
-// padded input copy is ever materialized.
+// padded input copy is ever materialized. The caller brackets the call
+// with the arena's Mark/Release.
 //
 // The batch axis is folded into the tile axis (DESIGN.md §9): a batch
 // of N images is one sweep over N·ntiles (image, tile) tasks with a
@@ -246,79 +194,66 @@ func convTileCols(ckk, frame int) int {
 // on the element's position within its panel: per-image tiling is what
 // makes a batched forward bit-identical, image for image, to N
 // batch-of-1 forwards (asserted by nn/batched_test.go). With
-// Workers > 1 the (image, tile) tasks — whose output columns are
+// workers > 1 the (image, tile) tasks — whose output columns are
 // disjoint — fan out to goroutines, each with its own panel, so
-// parallelism now scales with the batch even when a single frame has
-// few tiles. The raw input is cached for Backward by reference, making
-// steady-state Forward calls allocation-free in the lowering — only
-// the output tensor itself is freshly allocated.
-func (c *Conv2D) forwardGEMM(x *tensor.Tensor) *tensor.Tensor {
-	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	k, cout := c.Kernel, c.OutChannels
-	oh := tensor.ConvOutSize(h, k, c.Pad)
-	ow := tensor.ConvOutSize(wid, k, c.Pad)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: conv input %dx%d smaller than kernel %d", h+2*c.Pad, wid+2*c.Pad, k))
-	}
-
-	// Cache the raw input by reference (Backward re-lowers it). This
-	// relies on the layer protocol's single-flight contract: the input
-	// must not be mutated between Forward and the matching Backward —
-	// true everywhere in this repository, where layer inputs are the
-	// previous layer's freshly built output.
-	c.cacheInput = x
-	c.cacheFast = true
-
-	ckk := tensor.Im2ColRows(cin, k)
+// parallelism scales with the batch even when a single frame has few
+// tiles; with workers <= 1 the sweep is a plain loop over one panel
+// that builds no closure, the zero-allocation steady state of the
+// rollout loop.
+func convForward[T tensor.Float](scratch *bump[T], workers int, g convShape, xd, wd, bd, yd []T) {
+	oh, ow := g.out()
+	ckk := tensor.Im2ColRows(g.cin, g.k)
 	frame := oh * ow
 	tw := convTileCols(ckk, frame)
 	ntiles := (frame + tw - 1) / tw
-	tasks := n * ntiles
-	nw := c.Workers
-	if nw > tasks {
-		nw = tasks
+	tasks := g.n * ntiles
+	nw := min(workers, tasks)
+	if nw <= 1 {
+		cols := scratch.alloc(ckk * tw)
+		for t := 0; t < tasks; t++ {
+			convForwardTile(t, ntiles, tw, g, xd, cols, wd, bd, yd)
+		}
+		return
 	}
-	if nw < 1 {
-		nw = 1
-	}
-
-	mark := c.scratch.Mark()
-	panels := make([][]float64, nw)
+	panels := make([][]T, nw)
 	for w := range panels {
-		panels[w] = c.scratch.Alloc(ckk * tw)
+		panels[w] = scratch.alloc(ckk * tw)
 	}
-	defer c.scratch.Release(mark)
-
-	y := tensor.New(n, cout, oh, ow)
-	xd, wd, yd, bd := x.Data(), c.weight.Value.Data(), y.Data(), c.bias.Value.Data()
 	// Worker w sweeps its contiguous range of (image, tile) tasks with
 	// its own panel; task output columns are disjoint, so any
 	// assignment of tasks to goroutines produces identical results.
 	parallelFor(nw, nw, func(w int) {
-		cols := panels[w]
 		for t := w * tasks / nw; t < (w+1)*tasks/nw; t++ {
-			in, tt := t/ntiles, t%ntiles
-			xn := xd[in*cin*h*wid : (in+1)*cin*h*wid]
-			out := yd[in*cout*frame : (in+1)*cout*frame]
-			j0 := tt * tw
-			j1 := min(j0+tw, frame)
-			twa := j1 - j0
-			tensor.Im2ColWindow(xn, cin, h, wid, k, c.Pad, j0, j1, cols)
-			for co := 0; co < cout; co++ {
-				row := out[co*frame+j0 : co*frame+j1]
-				bv := bd[co]
-				for i := range row {
-					row[i] = bv
-				}
-			}
-			tensor.GemmPanelNN(cout, twa, ckk, wd, ckk, cols, twa, out[j0:], frame, true, 1)
+			convForwardTile(t, ntiles, tw, g, xd, panels[w], wd, bd, yd)
 		}
 	})
-	return y
 }
 
-// backwardGEMM is the adjoint of forwardGEMM, again as matrix
-// products over column tiles: with the tile's output gradient dYt
+// convForwardTile runs task t of convForward: it lowers one column
+// tile of one image into cols and multiplies it against the kernel
+// matrix onto the bias-prefilled output columns.
+func convForwardTile[T tensor.Float](t, ntiles, tw int, g convShape, xd, cols, wd, bd, yd []T) {
+	oh, ow := g.out()
+	ckk := tensor.Im2ColRows(g.cin, g.k)
+	frame := oh * ow
+	in, tt := t/ntiles, t%ntiles
+	xn := xd[in*g.cin*g.h*g.w : (in+1)*g.cin*g.h*g.w]
+	out := yd[in*g.cout*frame : (in+1)*g.cout*frame]
+	j0 := tt * tw
+	j1 := min(j0+tw, frame)
+	tensor.Im2ColWindow(xn, g.cin, g.h, g.w, g.k, g.pad, j0, j1, cols)
+	for co := 0; co < g.cout; co++ {
+		row := out[co*frame+j0 : co*frame+j1]
+		bv := bd[co]
+		for i := range row {
+			row[i] = bv
+		}
+	}
+	tensor.GemmPanelNN(g.cout, j1-j0, ckk, wd, ckk, cols, j1-j0, out[j0:], frame, true, 1)
+}
+
+// Backward implements Layer. It is the adjoint of Forward, again as
+// matrix products over column tiles: with the tile's output gradient dYt
 // viewed as the [Cout × tile] panel of dY,
 //
 //	dW  += dYt · panelᵀ         (GemmPanelNT)
@@ -331,7 +266,13 @@ func (c *Conv2D) forwardGEMM(x *tensor.Tensor) *tensor.Tensor {
 // overlap); Workers > 1 parallelizes the row bands inside each GEMM,
 // which keeps every accumulation order fixed and results bit-identical
 // for any worker count.
-func (c *Conv2D) backwardGEMM(gradOut *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	if c.f32on {
+		panicF32Backward("Conv2D " + c.name)
+	}
+	if c.cacheInput == nil {
+		panic(fmt.Sprintf("nn: Conv2D %s Backward before Forward", c.name))
+	}
 	x := c.cacheInput
 	c.cacheInput = nil
 	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
@@ -379,108 +320,5 @@ func (c *Conv2D) backwardGEMM(gradOut *tensor.Tensor) *tensor.Tensor {
 			tensor.Col2ImWindow(dcols, cin, h, wid, k, c.Pad, j0, j1, dxn)
 		}
 	}
-	return dx
-}
-
-// validConvForward computes a stride-1 valid cross-correlation:
-// y[n,co,oy,ox] = b[co] + Σ_{ci,ky,kx} x[n,ci,oy+ky,ox+kx] · w[co,ci,ky,kx].
-// With workers > 1, (batch, output-channel) tasks run concurrently;
-// their output regions are disjoint, so the result is identical.
-func validConvForward(x, w, b *tensor.Tensor, workers int) *tensor.Tensor {
-	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	cout, k := w.Dim(0), w.Dim(2)
-	oh, ow := h-k+1, wid-k+1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: conv input %dx%d smaller than kernel %d", h, wid, k))
-	}
-	y := tensor.New(n, cout, oh, ow)
-	xd, wd, yd, bd := x.Data(), w.Data(), y.Data(), b.Data()
-	parallelFor(n*cout, workers, func(task int) {
-		in, co := task/cout, task%cout
-		outBase := (in*cout + co) * oh * ow
-		bv := bd[co]
-		for i := outBase; i < outBase+oh*ow; i++ {
-			yd[i] = bv
-		}
-		for ci := 0; ci < cin; ci++ {
-			inBase := (in*cin + ci) * h * wid
-			wBase := ((co*cin + ci) * k) * k
-			for ky := 0; ky < k; ky++ {
-				wrow := wd[wBase+ky*k : wBase+(ky+1)*k]
-				for oy := 0; oy < oh; oy++ {
-					srcRow := xd[inBase+(oy+ky)*wid : inBase+(oy+ky)*wid+wid]
-					dstRow := yd[outBase+oy*ow : outBase+(oy+1)*ow]
-					for kx := 0; kx < k; kx++ {
-						wv := wrow[kx]
-						if wv == 0 {
-							continue
-						}
-						src := srcRow[kx : kx+ow]
-						for ox := range dstRow {
-							dstRow[ox] += wv * src[ox]
-						}
-					}
-				}
-			}
-		}
-	})
-	return y
-}
-
-// validConvBackward accumulates dW and dB from gradOut and returns
-// dL/dx for the (already padded) input of validConvForward. With
-// workers > 1 the bias gradient is computed serially (it is cheap),
-// and the main sweep fans out over input channels, whose dW and dx
-// regions are disjoint — results are identical to the serial path.
-func validConvBackward(x, w, gradOut, dW, dB *tensor.Tensor, workers int) *tensor.Tensor {
-	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	cout, k := w.Dim(0), w.Dim(2)
-	oh, ow := gradOut.Dim(2), gradOut.Dim(3)
-	if gradOut.Dim(0) != n || gradOut.Dim(1) != cout || oh != h-k+1 || ow != wid-k+1 {
-		panic(fmt.Sprintf("nn: conv backward shape mismatch x=%v w=%v dy=%v", x.Shape(), w.Shape(), gradOut.Shape()))
-	}
-	dx := tensor.New(n, cin, h, wid)
-	xd, wd, gd, dxd := x.Data(), w.Data(), gradOut.Data(), dx.Data()
-	dWd, dBd := dW.Data(), dB.Data()
-
-	// Bias gradient: sum of the output gradient per output channel.
-	for in := 0; in < n; in++ {
-		for co := 0; co < cout; co++ {
-			gBase := (in*cout + co) * oh * ow
-			s := 0.0
-			for i := gBase; i < gBase+oh*ow; i++ {
-				s += gd[i]
-			}
-			dBd[co] += s
-		}
-	}
-
-	parallelFor(cin, workers, func(ci int) {
-		for in := 0; in < n; in++ {
-			inBase := (in*cin + ci) * h * wid
-			for co := 0; co < cout; co++ {
-				gBase := (in*cout + co) * oh * ow
-				wBase := ((co*cin + ci) * k) * k
-				for ky := 0; ky < k; ky++ {
-					for oy := 0; oy < oh; oy++ {
-						gRow := gd[gBase+oy*ow : gBase+(oy+1)*ow]
-						srcRow := xd[inBase+(oy+ky)*wid : inBase+(oy+ky)*wid+wid]
-						dxRow := dxd[inBase+(oy+ky)*wid : inBase+(oy+ky)*wid+wid]
-						for kx := 0; kx < k; kx++ {
-							wv := wd[wBase+ky*k+kx]
-							acc := 0.0
-							src := srcRow[kx : kx+ow]
-							dst := dxRow[kx : kx+ow]
-							for ox, g := range gRow {
-								acc += g * src[ox]
-								dst[ox] += g * wv
-							}
-							dWd[wBase+ky*k+kx] += acc
-						}
-					}
-				}
-			}
-		}
-	})
 	return dx
 }

@@ -37,189 +37,57 @@ func (c *Conv2D) setPrecision32(on bool, a *Arena) error {
 // invalidatePack implements packInvalidator.
 func (c *Conv2D) invalidatePack() { c.pack.invalidate() }
 
-// forward32 implements layer32: the float32 twin of forwardGEMM, plus
-// the direct kernel for tiny channel counts. The output is allocated
-// from the chain arena before the inner scratch mark, so releasing the
-// lowering panels leaves it live for the next stage.
+// forward32 implements layer32: the shared convForward sweep on
+// float32, or the direct kernel for tiny channel counts. The output is
+// allocated from the chain arena before the inner scratch mark, so
+// releasing the lowering panels leaves it live for the next stage.
 func (c *Conv2D) forward32(x act32, a *Arena) act32 {
 	if x.rank != 4 {
 		panic(fmt.Sprintf("nn: Conv2D %s f32 path needs NCHW input, got rank %d", c.name, x.rank))
 	}
-	if x.c != c.InChannels {
-		panic(fmt.Sprintf("nn: Conv2D %s expects %d input channels, got %d", c.name, c.InChannels, x.c))
-	}
-	n, cin, h, wid := x.n, x.c, x.h, x.w
-	k, cout := c.Kernel, c.OutChannels
-	oh := tensor.ConvOutSize(h, k, c.Pad)
-	ow := tensor.ConvOutSize(wid, k, c.Pad)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: conv input %dx%d smaller than kernel %d", h+2*c.Pad, wid+2*c.Pad, k))
-	}
+	g := c.shapeFor(x.n, x.c, x.h, x.w)
+	c.cacheInput = nil // a float64 Backward must not pair with this forward
 	wd, bd := c.pack.get(c.weight.Value, c.bias.Value)
-
-	// Persistent input copy: the activation's backing store is arena
-	// scratch that is rewound at the end of the network call, so unlike
-	// the f64 fast path Backward cannot hold it by reference.
-	if cap(c.cacheX32) < len(x.d) {
-		c.cacheX32 = make([]float32, len(x.d))
-	}
-	copy(c.cacheX32[:len(x.d)], x.d)
-	c.cacheF32 = true
-	c.cacheDims = [3]int{n, h, wid}
-
-	frame := oh * ow
-	yd := a.Alloc32(n * cout * frame)
-	xd := x.d
-
-	if useDirectConv32(cin, cout, k) {
-		sl := tensor.DirectConv32ScratchLen(cin, h, wid, k, c.Pad)
-		nw := c.Workers
-		if nw > n {
-			nw = n
-		}
-		mark := a.Mark()
-		if nw <= 1 {
-			scratch := a.Alloc32(sl)
-			for in := 0; in < n; in++ {
-				tensor.DirectConv32(xd[in*cin*h*wid:(in+1)*cin*h*wid], cin, h, wid,
-					wd, cout, k, c.Pad, bd, yd[in*cout*frame:(in+1)*cout*frame], scratch)
-			}
-		} else {
-			scratches := make([][]float32, nw)
-			for w := range scratches {
-				scratches[w] = a.Alloc32(sl)
-			}
-			parallelFor(nw, nw, func(w int) {
-				for in := w * n / nw; in < (w+1)*n/nw; in++ {
-					tensor.DirectConv32(xd[in*cin*h*wid:(in+1)*cin*h*wid], cin, h, wid,
-						wd, cout, k, c.Pad, bd, yd[in*cout*frame:(in+1)*cout*frame], scratches[w])
-				}
-			})
-		}
-		a.Release(mark)
-		return act32{n: n, c: cout, h: oh, w: ow, rank: 4, d: yd}
-	}
-
-	ckk := tensor.Im2ColRows(cin, k)
-	tw := convTileCols(ckk, frame)
-	ntiles := (frame + tw - 1) / tw
-	tasks := n * ntiles
-	nw := c.Workers
-	if nw > tasks {
-		nw = tasks
-	}
-	if nw < 1 {
-		nw = 1
-	}
-
+	oh, ow := g.out()
+	yd := a.Alloc32(g.n * g.cout * oh * ow)
 	mark := a.Mark()
-	if nw <= 1 {
-		// Serial sweep with one panel and no closures — the zero-alloc
-		// steady state of the rollout loop.
-		cols := a.Alloc32(ckk * tw)
-		for t := 0; t < tasks; t++ {
-			in, tt := t/ntiles, t%ntiles
-			convForwardTile32(xd[in*cin*h*wid:(in+1)*cin*h*wid], cols,
-				yd[in*cout*frame:(in+1)*cout*frame],
-				wd, bd, cin, h, wid, k, c.Pad, cout, ckk, frame, tt*tw, min(tt*tw+tw, frame))
-		}
+	if useDirectConv32(g.cin, g.cout, g.k) {
+		directForward32(a, c.Workers, g, x.d, wd, bd, yd)
 	} else {
-		panels := make([][]float32, nw)
-		for w := range panels {
-			panels[w] = a.Alloc32(ckk * tw)
-		}
-		parallelFor(nw, nw, func(w int) {
-			cols := panels[w]
-			for t := w * tasks / nw; t < (w+1)*tasks/nw; t++ {
-				in, tt := t/ntiles, t%ntiles
-				convForwardTile32(xd[in*cin*h*wid:(in+1)*cin*h*wid], cols,
-					yd[in*cout*frame:(in+1)*cout*frame],
-					wd, bd, cin, h, wid, k, c.Pad, cout, ckk, frame, tt*tw, min(tt*tw+tw, frame))
-			}
-		})
+		convForward(&a.f32, c.Workers, g, x.d, wd, bd, yd)
 	}
 	a.Release(mark)
-	return act32{n: n, c: cout, h: oh, w: ow, rank: 4, d: yd}
+	return act32{n: g.n, c: g.cout, h: oh, w: ow, rank: 4, d: yd}
 }
 
-// convForwardTile32 lowers one column tile of one image and multiplies
-// it against the packed kernel matrix — the body shared by the serial
-// and fanned-out sweeps of forward32.
-func convForwardTile32(xn, cols, out, wd, bd []float32, cin, h, wid, k, pad, cout, ckk, frame, j0, j1 int) {
-	twa := j1 - j0
-	tensor.Im2ColWindow32(xn, cin, h, wid, k, pad, j0, j1, cols)
-	for co := 0; co < cout; co++ {
-		row := out[co*frame+j0 : co*frame+j1]
-		bv := bd[co]
-		for i := range row {
-			row[i] = bv
+// directForward32 runs the direct kernel over the batch; images are
+// independent, so with workers > 1 they fan out, each worker with its
+// own scratch plane.
+func directForward32(a *Arena, workers int, g convShape, xd, wd, bd, yd []float32) {
+	sl := tensor.DirectConv32ScratchLen(g.cin, g.h, g.w, g.k, g.pad)
+	nw := min(workers, g.n)
+	if nw <= 1 {
+		scratch := a.Alloc32(sl)
+		for in := 0; in < g.n; in++ {
+			directImage32(in, g, xd, wd, bd, yd, scratch)
 		}
+		return
 	}
-	tensor.GemmPanelNN32(cout, twa, ckk, wd, ckk, cols, twa, out[j0:], frame, true, 1)
+	scratches := make([][]float32, nw)
+	for w := range scratches {
+		scratches[w] = a.Alloc32(sl)
+	}
+	parallelFor(nw, nw, func(w int) {
+		for in := w * g.n / nw; in < (w+1)*g.n/nw; in++ {
+			directImage32(in, g, xd, wd, bd, yd, scratches[w])
+		}
+	})
 }
 
-// backward32 is the adjoint of forward32, always via the GEMM route
-// (the direct kernel and the lowering compute the same linear map, so
-// one adjoint serves both forward variants). Gradients accumulate in
-// float32 and fold into the float64 master grads with one widening add
-// per parameter — the only f64 work in the pass.
-func (c *Conv2D) backward32(gradOut *tensor.Tensor) *tensor.Tensor {
-	c.cacheF32 = false
-	n, h, wid := c.cacheDims[0], c.cacheDims[1], c.cacheDims[2]
-	cin, k, cout := c.InChannels, c.Kernel, c.OutChannels
-	oh := tensor.ConvOutSize(h, k, c.Pad)
-	ow := tensor.ConvOutSize(wid, k, c.Pad)
-	if gradOut.Dim(0) != n || gradOut.Dim(1) != cout || gradOut.Dim(2) != oh || gradOut.Dim(3) != ow {
-		panic(fmt.Sprintf("nn: conv f32 backward shape mismatch x=[%d %d %d %d] dy=%v", n, cin, h, wid, gradOut.Shape()))
-	}
-	wd, _ := c.pack.get(c.weight.Value, c.bias.Value)
-	xd := c.cacheX32[:n*cin*h*wid]
-
-	a := c.f32arena
-	mark := a.Mark()
-	defer a.Release(mark)
-
-	frame := oh * ow
-	gd := a.Alloc32(n * cout * frame)
-	tensor.Narrow32(gd, gradOut.Data())
-
-	ckk := tensor.Im2ColRows(cin, k)
-	tw := convTileCols(ckk, frame)
-	cols := a.Alloc32(ckk * tw)
-	dcols := a.Alloc32(ckk * tw)
-	dW32 := a.AllocZero32(cout * ckk)
-	dB32 := a.AllocZero32(cout)
-	dx32 := a.AllocZero32(n * cin * h * wid)
-
-	// Bias gradient: sum of the output gradient per output channel.
-	for in := 0; in < n; in++ {
-		for co := 0; co < cout; co++ {
-			gBase := (in*cout + co) * frame
-			s := float32(0)
-			for i := gBase; i < gBase+frame; i++ {
-				s += gd[i]
-			}
-			dB32[co] += s
-		}
-	}
-
-	for in := 0; in < n; in++ {
-		xn := xd[in*cin*h*wid : (in+1)*cin*h*wid]
-		dxn := dx32[in*cin*h*wid : (in+1)*cin*h*wid]
-		dy := gd[in*cout*frame : (in+1)*cout*frame]
-		for j0 := 0; j0 < frame; j0 += tw {
-			j1 := min(j0+tw, frame)
-			twa := j1 - j0
-			tensor.Im2ColWindow32(xn, cin, h, wid, k, c.Pad, j0, j1, cols)
-			tensor.GemmPanelNT32(cout, ckk, twa, dy[j0:], frame, cols, twa, dW32, ckk, true, c.Workers)
-			tensor.GemmPanelTN32(ckk, twa, cout, wd, ckk, dy[j0:], frame, dcols, twa, false, c.Workers)
-			tensor.Col2ImWindow32(dcols, cin, h, wid, k, c.Pad, j0, j1, dxn)
-		}
-	}
-
-	tensor.AddWiden64(c.weight.Grad.Data(), dW32)
-	tensor.AddWiden64(c.bias.Grad.Data(), dB32)
-	dx := tensor.New(n, cin, h, wid)
-	tensor.Widen64(dx.Data(), dx32)
-	return dx
+// directImage32 runs the direct kernel on image in of the batch.
+func directImage32(in int, g convShape, xd, wd, bd, yd, scratch []float32) {
+	oh, ow := g.out()
+	perIn, perOut := g.cin*g.h*g.w, g.cout*oh*ow
+	tensor.DirectConv32(xd[in*perIn:(in+1)*perIn], g.cin, g.h, g.w,
+		wd, g.cout, g.k, g.pad, bd, yd[in*perOut:(in+1)*perOut], scratch)
 }

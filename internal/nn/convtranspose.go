@@ -17,36 +17,29 @@ import (
 // convention): the forward map is exactly the adjoint of Conv2D's
 // valid cross-correlation with a [Cin→Cout] kernel.
 //
-// Like Conv2D, the layer has two engines selected by the package-level
-// Backend switch: the default fast path expresses the scatter as a
-// matrix product followed by Col2Im (and the backward pass as Im2Col
-// followed by two products), the slow path keeps the reference loops.
+// Like Conv2D, the layer runs on the GEMM engine: the scatter is a
+// matrix product followed by Col2Im, the backward pass Im2Col followed
+// by two products.
 type ConvTranspose2D struct {
 	InChannels  int
 	OutChannels int
 	Kernel      int
 
 	// Workers enables intra-layer parallelism of the GEMM engine;
-	// results are bit-identical for any value. The slow path ignores
-	// it (the reference loops stay strictly single-threaded).
+	// results are bit-identical for any value.
 	Workers int
 
 	weight *Param // [Cin, Cout, K, K]
 	bias   *Param // [Cout]
 
 	cacheInput *tensor.Tensor
-	cacheFast  bool
 	scratch    *Arena
-	backend    *ConvBackend // per-layer pin; nil follows the package switch
 	name       string
 
-	// Float32 compute path — see the matching fields on Conv2D.
-	f32on     bool
-	f32arena  *Arena
-	pack      *pack32
-	cacheX32  []float32
-	cacheF32  bool
-	cacheDims [3]int // n, h, w of the cached f32 input
+	// Float32 inference path — see the matching fields on Conv2D.
+	f32on    bool
+	f32arena *Arena
+	pack     *pack32
 }
 
 // NewConvTranspose2D builds a transpose convolution layer with
@@ -93,20 +86,10 @@ func (c *ConvTranspose2D) SetScratch(a *Arena) {
 // SetWorkers sets the intra-layer parallelism knob.
 func (c *ConvTranspose2D) SetWorkers(workers int) { c.Workers = workers }
 
-// SetConvBackend pins this layer to one convolution engine (see
-// Conv2D.SetConvBackend).
-func (c *ConvTranspose2D) SetConvBackend(b ConvBackend) { c.backend = &b }
-
-// engine returns the pinned convolution engine, or the package switch.
-func (c *ConvTranspose2D) engine() ConvBackend {
-	if c.backend != nil {
-		return *c.backend
-	}
-	return Backend
-}
-
 // Forward implements Layer:
 // y[n,co,iy+ky,ix+kx] += x[n,ci,iy,ix] · w[ci,co,ky,kx], plus bias.
+// The input is cached by reference (see Conv2D.Forward): it must not
+// be mutated between Forward and the matching Backward.
 func (c *ConvTranspose2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: ConvTranspose2D %s needs NCHW input, got %v", c.name, x.Shape()))
@@ -117,194 +100,100 @@ func (c *ConvTranspose2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if c.f32on {
 		return forwardVia32(c, c.f32arena, x)
 	}
-	if c.engine() == FastPath {
-		return c.forwardGEMM(x)
-	}
-	c.cacheInput = x.Clone()
-	c.cacheFast = false
-	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	k := c.Kernel
-	cout := c.OutChannels
-	oh, ow := h+k-1, wid+k-1
-	y := tensor.New(n, cout, oh, ow)
-	xd, wd, yd, bd := x.Data(), c.weight.Value.Data(), y.Data(), c.bias.Value.Data()
-	for in := 0; in < n; in++ {
-		for co := 0; co < cout; co++ {
-			outBase := (in*cout + co) * oh * ow
-			bv := bd[co]
-			for i := outBase; i < outBase+oh*ow; i++ {
-				yd[i] = bv
-			}
-			for ci := 0; ci < cin; ci++ {
-				inBase := (in*cin + ci) * h * wid
-				wBase := ((ci*cout + co) * k) * k
-				for ky := 0; ky < k; ky++ {
-					for iy := 0; iy < h; iy++ {
-						srcRow := xd[inBase+iy*wid : inBase+(iy+1)*wid]
-						dstRow := yd[outBase+(iy+ky)*ow : outBase+(iy+ky)*ow+ow]
-						for kx := 0; kx < k; kx++ {
-							wv := wd[wBase+ky*k+kx]
-							if wv == 0 {
-								continue
-							}
-							dst := dstRow[kx : kx+wid]
-							for ix, xv := range srcRow {
-								dst[ix] += wv * xv
-							}
-						}
-					}
-				}
-			}
-		}
-	}
+	c.cacheInput = x
+	n, h, wid := x.Dim(0), x.Dim(2), x.Dim(3)
+	y := tensor.New(n, c.OutChannels, h+c.Kernel-1, wid+c.Kernel-1)
+	mark := c.scratch.Mark()
+	deconvForward(&c.scratch.f64, c.Workers, n, c.InChannels, h, wid, c.Kernel, c.OutChannels,
+		x.Data(), c.weight.Value.Data(), c.bias.Value.Data(), y.Data())
+	c.scratch.Release(mark)
 	return y
 }
 
-// Backward implements Layer. Because Forward is the adjoint of a valid
-// cross-correlation, dx is exactly a valid cross-correlation of the
-// output gradient with the kernel.
-func (c *ConvTranspose2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if c.cacheF32 {
-		return c.backward32(gradOut)
-	}
-	if c.cacheInput == nil {
-		panic(fmt.Sprintf("nn: ConvTranspose2D %s Backward before Forward", c.name))
-	}
-	if c.cacheFast {
-		return c.backwardGEMM(gradOut)
-	}
-	x := c.cacheInput
-	c.cacheInput = nil
-	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	k := c.Kernel
-	cout := c.OutChannels
-	oh, ow := h+k-1, wid+k-1
-	if gradOut.Dim(0) != n || gradOut.Dim(1) != cout || gradOut.Dim(2) != oh || gradOut.Dim(3) != ow {
-		panic(fmt.Sprintf("nn: ConvTranspose2D backward shape mismatch x=%v dy=%v", x.Shape(), gradOut.Shape()))
-	}
-	dx := tensor.New(n, cin, h, wid)
-	xd, wd, gd, dxd := x.Data(), c.weight.Value.Data(), gradOut.Data(), dx.Data()
-	dWd, dBd := c.weight.Grad.Data(), c.bias.Grad.Data()
-	for in := 0; in < n; in++ {
-		for co := 0; co < cout; co++ {
-			gBase := (in*cout + co) * oh * ow
-			s := 0.0
-			for i := gBase; i < gBase+oh*ow; i++ {
-				s += gd[i]
-			}
-			dBd[co] += s
-			for ci := 0; ci < cin; ci++ {
-				inBase := (in*cin + ci) * h * wid
-				wBase := ((ci*cout + co) * k) * k
-				for ky := 0; ky < k; ky++ {
-					for iy := 0; iy < h; iy++ {
-						srcRow := xd[inBase+iy*wid : inBase+(iy+1)*wid]
-						dxRow := dxd[inBase+iy*wid : inBase+(iy+1)*wid]
-						gRow := gd[gBase+(iy+ky)*ow : gBase+(iy+ky)*ow+ow]
-						for kx := 0; kx < k; kx++ {
-							wv := wd[wBase+ky*k+kx]
-							g := gRow[kx : kx+wid]
-							acc := 0.0
-							for ix := range srcRow {
-								acc += g[ix] * srcRow[ix]
-								dxRow[ix] += g[ix] * wv
-							}
-							dWd[wBase+ky*k+kx] += acc
-						}
-					}
-				}
-			}
-		}
-	}
-	return dx
-}
-
-// forwardGEMM expresses the scatter as linear algebra over cache-sized
-// column tiles of the input frame, per sample: with X viewed
-// [Cin × H·W] and W viewed [Cin × Cout·K²],
+// deconvForward expresses the scatter as linear algebra over
+// cache-sized column tiles of the input frame, per sample and for
+// either element width: with X viewed [Cin × H·W] and W viewed
+// [Cin × Cout·K²],
 //
 //	panel = Wᵀ · X[:, tile]          (GemmPanelTN, [Cout·K² × tile])
 //	y    += Col2ImWindow(panel)      (scatter; y prefilled with bias)
 //
-// which is exactly the adjoint of the Conv2D fast path with the roles
-// of image and output swapped: the transpose-conv output (size
+// which is exactly the adjoint of the Conv2D engine with the roles of
+// image and output swapped: the transpose-conv output (size
 // OH = H+K-1) plays the "image" and the input plays the "conv output".
 // Within one image, tiles run serially — their scatters into y
 // overlap. Across a batch, images are independent (their scatters are
-// disjoint), so with Workers > 1 and N > 1 whole images fan out to
+// disjoint), so with workers > 1 and N > 1 whole images fan out to
 // goroutines, each with its own panel; a batch-of-1 call instead
 // parallelizes row bands inside each GEMM. Per-image work is identical
 // either way, so batched outputs are bit-identical, image for image,
 // to batch-of-1 calls, and results are bit-identical for any worker
-// count.
-func (c *ConvTranspose2D) forwardGEMM(x *tensor.Tensor) *tensor.Tensor {
-	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	k, cout := c.Kernel, c.OutChannels
-	oh, ow := h+k-1, wid+k-1
-
-	// Cache by reference (see Conv2D.forwardGEMM): the input must not
-	// be mutated between Forward and the matching Backward.
-	c.cacheInput = x
-	c.cacheFast = true
-
+// count. With workers <= 1 the sweep builds no closure. The caller
+// brackets the call with the arena's Mark/Release.
+func deconvForward[T tensor.Float](scratch *bump[T], workers, n, cin, h, wid, k, cout int, xd, wd, bd, yd []T) {
 	ckk := tensor.Im2ColRows(cout, k)
-	frame := h * wid
-	tw := convTileCols(ckk, frame)
-	nw := c.Workers
-	if nw > n {
-		nw = n
-	}
-	if nw < 1 {
-		nw = 1
+	tw := convTileCols(ckk, h*wid)
+	nw := min(workers, n)
+	if nw <= 1 {
+		cols := scratch.alloc(ckk * tw)
+		for in := 0; in < n; in++ {
+			deconvImage(in, cin, h, wid, k, cout, tw, max(workers, 1), xd, wd, bd, yd, cols)
+		}
+		return
 	}
 	// Leftover parallelism goes to row bands inside each GEMM (e.g.
-	// Workers=8 over a 2-image batch → 2 image goroutines × 4-way
+	// workers=8 over a 2-image batch → 2 image goroutines × 4-way
 	// GEMMs). Any split is bit-identical (§3 determinism).
-	gemmWorkers := c.Workers / nw
-	if gemmWorkers < 1 {
-		gemmWorkers = 1
-	}
-
-	mark := c.scratch.Mark()
-	panels := make([][]float64, nw)
+	gemmWorkers := workers / nw
+	panels := make([][]T, nw)
 	for w := range panels {
-		panels[w] = c.scratch.Alloc(ckk * tw)
+		panels[w] = scratch.alloc(ckk * tw)
 	}
-	defer c.scratch.Release(mark)
-
-	y := tensor.New(n, cout, oh, ow)
-	xd, wd, yd, bd := x.Data(), c.weight.Value.Data(), y.Data(), c.bias.Value.Data()
 	parallelFor(nw, nw, func(w int) {
-		cols := panels[w]
 		for in := w * n / nw; in < (w+1)*n/nw; in++ {
-			out := yd[in*cout*oh*ow : (in+1)*cout*oh*ow]
-			for co := 0; co < cout; co++ {
-				row := out[co*oh*ow : (co+1)*oh*ow]
-				bv := bd[co]
-				for i := range row {
-					row[i] = bv
-				}
-			}
-			xn := xd[in*cin*frame : (in+1)*cin*frame]
-			for j0 := 0; j0 < frame; j0 += tw {
-				j1 := min(j0+tw, frame)
-				twa := j1 - j0
-				tensor.GemmPanelTN(ckk, twa, cin, wd, ckk, xn[j0:], frame, cols, twa, false, gemmWorkers)
-				tensor.Col2ImWindow(cols, cout, oh, ow, k, 0, j0, j1, out)
-			}
+			deconvImage(in, cin, h, wid, k, cout, tw, gemmWorkers, xd, wd, bd, yd, panels[w])
 		}
 	})
-	return y
 }
 
-// backwardGEMM mirrors forwardGEMM tile for tile: lowering the output
-// gradient with Im2ColWindow turns dx into a plain valid
+// deconvImage runs image in of deconvForward: bias prefill, then one
+// product and scatter per column tile.
+func deconvImage[T tensor.Float](in, cin, h, wid, k, cout, tw, gemmWorkers int, xd, wd, bd, yd, cols []T) {
+	oh, ow := h+k-1, wid+k-1
+	ckk := tensor.Im2ColRows(cout, k)
+	frame := h * wid
+	out := yd[in*cout*oh*ow : (in+1)*cout*oh*ow]
+	for co := 0; co < cout; co++ {
+		row := out[co*oh*ow : (co+1)*oh*ow]
+		bv := bd[co]
+		for i := range row {
+			row[i] = bv
+		}
+	}
+	xn := xd[in*cin*frame : (in+1)*cin*frame]
+	for j0 := 0; j0 < frame; j0 += tw {
+		j1 := min(j0+tw, frame)
+		twa := j1 - j0
+		tensor.GemmPanelTN(ckk, twa, cin, wd, ckk, xn[j0:], frame, cols, twa, false, gemmWorkers)
+		tensor.Col2ImWindow(cols, cout, oh, ow, k, 0, j0, j1, out)
+	}
+}
+
+// Backward implements Layer. Because Forward is the adjoint of a valid
+// cross-correlation, it mirrors deconvForward tile for tile: lowering
+// the output gradient with Im2ColWindow turns dx into a plain valid
 // cross-correlation and dW into a product with the cached input:
 //
 //	panelG       = Im2ColWindow(dY)   ([Cout·K² × tile])
 //	dx[:, tile]  = W · panelG         (GemmPanelNN)
 //	dW          += X[:, tile]·panelGᵀ (GemmPanelNT)
-func (c *ConvTranspose2D) backwardGEMM(gradOut *tensor.Tensor) *tensor.Tensor {
+func (c *ConvTranspose2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	if c.f32on {
+		panicF32Backward("ConvTranspose2D " + c.name)
+	}
+	if c.cacheInput == nil {
+		panic(fmt.Sprintf("nn: ConvTranspose2D %s Backward before Forward", c.name))
+	}
 	x := c.cacheInput
 	c.cacheInput = nil
 	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "fmt"
 
 // setPrecision32 implements layer32 (see Conv2D.setPrecision32).
 func (c *ConvTranspose2D) setPrecision32(on bool, a *Arena) error {
@@ -21,10 +17,8 @@ func (c *ConvTranspose2D) setPrecision32(on bool, a *Arena) error {
 // invalidatePack implements packInvalidator.
 func (c *ConvTranspose2D) invalidatePack() { c.pack.invalidate() }
 
-// forward32 implements layer32: the float32 twin of forwardGEMM.
-// Within an image, tiles run serially (their scatters into the output
-// overlap); with Workers > 1 whole images fan out, leftover parallelism
-// going to row bands inside each GEMM, exactly like the f64 engine.
+// forward32 implements layer32: the shared deconvForward sweep on
+// float32.
 func (c *ConvTranspose2D) forward32(x act32, a *Arena) act32 {
 	if x.rank != 4 {
 		panic(fmt.Sprintf("nn: ConvTranspose2D %s f32 path needs NCHW input, got rank %d", c.name, x.rank))
@@ -32,131 +26,12 @@ func (c *ConvTranspose2D) forward32(x act32, a *Arena) act32 {
 	if x.c != c.InChannels {
 		panic(fmt.Sprintf("nn: ConvTranspose2D %s expects %d input channels, got %d", c.name, c.InChannels, x.c))
 	}
-	n, cin, h, wid := x.n, x.c, x.h, x.w
-	k, cout := c.Kernel, c.OutChannels
-	oh, ow := h+k-1, wid+k-1
+	c.cacheInput = nil // a float64 Backward must not pair with this forward
 	wd, bd := c.pack.get(c.weight.Value, c.bias.Value)
-
-	// Persistent input copy for backward32 (the arena-backed activation
-	// does not survive the network call).
-	if cap(c.cacheX32) < len(x.d) {
-		c.cacheX32 = make([]float32, len(x.d))
-	}
-	copy(c.cacheX32[:len(x.d)], x.d)
-	c.cacheF32 = true
-	c.cacheDims = [3]int{n, h, wid}
-
-	ckk := tensor.Im2ColRows(cout, k)
-	frame := h * wid
-	tw := convTileCols(ckk, frame)
-	nw := c.Workers
-	if nw > n {
-		nw = n
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	gemmWorkers := c.Workers / nw
-	if gemmWorkers < 1 {
-		gemmWorkers = 1
-	}
-
-	yd := a.Alloc32(n * cout * oh * ow)
-	xd := x.d
+	oh, ow := x.h+c.Kernel-1, x.w+c.Kernel-1
+	yd := a.Alloc32(x.n * c.OutChannels * oh * ow)
 	mark := a.Mark()
-	if nw <= 1 {
-		// Serial sweep, one panel, no closures (zero-alloc steady state).
-		cols := a.Alloc32(ckk * tw)
-		for in := 0; in < n; in++ {
-			deconvImage32(xd, yd, cols, wd, bd, in, cin, cout, h, wid, oh, ow, k, ckk, frame, tw, gemmWorkers)
-		}
-	} else {
-		panels := make([][]float32, nw)
-		for w := range panels {
-			panels[w] = a.Alloc32(ckk * tw)
-		}
-		parallelFor(nw, nw, func(w int) {
-			cols := panels[w]
-			for in := w * n / nw; in < (w+1)*n/nw; in++ {
-				deconvImage32(xd, yd, cols, wd, bd, in, cin, cout, h, wid, oh, ow, k, ckk, frame, tw, gemmWorkers)
-			}
-		})
-	}
+	deconvForward(&a.f32, c.Workers, x.n, x.c, x.h, x.w, c.Kernel, c.OutChannels, x.d, wd, bd, yd)
 	a.Release(mark)
-	return act32{n: n, c: cout, h: oh, w: ow, rank: 4, d: yd}
-}
-
-// deconvImage32 runs one image of the f32 transpose-convolution scatter
-// — the body shared by the serial and fanned-out sweeps of forward32.
-func deconvImage32(xd, yd, cols, wd, bd []float32, in, cin, cout, h, wid, oh, ow, k, ckk, frame, tw, gemmWorkers int) {
-	out := yd[in*cout*oh*ow : (in+1)*cout*oh*ow]
-	for co := 0; co < cout; co++ {
-		row := out[co*oh*ow : (co+1)*oh*ow]
-		bv := bd[co]
-		for i := range row {
-			row[i] = bv
-		}
-	}
-	xn := xd[in*cin*frame : (in+1)*cin*frame]
-	for j0 := 0; j0 < frame; j0 += tw {
-		j1 := min(j0+tw, frame)
-		twa := j1 - j0
-		tensor.GemmPanelTN32(ckk, twa, cin, wd, ckk, xn[j0:], frame, cols, twa, false, gemmWorkers)
-		tensor.Col2ImWindow32(cols, cout, oh, ow, k, 0, j0, j1, out)
-	}
-}
-
-// backward32 mirrors backwardGEMM on float32, folding the gradients
-// into the float64 masters with one widening add per parameter.
-func (c *ConvTranspose2D) backward32(gradOut *tensor.Tensor) *tensor.Tensor {
-	c.cacheF32 = false
-	n, h, wid := c.cacheDims[0], c.cacheDims[1], c.cacheDims[2]
-	cin, k, cout := c.InChannels, c.Kernel, c.OutChannels
-	oh, ow := h+k-1, wid+k-1
-	if gradOut.Dim(0) != n || gradOut.Dim(1) != cout || gradOut.Dim(2) != oh || gradOut.Dim(3) != ow {
-		panic(fmt.Sprintf("nn: ConvTranspose2D f32 backward shape mismatch x=[%d %d %d %d] dy=%v", n, cin, h, wid, gradOut.Shape()))
-	}
-	wd, _ := c.pack.get(c.weight.Value, c.bias.Value)
-	xd := c.cacheX32[:n*cin*h*wid]
-
-	a := c.f32arena
-	mark := a.Mark()
-	defer a.Release(mark)
-
-	gd := a.Alloc32(n * cout * oh * ow)
-	tensor.Narrow32(gd, gradOut.Data())
-
-	ckk := tensor.Im2ColRows(cout, k)
-	frame := h * wid
-	tw := convTileCols(ckk, frame)
-	colsG := a.Alloc32(ckk * tw)
-	dW32 := a.AllocZero32(cin * ckk)
-	dB32 := a.AllocZero32(cout)
-	dx32 := a.Alloc32(n * cin * h * wid)
-
-	for in := 0; in < n; in++ {
-		dy := gd[in*cout*oh*ow : (in+1)*cout*oh*ow]
-		for co := 0; co < cout; co++ {
-			s := float32(0)
-			for _, v := range dy[co*oh*ow : (co+1)*oh*ow] {
-				s += v
-			}
-			dB32[co] += s
-		}
-		xn := xd[in*cin*frame : (in+1)*cin*frame]
-		dxn := dx32[in*cin*frame : (in+1)*cin*frame]
-		for j0 := 0; j0 < frame; j0 += tw {
-			j1 := min(j0+tw, frame)
-			twa := j1 - j0
-			tensor.Im2ColWindow32(dy, cout, oh, ow, k, 0, j0, j1, colsG)
-			tensor.GemmPanelNN32(cin, twa, ckk, wd, ckk, colsG, twa, dxn[j0:], frame, false, c.Workers)
-			tensor.GemmPanelNT32(cin, ckk, twa, xn[j0:], frame, colsG, twa, dW32, ckk, true, c.Workers)
-		}
-	}
-
-	tensor.AddWiden64(c.weight.Grad.Data(), dW32)
-	tensor.AddWiden64(c.bias.Grad.Data(), dB32)
-	dx := tensor.New(n, cin, h, wid)
-	tensor.Widen64(dx.Data(), dx32)
-	return dx
+	return act32{n: x.n, c: c.OutChannels, h: oh, w: ow, rank: 4, d: yd}
 }

@@ -94,15 +94,6 @@ func TestConvGradCrossCheckAutodiff(t *testing.T) {
 	}
 }
 
-// withBackend runs f with the package-level convolution engine switch
-// forced to b, restoring the previous engine afterwards.
-func withBackend(b ConvBackend, f func()) {
-	prev := Backend
-	Backend = b
-	defer func() { Backend = prev }()
-	f()
-}
-
 // closeTensors fails unless got and want agree elementwise to the
 // scaled tolerance tol·(1+|want|).
 func closeTensors(t *testing.T, what string, got, want *tensor.Tensor, tol float64) {
@@ -119,11 +110,11 @@ func closeTensors(t *testing.T, what string, got, want *tensor.Tensor, tol float
 }
 
 // TestConvFastSlowCrosscheck is the correctness contract of the GEMM
-// engine: for every padding regime and worker count, the fast path
-// must match the naive reference loops to ~1e-12 on the forward output
-// and on every gradient (dx, dW, dB). The two engines accumulate in
-// different orders (and the fast path may use FMA), so agreement is to
-// float round-off, not bit-exact.
+// engine: for every padding regime and worker count, the engine must
+// match the naive reference loops (reference_test.go) to ~1e-12 on the
+// forward output and on every gradient (dx, dW, dB). The two
+// accumulate in different orders (and the engine may use FMA), so
+// agreement is to float round-off, not bit-exact.
 func TestConvFastSlowCrosscheck(t *testing.T) {
 	cases := []struct {
 		name              string
@@ -142,7 +133,7 @@ func TestConvFastSlowCrosscheck(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tensor.NewRNG(31)
 			fast := NewConv2D("fast", g, tc.cin, tc.cout, tc.k, tc.pad)
-			slow := NewConv2D("slow", tensor.NewRNG(32), tc.cin, tc.cout, tc.k, tc.pad)
+			slow := &refConv2D{Conv2D: NewConv2D("slow", tensor.NewRNG(32), tc.cin, tc.cout, tc.k, tc.pad)}
 			if err := CopyParams(slow, fast); err != nil {
 				t.Fatal(err)
 			}
@@ -150,18 +141,12 @@ func TestConvFastSlowCrosscheck(t *testing.T) {
 			slow.Workers = tc.workers
 			x := tensor.Normal(g, 0, 1, 2, tc.cin, tc.h, tc.w)
 
-			var yf, dxf *tensor.Tensor
-			withBackend(FastPath, func() {
-				yf = fast.Forward(x)
-				ZeroGrads(fast)
-				dxf = fast.Backward(yf.Clone())
-			})
-			var ys, dxs *tensor.Tensor
-			withBackend(SlowPath, func() {
-				ys = slow.Forward(x)
-				ZeroGrads(slow)
-				dxs = slow.Backward(ys.Clone())
-			})
+			yf := fast.Forward(x)
+			ZeroGrads(fast)
+			dxf := fast.Backward(yf.Clone())
+			ys := slow.Forward(x)
+			ZeroGrads(slow)
+			dxs := slow.Backward(ys.Clone())
 
 			closeTensors(t, "forward", yf, ys, 1e-12)
 			closeTensors(t, "dx", dxf, dxs, 1e-12)
@@ -177,25 +162,19 @@ func TestConvTransposeFastSlowCrosscheck(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		g := tensor.NewRNG(41)
 		fast := NewConvTranspose2D("fast", g, 3, 2, 5)
-		slow := NewConvTranspose2D("slow", tensor.NewRNG(42), 3, 2, 5)
+		slow := &refConvTranspose2D{ConvTranspose2D: NewConvTranspose2D("slow", tensor.NewRNG(42), 3, 2, 5)}
 		if err := CopyParams(slow, fast); err != nil {
 			t.Fatal(err)
 		}
 		fast.Workers = workers
 		x := tensor.Normal(g, 0, 1, 2, 3, 6, 7)
 
-		var yf, dxf *tensor.Tensor
-		withBackend(FastPath, func() {
-			yf = fast.Forward(x)
-			ZeroGrads(fast)
-			dxf = fast.Backward(yf.Clone())
-		})
-		var ys, dxs *tensor.Tensor
-		withBackend(SlowPath, func() {
-			ys = slow.Forward(x)
-			ZeroGrads(slow)
-			dxs = slow.Backward(ys.Clone())
-		})
+		yf := fast.Forward(x)
+		ZeroGrads(fast)
+		dxf := fast.Backward(yf.Clone())
+		ys := slow.Forward(x)
+		ZeroGrads(slow)
+		dxs := slow.Backward(ys.Clone())
 
 		closeTensors(t, "forward", yf, ys, 1e-12)
 		closeTensors(t, "dx", dxf, dxs, 1e-12)
@@ -206,8 +185,9 @@ func TestConvTransposeFastSlowCrosscheck(t *testing.T) {
 }
 
 // TestConvFastSlowCrosscheckFullNetwork runs the whole Table-I stack
-// (convolutions + leaky ReLUs) under both engines and compares the
-// forward output and every parameter gradient.
+// (convolutions + leaky ReLUs) through the engine and through the
+// reference loops and compares the forward output and every parameter
+// gradient.
 func TestConvFastSlowCrosscheckFullNetwork(t *testing.T) {
 	build := func(seed int64) *Sequential {
 		g := tensor.NewRNG(seed)
@@ -221,25 +201,19 @@ func TestConvFastSlowCrosscheckFullNetwork(t *testing.T) {
 			NewConv2D("c4", g, 6, 4, 5, 2),
 		)
 	}
-	fast, slow := build(7), build(8)
+	fast, slow := build(7), asReference(build(8))
 	if err := CopyParams(slow, fast); err != nil {
 		t.Fatal(err)
 	}
 	fast.SetScratch(NewArena()) // shared-arena configuration, as in training
 	x := tensor.Normal(tensor.NewRNG(9), 0, 1, 1, 4, 16, 16)
 
-	var yf, dxf *tensor.Tensor
-	withBackend(FastPath, func() {
-		yf = fast.Forward(x)
-		ZeroGrads(fast)
-		dxf = fast.Backward(yf.Clone())
-	})
-	var ys, dxs *tensor.Tensor
-	withBackend(SlowPath, func() {
-		ys = slow.Forward(x)
-		ZeroGrads(slow)
-		dxs = slow.Backward(ys.Clone())
-	})
+	yf := fast.Forward(x)
+	ZeroGrads(fast)
+	dxf := fast.Backward(yf.Clone())
+	ys := slow.Forward(x)
+	ZeroGrads(slow)
+	dxs := slow.Backward(ys.Clone())
 
 	closeTensors(t, "forward", yf, ys, 1e-12)
 	closeTensors(t, "dx", dxf, dxs, 1e-11)

@@ -22,13 +22,10 @@ type Dense struct {
 	cacheInput *tensor.Tensor
 	name       string
 
-	// Float32 compute path — see the matching fields on Conv2D.
+	// Float32 inference path — see the matching fields on Conv2D.
 	f32on    bool
 	f32arena *Arena
 	pack     *pack32
-	cacheX32 []float32
-	cacheF32 bool
-	cacheN   int // batch rows of the cached f32 input
 }
 
 // NewDense builds a dense layer with Xavier-initialized weights.
@@ -61,22 +58,27 @@ func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 		return forwardVia32(d, d.f32arena, x)
 	}
 	d.cacheInput = x.Clone()
-	y := tensor.MatMul(x, d.weight.Value)
-	n := y.Dim(0)
-	yd, bd := y.Data(), d.bias.Value.Data()
+	y := tensor.New(x.Dim(0), d.Out)
+	denseForward(x.Dim(0), d.In, d.Out, x.Data(), d.weight.Value.Data(), d.bias.Value.Data(), y.Data())
+	return y
+}
+
+// denseForward computes y = xW + b for either element width: one
+// panel product over the whole batch, then the bias added row by row.
+func denseForward[T tensor.Float](n, in, out int, xd, wd, bd, yd []T) {
+	tensor.GemmPanelNN(n, out, in, xd, in, wd, out, yd, out, false, 1)
 	for i := 0; i < n; i++ {
-		row := yd[i*d.Out : (i+1)*d.Out]
+		row := yd[i*out : (i+1)*out]
 		for j := range row {
 			row[j] += bd[j]
 		}
 	}
-	return y
 }
 
 // Backward implements Layer: dx = dy·Wᵀ, dW += xᵀ·dy, db += Σ_n dy.
 func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if d.cacheF32 {
-		return d.backward32(gradOut)
+	if d.f32on {
+		panicF32Backward("Dense " + d.name)
 	}
 	if d.cacheInput == nil {
 		panic(fmt.Sprintf("nn: Dense %s Backward before Forward", d.name))

@@ -107,31 +107,28 @@ func TestConv2DGradientsSamePadding(t *testing.T) {
 	checkLayerGradients(t, layer, x, 1e-5)
 }
 
-// The default engine is the GEMM fast path, so the tests above already
-// finite-difference-check it; the SlowPath variants below keep the
-// naive reference loops under the same scrutiny, and the Workers
-// variants cover the parallel tiling of the fast path (including the
-// Pad=0 valid convolution the neighbour-padding strategy uses).
+// The tests above finite-difference-check the GEMM engine; the
+// Reference variants below keep the naive reference loops the engine is
+// crosschecked against (reference_test.go) under the same scrutiny,
+// and the Workers variants cover the parallel tiling of the engine
+// (including the Pad=0 valid convolution the neighbour-padding
+// strategy uses).
 
-func TestConv2DGradientsValidSlowPath(t *testing.T) {
-	withBackend(SlowPath, func() {
-		g := tensor.NewRNG(1)
-		layer := NewConv2D("conv", g, 2, 3, 3, 0)
-		x := tensor.Normal(g, 0, 1, 2, 2, 6, 5)
-		checkLayerGradients(t, layer, x, 1e-5)
-	})
+func TestConv2DGradientsValidReference(t *testing.T) {
+	g := tensor.NewRNG(1)
+	layer := NewConv2D("conv", g, 2, 3, 3, 0)
+	x := tensor.Normal(g, 0, 1, 2, 2, 6, 5)
+	checkLayerGradients(t, asReference(layer), x, 1e-5)
 }
 
-func TestConv2DGradientsSamePaddingSlowPath(t *testing.T) {
-	withBackend(SlowPath, func() {
-		g := tensor.NewRNG(2)
-		layer := NewConv2D("conv", g, 3, 2, 5, SamePad(5))
-		x := tensor.Normal(g, 0, 1, 1, 3, 7, 7)
-		checkLayerGradients(t, layer, x, 1e-5)
-	})
+func TestConv2DGradientsSamePaddingReference(t *testing.T) {
+	g := tensor.NewRNG(2)
+	layer := NewConv2D("conv", g, 3, 2, 5, SamePad(5))
+	x := tensor.Normal(g, 0, 1, 1, 3, 7, 7)
+	checkLayerGradients(t, asReference(layer), x, 1e-5)
 }
 
-func TestConv2DGradientsFastPathWorkersPad0(t *testing.T) {
+func TestConv2DGradientsWorkersPad0(t *testing.T) {
 	g := tensor.NewRNG(12)
 	layer := NewConv2D("conv", g, 2, 3, 5, 0)
 	layer.Workers = 3
@@ -139,7 +136,7 @@ func TestConv2DGradientsFastPathWorkersPad0(t *testing.T) {
 	checkLayerGradients(t, layer, x, 1e-5)
 }
 
-func TestConv2DGradientsFastPathWorkersSamePad(t *testing.T) {
+func TestConv2DGradientsWorkersSamePad(t *testing.T) {
 	g := tensor.NewRNG(13)
 	layer := NewConv2D("conv", g, 3, 2, 3, SamePad(3))
 	layer.Workers = 4
@@ -154,13 +151,11 @@ func TestConvTranspose2DGradients(t *testing.T) {
 	checkLayerGradients(t, layer, x, 1e-5)
 }
 
-func TestConvTranspose2DGradientsSlowPath(t *testing.T) {
-	withBackend(SlowPath, func() {
-		g := tensor.NewRNG(3)
-		layer := NewConvTranspose2D("deconv", g, 2, 3, 3)
-		x := tensor.Normal(g, 0, 1, 2, 2, 4, 5)
-		checkLayerGradients(t, layer, x, 1e-5)
-	})
+func TestConvTranspose2DGradientsReference(t *testing.T) {
+	g := tensor.NewRNG(3)
+	layer := NewConvTranspose2D("deconv", g, 2, 3, 3)
+	x := tensor.Normal(g, 0, 1, 2, 2, 4, 5)
+	checkLayerGradients(t, asReference(layer), x, 1e-5)
 }
 
 func TestConvTranspose2DGradientsWorkers(t *testing.T) {

@@ -32,30 +32,29 @@ func cropOf(ext *tensor.Tensor) CropFunc {
 }
 
 // TestHaloSplitMatchesWholeFrame: the five-tile split agrees with the
-// whole-frame forward to float round-off on both engines, for even,
-// odd, and non-square subdomain sizes (odd sizes exercise the GEMM
-// scalar-tail positions that make the split only tolerance-equal to
-// the whole frame).
+// whole-frame forward — the engine's and the reference loops' — to
+// float round-off, for even, odd, and non-square subdomain sizes (odd
+// sizes exercise the GEMM scalar-tail positions that make the split
+// only tolerance-equal to the whole frame).
 func TestHaloSplitMatchesWholeFrame(t *testing.T) {
 	const halo = 2
-	for _, backend := range []ConvBackend{FastPath, SlowPath} {
-		for _, dims := range [][2]int{{12, 12}, {11, 13}, {5, 5}, {8, 21}} {
-			h, w := dims[0], dims[1]
-			net := haloNet(t, 4, halo)
-			net.SetConvBackend(backend)
-			split := NewHaloSplit(net, h, w, halo)
-			if split == nil {
-				t.Fatalf("%v %dx%d: no split", backend, h, w)
-			}
-			ext := tensor.Normal(tensor.NewRNG(int64(h*100+w)), 0, 1, 1, 4, h+2*halo, w+2*halo)
-			got := split.ForwardComplete(cropOf(ext))
-			want := net.Forward(ext)
+	for _, dims := range [][2]int{{12, 12}, {11, 13}, {5, 5}, {8, 21}} {
+		h, w := dims[0], dims[1]
+		net := haloNet(t, 4, halo)
+		split := NewHaloSplit(net, h, w, halo)
+		if split == nil {
+			t.Fatalf("%dx%d: no split", h, w)
+		}
+		ext := tensor.Normal(tensor.NewRNG(int64(h*100+w)), 0, 1, 1, 4, h+2*halo, w+2*halo)
+		got := split.ForwardComplete(cropOf(ext))
+		for name, whole := range map[string]Layer{"engine": net, "reference": asReference(net)} {
+			want := whole.Forward(ext)
 			if got.Dim(2) != h || got.Dim(3) != w || !want.SameShape(got) {
-				t.Fatalf("%v %dx%d: shape %v, want %v", backend, h, w, got.Shape(), want.Shape())
+				t.Fatalf("%s %dx%d: shape %v, want %v", name, h, w, got.Shape(), want.Shape())
 			}
 			if !got.AllClose(want, 1e-12) {
-				t.Fatalf("%v %dx%d: split differs from whole frame by %g",
-					backend, h, w, got.Sub(want).AbsMax())
+				t.Fatalf("%s %dx%d: split differs from whole frame by %g",
+					name, h, w, got.Sub(want).AbsMax())
 			}
 		}
 	}

@@ -7,10 +7,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file holds the float32 compute paths (layer32 implementations,
-// DESIGN.md §13) of the non-convolution layers. The convolution twins
-// live in conv32.go / convtranspose32.go next to the engines they
-// mirror.
+// This file holds the float32 inference paths (layer32
+// implementations, DESIGN.md §13) of the non-convolution layers; the
+// convolution ones live in conv32.go / convtranspose32.go.
 
 // --- Dense ---
 
@@ -29,65 +28,16 @@ func (d *Dense) setPrecision32(on bool, a *Arena) error {
 // invalidatePack implements packInvalidator.
 func (d *Dense) invalidatePack() { d.pack.invalidate() }
 
-// forward32 implements layer32: y = xW + b as one float32 panel
-// product with the bias prefilled.
+// forward32 implements layer32: the shared denseForward on float32.
 func (d *Dense) forward32(x act32, a *Arena) act32 {
 	if x.rank != 2 || x.c != d.In {
 		panic(fmt.Sprintf("nn: Dense %s f32 path needs [N,%d] input, got [%d,%d] rank %d", d.name, d.In, x.n, x.c, x.rank))
 	}
-	n := x.n
+	d.cacheInput = nil // a float64 Backward must not pair with this forward
 	wd, bd := d.pack.get(d.weight.Value, d.bias.Value)
-
-	if cap(d.cacheX32) < len(x.d) {
-		d.cacheX32 = make([]float32, len(x.d))
-	}
-	copy(d.cacheX32[:len(x.d)], x.d)
-	d.cacheF32 = true
-	d.cacheN = n
-
-	yd := a.Alloc32(n * d.Out)
-	for i := 0; i < n; i++ {
-		copy(yd[i*d.Out:(i+1)*d.Out], bd)
-	}
-	tensor.GemmPanelNN32(n, d.Out, d.In, x.d, d.In, wd, d.Out, yd, d.Out, true, 1)
-	return act32{n: n, c: d.Out, h: 1, w: 1, rank: 2, d: yd}
-}
-
-// backward32 is the float32 adjoint: dx = dy·Wᵀ, dW += xᵀ·dy,
-// db += Σ_n dy, folded into the float64 masters by one widening add.
-func (d *Dense) backward32(gradOut *tensor.Tensor) *tensor.Tensor {
-	d.cacheF32 = false
-	n := d.cacheN
-	if gradOut.Rank() != 2 || gradOut.Dim(0) != n || gradOut.Dim(1) != d.Out {
-		panic(fmt.Sprintf("nn: Dense f32 backward shape mismatch n=%d dy=%v", n, gradOut.Shape()))
-	}
-	wd, _ := d.pack.get(d.weight.Value, d.bias.Value)
-	xd := d.cacheX32[:n*d.In]
-
-	a := d.f32arena
-	mark := a.Mark()
-	defer a.Release(mark)
-
-	gd := a.Alloc32(n * d.Out)
-	tensor.Narrow32(gd, gradOut.Data())
-	dW32 := a.AllocZero32(d.In * d.Out)
-	dB32 := a.AllocZero32(d.Out)
-	dx32 := a.Alloc32(n * d.In)
-
-	for i := 0; i < n; i++ {
-		gRow := gd[i*d.Out : (i+1)*d.Out]
-		for j, g := range gRow {
-			dB32[j] += g
-		}
-	}
-	tensor.GemmPanelNT32(n, d.In, d.Out, gd, d.Out, wd, d.Out, dx32, d.In, false, 1)
-	tensor.GemmPanelTN32(d.In, d.Out, n, xd, d.In, gd, d.Out, dW32, d.Out, true, 1)
-
-	tensor.AddWiden64(d.weight.Grad.Data(), dW32)
-	tensor.AddWiden64(d.bias.Grad.Data(), dB32)
-	dx := tensor.New(n, d.In)
-	tensor.Widen64(dx.Data(), dx32)
-	return dx
+	yd := a.Alloc32(x.n * d.Out)
+	denseForward(x.n, d.In, d.Out, x.d, wd, bd, yd)
+	return act32{n: x.n, c: d.Out, h: 1, w: 1, rank: 2, d: yd}
 }
 
 // --- Flatten ---

@@ -90,8 +90,12 @@ func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return x
 }
 
-// Backward implements Layer by back-propagating in reverse order.
+// Backward implements Layer by back-propagating in reverse order. A
+// network pinned to F32 is forward-only and panics.
 func (s *Sequential) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	if s.f32 != nil {
+		panicF32Backward("Sequential")
+	}
 	for i := len(s.layers) - 1; i >= 0; i-- {
 		gradOut = s.layers[i].Backward(gradOut)
 	}

@@ -8,9 +8,9 @@ import (
 
 // Precision selects the numeric width of a network's compute path
 // (DESIGN.md §13). F64 is the default everywhere and carries every
-// bit-identity guarantee this repository makes; F32 is an opt-in fast
-// path for inference: float64 master weights and frames at the
-// boundary, float32 kernels in between. The two paths agree to a
+// bit-identity guarantee this repository makes; F32 is an opt-in,
+// forward-only fast path for inference: float64 master weights and
+// frames at the boundary, float32 kernels in between. The two paths agree to a
 // documented error budget (EXPERIMENTS.md), never bit-for-bit.
 type Precision int
 
@@ -58,12 +58,12 @@ type act32 struct {
 // size returns the element count implied by the shape header.
 func (x act32) size() int { return x.n * x.c * x.h * x.w }
 
-// layer32 is implemented by layers with a float32 compute path. The
-// contract mirrors Layer.Forward: forward32 consumes an arena-backed
-// activation and returns a new one allocated from a (never aliasing
-// scratch it also releases), caching internally whatever the layer's
-// Backward needs — a later Backward call must work even though the
-// f64 Forward never ran. setPrecision32 pins (or unpins) the layer;
+// layer32 is implemented by layers with a float32 inference path:
+// forward32 consumes an arena-backed activation and returns a new one
+// allocated from a (never aliasing scratch it also releases). The path
+// is forward-only, so a parameterised layer caches nothing and drops
+// any float64 input it still holds — a later Backward must not pair
+// with this forward. setPrecision32 pins (or unpins) the layer;
 // pinning hands it the shared f32 arena and precomputes derived
 // weight forms (the packed float32 panels).
 type layer32 interface {
@@ -85,8 +85,9 @@ type seqF32 struct {
 // contained layer to implement the float32 path; the first layer that
 // does not (e.g. LSTM) is reported by name and the network is left
 // unchanged. F64 unpins all layers. Pinning is a per-instance
-// property, like SetConvBackend: clones made before a pin do not see
-// it, and CloneShared propagates the current pin to new clones.
+// property, like SetWorkers: clones made before a pin do not see it,
+// and CloneShared propagates the current pin to new clones. A pinned
+// network is forward-only: Backward panics until SetPrecision(F64).
 func (s *Sequential) SetPrecision(p Precision) error {
 	switch p {
 	case F64:

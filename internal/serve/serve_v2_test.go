@@ -43,11 +43,15 @@ func fixture2(t *testing.T) (*dataset.Dataset, *core.Engine, *core.Engine) {
 			cfg.Epochs = 1
 			cfg.Seed = seed
 			cfg.Model.Seed = seed
-			res, err := core.TrainParallel(ds, 2, 2, cfg, core.CriticalPath)
+			tr, err := core.NewTrainer(cfg, core.WithTopology(2, 2))
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := core.NewEngine(res.Ensemble())
+			rep, err := tr.Train(context.Background(), ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := core.NewEngine(rep.Ensemble())
 			if err != nil {
 				t.Fatal(err)
 			}

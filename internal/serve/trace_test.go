@@ -154,9 +154,12 @@ func TestAccessLog(t *testing.T) {
 	var buf bytes.Buffer
 	srv, _ := newTestServer(t, Config{AccessLog: log.New(&buf, "", 0)})
 	hs := httptest.NewServer(srv)
-	defer hs.Close()
 	resp := postJSON(t, hs.URL+"/v1/rollout?steps=2", "logged-1", predictBody(t))
 	resp.Body.Close()
+	// The access-log line is written after the response body; Close
+	// blocks until the handler has returned, so the buffer is complete
+	// and no longer shared with the handler goroutine.
+	hs.Close()
 	logged := buf.String()
 	if !strings.Contains(logged, "POST /v1/rollout status=200") || !strings.Contains(logged, "request=logged-1") {
 		t.Fatalf("request line missing from access log:\n%s", logged)
@@ -169,12 +172,15 @@ func TestAccessLog(t *testing.T) {
 // TestMetricsHistograms asserts /metrics exports the request-latency
 // and batch-fill histograms for a served model after traffic.
 func TestMetricsHistograms(t *testing.T) {
-	srv, client := newTestServer(t, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	srv, _ := newTestServer(t, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
 	ds, _ := fixture(t)
-	ctx := context.Background()
-	if _, err := client.Predict(ctx, ds.Snapshots[0]); err != nil {
+	traffic := httptest.NewServer(srv)
+	if _, err := NewClient(traffic.URL).Predict(context.Background(), ds.Snapshots[0]); err != nil {
 		t.Fatal(err)
 	}
+	// The latency observation is deferred past the response body; Close
+	// blocks until the handler has returned, so the scrape sees it.
+	traffic.Close()
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	resp, err := http.Get(hs.URL + "/metrics")

@@ -111,7 +111,7 @@ func DirectConv32(x []float32, cin, h, w int, wgt []float32, cout, k, pad int, b
 		}
 		for ; j < taps; j++ {
 			if wv := wc[j]; wv != 0 {
-				axpy1Go32(f, xp[off(j):off(j)+n], wv)
+				axpy1Go(f, xp[off(j):off(j)+n], wv)
 			}
 		}
 		out := y[co*oh*ow:][:oh*ow]

@@ -31,16 +31,3 @@ func Widen64(dst []float64, src []float32) {
 		dst[i] = float64(v)
 	}
 }
-
-// AddWiden64 accumulates float64(src[i]) into dst, the widening
-// counterpart of a += scatter: the f32 backward kernels produce
-// float32 parameter gradients that are folded into the float64 master
-// gradient buffers with this.
-func AddWiden64(dst []float64, src []float32) {
-	if len(dst) != len(src) {
-		panic("tensor: AddWiden64 length mismatch")
-	}
-	for i, v := range src {
-		dst[i] += float64(v)
-	}
-}

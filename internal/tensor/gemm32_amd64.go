@@ -2,7 +2,7 @@
 
 package tensor
 
-// amd64 dispatch for the float32 reduction micro-kernels, mirroring
+// amd64 dispatch for the float32 reduction micro-kernel, mirroring
 // gemm_amd64.go at twice the lane width: the AVX2 loop covers sixteen
 // float32 lanes per iteration and the AVX-512 loop thirty-two. The
 // same useAVX2FMA/useAVX512 gates apply — f32 and f64 kernels are
@@ -15,9 +15,6 @@ func axpy4AVX2F32(c, b0, b1, b2, b3 *float32, n int, coef *[4]float32)
 
 //go:noescape
 func axpy4AVX512F32(c, b0, b1, b2, b3 *float32, n int, coef *[4]float32)
-
-//go:noescape
-func dot2AVX2F32(a0, a1, b *float32, n int) (d0, d1 float32)
 
 // axpy4f32 adds a0·b0 + a1·b1 + a2·b2 + a3·b3 elementwise into c. The
 // b slices must be at least len(c) long. The AVX-512 body hands its
@@ -43,24 +40,5 @@ func axpy4f32(c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	if i == len(c) {
 		return
 	}
-	axpy4Go32(c[i:], b0[i:], b1[i:], b2[i:], b3[i:], a0, a1, a2, a3)
-}
-
-// gemmDot232 returns (a0·b, a1·b) with the same fixed-order reduction
-// structure as gemmDot2: SIMD lanes are horizontally summed first, the
-// scalar tail is added on top.
-func gemmDot232(a0, a1, b []float32) (float32, float32) {
-	var d0, d1 float32
-	i := 0
-	if useAVX2FMA && len(b) >= 16 {
-		n := len(b) &^ 15
-		d0, d1 = dot2AVX2F32(&a0[0], &a1[0], &b[0], n)
-		i = n
-	}
-	if i < len(b) {
-		t0, t1 := gemmDot2Go32(a0[i:], a1[i:], b[i:])
-		d0 += t0
-		d1 += t1
-	}
-	return d0, d1
+	axpy4Go(c[i:], b0[i:], b1[i:], b2[i:], b3[i:], a0, a1, a2, a3)
 }

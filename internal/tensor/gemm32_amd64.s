@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// Float32 twins of the kernels in gemm_amd64.s: same register plan,
+// Float32 twins of the axpy4 kernels in gemm_amd64.s: same register plan,
 // same per-element FMA chaining, packed-single instructions at twice
 // the lane count, 4-byte element addressing.
 
@@ -93,52 +93,4 @@ loop32:
 
 done512:
 	VZEROUPPER
-	RET
-
-// func dot2AVX2F32(a0, a1, b *float32, n int) (d0, d1 float32)
-//
-// Returns (a0·b, a1·b) over the first n elements; n must be a
-// non-negative multiple of 16 (the Go wrapper floors it and adds the
-// scalar tail). Each dot keeps two vector accumulators that are
-// combined and horizontally summed in a fixed order, so the rounding
-// depends only on n.
-TEXT ·dot2AVX2F32(SB), NOSPLIT, $0-40
-	MOVQ a0+0(FP), SI
-	MOVQ a1+8(FP), R8
-	MOVQ b+16(FP), DI
-	MOVQ n+24(FP), CX
-
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-
-	XORQ BX, BX
-
-dloop16:
-	CMPQ BX, CX
-	JGE  dsum
-	VMOVUPS (DI)(BX*4), Y4
-	VMOVUPS 32(DI)(BX*4), Y5
-	VFMADD231PS (SI)(BX*4), Y4, Y0
-	VFMADD231PS 32(SI)(BX*4), Y5, Y1
-	VFMADD231PS (R8)(BX*4), Y4, Y2
-	VFMADD231PS 32(R8)(BX*4), Y5, Y3
-	ADDQ $16, BX
-	JMP  dloop16
-
-dsum:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VEXTRACTF128 $1, Y2, X3
-	VADDPS X3, X2, X2
-	VHADDPS X2, X2, X2
-	VHADDPS X2, X2, X2
-	VZEROUPPER
-	MOVSS X0, d0+32(FP)
-	MOVSS X2, d1+36(FP)
 	RET

@@ -76,12 +76,12 @@ func detectAVX512() bool {
 	return xcr0&0xe0 == 0xe0 // opmask, ZMM_Hi256, Hi16_ZMM
 }
 
-// axpy4 adds a0·b0 + a1·b1 + a2·b2 + a3·b3 elementwise into c. The b
+// axpy4f64 adds a0·b0 + a1·b1 + a2·b2 + a3·b3 elementwise into c. The b
 // slices must be at least len(c) long. Per element all variants chain
 // the four multiply-adds in the same coefficient order, so which SIMD
 // width handles which span depends only on len(c) — never on worker
 // count — preserving the kernels' determinism contract.
-func axpy4(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
+func axpy4f64(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 	i := 0
 	if useAVX512 && len(c) >= 16 {
 		n := len(c) &^ 15
@@ -100,11 +100,11 @@ func axpy4(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 	axpy4Go(c[i:], b0[i:], b1[i:], b2[i:], b3[i:], a0, a1, a2, a3)
 }
 
-// gemmDot2 returns (a0·b, a1·b). The AVX2+FMA kernel reduces the bulk
+// gemmDot2f64 returns (a0·b, a1·b). The AVX2+FMA kernel reduces the bulk
 // of b into vector lanes that are horizontally summed in a fixed
 // order; the scalar tail is then added on top, so the split point (and
 // the result) depends only on len(b) — never on worker count.
-func gemmDot2(a0, a1, b []float64) (float64, float64) {
+func gemmDot2f64(a0, a1, b []float64) (float64, float64) {
 	var d0, d1 float64
 	i := 0
 	if useAVX2FMA && len(b) >= 8 {

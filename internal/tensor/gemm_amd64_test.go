@@ -2,20 +2,24 @@
 
 package tensor
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // TestGemmAsmMatchesPortable runs the full kernel surface with the
 // SIMD dispatch enabled and with it forced off, and checks the results
 // agree to float round-off (FMA rounds once where the portable loop
-// rounds twice, so exact equality is not expected). Skipped on CPUs
-// where no assembly path is live.
+// rounds twice, so exact equality is not expected) across spans that
+// exercise the AVX2 body, the AVX-512 body, and the scalar tails.
+// Skipped on CPUs where no assembly path is live.
 func TestGemmAsmMatchesPortable(t *testing.T) {
 	if !useAVX2FMA {
 		t.Skip("no SIMD kernel on this CPU")
 	}
+	bothWidths(t,
+		func(t *testing.T) { testGemmAsmMatchesPortable[float64](t, tol64) },
+		func(t *testing.T) { testGemmAsmMatchesPortable[float32](t, tol32) })
+}
+
+func testGemmAsmMatchesPortable[T Float](t *testing.T, tol float64) {
 	save2, save512 := useAVX2FMA, useAVX512
 	defer func() { useAVX2FMA, useAVX512 = save2, save512 }()
 
@@ -27,20 +31,23 @@ func TestGemmAsmMatchesPortable(t *testing.T) {
 		{5, 2050, 8}, // across a column block boundary
 	}
 	for _, d := range dims {
-		a := randSlice(g, d.m*d.k)
-		b := randSlice(g, d.k*d.n)
-		asm := make([]float64, d.m*d.n)
-		GemmNN(d.m, d.n, d.k, a, b, asm, false, 1)
+		a := randSlice[T](g, d.m*d.k)
+		b := randSlice[T](g, d.k*d.n)
+		bt := randSlice[T](g, d.n*d.k)
+
+		asmNN := make([]T, d.m*d.n)
+		GemmNN(d.m, d.n, d.k, a, b, asmNN, false, 1)
+		asmNT := make([]T, d.m*d.n)
+		GemmNT(d.m, d.n, d.k, a, bt, asmNT, false, 1)
 
 		useAVX2FMA, useAVX512 = false, false
-		portable := make([]float64, d.m*d.n)
-		GemmNN(d.m, d.n, d.k, a, b, portable, false, 1)
+		portNN := make([]T, d.m*d.n)
+		GemmNN(d.m, d.n, d.k, a, b, portNN, false, 1)
+		portNT := make([]T, d.m*d.n)
+		GemmNT(d.m, d.n, d.k, a, bt, portNT, false, 1)
 		useAVX2FMA, useAVX512 = save2, save512
 
-		for i := range asm {
-			if math.Abs(asm[i]-portable[i]) > 1e-13*(1+math.Abs(portable[i])) {
-				t.Fatalf("dims %+v: asm[%d] = %g, portable %g", d, i, asm[i], portable[i])
-			}
-		}
+		closeSlices(t, "NN asm vs portable", asmNN, widen(portNN), tol)
+		closeSlices(t, "NT asm vs portable", asmNT, widen(portNT), tol)
 	}
 }

@@ -2,15 +2,17 @@
 
 package tensor
 
-// axpy4 adds a0·b0 + a1·b1 + a2·b2 + a3·b3 elementwise into c. On
-// architectures without a hand-written micro-kernel the portable Go
-// loop does all the work.
-func axpy4(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
+// On architectures without hand-written micro-kernels the portable Go
+// loops do all the work.
+
+func axpy4f64(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 	axpy4Go(c, b0, b1, b2, b3, a0, a1, a2, a3)
 }
 
-// gemmDot2 returns (a0·b, a1·b); without a hand-written micro-kernel
-// it is the portable loop.
-func gemmDot2(a0, a1, b []float64) (float64, float64) {
+func axpy4f32(c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
+	axpy4Go(c, b0, b1, b2, b3, a0, a1, a2, a3)
+}
+
+func gemmDot2f64(a0, a1, b []float64) (float64, float64) {
 	return gemmDot2Go(a0, a1, b)
 }

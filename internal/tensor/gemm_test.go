@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -49,21 +50,54 @@ func naiveNT(m, n, k int, a, b []float64) []float64 {
 	return c
 }
 
-func randSlice(g *RNG, n int) []float64 {
-	s := make([]float64, n)
+// The kernels are generic over the element width, so every test below
+// is one generic body run on float64 and float32 (bothWidths). The
+// reference is always the float64 naive product on the widened
+// operands; tol64/tol32 are the round-off budgets of the two widths
+// over the reduction lengths these tests use (k ≤ a few hundred).
+const (
+	tol64 = 1e-13
+	tol32 = 1e-4
+)
+
+// bothWidths runs the generic test body on both element widths.
+func bothWidths(t *testing.T, f64, f32 func(t *testing.T)) {
+	t.Run("f64", f64)
+	t.Run("f32", f32)
+}
+
+func randSlice[T Float](g *RNG, n int) []T {
+	s := make([]T, n)
 	for i := range s {
-		s[i] = g.NormFloat64()
+		s[i] = T(g.NormFloat64())
 	}
 	return s
 }
 
-func closeSlices(t *testing.T, op string, got, want []float64, tol float64) {
+func widen[T Float](s []T) []float64 {
+	d := make([]float64, len(s))
+	for i, v := range s {
+		d[i] = float64(v)
+	}
+	return d
+}
+
+func closeSlices[T Float](t *testing.T, op string, got []T, want []float64, tol float64) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d vs %d", op, len(got), len(want))
 	}
 	for i := range got {
-		if math.Abs(got[i]-want[i]) > tol*(1+math.Abs(want[i])) {
+		if math.Abs(float64(got[i])-want[i]) > tol*(1+math.Abs(want[i])) {
+			t.Fatalf("%s: [%d] = %g, want %g", op, i, got[i], want[i])
+		}
+	}
+}
+
+func sameBits[T Float](t *testing.T, op string, got, want []T) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
 			t.Fatalf("%s: [%d] = %g, want %g", op, i, got[i], want[i])
 		}
 	}
@@ -73,6 +107,12 @@ func closeSlices(t *testing.T, op string, got, want []float64, tol float64) {
 // unroll remainders, the 2-row NT tiling remainder, and column blocks
 // (n > gemmColBlock), for every kernel, with and without accumulation.
 func TestGemmKernelsMatchNaive(t *testing.T) {
+	bothWidths(t,
+		func(t *testing.T) { testGemmKernelsMatchNaive[float64](t, tol64) },
+		func(t *testing.T) { testGemmKernelsMatchNaive[float32](t, tol32) })
+}
+
+func testGemmKernelsMatchNaive[T Float](t *testing.T, tol float64) {
 	g := NewRNG(42)
 	dims := []struct{ m, n, k int }{
 		{1, 1, 1},
@@ -84,37 +124,37 @@ func TestGemmKernelsMatchNaive(t *testing.T) {
 		{7, 33, 1},     // k smaller than the unroll
 	}
 	for _, d := range dims {
-		a := randSlice(g, d.m*d.k)
-		at := make([]float64, d.k*d.m) // aᵀ, [k×m]
+		a := randSlice[T](g, d.m*d.k)
+		at := make([]T, d.k*d.m) // aᵀ, [k×m]
 		for i := 0; i < d.m; i++ {
 			for p := 0; p < d.k; p++ {
 				at[p*d.m+i] = a[i*d.k+p]
 			}
 		}
-		b := randSlice(g, d.k*d.n)
-		bt := make([]float64, d.n*d.k) // bᵀ, [n×k]
+		b := randSlice[T](g, d.k*d.n)
+		bt := make([]T, d.n*d.k) // bᵀ, [n×k]
 		for p := 0; p < d.k; p++ {
 			for j := 0; j < d.n; j++ {
 				bt[j*d.k+p] = b[p*d.n+j]
 			}
 		}
-		want := naiveNN(d.m, d.n, d.k, a, b)
+		want := naiveNN(d.m, d.n, d.k, widen(a), widen(b))
 
 		for _, workers := range []int{1, 3} {
-			c := make([]float64, d.m*d.n)
+			c := make([]T, d.m*d.n)
 			GemmNN(d.m, d.n, d.k, a, b, c, false, workers)
-			closeSlices(t, "GemmNN", c, want, 1e-13)
+			closeSlices(t, "GemmNN", c, want, tol)
 
-			c = make([]float64, d.m*d.n)
+			c = make([]T, d.m*d.n)
 			GemmTN(d.m, d.n, d.k, at, b, c, false, workers)
-			closeSlices(t, "GemmTN", c, naiveTN(d.m, d.n, d.k, at, b), 1e-13)
+			closeSlices(t, "GemmTN", c, naiveTN(d.m, d.n, d.k, widen(at), widen(b)), tol)
 
-			c = make([]float64, d.m*d.n)
+			c = make([]T, d.m*d.n)
 			GemmNT(d.m, d.n, d.k, a, bt, c, false, workers)
-			closeSlices(t, "GemmNT", c, naiveNT(d.m, d.n, d.k, a, bt), 1e-13)
+			closeSlices(t, "GemmNT", c, naiveNT(d.m, d.n, d.k, widen(a), widen(bt)), tol)
 
 			// Accumulating form: C starts at 1 everywhere.
-			c = make([]float64, d.m*d.n)
+			c = make([]T, d.m*d.n)
 			for i := range c {
 				c[i] = 1
 			}
@@ -123,7 +163,7 @@ func TestGemmKernelsMatchNaive(t *testing.T) {
 			for i := range acc {
 				acc[i] = want[i] + 1
 			}
-			closeSlices(t, "GemmNN acc", c, acc, 1e-13)
+			closeSlices(t, "GemmNN acc", c, acc, tol)
 		}
 	}
 }
@@ -131,30 +171,56 @@ func TestGemmKernelsMatchNaive(t *testing.T) {
 // TestGemmWorkersBitIdentical is the determinism contract: the same
 // kernel must produce bit-identical output for any worker count.
 func TestGemmWorkersBitIdentical(t *testing.T) {
+	bothWidths(t, testGemmWorkersBitIdentical[float64], testGemmWorkersBitIdentical[float32])
+}
+
+func testGemmWorkersBitIdentical[T Float](t *testing.T) {
 	g := NewRNG(7)
 	const m, n, k = 6, 5000, 37
-	a := randSlice(g, m*k)
-	b := randSlice(g, k*n)
-	bt := randSlice(g, n*k)
-	ref := make([]float64, m*n)
+	a := randSlice[T](g, m*k) // also read as the [k×m] operand of TN
+	b := randSlice[T](g, k*n)
+	bt := randSlice[T](g, n*k)
+	ref := make([]T, m*n)
 	GemmNN(m, n, k, a, b, ref, false, 1)
-	refNT := make([]float64, m*n)
+	refNT := make([]T, m*n)
 	GemmNT(m, n, k, a, bt, refNT, false, 1)
+	refTN := make([]T, m*n)
+	GemmTN(m, n, k, a, b, refTN, false, 1)
 	for _, workers := range []int{2, 3, 8} {
-		c := make([]float64, m*n)
+		c := make([]T, m*n)
 		GemmNN(m, n, k, a, b, c, false, workers)
-		for i := range c {
-			if c[i] != ref[i] {
-				t.Fatalf("GemmNN workers=%d: [%d] = %g, serial %g", workers, i, c[i], ref[i])
-			}
-		}
-		c = make([]float64, m*n)
+		sameBits(t, fmt.Sprintf("GemmNN workers=%d", workers), c, ref)
+		c = make([]T, m*n)
 		GemmNT(m, n, k, a, bt, c, false, workers)
-		for i := range c {
-			if c[i] != refNT[i] {
-				t.Fatalf("GemmNT workers=%d: [%d] = %g, serial %g", workers, i, c[i], refNT[i])
-			}
-		}
+		sameBits(t, fmt.Sprintf("GemmNT workers=%d", workers), c, refNT)
+		c = make([]T, m*n)
+		GemmTN(m, n, k, a, b, c, false, workers)
+		sameBits(t, fmt.Sprintf("GemmTN workers=%d", workers), c, refTN)
+	}
+}
+
+// TestGemmPanelBoundsPanic: a panel whose stated extent overruns its
+// slice must panic at the call site, not read out of range.
+func TestGemmPanelBoundsPanic(t *testing.T) {
+	bothWidths(t, testGemmPanelBoundsPanic[float64], testGemmPanelBoundsPanic[float32])
+}
+
+func testGemmPanelBoundsPanic[T Float](t *testing.T) {
+	const m, n, k = 3, 4, 5
+	a, b, c := make([]T, m*k), make([]T, k*n), make([]T, m*n)
+	for name, call := range map[string]func(){
+		"NN short C":  func() { GemmPanelNN(m, n, k, a, k, b, n, c[:m*n-1], n, false, 1) },
+		"TN short A":  func() { GemmPanelTN(m, n, k, a[:k*m-1], m, b, n, c, n, false, 1) },
+		"NT stride<k": func() { GemmPanelNT(m, n, k, a, k-1, b, k, c, n, false, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }
 
@@ -166,15 +232,15 @@ func TestMatMulBlockedMatchesReference(t *testing.T) {
 	b := Normal(g, 0, 1, 13, 11)
 	got := MatMul(a, b)
 	want := naiveNN(9, 11, 13, a.Data(), b.Data())
-	closeSlices(t, "MatMul", got.Data(), want, 1e-13)
+	closeSlices(t, "MatMul", got.Data(), want, tol64)
 
 	dst := New(9, 11)
 	MatMulInto(dst, a, b, 2)
-	closeSlices(t, "MatMulInto", dst.Data(), want, 1e-13)
+	closeSlices(t, "MatMulInto", dst.Data(), want, tol64)
 }
 
 // im2colRef indexes the lowered matrix entry directly from the image.
-func im2colRef(x []float64, c, h, w, k, pad, ci, ky, kx, oy, ox int) float64 {
+func im2colRef[T Float](x []T, c, h, w, k, pad, ci, ky, kx, oy, ox int) T {
 	iy, ix := oy+ky-pad, ox+kx-pad
 	if iy < 0 || iy >= h || ix < 0 || ix >= w {
 		return 0
@@ -183,6 +249,10 @@ func im2colRef(x []float64, c, h, w, k, pad, ci, ky, kx, oy, ox int) float64 {
 }
 
 func TestIm2ColMatchesDirectIndexing(t *testing.T) {
+	bothWidths(t, testIm2ColMatchesDirectIndexing[float64], testIm2ColMatchesDirectIndexing[float32])
+}
+
+func testIm2ColMatchesDirectIndexing[T Float](t *testing.T) {
 	g := NewRNG(11)
 	cases := []struct{ c, h, w, k, pad int }{
 		{2, 5, 6, 3, 0},
@@ -191,13 +261,13 @@ func TestIm2ColMatchesDirectIndexing(t *testing.T) {
 		{2, 6, 5, 5, 4}, // pad > (k-1)/2
 	}
 	for _, tc := range cases {
-		x := randSlice(g, tc.c*tc.h*tc.w)
+		x := randSlice[T](g, tc.c*tc.h*tc.w)
 		oh := ConvOutSize(tc.h, tc.k, tc.pad)
 		ow := ConvOutSize(tc.w, tc.k, tc.pad)
-		cols := make([]float64, Im2ColRows(tc.c, tc.k)*oh*ow)
+		cols := make([]T, Im2ColRows(tc.c, tc.k)*oh*ow)
 		// Poison the buffer to catch unwritten cells.
 		for i := range cols {
-			cols[i] = math.NaN()
+			cols[i] = T(math.NaN())
 		}
 		Im2Col(x, tc.c, tc.h, tc.w, tc.k, tc.pad, cols)
 		for ci := 0; ci < tc.c; ci++ {
@@ -208,7 +278,7 @@ func TestIm2ColMatchesDirectIndexing(t *testing.T) {
 							r := (ci*tc.k+ky)*tc.k + kx
 							got := cols[r*oh*ow+oy*ow+ox]
 							want := im2colRef(x, tc.c, tc.h, tc.w, tc.k, tc.pad, ci, ky, kx, oy, ox)
-							if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+							if got != want {
 								t.Fatalf("%+v: cols[%d,%d,%d,%d,%d] = %g, want %g", tc, ci, ky, kx, oy, ox, got, want)
 							}
 						}
@@ -222,6 +292,12 @@ func TestIm2ColMatchesDirectIndexing(t *testing.T) {
 // TestCol2ImIsAdjointOfIm2Col verifies ⟨Im2Col(x), u⟩ = ⟨x, Col2Im(u)⟩
 // for random x and u — the exact property the backward pass relies on.
 func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
+	bothWidths(t,
+		func(t *testing.T) { testCol2ImIsAdjointOfIm2Col[float64](t, 1e-10) },
+		func(t *testing.T) { testCol2ImIsAdjointOfIm2Col[float32](t, tol32) })
+}
+
+func testCol2ImIsAdjointOfIm2Col[T Float](t *testing.T, tol float64) {
 	g := NewRNG(13)
 	cases := []struct{ c, h, w, k, pad int }{
 		{2, 5, 6, 3, 0},
@@ -232,21 +308,21 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 		oh := ConvOutSize(tc.h, tc.k, tc.pad)
 		ow := ConvOutSize(tc.w, tc.k, tc.pad)
 		nc := Im2ColRows(tc.c, tc.k) * oh * ow
-		x := randSlice(g, tc.c*tc.h*tc.w)
-		u := randSlice(g, nc)
-		cols := make([]float64, nc)
+		x := randSlice[T](g, tc.c*tc.h*tc.w)
+		u := randSlice[T](g, nc)
+		cols := make([]T, nc)
 		Im2Col(x, tc.c, tc.h, tc.w, tc.k, tc.pad, cols)
 		lhs := 0.0
 		for i := range cols {
-			lhs += cols[i] * u[i]
+			lhs += float64(cols[i]) * float64(u[i])
 		}
-		back := make([]float64, len(x))
+		back := make([]T, len(x))
 		Col2Im(u, tc.c, tc.h, tc.w, tc.k, tc.pad, back)
 		rhs := 0.0
 		for i := range x {
-			rhs += x[i] * back[i]
+			rhs += float64(x[i]) * float64(back[i])
 		}
-		if math.Abs(lhs-rhs) > 1e-10*(1+math.Abs(lhs)) {
+		if math.Abs(lhs-rhs) > tol*(1+math.Abs(lhs)) {
 			t.Fatalf("%+v: ⟨im2col(x),u⟩ = %g but ⟨x,col2im(u)⟩ = %g", tc, lhs, rhs)
 		}
 	}
@@ -257,6 +333,12 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 // into exactly the full lowering, and that tiled Col2Im scatters
 // reproduce the full scatter.
 func TestIm2ColWindowTilesMatchFullLowering(t *testing.T) {
+	bothWidths(t,
+		func(t *testing.T) { testIm2ColWindowTilesMatchFullLowering[float64](t, 1e-12) },
+		func(t *testing.T) { testIm2ColWindowTilesMatchFullLowering[float32](t, tol32) })
+}
+
+func testIm2ColWindowTilesMatchFullLowering[T Float](t *testing.T, tol float64) {
 	g := NewRNG(17)
 	cases := []struct{ c, h, w, k, pad int }{
 		{2, 5, 6, 3, 0},
@@ -269,8 +351,8 @@ func TestIm2ColWindowTilesMatchFullLowering(t *testing.T) {
 		ow := ConvOutSize(tc.w, tc.k, tc.pad)
 		frame := oh * ow
 		rows := Im2ColRows(tc.c, tc.k)
-		x := randSlice(g, tc.c*tc.h*tc.w)
-		full := make([]float64, rows*frame)
+		x := randSlice[T](g, tc.c*tc.h*tc.w)
+		full := make([]T, rows*frame)
 		Im2Col(x, tc.c, tc.h, tc.w, tc.k, tc.pad, full)
 
 		// Build tile boundaries: the case's split points plus a regular
@@ -281,10 +363,10 @@ func TestIm2ColWindowTilesMatchFullLowering(t *testing.T) {
 		}
 		bounds = append(bounds, frame)
 
-		u := randSlice(g, rows*frame)
-		wantBack := make([]float64, len(x))
+		u := randSlice[T](g, rows*frame)
+		wantBack := make([]T, len(x))
 		Col2Im(u, tc.c, tc.h, tc.w, tc.k, tc.pad, wantBack)
-		gotBack := make([]float64, len(x))
+		gotBack := make([]T, len(x))
 
 		for bi := 0; bi+1 < len(bounds); bi++ {
 			j0, j1 := bounds[bi], bounds[bi+1]
@@ -292,7 +374,7 @@ func TestIm2ColWindowTilesMatchFullLowering(t *testing.T) {
 				continue
 			}
 			tw := j1 - j0
-			tile := make([]float64, rows*tw)
+			tile := make([]T, rows*tw)
 			Im2ColWindow(x, tc.c, tc.h, tc.w, tc.k, tc.pad, j0, j1, tile)
 			for r := 0; r < rows; r++ {
 				for j := 0; j < tw; j++ {
@@ -302,41 +384,47 @@ func TestIm2ColWindowTilesMatchFullLowering(t *testing.T) {
 				}
 			}
 			// Scatter the matching slice of u through the window.
-			uTile := make([]float64, rows*tw)
+			uTile := make([]T, rows*tw)
 			for r := 0; r < rows; r++ {
 				copy(uTile[r*tw:(r+1)*tw], u[r*frame+j0:r*frame+j1])
 			}
 			Col2ImWindow(uTile, tc.c, tc.h, tc.w, tc.k, tc.pad, j0, j1, gotBack)
 		}
-		closeSlices(t, "Col2ImWindow tiles", gotBack, wantBack, 1e-12)
+		closeSlices(t, "Col2ImWindow tiles", gotBack, widen(wantBack), tol)
 	}
 }
 
 // TestGemmPanelStridedMatchesFlat embeds operands in larger frames and
 // checks the strided panel kernels against the flat ones.
 func TestGemmPanelStridedMatchesFlat(t *testing.T) {
+	bothWidths(t,
+		func(t *testing.T) { testGemmPanelStridedMatchesFlat[float64](t, tol64) },
+		func(t *testing.T) { testGemmPanelStridedMatchesFlat[float32](t, tol32) })
+}
+
+func testGemmPanelStridedMatchesFlat[T Float](t *testing.T, tol float64) {
 	g := NewRNG(23)
 	const m, n, k = 5, 9, 11
 	const lda, ldb, ldc = 17, 21, 15
-	a := randSlice(g, m*lda)
-	b := randSlice(g, k*ldb)
-	c := randSlice(g, m*ldc)
+	a := randSlice[T](g, m*lda)
+	b := randSlice[T](g, k*ldb)
+	c := randSlice[T](g, m*ldc)
 
 	// Flat copies.
 	af := make([]float64, m*k)
 	for i := 0; i < m; i++ {
-		copy(af[i*k:(i+1)*k], a[i*lda:i*lda+k])
+		copy(af[i*k:(i+1)*k], widen(a[i*lda:i*lda+k]))
 	}
 	bf := make([]float64, k*n)
 	for p := 0; p < k; p++ {
-		copy(bf[p*n:(p+1)*n], b[p*ldb:p*ldb+n])
+		copy(bf[p*n:(p+1)*n], widen(b[p*ldb:p*ldb+n]))
 	}
 	want := naiveNN(m, n, k, af, bf)
 
-	got := append([]float64(nil), c...)
+	got := append([]T(nil), c...)
 	GemmPanelNN(m, n, k, a, lda, b, ldb, got, ldc, false, 1)
 	for i := 0; i < m; i++ {
-		closeSlices(t, "GemmPanelNN row", got[i*ldc:i*ldc+n], want[i*n:(i+1)*n], 1e-13)
+		closeSlices(t, "GemmPanelNN row", got[i*ldc:i*ldc+n], want[i*n:(i+1)*n], tol)
 		// Columns beyond n in the C frame must be untouched.
 		for j := n; j < ldc && i*ldc+j < len(got); j++ {
 			if got[i*ldc+j] != c[i*ldc+j] {
@@ -346,32 +434,32 @@ func TestGemmPanelStridedMatchesFlat(t *testing.T) {
 	}
 
 	// TN: A stored transposed in a strided frame [k rows × lda≥m].
-	at := randSlice(g, k*lda)
+	at := randSlice[T](g, k*lda)
 	atf := make([]float64, m*k) // flat row-major [m×k] view of atᵀ
 	for p := 0; p < k; p++ {
 		for i := 0; i < m; i++ {
-			atf[i*k+p] = at[p*lda+i]
+			atf[i*k+p] = float64(at[p*lda+i])
 		}
 	}
 	want = naiveNN(m, n, k, atf, bf)
-	got = append([]float64(nil), c...)
+	got = append([]T(nil), c...)
 	GemmPanelTN(m, n, k, at, lda, b, ldb, got, ldc, false, 2)
 	for i := 0; i < m; i++ {
-		closeSlices(t, "GemmPanelTN row", got[i*ldc:i*ldc+n], want[i*n:(i+1)*n], 1e-13)
+		closeSlices(t, "GemmPanelTN row", got[i*ldc:i*ldc+n], want[i*n:(i+1)*n], tol)
 	}
 
 	// NT: B stored as [n rows × ldb≥k].
-	bt := randSlice(g, n*ldb)
+	bt := randSlice[T](g, n*ldb)
 	btf := make([]float64, k*n) // flat [k×n] with btf[p*n+j] = bt[j*ldb+p]
 	for j := 0; j < n; j++ {
 		for p := 0; p < k; p++ {
-			btf[p*n+j] = bt[j*ldb+p]
+			btf[p*n+j] = float64(bt[j*ldb+p])
 		}
 	}
 	want = naiveNN(m, n, k, af, btf)
-	got = append([]float64(nil), c...)
+	got = append([]T(nil), c...)
 	GemmPanelNT(m, n, k, a, lda, bt, ldb, got, ldc, false, 2)
 	for i := 0; i < m; i++ {
-		closeSlices(t, "GemmPanelNT row", got[i*ldc:i*ldc+n], want[i*n:(i+1)*n], 1e-13)
+		closeSlices(t, "GemmPanelNT row", got[i*ldc:i*ldc+n], want[i*n:(i+1)*n], tol)
 	}
 }

@@ -23,7 +23,8 @@ import "fmt"
 // Both routines work on one CHW image at a time (batch loops live in
 // the callers, which reuse one panel buffer across the batch) and
 // write into caller-owned buffers so hot loops can run
-// allocation-free.
+// allocation-free. Like the GEMM kernels they are generic over the
+// element width.
 
 // Im2ColRows returns the row count C·K·K of the lowered matrix.
 func Im2ColRows(c, k int) int { return c * k * k }
@@ -35,13 +36,13 @@ func ConvOutSize(n, k, pad int) int { return n + 2*pad - k + 1 }
 // Im2Col lowers the full CHW image x (flat, c·h·w values) into cols,
 // a [C·K·K × OH·OW] row-major matrix with OH = ConvOutSize(h, k, pad)
 // and OW = ConvOutSize(w, k, pad).
-func Im2Col(x []float64, c, h, w, k, pad int, cols []float64) {
+func Im2Col[T Float](x []T, c, h, w, k, pad int, cols []T) {
 	oh, ow := ConvOutSize(h, k, pad), ConvOutSize(w, k, pad)
 	Im2ColWindow(x, c, h, w, k, pad, 0, oh*ow, cols)
 }
 
 // Col2Im is the adjoint of Im2Col over the full output frame.
-func Col2Im(cols []float64, c, h, w, k, pad int, x []float64) {
+func Col2Im[T Float](cols []T, c, h, w, k, pad int, x []T) {
 	oh, ow := ConvOutSize(h, k, pad), ConvOutSize(w, k, pad)
 	Col2ImWindow(cols, c, h, w, k, pad, 0, oh*ow, x)
 }
@@ -52,7 +53,7 @@ func Col2Im(cols []float64, c, h, w, k, pad int, x []float64) {
 // every output position in the window, the input value at channel ci,
 // row oy+ky−pad, column ox+kx−pad — zero where that falls outside the
 // image. Every element of the panel is written.
-func Im2ColWindow(x []float64, c, h, w, k, pad, j0, j1 int, cols []float64) {
+func Im2ColWindow[T Float](x []T, c, h, w, k, pad, j0, j1 int, cols []T) {
 	oh, ow := ConvOutSize(h, k, pad), ConvOutSize(w, k, pad)
 	tw := j1 - j0
 	checkIm2Col("Im2ColWindow", len(x), c, h, w, k, pad, oh, ow, j0, j1, len(cols))
@@ -93,12 +94,18 @@ func Im2ColWindow(x []float64, c, h, w, k, pad, j0, j1 int, cols []float64) {
 	}
 }
 
+// Im2ColWindow32 is Im2ColWindow on float32, kept under its old name
+// for the frozen bench/ module only.
+func Im2ColWindow32(x []float32, c, h, w, k, pad, j0, j1 int, cols []float32) {
+	Im2ColWindow(x, c, h, w, k, pad, j0, j1, cols)
+}
+
 // Col2ImWindow is the adjoint of Im2ColWindow: it accumulates the
 // [C·K·K × (j1−j0)] panel cols back into the CHW image x, adding each
 // patch entry onto the input cell it was read from and dropping
 // entries that came from padding. x is accumulated into, not
 // overwritten — callers zero it first when they want a plain scatter.
-func Col2ImWindow(cols []float64, c, h, w, k, pad, j0, j1 int, x []float64) {
+func Col2ImWindow[T Float](cols []T, c, h, w, k, pad, j0, j1 int, x []T) {
 	oh, ow := ConvOutSize(h, k, pad), ConvOutSize(w, k, pad)
 	tw := j1 - j0
 	checkIm2Col("Col2ImWindow", len(x), c, h, w, k, pad, oh, ow, j0, j1, len(cols))
@@ -133,8 +140,6 @@ func Col2ImWindow(cols []float64, c, h, w, k, pad, j0, j1 int, x []float64) {
 }
 
 // checkIm2Col validates a lowering window against its buffer lengths.
-// It takes lengths rather than slices so the float64 and float32
-// lowerings share it.
 func checkIm2Col(op string, xlen, c, h, w, k, pad, oh, ow, j0, j1, colslen int) {
 	if c <= 0 || h <= 0 || w <= 0 || k <= 0 || pad < 0 {
 		panic(fmt.Sprintf("tensor: %s invalid config c=%d h=%d w=%d k=%d pad=%d", op, c, h, w, k, pad))

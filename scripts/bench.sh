@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_baseline.json: the committed perf-trajectory
-# snapshot of the convolution engine (GEMM fast path vs naive
-# reference), the per-layer Table-I costs, the serving API's
+# snapshot of the convolution engine (the Workers sweep of the forward
+# pass), the per-layer Table-I costs, the serving API's
 # concurrent-session rollout throughput (1 vs 4 sessions over one
 # Engine; the steps_per_s metric), the halo-exchange schedule ×
 # transport matrix ({mem,tcp} × {blocking,overlap} rollout steps/s),
@@ -20,7 +20,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_baseline.json}"
-BENCH="${BENCH:-ConvGEMMvsNaive|ConvGEMMWorkers|Table1_LayerForwardBackward|SessionConcurrentRollout|HaloOverlapVsBlocking|BatcherThroughput|PrecisionRollout|SteadyStateRollout}"
+BENCH="${BENCH:-ConvGEMMWorkers|Table1_LayerForwardBackward|SessionConcurrentRollout|HaloOverlapVsBlocking|BatcherThroughput|PrecisionRollout|SteadyStateRollout}"
 BENCHTIME="${BENCHTIME:-10x}"
 
 RAW="$(mktemp)"
