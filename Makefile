@@ -145,14 +145,18 @@ lint: vet
 # Native fuzz targets as package:target pairs (internal/mpi:
 # wire-frame codec and the chaos rule DSL; internal/admission: the
 # policy parser behind POST /v2/admin/policy and the LPM trie vs its
-# linear-scan oracle), FUZZTIME each. `go test -fuzz` accepts exactly
-# one target per invocation, hence the loop.
+# linear-scan oracle; internal/serve: the predict/rollout tensor codec
+# vs encoding/json, decoder and float formatter), FUZZTIME each.
+# `go test -fuzz` accepts exactly one target per invocation, hence the
+# loop.
 FUZZ_TARGETS = \
 	./internal/mpi:FuzzTCPFrameRoundTrip \
 	./internal/mpi:FuzzTCPReadFrameHostile \
 	./internal/mpi:FuzzParseChaosRules \
 	./internal/admission:FuzzPolicyParse \
-	./internal/admission:FuzzTrieLookup
+	./internal/admission:FuzzTrieLookup \
+	./internal/serve:FuzzPredictBody \
+	./internal/serve:FuzzAppendFloat
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

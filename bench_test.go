@@ -10,7 +10,9 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -26,6 +28,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/nn"
 	"repro/internal/opt"
+	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/tensor"
 )
@@ -683,6 +686,61 @@ func BenchmarkPrecisionRollout(b *testing.B) {
 				f64PerOp = perOp
 			} else if f64PerOp > 0 && perOp > 0 {
 				b.ReportMetric(f64PerOp/perOp, "speedup_vs_f64")
+			}
+		})
+	}
+}
+
+// BenchmarkPredictCodec gates the HTTP predict path's tensor codec
+// (DESIGN.md §9) on the body the end-to-end benchmark posts: one
+// 4×128×128 state with full mantissas, 1.26 MB of JSON. decode is a
+// request body to a PredictRequest, encode a frame to response bytes
+// in a reused buffer. Each cell reports speedup_vs_encoding_json
+// against the standard library doing the same job, timed here outside
+// the cells: its allocation count depends on pool and collector state,
+// so a row of its own would make the allocs_per_op gate flaky.
+// scripts/bench.sh snapshots requests_per_s and allocs_per_op (both
+// deterministic counts: the codec has no pool of its own) into
+// BENCH_baseline.json.
+func BenchmarkPredictCodec(b *testing.B) {
+	state := tensor.Uniform(tensor.NewRNG(1), 0.1, 0.9, grid.NumChannels, 128, 128)
+	wire := serve.NewTensorJSON(state)
+	body, err := json.Marshal(serve.PredictRequest{States: []serve.TensorJSON{wire}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var out bytes.Buffer
+	buf := make([]byte, 0, 2<<20)
+	for _, cell := range []struct {
+		name       string
+		codec, std func() error
+	}{
+		{"decode",
+			func() error { _, err := serve.DecodePredictRequest(body); return err },
+			func() error { return json.NewDecoder(bytes.NewReader(body)).Decode(new(serve.PredictRequest)) }},
+		{"encode",
+			func() (err error) { buf, err = serve.AppendTensorJSON(buf[:0], wire); return err },
+			func() error { out.Reset(); return json.NewEncoder(&out).Encode(wire) }},
+	} {
+		const stdRuns = 5
+		start := time.Now()
+		for i := 0; i < stdRuns; i++ {
+			if err := cell.std(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		stdPerOp := time.Since(start).Seconds() / stdRuns
+		b.Run(cell.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := cell.codec(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if perOp := b.Elapsed().Seconds() / float64(b.N); perOp > 0 {
+				b.ReportMetric(perOp*1e3, "ms/op")
+				b.ReportMetric(1/perOp, "requests_per_s")
+				b.ReportMetric(stdPerOp/perOp, "speedup_vs_encoding_json")
 			}
 		})
 	}

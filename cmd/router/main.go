@@ -67,6 +67,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/router"
+	"repro/internal/serve"
 )
 
 // setupAdmission wraps the router in the edge admission Gate
@@ -183,7 +184,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hs := &http.Server{Handler: handler}
+	hs := serve.NewHTTPServer(handler)
 	fmt.Printf("routing on %s (%d/%d replicas ready)\n", ln.Addr(), fleet.Ready, fleet.Total)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

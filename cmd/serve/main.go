@@ -233,7 +233,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hs := &http.Server{Handler: handler}
+	hs := serve.NewHTTPServer(handler)
 	fmt.Printf("serving on %s\n", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -57,7 +57,11 @@
 // batchers, POST /v2/admin/load|swap|unload for zero-downtime
 // rollouts from artifact directories, structured JSON error
 // envelopes, /metrics counters (per-model requests, batch fill, swap
-// count) and a /healthz that reports per-model readiness. Graceful
+// count) and a /healthz that reports per-model readiness. JSON
+// tensors cross the wire through a purpose-built codec (DESIGN.md §9:
+// strconv-based, byte-identical to encoding/json, which remains the
+// fallback and the fuzz oracle) in pooled, Content-Length-sized
+// bodies that the router's replay buffer shares. Graceful
 // drain on SIGTERM; internal/serve holds the handler plus the typed
 // Client, scripts/loadtest.sh drives throughput, and
 // scripts/smoke_swap.sh proves a mid-load hot swap drops zero

@@ -39,7 +39,6 @@
 package router
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -48,6 +47,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -460,11 +460,16 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Add(1)
 	rid := r.Header.Get(serve.RequestIDHeader)
 	start := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	// The request body is buffered once, in a pooled slab sized from
+	// Content-Length, so it can be replayed; the slab is held until the
+	// last attempt has returned (and, by its reference count, until the
+	// transport has let go of every attempt's reader).
+	body, err := serve.ReadBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	if err != nil {
 		rt.routerErr(w, r, fmt.Errorf("router: reading request body: %w", err), http.StatusBadRequest)
 		return
 	}
+	defer body.Release()
 	var lastErr error
 	var exclude *replica
 	for attempt := 0; attempt < 2; attempt++ {
@@ -511,11 +516,11 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 // responses stream with a flush per write; everything else is
 // buffered fully before committing, so a replica dying mid-response
 // stays retryable.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, rep *replica, body []byte) (int, error) {
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, rep *replica, body *serve.Body) (int, error) {
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
 	rep.requests.Add(1)
-	out, err := http.NewRequestWithContext(r.Context(), r.Method, rep.url+r.URL.RequestURI(), bytes.NewReader(body))
+	out, err := body.NewRequest(r.Context(), r.Method, rep.url+r.URL.RequestURI())
 	if err != nil {
 		return 0, err
 	}
@@ -564,14 +569,16 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, rep *replica, 
 	// Buffered: only commit a complete response. The proxied surface
 	// (predict, models, v1) is idempotent, so a replica dying mid-body
 	// is safe to replay on another replica.
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	respBody, err := serve.ReadBody(io.LimitReader(resp.Body, maxBodyBytes), resp.ContentLength)
 	if err != nil {
 		return 0, fmt.Errorf("router: replica %s died mid-response: %w", rep.id, err)
 	}
+	defer respBody.Release()
 	copyHeader(w.Header(), resp.Header, "Content-Type")
 	w.Header().Set("X-Served-By", rep.id)
+	w.Header().Set("Content-Length", strconv.Itoa(len(respBody.B)))
 	w.WriteHeader(resp.StatusCode)
-	_, werr := w.Write(respBody)
+	_, werr := w.Write(respBody.B)
 	return resp.StatusCode, werr
 }
 

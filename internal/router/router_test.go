@@ -1,6 +1,8 @@
 package router
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -98,8 +100,12 @@ func newFakeReplica(id string) *fakeReplica {
 			}
 			return
 		}
+		// Report what arrived, so a test can tell a replayed body from
+		// the one the client sent.
+		sum := sha256.New()
+		n, _ := io.Copy(sum, r.Body)
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"replica":%q}`+"\n", f.id)
+		fmt.Fprintf(w, `{"replica":%q,"body_bytes":%d,"body_sha256":"%x"}`+"\n", f.id, n, sum.Sum(nil))
 	})
 	f.srv = httptest.NewServer(mux)
 	return f
@@ -310,12 +316,8 @@ func TestHealthTransitions(t *testing.T) {
 func TestRetryOnceOnConnectFailure(t *testing.T) {
 	fakes, rt, front := newFleet(t, 2, nil)
 	fakes[0].srv.Close() // probe already ran in New; the table still says Ready
-	resp, err := http.Post(front.URL+"/v1/predict", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := servedBy(t, resp); rep != "r2" {
-		t.Fatalf("retried request served by %q, want r2", rep)
+	if got := postEcho(t, front.URL, []byte(`{"states":[]}`)); got.Replica != "r2" {
+		t.Fatalf("retried request served by %q, want r2", got.Replica)
 	}
 	st := rt.Stats()
 	if st.Retries != 1 || st.Failed != 0 {
@@ -327,13 +329,84 @@ func TestRetryOnceOnConnectFailure(t *testing.T) {
 		}
 	}
 	// Second request: r1 is already down, so no second retry is needed.
-	resp, err = http.Post(front.URL+"/v1/predict", "application/json", strings.NewReader("{}"))
+	postEcho(t, front.URL, []byte(`{"states":[]}`))
+	if st := rt.Stats(); st.Retries != 1 {
+		t.Fatalf("marked-down replica was picked again: %+v", st)
+	}
+}
+
+// echo is what a fakeReplica's predict route reports back.
+type echo struct {
+	Replica string `json:"replica"`
+	Bytes   int    `json:"body_bytes"`
+	Sum     string `json:"body_sha256"`
+}
+
+// postEcho posts body through the front and checks that the answering
+// replica received exactly those bytes.
+func postEcho(t *testing.T, frontURL string, body []byte) echo {
+	t.Helper()
+	resp, err := http.Post(frontURL+"/v1/predict", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	servedBy(t, resp)
-	if st := rt.Stats(); st.Retries != 1 {
-		t.Fatalf("marked-down replica was picked again: %+v", st)
+	defer resp.Body.Close()
+	var got echo
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatalf("status %d: %v", resp.StatusCode, err)
+	}
+	if want := fmt.Sprintf("%x", sha256.Sum256(body)); got.Bytes != len(body) || got.Sum != want {
+		t.Fatalf("replica %s received %d bytes with hash %s, want %d bytes with hash %s",
+			got.Replica, got.Bytes, got.Sum, len(body), want)
+	}
+	return got
+}
+
+// lingeringTransport fails every request with a body to deadHost at
+// once but keeps the body, as net/http's transport may: its write loop
+// can still be reading a request body after RoundTrip has returned.
+type lingeringTransport struct {
+	deadHost string
+	held     chan io.ReadCloser
+}
+
+func (lt *lingeringTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Host != lt.deadHost {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	if req.Body != nil {
+		lt.held <- req.Body
+	}
+	return nil, fmt.Errorf("dial %s: connection refused", lt.deadHost)
+}
+
+// TestRetryReplaysBodyIntact: the request slab is pooled, so it must
+// outlive both attempts and whatever the transport still holds of the
+// failed one. The retried request delivers the original bytes; the
+// first attempt's reader, read only after the request is over and
+// later requests have been through the pool, still yields them too.
+func TestRetryReplaysBodyIntact(t *testing.T) {
+	lt := &lingeringTransport{deadHost: "dead.invalid", held: make(chan io.ReadCloser, 1)}
+	fakes, rt, front := newFleet(t, 1, func(cfg *Config, _ []*fakeReplica) {
+		cfg.HTTPClient = &http.Client{Transport: lt}
+		cfg.Replicas = append([]ReplicaSpec{{ID: "r0", URL: "http://" + lt.deadHost}}, cfg.Replicas...)
+	})
+	// r0 failed its first probe; call it Ready so it is the first pick.
+	rt.routed()[0].setState(Ready, "v1", "")
+	first := bytes.Repeat([]byte("first request "), 1<<16)
+	if got := postEcho(t, front.URL, first); got.Replica != fakes[0].id {
+		t.Fatalf("served by %q, want the retry on %s", got.Replica, fakes[0].id)
+	}
+	if st := rt.Stats(); st.Retries != 1 || st.Failed != 0 {
+		t.Fatalf("stats = %+v, want exactly one retry and zero failures", st)
+	}
+	for i := 0; i < 8; i++ {
+		postEcho(t, front.URL, bytes.Repeat([]byte{byte('a' + i)}, len(first)))
+	}
+	lingering := <-lt.held
+	defer lingering.Close()
+	if got, err := io.ReadAll(lingering); err != nil || !bytes.Equal(got, first) {
+		t.Fatalf("the failed attempt's body no longer reads as the request (%d bytes, %v): slab recycled under the transport", len(got), err)
 	}
 }
 

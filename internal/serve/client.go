@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/gob"
@@ -39,22 +40,29 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Client) encodeBody(states []*tensor.Tensor) (io.Reader, string, error) {
+// encodeBody encodes the history into a pooled Body the caller
+// releases once the request has been sent.
+func (c *Client) encodeBody(states []*tensor.Tensor) (*Body, string, error) {
 	req := PredictRequest{States: make([]TensorJSON, len(states))}
+	n := 0
 	for i, st := range states {
 		req.States[i] = NewTensorJSON(st)
+		n += st.Size()
 	}
-	var buf bytes.Buffer
+	body, contentType := NewBody(jsonSizeHint(n)), "application/json"
+	var err error
 	if c.Binary {
-		if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-			return nil, "", err
-		}
-		return &buf, ContentTypeGob, nil
+		buf := bytes.NewBuffer(body.B)
+		err = gob.NewEncoder(buf).Encode(req)
+		body.B, contentType = buf.Bytes(), ContentTypeGob
+	} else {
+		body.B, err = appendPredictRequest(body.B, req)
 	}
-	if err := json.NewEncoder(&buf).Encode(req); err != nil {
+	if err != nil {
+		body.Release()
 		return nil, "", err
 	}
-	return &buf, "application/json", nil
+	return body, contentType, nil
 }
 
 func httpError(resp *http.Response) error {
@@ -80,7 +88,8 @@ func (c *Client) predictPath(ctx context.Context, path string, states []*tensor.
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, body)
+	defer body.Release()
+	req, err := body.NewRequest(ctx, http.MethodPost, c.BaseURL+path)
 	if err != nil {
 		return nil, err
 	}
@@ -100,8 +109,13 @@ func (c *Client) predictPath(ctx context.Context, path string, states []*tensor.
 		}
 		return &t, nil
 	}
-	var wire TensorJSON
-	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+	raw, err := ReadBody(resp.Body, resp.ContentLength)
+	if err != nil {
+		return nil, fmt.Errorf("serve: reading json response: %w", err)
+	}
+	wire, err := decodeTensorJSON(raw.B)
+	raw.Release()
+	if err != nil {
 		return nil, fmt.Errorf("serve: decoding json response: %w", err)
 	}
 	return wire.Tensor()
@@ -131,16 +145,15 @@ func (c *Client) rolloutPath(ctx context.Context, path string, steps int, states
 			req.Header.Set("Accept", ContentTypeGob)
 		}
 	} else {
-		var body io.Reader
-		var contentType string
-		body, contentType, err = c.encodeBody(states)
+		body, contentType, err := c.encodeBody(states)
 		if err != nil {
 			return err
 		}
-		req, err = http.NewRequestWithContext(ctx, http.MethodPost, url, body)
-		if err == nil {
-			req.Header.Set("Content-Type", contentType)
+		defer body.Release()
+		if req, err = body.NewRequest(ctx, http.MethodPost, url); err != nil {
+			return err
 		}
+		req.Header.Set("Content-Type", contentType)
 	}
 	if err != nil {
 		return err
@@ -154,7 +167,8 @@ func (c *Client) rolloutPath(ctx context.Context, path string, steps int, states
 		return httpError(resp)
 	}
 
-	// Both formats are stream-stateful decoders over the chunked body.
+	// Gob is a stream-stateful decoder over the chunked body; NDJSON is
+	// one record per line, each read into the same pooled slab.
 	var next func() (RolloutFrame, error)
 	if resp.Header.Get("Content-Type") == ContentTypeGob {
 		dec := gob.NewDecoder(resp.Body)
@@ -163,10 +177,14 @@ func (c *Client) rolloutPath(ctx context.Context, path string, steps int, states
 			return f, dec.Decode(&f)
 		}
 	} else {
-		dec := json.NewDecoder(resp.Body)
+		br := bufio.NewReaderSize(resp.Body, 64<<10)
+		line := NewBody(0)
+		defer line.Release()
 		next = func() (RolloutFrame, error) {
-			var f RolloutFrame
-			return f, dec.Decode(&f)
+			if err := readLine(br, line); err != nil {
+				return RolloutFrame{}, err
+			}
+			return decodeRolloutFrame(line.B)
 		}
 	}
 	for k := 0; k < steps; k++ {
@@ -194,6 +212,23 @@ func (c *Client) rolloutPath(ctx context.Context, path string, steps int, states
 		}
 	}
 	return nil
+}
+
+// readLine reads through the next newline, or to the end of a stream
+// that stops without one, into line.
+func readLine(br *bufio.Reader, line *Body) error {
+	line.B = line.B[:0]
+	for {
+		chunk, err := br.ReadSlice('\n')
+		line.B = append(line.B, chunk...)
+		if errors.Is(err, bufio.ErrBufferFull) {
+			continue
+		}
+		if errors.Is(err, io.EOF) && len(line.B) > 0 {
+			return nil
+		}
+		return err
+	}
 }
 
 // Models lists the server's published models (GET /v2/models).

@@ -35,16 +35,20 @@
 // (Content-Type application/x-gob), the same encoding the checkpoint
 // format uses. A predict request carries the temporal history
 // ({"states":[...]}, oldest first, at least Window states); the
-// response mirrors the request's content type.
+// response mirrors the request's content type. The JSON tensor bodies
+// are written and read by the package's own codec (codec.go), byte for
+// byte what encoding/json produces and with encoding/json as the
+// fallback for anything but the plain layout; bodies live in pooled,
+// length-sized slabs (body.go) that the router shares.
 package serve
 
 import (
 	"context"
 	"encoding/gob"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -82,17 +86,31 @@ func NewTensorJSON(t *tensor.Tensor) TensorJSON {
 	return TensorJSON{Shape: t.Shape(), Data: t.Data()}
 }
 
-// Tensor validates the wire form and converts it back.
-func (w TensorJSON) Tensor() (*tensor.Tensor, error) {
+// size is the number of values the shape calls for. The product is
+// overflow-checked: a shape such as [1<<62, 4] wraps to 0 and would
+// otherwise agree with an empty data array.
+func (w TensorJSON) size() (int, error) {
 	if len(w.Shape) == 0 {
-		return nil, fmt.Errorf("serve: tensor without shape")
+		return 0, fmt.Errorf("serve: tensor without shape")
 	}
 	n := 1
 	for _, d := range w.Shape {
 		if d <= 0 {
-			return nil, fmt.Errorf("serve: non-positive dimension in shape %v", w.Shape)
+			return 0, fmt.Errorf("serve: non-positive dimension in shape %v", w.Shape)
+		}
+		if n > math.MaxInt/d {
+			return 0, fmt.Errorf("serve: shape %v overflows", w.Shape)
 		}
 		n *= d
+	}
+	return n, nil
+}
+
+// Tensor validates the wire form and converts it back.
+func (w TensorJSON) Tensor() (*tensor.Tensor, error) {
+	n, err := w.size()
+	if err != nil {
+		return nil, err
 	}
 	if n != len(w.Data) {
 		return nil, fmt.Errorf("serve: shape %v needs %d values, body carries %d", w.Shape, n, len(w.Data))
@@ -612,20 +630,44 @@ func (s *Server) Close() error {
 	return s.reg.Close()
 }
 
-// decodeStates reads a predict/rollout body in either wire format.
-// MaxBytesReader (rather than a plain LimitReader) makes an oversized
-// body fail loudly and forces the connection closed instead of
-// draining the remainder.
+// NewHTTPServer is the http.Server cmd/serve and cmd/router listen
+// with: a peer gets 10 s to send its request headers and an idle
+// keep-alive connection is dropped after 2 min, so stalled or abandoned
+// connections cannot accumulate. ReadTimeout and WriteTimeout stay
+// unset: /rollout streams are unbounded by design.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
+// decodeStates reads a predict/rollout body in either wire format. A
+// JSON body is read once into a pooled slab sized from Content-Length
+// and handed to the codec. MaxBytesReader (rather than a plain
+// LimitReader) makes an oversized body fail loudly and forces the
+// connection closed instead of draining the remainder; a declared
+// length over the bound is refused before a byte of it is read.
 func decodeStates(w http.ResponseWriter, r *http.Request) ([]*tensor.Tensor, bool, error) {
 	binary := r.Header.Get("Content-Type") == ContentTypeGob
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if r.ContentLength > maxBodyBytes {
+		return nil, binary, fmt.Errorf("serve: request body: %w", &http.MaxBytesError{Limit: maxBodyBytes})
+	}
+	limited := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req PredictRequest
 	if binary {
-		if err := gob.NewDecoder(body).Decode(&req); err != nil {
+		if err := gob.NewDecoder(limited).Decode(&req); err != nil {
 			return nil, binary, fmt.Errorf("serve: gob body: %w", err)
 		}
 	} else {
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
+		body, err := ReadBody(limited, r.ContentLength)
+		if err != nil {
+			return nil, binary, fmt.Errorf("serve: json body: %w", err)
+		}
+		req, err = DecodePredictRequest(body.B)
+		body.Release()
+		if err != nil {
 			return nil, binary, fmt.Errorf("serve: json body: %w", err)
 		}
 	}
@@ -725,9 +767,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name stri
 		}
 		return
 	}
+	// Encode before the status line is committed, so a frame JSON cannot
+	// carry is still a typed error; then one sized write.
+	out := NewBody(jsonSizeHint(frame.Size()))
+	defer out.Release()
+	if out.B, err = AppendTensorJSON(out.B, NewTensorJSON(frame)); err != nil {
+		s.httpErr(w, r, mode, name, err, statusFor(err))
+		return
+	}
+	out.B = append(out.B, '\n')
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(NewTensorJSON(frame))
+	w.Header().Set("Content-Length", strconv.Itoa(len(out.B)))
+	_, _ = w.Write(out.B) // a failed write is the client's disconnect
 }
 
 func (s *Server) handleRolloutV1(w http.ResponseWriter, r *http.Request) {
@@ -810,8 +861,15 @@ func (s *Server) handleRollout(w http.ResponseWriter, r *http.Request, name stri
 		writeFrame = func(f RolloutFrame) error { return enc.Encode(f) }
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		writeFrame = func(f RolloutFrame) error { return enc.Encode(f) }
+		line := NewBody(0) // sized by the first frame, reused by the rest
+		defer line.Release()
+		writeFrame = func(f RolloutFrame) (err error) {
+			if line.B, err = appendRolloutFrame(line.B[:0], f); err != nil {
+				return err
+			}
+			_, err = w.Write(line.B)
+			return err
+		}
 	}
 	err = ses.Run(ctx, steps, func(k int, frame *tensor.Tensor) error {
 		fj := NewTensorJSON(frame)

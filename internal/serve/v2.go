@@ -52,6 +52,8 @@ func errorCode(err error, status int) string {
 		return "busy"
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return "timeout"
+	case errors.Is(err, ErrNonFiniteOutput):
+		return "non_finite_output"
 	}
 	switch status {
 	case http.StatusBadRequest:

@@ -7,8 +7,10 @@
 # transport matrix ({mem,tcp} × {blocking,overlap} rollout steps/s),
 # the micro-batched serving throughput (unbatched Predict vs
 # Batcher at batch 1/4/8/16; requests_per_s), the f64-vs-f32 session
-# rollout (PrecisionRollout; speedup_vs_f64), and the fused zero-alloc
-# f32 steady state (SteadyStateRollout; allocs_per_op pinned at 0).
+# rollout (PrecisionRollout; speedup_vs_f64), the fused zero-alloc
+# f32 steady state (SteadyStateRollout; allocs_per_op pinned at 0), and
+# the HTTP predict path's tensor codec against encoding/json on the
+# 4×128×128 body (PredictCodec; requests_per_s, allocs_per_op).
 # Run from anywhere:
 #
 #   scripts/bench.sh                # writes BENCH_baseline.json
@@ -20,7 +22,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_baseline.json}"
-BENCH="${BENCH:-ConvGEMMWorkers|Table1_LayerForwardBackward|SessionConcurrentRollout|HaloOverlapVsBlocking|BatcherThroughput|PrecisionRollout|SteadyStateRollout}"
+BENCH="${BENCH:-ConvGEMMWorkers|Table1_LayerForwardBackward|SessionConcurrentRollout|HaloOverlapVsBlocking|BatcherThroughput|PrecisionRollout|SteadyStateRollout|PredictCodec}"
 BENCHTIME="${BENCHTIME:-10x}"
 
 RAW="$(mktemp)"
