@@ -17,7 +17,7 @@ GO ?= go
 # Per-target budget for fuzz-smoke; CI keeps the default.
 FUZZTIME ?= 30s
 
-.PHONY: build test vet fmt race bench bench-smoke bench-check bench-baseline bench-compare smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission lint fuzz-smoke race-stress ci
+.PHONY: build test vet fmt race bench bench-smoke bench-check bench-run-smoke bench-baseline bench-compare smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission lint fuzz-smoke race-stress ci
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,15 @@ bench-smoke:
 bench-check:
 	$(GO) -C bench vet .
 	$(GO) -C bench test .
+
+# bench-check runs bench/'s tests at their 32² short sizes only. This
+# runs the benchmark itself the way its driver does — all four workloads
+# at full size (128², real set-up: simulate, train 2×2, save, open,
+# warm up) with a 2 s timed phase each — and exits non-zero on a build
+# failure, a set-up failure ("training diverged") or any failed op, so
+# a bug that only shows at full size fails here, not in the driver.
+bench-run-smoke:
+	bash bench/run.sh --seconds 2
 
 # End-to-end smoke of the user-facing entrypoints: the quickstart
 # example (train + serve in-process) and the datagen → train → infer
@@ -181,4 +190,4 @@ race-stress:
 smoke-admission:
 	scripts/smoke_admission.sh
 
-ci: build fmt lint test race bench-smoke bench-check fuzz-smoke smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission
+ci: build fmt lint test race bench-smoke bench-check bench-run-smoke fuzz-smoke smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission

@@ -87,6 +87,9 @@ func getDataset(b *testing.B, n, snaps int) *dataset.Dataset {
 // BenchmarkTable1_LayerForwardBackward times each Table-I layer
 // (channels 4→6, 6→16, 16→6, 6→4, kernel 5×5, same padding) on a
 // 64×64 field, the per-layer cost profile of the paper's network.
+// bwd_ms is the Backward share of an op; a second, untimed loop runs
+// the dW-only backward (BackwardParams on a one-layer Sequential) to
+// split it into dw_ms and dx_ms = bwd_ms − dw_ms.
 func BenchmarkTable1_LayerForwardBackward(b *testing.B) {
 	layers := []struct {
 		name    string
@@ -102,12 +105,28 @@ func BenchmarkTable1_LayerForwardBackward(b *testing.B) {
 			g := tensor.NewRNG(1)
 			conv := nn.NewConv2D(l.name, g, l.in, l.out, 5, 2)
 			x := tensor.Normal(g, 0, 1, 1, l.in, 64, 64)
+			var bwd, dw time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				y := conv.Forward(x)
+				t0 := time.Now()
 				conv.Backward(y)
+				bwd += time.Since(t0)
 				nn.ZeroGrads(conv)
 			}
+			b.StopTimer()
+			one := nn.NewSequential(conv)
+			for i := 0; i < b.N; i++ {
+				y := one.Forward(x)
+				t0 := time.Now()
+				one.BackwardParams(y)
+				dw += time.Since(t0)
+				nn.ZeroGrads(one)
+			}
+			ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+			b.ReportMetric(ms(bwd), "bwd_ms")
+			b.ReportMetric(ms(dw), "dw_ms")
+			b.ReportMetric(ms(bwd-dw), "dx_ms")
 		})
 	}
 }

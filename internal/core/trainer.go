@@ -303,7 +303,7 @@ func (t *Trainer) trainOne(ctx context.Context, samples []dataset.Sample, cfg Tr
 			if math.IsNaN(l) || math.IsInf(l, 0) {
 				return nil, history, fmt.Errorf("core: training diverged at epoch %d (loss %g); reduce the learning rate", epoch, l)
 			}
-			m.Backward(dPred)
+			m.BackwardParams(dPred)
 			if cfg.ClipNorm > 0 {
 				nn.ClipGradNorm(m, cfg.ClipNorm)
 			}
@@ -435,7 +435,7 @@ func (t *Trainer) trainDataParallel(ctx context.Context, ds *dataset.Dataset) (*
 					nn.ZeroGrads(m)
 					pred := m.Forward(in)
 					l, dPred := lossFn.Eval(pred, tg)
-					m.Backward(dPred)
+					m.BackwardParams(dPred)
 					if cfg.ClipNorm > 0 {
 						nn.ClipGradNorm(m, cfg.ClipNorm)
 					}

@@ -3,8 +3,18 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/loss"
+	"repro/internal/model"
+	"repro/internal/mpi"
+	"repro/internal/nn"
+	"repro/internal/opt"
+	"repro/internal/tensor"
 )
 
 // TestTrainerReportMode: the report carries exactly the result of the
@@ -203,4 +213,147 @@ func TestNewTrainerValidation(t *testing.T) {
 	if _, err := tr.Train(context.Background(), ds); err == nil {
 		t.Fatal("invalid exec mode accepted")
 	}
+}
+
+// replayEpoch is the training loops' epoch written against
+// Sequential.Backward — the whole backward pass, the first layer's
+// input gradient included — and returns the epoch's mean loss.
+func (p *replay) epoch(samples []dataset.Sample, cfg TrainConfig) float64 {
+	m := p.m
+	crop := cfg.Model.TargetCrop()
+	epochLoss, seen := 0.0, 0
+	for _, idx := range dataset.MiniBatches(len(samples), cfg.BatchSize, p.rng) {
+		in, tg := dataset.Gather(samples, idx)
+		if crop > 0 {
+			tg = tensor.Crop2D(tg, crop)
+		}
+		nn.ZeroGrads(m)
+		l, dPred := p.lossFn.Eval(m.Forward(in), tg)
+		m.Backward(dPred)
+		if cfg.ClipNorm > 0 {
+			nn.ClipGradNorm(m, cfg.ClipNorm)
+		}
+		p.optimizer.Step(m)
+		epochLoss += l * float64(len(idx))
+		seen += len(idx)
+	}
+	return epochLoss / float64(seen)
+}
+
+// replay is what one training loop starts from.
+type replay struct {
+	m         *nn.Sequential
+	optimizer opt.Optimizer
+	lossFn    loss.Loss
+	rng       *tensor.RNG
+}
+
+func newReplay(t *testing.T, cfg TrainConfig, modelSeed, shuffleSeed int64) *replay {
+	t.Helper()
+	mc := cfg.Model
+	mc.Seed = modelSeed
+	m, err := model.Build(mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optimizer, err := NewOptimizer(cfg.Optimizer, cfg.lr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossFn, err := NewLoss(cfg.Loss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rng *tensor.RNG
+	if cfg.Shuffle {
+		rng = tensor.NewRNG(shuffleSeed)
+	}
+	return &replay{m, optimizer, lossFn, rng}
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d vs %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: [%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestTrainerSkipsOnlyFirstLayerInputGrad: the training loops call
+// BackwardParams, which never computes the first layer's dX. Nothing
+// that is kept depends on it: a 2×2, 3-epoch run has the same loss
+// history and the same parameters, bit for bit, as the same loop
+// replayed with the full Backward.
+func TestTrainerSkipsOnlyFirstLayerInputGrad(t *testing.T) {
+	ds := tinyDataset(t, 16, 8)
+	for _, strategy := range []model.Strategy{model.ZeroPad, model.NeighborPad} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			cfg := tinyCfg()
+			cfg.Model.Strategy = strategy
+			res, err := trainParallel(ds, 2, 2, cfg, CriticalPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, rr := range res.Ranks {
+				samples := dataset.WindowedSubdomainSamples(ds, res.Partition, r, cfg.Model.Halo(), cfg.Window())
+				ms, ss := rankSeeds(cfg, r)
+				p := newReplay(t, cfg, ms, ss)
+				history := make([]float64, cfg.Epochs)
+				for epoch := range history {
+					history[epoch] = p.epoch(samples, cfg)
+				}
+				sameBits(t, fmt.Sprintf("rank %d history", r), rr.History, history)
+				sameBits(t, fmt.Sprintf("rank %d parameters", r), nn.FlattenParams(rr.Model), nn.FlattenParams(p.m))
+			}
+		})
+	}
+}
+
+// TestDataParallelSkipsOnlyFirstLayerInputGrad is the same statement
+// for the weight-averaging baseline's loop.
+func TestDataParallelSkipsOnlyFirstLayerInputGrad(t *testing.T) {
+	const ranks = 4
+	ds := tinyDataset(t, 16, 9)
+	cfg := tinyCfg()
+	res, err := trainDataParallel(ds, ranks, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := ds.Pairs()
+	history := make([]float64, cfg.Epochs)
+	replicas := make([]*replay, ranks)
+	for r := range replicas {
+		replicas[r] = newReplay(t, cfg, cfg.Model.Seed, cfg.Seed+int64(r))
+	}
+	err = mpi.NewWorld(ranks).Run(func(c *mpi.Comm) {
+		r := c.Rank()
+		p, m := replicas[r], replicas[r].m
+		var shard []dataset.Sample
+		for i := r; i < len(pairs); i += ranks {
+			shard = append(shard, pairs[i])
+		}
+		for epoch := range history {
+			localMean := p.epoch(shard, cfg)
+			avg := c.Allreduce(nn.FlattenParams(m), mpi.OpSum)
+			for i := range avg {
+				avg[i] /= ranks
+			}
+			if err := nn.UnflattenParams(m, avg); err != nil {
+				panic(err)
+			}
+			mean := c.AllreduceScalar(localMean, mpi.OpSum) / ranks
+			if r == 0 {
+				history[epoch] = mean
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "history", res.History, history)
+	sameBits(t, "parameters", nn.FlattenParams(res.Model), nn.FlattenParams(replicas[0].m))
 }

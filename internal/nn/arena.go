@@ -72,15 +72,6 @@ func (b *bump[T]) alloc(n int) []T {
 // arena is reused past it); callers must not retain it beyond that.
 func (a *Arena) Alloc(n int) []float64 { return a.f64.alloc(n) }
 
-// AllocZero is Alloc with the returned slice cleared.
-func (a *Arena) AllocZero(n int) []float64 {
-	s := a.Alloc(n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
 // Alloc32 returns a scratch slice of n float32s with arbitrary
 // contents, under the same Mark/Release discipline as Alloc.
 func (a *Arena) Alloc32(n int) []float32 { return a.f32.alloc(n) }

@@ -25,21 +25,6 @@ func TestArenaReusesChunksAfterRelease(t *testing.T) {
 	a.Release(m2)
 }
 
-func TestArenaAllocZero(t *testing.T) {
-	a := NewArena()
-	s := a.Alloc(50)
-	for i := range s {
-		s[i] = 3.5
-	}
-	a.Reset()
-	z := a.AllocZero(50)
-	for i, v := range z {
-		if v != 0 {
-			t.Fatalf("AllocZero[%d] = %g", i, v)
-		}
-	}
-}
-
 func TestArenaMarkReleaseNesting(t *testing.T) {
 	a := NewArena()
 	outer := a.Mark()

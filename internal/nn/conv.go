@@ -15,19 +15,19 @@ import (
 // Pad = 0 it is a valid convolution that shrinks the field by K-1 in
 // each dimension (used by the neighbour-padding approach 2, where the
 // enlarged input carries real data from adjacent subdomains instead of
-// zeros).
+// zeros). Pad may not exceed K-1, the full padding.
 type Conv2D struct {
 	InChannels  int
 	OutChannels int
 	Kernel      int
 	Pad         int
 
-	// Workers enables intra-layer parallelism: the forward pass fans
-	// output-column tiles out to goroutines and the backward pass
-	// parallelizes row bands inside each panel product. 0 or 1 (the
-	// default) keeps the layer strictly single-threaded, which the
-	// critical-path timing model relies on (DESIGN.md §5); results are
-	// bit-identical either way.
+	// Workers enables intra-layer parallelism: the forward pass and the
+	// input-gradient sweep (the same engine) fan output-column tiles out
+	// to goroutines, and the dW product parallelizes its row pairs. 0 or
+	// 1 (the default) keeps the layer strictly single-threaded, which
+	// the critical-path timing model relies on (DESIGN.md §5); results
+	// are bit-identical either way.
 	Workers int
 
 	weight *Param // [Cout, Cin, K, K]
@@ -52,6 +52,9 @@ type Conv2D struct {
 func NewConv2D(name string, g *tensor.RNG, inCh, outCh, kernel, pad int) *Conv2D {
 	if inCh <= 0 || outCh <= 0 || kernel <= 0 || pad < 0 {
 		panic(fmt.Sprintf("nn: invalid Conv2D config in=%d out=%d k=%d pad=%d", inCh, outCh, kernel, pad))
+	}
+	if pad > kernel-1 { // the dX lowering's pad K-1-Pad would be negative
+		panic(fmt.Sprintf("nn: Conv2D %s pad %d exceeds kernel-1 = %d", name, pad, kernel-1))
 	}
 	fanIn := inCh * kernel * kernel
 	w := HeNormal(g, fanIn, outCh, inCh, kernel, kernel)
@@ -231,7 +234,8 @@ func convForward[T tensor.Float](scratch *bump[T], workers int, g convShape, xd,
 
 // convForwardTile runs task t of convForward: it lowers one column
 // tile of one image into cols and multiplies it against the kernel
-// matrix onto the bias-prefilled output columns.
+// matrix onto the bias-prefilled output columns. A nil bd means no
+// bias: the product overwrites the columns, with no prefill pass.
 func convForwardTile[T tensor.Float](t, ntiles, tw int, g convShape, xd, cols, wd, bd, yd []T) {
 	oh, ow := g.out()
 	ckk := tensor.Im2ColRows(g.cin, g.k)
@@ -242,31 +246,70 @@ func convForwardTile[T tensor.Float](t, ntiles, tw int, g convShape, xd, cols, w
 	j0 := tt * tw
 	j1 := min(j0+tw, frame)
 	tensor.Im2ColWindow(xn, g.cin, g.h, g.w, g.k, g.pad, j0, j1, cols)
-	for co := 0; co < g.cout; co++ {
+	for co, bv := range bd {
 		row := out[co*frame+j0 : co*frame+j1]
-		bv := bd[co]
 		for i := range row {
 			row[i] = bv
 		}
 	}
-	tensor.GemmPanelNN(g.cout, j1-j0, ckk, wd, ckk, cols, j1-j0, out[j0:], frame, true, 1)
+	tensor.GemmPanelNN(g.cout, j1-j0, ckk, wd, ckk, cols, j1-j0, out[j0:], frame, bd != nil, 1)
 }
 
-// Backward implements Layer. It is the adjoint of Forward, again as
-// matrix products over column tiles: with the tile's output gradient dYt
-// viewed as the [Cout × tile] panel of dY,
-//
-//	dW  += dYt · panelᵀ         (GemmPanelNT)
-//	dpanel = Wᵀ · dYt           (GemmPanelTN)
-//	dx  += Col2ImWindow(dpanel) (adjoint of the lowering, drops padding)
-//
-// The patch panels are recomputed from the cached raw input — the full
-// lowering is ~K² times the input size, so re-lowering beats caching
-// it. Tiles run serially (their dW contributions and dx scatters
-// overlap); Workers > 1 parallelizes the row bands inside each GEMM,
-// which keeps every accumulation order fixed and results bit-identical
-// for any worker count.
+// flipKernel writes the 180°-rotated, channel-transposed form of the
+// [a, b, K, K] kernel src into dst as [b, a, K, K] (kk = K²).
+func flipKernel[T tensor.Float](dst, src []T, a, b, kk int) {
+	for i := 0; i < a; i++ {
+		for j := 0; j < b; j++ {
+			d := dst[(j*a+i)*kk:][:kk]
+			for p, v := range src[(i*b+j)*kk:][:kk] {
+				d[kk-1-p] = v
+			}
+		}
+	}
+}
+
+// convAdjoint is convForward over the flipped form of wd, a
+// [g.cin, g.cout, K, K] kernel. The adjoint of a stride-1 convolution
+// with padding P is itself a stride-1 convolution, of the flipped
+// kernel with padding K-1-P, so this one gather-form sweep is both
+// Conv2D's input gradient and ConvTranspose2D's forward. The flipped
+// kernel is rebuilt per call into arena scratch (Cin·Cout·K² values):
+// there is no cache to invalidate when the optimizer steps.
+func convAdjoint(a *Arena, workers int, g convShape, xd, wd, bd, yd []float64) {
+	mark := a.Mark()
+	wflip := a.Alloc(len(wd))
+	flipKernel(wflip, wd, g.cin, g.cout, g.k*g.k)
+	convForward(&a.f64, workers, g, xd, wflip, bd, yd)
+	a.Release(mark)
+}
+
+// Backward implements Layer. The parameter gradients come from
+// backwardParams; the input gradient is a convolution in its own right
+// (gather form, no scatter), dX = convAdjoint(dY, W, pad K-1-Pad, no
+// bias), so every dX element is written exactly once and results are
+// bit-identical for any worker count and, image for image, any batch
+// size (convForward's per-image tiling). The dW panel is released
+// before the dX sweep takes its own, so scratch high-water is the
+// larger of the two, not their sum.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	x := c.backwardParams(gradOut)
+	dx := tensor.New(x.Shape()...)
+	g := convShape{n: x.Dim(0), cin: c.OutChannels, h: gradOut.Dim(2), w: gradOut.Dim(3), k: c.Kernel, pad: c.Kernel - 1 - c.Pad, cout: c.InChannels}
+	convAdjoint(c.scratch, c.Workers, g, gradOut.Data(), c.weight.Value.Data(), nil, dx.Data())
+	return dx
+}
+
+// backwardParams is the half of Backward that needs no input gradient
+// (Sequential.BackwardParams calls it alone for a first layer): it
+// consumes and returns the cached input, checks gradOut against it, and
+// accumulates dB (per-channel sums of dY) and, per column tile with dYt
+// the [Cout × tile] panel of dY, dW += dYt · panelᵀ (GemmPanelNT). The
+// patch panels are recomputed from the cached raw input — the full
+// lowering is ~K² times the input size, so re-lowering beats caching
+// it. Tiles run serially (their dW contributions overlap); Workers > 1
+// parallelizes the row pairs inside each GEMM, which keeps every
+// accumulation order fixed.
+func (c *Conv2D) backwardParams(gradOut *tensor.Tensor) *tensor.Tensor {
 	if c.f32on {
 		panicF32Backward("Conv2D " + c.name)
 	}
@@ -288,37 +331,26 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	tw := convTileCols(ckk, frame)
 	mark := c.scratch.Mark()
 	cols := c.scratch.Alloc(ckk * tw)
-	dcols := c.scratch.Alloc(ckk * tw)
 	defer c.scratch.Release(mark)
 
-	dx := tensor.New(n, cin, h, wid)
-	xd, wd, gd, dxd := x.Data(), c.weight.Value.Data(), gradOut.Data(), dx.Data()
+	xd, gd := x.Data(), gradOut.Data()
 	dWd, dBd := c.weight.Grad.Data(), c.bias.Grad.Data()
-
-	// Bias gradient: sum of the output gradient per output channel.
 	for in := 0; in < n; in++ {
+		xn := xd[in*cin*h*wid : (in+1)*cin*h*wid]
+		dy := gd[in*cout*frame : (in+1)*cout*frame]
 		for co := 0; co < cout; co++ {
-			gBase := (in*cout + co) * frame
 			s := 0.0
-			for i := gBase; i < gBase+frame; i++ {
-				s += gd[i]
+			for _, v := range dy[co*frame : (co+1)*frame] {
+				s += v
 			}
 			dBd[co] += s
 		}
-	}
-
-	for in := 0; in < n; in++ {
-		xn := xd[in*cin*h*wid : (in+1)*cin*h*wid]
-		dxn := dxd[in*cin*h*wid : (in+1)*cin*h*wid]
-		dy := gd[in*cout*frame : (in+1)*cout*frame]
 		for j0 := 0; j0 < frame; j0 += tw {
 			j1 := min(j0+tw, frame)
 			twa := j1 - j0
 			tensor.Im2ColWindow(xn, cin, h, wid, k, c.Pad, j0, j1, cols)
 			tensor.GemmPanelNT(cout, ckk, twa, dy[j0:], frame, cols, twa, dWd, ckk, true, c.Workers)
-			tensor.GemmPanelTN(ckk, twa, cout, wd, ckk, dy[j0:], frame, dcols, twa, false, c.Workers)
-			tensor.Col2ImWindow(dcols, cin, h, wid, k, c.Pad, j0, j1, dxn)
 		}
 	}
-	return dx
+	return x
 }

@@ -17,9 +17,9 @@ import (
 // convention): the forward map is exactly the adjoint of Conv2D's
 // valid cross-correlation with a [Cin→Cout] kernel.
 //
-// Like Conv2D, the layer runs on the GEMM engine: the scatter is a
-// matrix product followed by Col2Im, the backward pass Im2Col followed
-// by two products.
+// Like Conv2D, the layer runs on the GEMM engine, in gather form both
+// ways: the forward pass is Conv2D's own sweep over the flipped kernel,
+// the backward pass Im2Col followed by two products.
 type ConvTranspose2D struct {
 	InChannels  int
 	OutChannels int
@@ -58,7 +58,7 @@ func NewConvTranspose2D(name string, g *tensor.RNG, inCh, outCh, kernel int) *Co
 		weight:      NewParam(name+".weight", w),
 		bias:        NewParam(name+".bias", b),
 		scratch:     NewArena(),
-		pack:        &pack32{},
+		pack:        &pack32{flipIn: inCh, flipOut: outCh},
 		name:        name,
 	}
 }
@@ -87,102 +87,42 @@ func (c *ConvTranspose2D) SetScratch(a *Arena) {
 func (c *ConvTranspose2D) SetWorkers(workers int) { c.Workers = workers }
 
 // Forward implements Layer:
-// y[n,co,iy+ky,ix+kx] += x[n,ci,iy,ix] · w[ci,co,ky,kx], plus bias.
-// The input is cached by reference (see Conv2D.Forward): it must not
-// be mutated between Forward and the matching Backward.
+// y[n,co,iy+ky,ix+kx] += x[n,ci,iy,ix] · w[ci,co,ky,kx], plus bias —
+// computed not as that scatter but as the convolution it equals
+// (convAdjoint, pad K-1), the same sweep Conv2D.Backward uses for dX.
+// Every output element is written by exactly one (image, tile) task, so
+// results are bit-identical for any worker count and, image for image,
+// any batch size. The input is cached by reference (see
+// Conv2D.Forward): it must not be mutated between Forward and the
+// matching Backward.
 func (c *ConvTranspose2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: ConvTranspose2D %s needs NCHW input, got %v", c.name, x.Shape()))
 	}
-	if x.Dim(1) != c.InChannels {
-		panic(fmt.Sprintf("nn: ConvTranspose2D %s expects %d input channels, got %d", c.name, c.InChannels, x.Dim(1)))
-	}
 	if c.f32on {
 		return forwardVia32(c, c.f32arena, x)
 	}
+	g := c.shapeFor(x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3))
 	c.cacheInput = x
-	n, h, wid := x.Dim(0), x.Dim(2), x.Dim(3)
-	y := tensor.New(n, c.OutChannels, h+c.Kernel-1, wid+c.Kernel-1)
-	mark := c.scratch.Mark()
-	deconvForward(&c.scratch.f64, c.Workers, n, c.InChannels, h, wid, c.Kernel, c.OutChannels,
-		x.Data(), c.weight.Value.Data(), c.bias.Value.Data(), y.Data())
-	c.scratch.Release(mark)
+	oh, ow := g.out()
+	y := tensor.New(g.n, g.cout, oh, ow)
+	convAdjoint(c.scratch, c.Workers, g, x.Data(), c.weight.Value.Data(), c.bias.Value.Data(), y.Data())
 	return y
 }
 
-// deconvForward expresses the scatter as linear algebra over
-// cache-sized column tiles of the input frame, per sample and for
-// either element width: with X viewed [Cin × H·W] and W viewed
-// [Cin × Cout·K²],
-//
-//	panel = Wᵀ · X[:, tile]          (GemmPanelTN, [Cout·K² × tile])
-//	y    += Col2ImWindow(panel)      (scatter; y prefilled with bias)
-//
-// which is exactly the adjoint of the Conv2D engine with the roles of
-// image and output swapped: the transpose-conv output (size
-// OH = H+K-1) plays the "image" and the input plays the "conv output".
-// Within one image, tiles run serially — their scatters into y
-// overlap. Across a batch, images are independent (their scatters are
-// disjoint), so with workers > 1 and N > 1 whole images fan out to
-// goroutines, each with its own panel; a batch-of-1 call instead
-// parallelizes row bands inside each GEMM. Per-image work is identical
-// either way, so batched outputs are bit-identical, image for image,
-// to batch-of-1 calls, and results are bit-identical for any worker
-// count. With workers <= 1 the sweep builds no closure. The caller
-// brackets the call with the arena's Mark/Release.
-func deconvForward[T tensor.Float](scratch *bump[T], workers, n, cin, h, wid, k, cout int, xd, wd, bd, yd []T) {
-	ckk := tensor.Im2ColRows(cout, k)
-	tw := convTileCols(ckk, h*wid)
-	nw := min(workers, n)
-	if nw <= 1 {
-		cols := scratch.alloc(ckk * tw)
-		for in := 0; in < n; in++ {
-			deconvImage(in, cin, h, wid, k, cout, tw, max(workers, 1), xd, wd, bd, yd, cols)
-		}
-		return
+// shapeFor validates an NCHW input against the layer and returns the
+// geometry of the equivalent convolution (pad K-1).
+func (c *ConvTranspose2D) shapeFor(n, cin, h, w int) convShape {
+	if cin != c.InChannels {
+		panic(fmt.Sprintf("nn: ConvTranspose2D %s expects %d input channels, got %d", c.name, c.InChannels, cin))
 	}
-	// Leftover parallelism goes to row bands inside each GEMM (e.g.
-	// workers=8 over a 2-image batch → 2 image goroutines × 4-way
-	// GEMMs). Any split is bit-identical (§3 determinism).
-	gemmWorkers := workers / nw
-	panels := make([][]T, nw)
-	for w := range panels {
-		panels[w] = scratch.alloc(ckk * tw)
-	}
-	parallelFor(nw, nw, func(w int) {
-		for in := w * n / nw; in < (w+1)*n/nw; in++ {
-			deconvImage(in, cin, h, wid, k, cout, tw, gemmWorkers, xd, wd, bd, yd, panels[w])
-		}
-	})
-}
-
-// deconvImage runs image in of deconvForward: bias prefill, then one
-// product and scatter per column tile.
-func deconvImage[T tensor.Float](in, cin, h, wid, k, cout, tw, gemmWorkers int, xd, wd, bd, yd, cols []T) {
-	oh, ow := h+k-1, wid+k-1
-	ckk := tensor.Im2ColRows(cout, k)
-	frame := h * wid
-	out := yd[in*cout*oh*ow : (in+1)*cout*oh*ow]
-	for co := 0; co < cout; co++ {
-		row := out[co*oh*ow : (co+1)*oh*ow]
-		bv := bd[co]
-		for i := range row {
-			row[i] = bv
-		}
-	}
-	xn := xd[in*cin*frame : (in+1)*cin*frame]
-	for j0 := 0; j0 < frame; j0 += tw {
-		j1 := min(j0+tw, frame)
-		twa := j1 - j0
-		tensor.GemmPanelTN(ckk, twa, cin, wd, ckk, xn[j0:], frame, cols, twa, false, gemmWorkers)
-		tensor.Col2ImWindow(cols, cout, oh, ow, k, 0, j0, j1, out)
-	}
+	return convShape{n: n, cin: cin, h: h, w: w, k: c.Kernel, pad: c.Kernel - 1, cout: c.OutChannels}
 }
 
 // Backward implements Layer. Because Forward is the adjoint of a valid
-// cross-correlation, it mirrors deconvForward tile for tile: lowering
-// the output gradient with Im2ColWindow turns dx into a plain valid
-// cross-correlation and dW into a product with the cached input:
+// cross-correlation, lowering the output gradient with Im2ColWindow
+// turns dx into a plain valid cross-correlation and dW into a product
+// with the cached input:
 //
 //	panelG       = Im2ColWindow(dY)   ([Cout·K² × tile])
 //	dx[:, tile]  = W · panelG         (GemmPanelNN)

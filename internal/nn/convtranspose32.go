@@ -17,21 +17,19 @@ func (c *ConvTranspose2D) setPrecision32(on bool, a *Arena) error {
 // invalidatePack implements packInvalidator.
 func (c *ConvTranspose2D) invalidatePack() { c.pack.invalidate() }
 
-// forward32 implements layer32: the shared deconvForward sweep on
-// float32.
+// forward32 implements layer32: the shared convForward sweep on
+// float32 over the pack's flipped kernel (see Forward).
 func (c *ConvTranspose2D) forward32(x act32, a *Arena) act32 {
 	if x.rank != 4 {
 		panic(fmt.Sprintf("nn: ConvTranspose2D %s f32 path needs NCHW input, got rank %d", c.name, x.rank))
 	}
-	if x.c != c.InChannels {
-		panic(fmt.Sprintf("nn: ConvTranspose2D %s expects %d input channels, got %d", c.name, c.InChannels, x.c))
-	}
+	g := c.shapeFor(x.n, x.c, x.h, x.w)
 	c.cacheInput = nil // a float64 Backward must not pair with this forward
 	wd, bd := c.pack.get(c.weight.Value, c.bias.Value)
-	oh, ow := x.h+c.Kernel-1, x.w+c.Kernel-1
-	yd := a.Alloc32(x.n * c.OutChannels * oh * ow)
+	oh, ow := g.out()
+	yd := a.Alloc32(g.n * g.cout * oh * ow)
 	mark := a.Mark()
-	deconvForward(&a.f32, c.Workers, x.n, x.c, x.h, x.w, c.Kernel, c.OutChannels, x.d, wd, bd, yd)
+	convForward(&a.f32, c.Workers, g, x.d, wd, bd, yd)
 	a.Release(mark)
-	return act32{n: x.n, c: c.OutChannels, h: oh, w: ow, rank: 4, d: yd}
+	return act32{n: g.n, c: g.cout, h: oh, w: ow, rank: 4, d: yd}
 }

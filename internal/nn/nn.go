@@ -102,6 +102,25 @@ func (s *Sequential) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return gradOut
 }
 
+// BackwardParams is Backward for callers that only want the parameter
+// gradients — the training loops, which never read dL/d(input). Every
+// Param.Grad ends up bit-identical to Backward's; the one thing skipped
+// is the first layer's input gradient when that layer is a Conv2D
+// (whose dW and dB do not depend on it). Any other first layer runs
+// its ordinary Backward.
+func (s *Sequential) BackwardParams(gradOut *tensor.Tensor) {
+	if s.f32 != nil {
+		panicF32Backward("Sequential")
+	}
+	for i := len(s.layers) - 1; i >= 0; i-- {
+		if c, ok := s.layers[i].(*Conv2D); i == 0 && ok {
+			c.backwardParams(gradOut)
+			return
+		}
+		gradOut = s.layers[i].Backward(gradOut)
+	}
+}
+
 // Params implements Layer by concatenating the layers' parameters.
 func (s *Sequential) Params() []*Param {
 	var ps []*Param

@@ -173,6 +173,55 @@ func TestSequentialChaining(t *testing.T) {
 	}
 }
 
+// TestBackwardParamsMatchesBackward: BackwardParams leaves every
+// parameter gradient bit-identical to Backward's, whether the first
+// layer is a Conv2D (whose dX it skips) or anything else (which runs
+// its ordinary Backward), and like Backward it consumes the forward
+// caches and refuses an F32-pinned network.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	build := map[string]func(g *tensor.RNG) *Sequential{
+		"conv_first": func(g *tensor.RNG) *Sequential {
+			return NewSequential(NewConv2D("c1", g, 3, 5, 3, 0), NewLeakyReLU("l", 0.01), NewConv2D("c2", g, 5, 2, 3, 1))
+		},
+		"conv_only": func(g *tensor.RNG) *Sequential { return NewSequential(NewConv2D("c", g, 3, 2, 5, 2)) },
+		"lrelu_first": func(g *tensor.RNG) *Sequential {
+			return NewSequential(NewLeakyReLU("l", 0.01), NewConv2D("c", g, 3, 2, 3, 1))
+		},
+		"sequential_first": func(g *tensor.RNG) *Sequential {
+			return NewSequential(NewSequential(NewConv2D("c1", g, 3, 4, 3, 1)), NewTanh("t"), NewConv2D("c2", g, 4, 2, 3, 1))
+		},
+		"convtranspose_first": func(g *tensor.RNG) *Sequential {
+			return NewSequential(NewConvTranspose2D("ct", g, 3, 2, 3), NewSigmoid("s"))
+		},
+		"empty": func(*tensor.RNG) *Sequential { return NewSequential() },
+	}
+	for name, mk := range build {
+		t.Run(name, func(t *testing.T) {
+			full, params := mk(tensor.NewRNG(21)), mk(tensor.NewRNG(21))
+			g := tensor.NewRNG(22)
+			x := tensor.Normal(g, 0, 1, 2, 3, 8, 9)
+			dy := tensor.Normal(g, 0, 1, full.Forward(x).Shape()...)
+			full.Backward(dy)
+			params.Forward(x)
+			params.BackwardParams(dy)
+			fp, pp := full.Params(), params.Params()
+			for i := range fp {
+				assertSameBits(t, fp[i].Name, pp[i].Grad.Data(), fp[i].Grad.Data())
+			}
+			if len(fp) > 0 {
+				mustPanicWith(t, "second BackwardParams", "Backward before Forward", func() { params.BackwardParams(dy) })
+			}
+		})
+	}
+
+	pinned := build["conv_first"](tensor.NewRNG(21))
+	if err := pinned.SetPrecision(F32); err != nil {
+		t.Fatal(err)
+	}
+	y := pinned.Forward(tensor.New(1, 3, 8, 9))
+	mustPanicWith(t, "F32 BackwardParams", "forward-only", func() { pinned.BackwardParams(y) })
+}
+
 func TestParamCountPaperModel(t *testing.T) {
 	g := tensor.NewRNG(4)
 	m := NewSequential(

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,6 +26,11 @@ type pack32 struct {
 	mu   sync.Mutex
 	ok   atomic.Bool
 	w, b []float32
+	// flipIn > 0 marks the weight as a [flipIn, flipOut, K, K]
+	// transpose-convolution kernel, packed in the flipped form its
+	// forward sweep reads (flipKernel), so the flip too runs once per
+	// Engine.
+	flipIn, flipOut int
 }
 
 // packCount counts actual narrowing passes, exposed so tests can
@@ -56,6 +62,9 @@ func (p *pack32) get(w, b *tensor.Tensor) ([]float32, []float32) {
 		p.b = p.b[:len(bd)]
 		tensor.Narrow32(p.w, wd)
 		tensor.Narrow32(p.b, bd)
+		if p.flipIn > 0 {
+			flipKernel(p.w, slices.Clone(p.w), p.flipIn, p.flipOut, len(wd)/(p.flipIn*p.flipOut))
+		}
 		packCount.Add(1)
 		p.ok.Store(true)
 	}

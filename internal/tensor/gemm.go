@@ -10,8 +10,8 @@ import (
 // strided panel kernels cover every product the convolution forward
 // and backward passes need:
 //
-//	GemmPanelNN — C (+)= A·B      (conv forward, transpose-conv dx)
-//	GemmPanelTN — C (+)= Aᵀ·B     (conv dcols, transpose-conv forward)
+//	GemmPanelNN — C (+)= A·B      (conv and transpose-conv forward and dx)
+//	GemmPanelTN — C (+)= Aᵀ·B     (GemmTN's body; no layer calls it)
 //	GemmPanelNT — C (+)= A·Bᵀ     (conv dW, transpose-conv dW)
 //
 // All three take explicit row strides (lda/ldb/ldc), which is what
@@ -215,9 +215,9 @@ func GemmPanelNN32(m, n, k int, a []float32, lda int, b []float32, ldb int, c []
 
 // GemmPanelTN computes C = Aᵀ·B (or C += Aᵀ·B when acc is true) over
 // row-major panels: C[i·ldc+j] for i<m, j<n accumulates
-// Σ_p A[p·lda+i]·B[p·ldb+j]. A is read column-wise; in every
-// convolution use it is the small kernel matrix, so the strided loads
-// stay cache-resident. Bit-identical for any worker count.
+// Σ_p A[p·lda+i]·B[p·ldb+j]. A is read column-wise, so it should be
+// the small operand whose strided loads stay cache-resident.
+// Bit-identical for any worker count.
 func GemmPanelTN[T Float](m, n, k int, a []T, lda int, b []T, ldb int, c []T, ldc int, acc bool, workers int) {
 	checkPanel("GemmPanelTN", m, n, k, len(a), lda, k, m, len(b), ldb, k, n, len(c), ldc)
 	gemmPanelRows(m, n, k, a, 1, lda, b, ldb, c, ldc, acc, workers)

@@ -8,11 +8,14 @@ import "fmt"
 //
 //	Y [Cout × OH·OW] = W [Cout × C·K·K] · cols [C·K·K × OH·OW]
 //
-// is exactly the convolution forward pass, and the backward pass
-// becomes two more GEMMs plus the adjoint scatter Col2Im. Padding is
-// folded into the lowering itself — out-of-range taps read as zeros in
-// Im2Col and are dropped by Col2Im — so the engine never materializes
-// a padded copy of the input.
+// is exactly the convolution forward pass. The backward pass lowers
+// the same way: dW is one more GEMM over the panel, and dX is itself a
+// convolution of dY with the flipped kernel (nn.Conv2D.Backward), so
+// the adjoint scatter Col2Im is kept as the lowering's documented
+// inverse but sits on no layer's path. Padding is folded into the
+// lowering itself — out-of-range taps read as zeros in Im2Col and are
+// dropped by Col2Im — so the engine never materializes a padded copy
+// of the input.
 //
 // The windowed variants lower only output columns [j0, j1), producing
 // a [C·K·K × (j1−j0)] panel. The convolution layers sweep these
