@@ -81,8 +81,8 @@ smoke:
 # as 4 real OS processes per step assembled into one mpi world over
 # localhost TCP by cmd/mpirun (DESIGN.md §8). Training uses the
 # neighbour-padding strategy so inference genuinely exchanges halo
-# strips over sockets; the rollout runs once with the blocking and
-# once with the overlapped exchange schedule (bit-identical frames).
+# strips over sockets (mem-vs-TCP bit-identity is asserted in Go:
+# core.TestPredictIsSessionStep1).
 smoke-tcp:
 	rm -rf smoke-tcp-out && mkdir -p smoke-tcp-out
 	$(GO) build -o smoke-tcp-out/train ./cmd/train
@@ -92,9 +92,7 @@ smoke-tcp:
 	smoke-tcp-out/mpirun -n 4 -- smoke-tcp-out/train -data smoke-tcp-out/data.gob \
 		-ranks 4 -epochs 2 -strategy neighbor-pad -out smoke-tcp-out/ckpt
 	smoke-tcp-out/mpirun -n 4 -- smoke-tcp-out/infer -data smoke-tcp-out/data.gob \
-		-ckpt smoke-tcp-out/ckpt -steps 3 -exchange blocking
-	smoke-tcp-out/mpirun -n 4 -- smoke-tcp-out/infer -data smoke-tcp-out/data.gob \
-		-ckpt smoke-tcp-out/ckpt -steps 3 -exchange overlap
+		-ckpt smoke-tcp-out/ckpt -steps 3
 	rm -rf smoke-tcp-out
 
 # HTTP serving smoke: datagen → train → start cmd/serve, then curl

@@ -540,21 +540,18 @@ func BenchmarkHaloExchange(b *testing.B) {
 }
 
 // -----------------------------------------------------------------------------
-// §III / DESIGN.md §8 — halo-exchange schedule and transport ablation.
+// §III / DESIGN.md §8 — rollout throughput per transport.
 // -----------------------------------------------------------------------------
 
-// BenchmarkHaloOverlapVsBlocking measures rollout throughput (steps/s)
-// for the two halo-exchange schedules over both transports: the
-// in-process channel transport and the TCP transport with every rank a
-// separate localhost endpoint (sockets, framing, reader/writer
-// goroutines — everything but the process boundary). Frames are
-// bit-identical across all four cells (asserted by
-// TestRolloutBitIdenticalAcrossTransportsAndModes); this benchmark
-// reports what the overlap schedule buys in wall-clock, which is
-// visible on the TCP transport where wire time is real and hidden
-// behind the interior convolution tiles. scripts/bench.sh snapshots
-// steps_per_s for all four cells into BENCH_baseline.json.
-func BenchmarkHaloOverlapVsBlocking(b *testing.B) {
+// BenchmarkRolloutTransport measures rollout throughput (steps/s) over
+// both transports: the in-process channel transport and the TCP
+// transport with every rank a separate localhost endpoint (sockets,
+// framing, reader/writer goroutines — everything but the process
+// boundary). Frames are bit-identical across the two cells (asserted
+// by TestRolloutBitIdenticalAcrossTransportsAndModes), so the gap is
+// what the wire costs a step. scripts/bench.sh snapshots both cells
+// into BENCH_baseline.json.
+func BenchmarkRolloutTransport(b *testing.B) {
 	ds := getDataset(b, 64, 8)
 	cfg := core.DefaultTrainConfig()
 	cfg.Epochs = 1
@@ -563,96 +560,92 @@ func BenchmarkHaloOverlapVsBlocking(b *testing.B) {
 	ens := res.Ensemble()
 	const depth = 8
 	ctx := context.Background()
-
-	for _, mode := range []core.ExchangeMode{core.Blocking, core.Overlap} {
-		b.Run(fmt.Sprintf("mem/%s", mode), func(b *testing.B) {
-			eng, err := core.NewEngine(ens, core.WithExchangeMode(mode))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ses, err := eng.NewSession(ctx, ds.Snapshots[0])
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := ses.Run(ctx, depth, nil); err != nil {
-					b.Fatal(err)
-				}
-				ses.Close()
-			}
-			b.StopTimer()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(depth*b.N)/secs, "steps_per_s")
-			}
-		})
+	reportSteps := func(b *testing.B) {
+		b.StopTimer()
+		if secs := b.Elapsed().Seconds(); secs > 0 {
+			b.ReportMetric(float64(depth*b.N)/secs, "steps_per_s")
+		}
 	}
-	for _, mode := range []core.ExchangeMode{core.Blocking, core.Overlap} {
-		b.Run(fmt.Sprintf("tcp/%s", mode), func(b *testing.B) {
-			ranks := ens.Partition.Ranks()
-			addrs, err := mpi.ReserveLocalAddrs(ranks)
+
+	b.Run("mem", func(b *testing.B) {
+		eng, err := core.NewEngine(ens)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ses, err := eng.NewSession(ctx, ds.Snapshots[0])
 			if err != nil {
 				b.Fatal(err)
 			}
-			worlds := make([]*mpi.World, ranks)
-			engines := make([]*core.Engine, ranks)
-			var wg sync.WaitGroup
-			dialErrs := make([]error, ranks)
+			if err := ses.Run(ctx, depth, nil); err != nil {
+				b.Fatal(err)
+			}
+			ses.Close()
+		}
+		reportSteps(b)
+	})
+	b.Run("tcp", func(b *testing.B) {
+		ranks := ens.Partition.Ranks()
+		addrs, err := mpi.ReserveLocalAddrs(ranks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		worlds := make([]*mpi.World, ranks)
+		engines := make([]*core.Engine, ranks)
+		var wg sync.WaitGroup
+		dialErrs := make([]error, ranks)
+		for r := 0; r < ranks; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				worlds[r], dialErrs[r] = mpi.DialTCP(mpi.TCPConfig{Rank: r, Peers: addrs})
+			}(r)
+		}
+		wg.Wait()
+		for r, err := range dialErrs {
+			if err != nil {
+				b.Fatalf("rank %d: %v", r, err)
+			}
+		}
+		defer func() {
+			for _, w := range worlds {
+				w.Close()
+			}
+		}()
+		for r := 0; r < ranks; r++ {
+			engines[r], err = core.NewEngine(ens, core.WithWorld(worlds[r]))
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			errs := make([]error, ranks)
 			for r := 0; r < ranks; r++ {
 				wg.Add(1)
 				go func(r int) {
 					defer wg.Done()
-					worlds[r], dialErrs[r] = mpi.DialTCP(mpi.TCPConfig{Rank: r, Peers: addrs})
+					ses, err := engines[r].NewSession(ctx, ds.Snapshots[0])
+					if err != nil {
+						errs[r] = err
+						return
+					}
+					errs[r] = ses.Run(ctx, depth, nil)
+					if cerr := ses.Close(); errs[r] == nil {
+						errs[r] = cerr
+					}
 				}(r)
 			}
 			wg.Wait()
-			for r, err := range dialErrs {
-				if err != nil {
-					b.Fatalf("rank %d: %v", r, err)
-				}
-			}
-			defer func() {
-				for _, w := range worlds {
-					w.Close()
-				}
-			}()
-			for r := 0; r < ranks; r++ {
-				engines[r], err = core.NewEngine(ens, core.WithExchangeMode(mode), core.WithWorld(worlds[r]))
+			for _, err := range errs {
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				errs := make([]error, ranks)
-				for r := 0; r < ranks; r++ {
-					wg.Add(1)
-					go func(r int) {
-						defer wg.Done()
-						ses, err := engines[r].NewSession(ctx, ds.Snapshots[0])
-						if err != nil {
-							errs[r] = err
-							return
-						}
-						errs[r] = ses.Run(ctx, depth, nil)
-						if cerr := ses.Close(); errs[r] == nil {
-							errs[r] = cerr
-						}
-					}(r)
-				}
-				wg.Wait()
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(depth*b.N)/secs, "steps_per_s")
-			}
-		})
-	}
+		}
+		reportSteps(b)
+	})
 }
 
 // -----------------------------------------------------------------------------
@@ -660,7 +653,7 @@ func BenchmarkHaloOverlapVsBlocking(b *testing.B) {
 // -----------------------------------------------------------------------------
 
 // BenchmarkPrecisionRollout measures what core.WithPrecision(nn.F32)
-// buys on the BenchmarkHaloOverlapVsBlocking/mem shapes: the same
+// buys on the BenchmarkRolloutTransport/mem shapes: the same
 // trained 2×2 NeighborPad ensemble, the same 8-step in-process
 // rollout, once per precision. The f32 cell reports speedup_vs_f64
 // (per-op time ratio against the f64 cell run in the same

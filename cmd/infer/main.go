@@ -10,15 +10,12 @@
 //
 //	infer -data data.gob -ckpt ckpt -steps 10
 //
-// -exchange overlap switches the halo exchange to the overlapped
-// schedule (interior convolution tiles compute while boundary strips
-// are in flight; frames are bit-identical to blocking). With
-// -transport tcp the process joins a multi-process mpi world (normally
-// via cmd/mpirun, which appends -rank and -peers); each process then
-// computes only its own rank's subdomain and the process hosting
-// rank 0 scores and prints the rollout:
+// With -transport tcp the process joins a multi-process mpi world
+// (normally via cmd/mpirun, which appends -rank and -peers); each
+// process then computes only its own rank's subdomain and the process
+// hosting rank 0 scores and prints the rollout:
 //
-//	mpirun -n 4 -- infer -data data.gob -ckpt ckpt -steps 10 -exchange overlap
+//	mpirun -n 4 -- infer -data data.gob -ckpt ckpt -steps 10
 package main
 
 import (
@@ -53,7 +50,6 @@ func main() {
 		network   = flag.String("network", "ethernet", "virtual network model: ethernet | infiniband | none")
 		workers   = flag.Int("workers", 1, "intra-layer parallelism of the convolution kernels (results are bit-identical for any value)")
 		precision = flag.String("precision", "f64", "compute precision: f64 (reference, bit-reproducible) | f32 (faster, within documented error budget)")
-		exchange  = flag.String("exchange", "blocking", "halo exchange schedule: blocking | overlap (bit-identical frames)")
 		transport = flag.String("transport", "mem", "mpi transport: mem (in-process) | tcp (multi-process; see cmd/mpirun)")
 		tcpRank   = flag.Int("rank", 0, "this process's rank in the tcp world")
 		worldSize = flag.Int("world-size", 0, "expected tcp world size (0 = len(peers); checked against -peers)")
@@ -118,11 +114,6 @@ func main() {
 		log.Fatalf("start snapshot %d too early for temporal window %d", start, window)
 	}
 
-	mode, err := core.ParseExchangeMode(*exchange)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// The serving path: an immutable engine over the ensemble, one
 	// streaming session for this rollout. The per-session knobs never
 	// touch the shared models, so any number of infer processes'
@@ -131,7 +122,6 @@ func main() {
 		core.WithWorkers(*workers),
 		core.WithNetModel(nm),
 		core.WithPrecision(prec),
-		core.WithExchangeMode(mode),
 	}
 	var chaos *mpi.ChaosPlan
 	if *chaosSpec != "" {
@@ -170,7 +160,7 @@ func main() {
 		}
 		defer world.Close()
 		root = *tcpRank == 0
-		fmt.Printf("joined tcp world as rank %d of %d (%s exchange)\n", *tcpRank, len(peers), mode)
+		fmt.Printf("joined tcp world as rank %d of %d\n", *tcpRank, len(peers))
 		engOpts = append(engOpts, core.WithWorld(world))
 	default:
 		log.Fatalf("unknown transport %q", *transport)

@@ -11,7 +11,7 @@
 // multi-process job:
 //
 //	mpirun -n 4 -- ./train -data data.gob -ranks 4 -concurrent -out ckpt
-//	mpirun -n 4 -- ./infer -data data.gob -ckpt ckpt -steps 10 -exchange overlap
+//	mpirun -n 4 -- ./infer -data data.gob -ckpt ckpt -steps 10
 //
 // Child stdout/stderr lines are prefixed with their rank. If any rank
 // exits non-zero (or the launcher receives Ctrl-C), the remaining

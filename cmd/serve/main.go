@@ -136,7 +136,6 @@ func main() {
 		replicaID    = flag.String("replica", "", "fleet identity reported in /healthz when this process runs behind cmd/router")
 		workers      = flag.Int("workers", 0, "serving parallelism: ranks fan out per micro-batch and convolution kernels tile-parallelize (0 = single-threaded; results are bit-identical for any value)")
 		precision    = flag.String("precision", "f64", "serving compute precision: f64 (reference, bit-reproducible) | f32 (faster, within documented error budget)")
-		exchange     = flag.String("exchange", "blocking", "halo exchange schedule for rollout sessions: blocking | overlap")
 		maxBatch     = flag.Int("max-batch", 8, "micro-batch size cap for predict coalescing (per model)")
 		maxDelay     = flag.Duration("max-delay", 2*time.Millisecond, "max wait for predict batchmates before dispatching a partial batch")
 		maxSteps     = flag.Int("max-steps", 10000, "cap on the rollout steps query parameter")
@@ -154,10 +153,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mode, err := core.ParseExchangeMode(*exchange)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	e, man, err := core.OpenModel(*ckptDir)
 	if err != nil {
@@ -170,7 +165,6 @@ func main() {
 
 	engOpts := []core.EngineOption{
 		core.WithPrecision(prec),
-		core.WithExchangeMode(mode),
 	}
 	if *workers > 0 {
 		engOpts = append(engOpts, core.WithWorkers(*workers))

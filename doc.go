@@ -147,13 +147,10 @@
 // length-prefixed TCP framing between independently launched
 // processes (mpi.DialTCP; cmd/mpirun is the local rank launcher), so
 // ranks can genuinely live in separate OS processes — cmd/train and
-// cmd/infer take -transport tcp. Halo-exchange inference runs either
-// blocking or as an overlapped pipeline (core.WithExchangeMode):
-// non-blocking Isend/Irecv of the halo strips with the interior
-// convolution tiles (nn.HaloSplit) computed while boundaries are in
-// flight. Rollout frames are bit-identical across
-// {mem, tcp} x {blocking, overlap}. Every substrate the scheme needs
-// is implemented in this module:
+// cmd/infer take -transport tcp. A rollout step is Predict's forward
+// per rank followed by one blocking two-phase halo exchange; frames are
+// bit-identical across {mem, tcp}. Every substrate the scheme needs is
+// implemented in this module:
 //
 //   - internal/tensor — dense float64 N-d tensors and the GEMM +
 //     im2col convolution engine (blocked panel kernels with AVX2/
@@ -161,10 +158,8 @@
 //   - internal/nn     — CNN layers with hand-derived backprop and a
 //     native batch axis (batched outputs bit-identical per image), a
 //     fast-path/slow-path engine switch (DESIGN.md §3, pinnable
-//     per-network for serving), reusable scratch arenas,
-//     weight-sharing clones for concurrent inference, and the
-//     interior/boundary halo tile split behind the overlapped
-//     exchange (DESIGN.md §8)
+//     per-network for serving), reusable scratch arenas and
+//     weight-sharing clones for concurrent inference
 //   - internal/serve  — HTTP serving front end (predict + streaming
 //     rollout handlers, /v2 registry surface + admin hot swap, typed
 //     client) over Engine/Batcher/Registry (§9–§10)

@@ -31,7 +31,6 @@ type Engine struct {
 	netModel   *mpi.NetModel
 	chaos      *mpi.ChaosPlan
 	precision  nn.Precision
-	mode       ExchangeMode
 	world      *mpi.World
 	worldBusy  atomic.Bool  // a bound world serves one live session at a time
 	local      map[int]bool // non-nil on a distributed world: ranks this process hosts
@@ -83,19 +82,11 @@ func WithChaos(plan mpi.ChaosPlan) EngineOption {
 // per request at the input, and results widen once at the output
 // boundary. Frames agree with the f64 path to the documented error
 // budget (EXPERIMENTS.md), never bit-for-bit; within the f32 path,
-// results remain bit-identical for any worker count and across
-// exchange modes. NewEngine fails if any layer of the ensemble's
-// models has no float32 path (e.g. LSTM).
+// results remain bit-identical for any worker count and transport.
+// NewEngine fails if any layer of the ensemble's models has no float32
+// path (e.g. LSTM).
 func WithPrecision(p nn.Precision) EngineOption {
 	return func(e *Engine) { e.precision = p }
-}
-
-// WithExchangeMode selects the halo-exchange schedule for this
-// engine's sessions (default Blocking). Overlap hides wire time behind
-// interior compute; frames are bit-identical across modes (see
-// ExchangeMode).
-func WithExchangeMode(m ExchangeMode) EngineOption {
-	return func(e *Engine) { e.mode = m }
 }
 
 // WithWorld binds the engine's sessions to an existing mpi world
@@ -126,9 +117,6 @@ func NewEngine(e *Ensemble, opts ...EngineOption) (*Engine, error) {
 	if eng.workersSet && eng.workers < 0 {
 		return nil, fmt.Errorf("core: negative engine workers %d", eng.workers)
 	}
-	if eng.mode != Blocking && eng.mode != Overlap {
-		return nil, fmt.Errorf("core: invalid exchange mode %d", int(eng.mode))
-	}
 	if eng.world != nil && eng.world.Size() != e.Partition.Ranks() {
 		return nil, fmt.Errorf("core: engine world has %d ranks, partition needs %d",
 			eng.world.Size(), e.Partition.Ranks())
@@ -150,7 +138,7 @@ func NewEngine(e *Ensemble, opts ...EngineOption) (*Engine, error) {
 	}
 	if eng.world != nil && eng.world.Distributed() {
 		// This process computes only its local rank(s): don't pay for
-		// the other N-1 ranks' model clones and pipeline state.
+		// the other N-1 ranks' model clones and frames.
 		eng.local = make(map[int]bool)
 		for _, r := range eng.world.LocalRanks() {
 			eng.local[r] = true
@@ -240,15 +228,6 @@ func (eng *Engine) Predict(ctx context.Context, states ...*tensor.Tensor) (*tens
 	return res[0].Frame, res[0].Err
 }
 
-// sessionRank is one rank's pipeline state within a Session: its tile
-// plan and, in Overlap mode, the phase-1 receives posted for the
-// newest frame.
-type sessionRank struct {
-	split      *nn.HaloSplit
-	reqW, reqE *mpi.Request
-	pending    bool // the newest history frame's halo ring is incomplete
-}
-
 // Session is one autoregressive rollout in progress: an incremental,
 // cancellable iterator over prediction steps. It holds O(1) frames of
 // state (the per-rank halo-extended histories), so a 10k-step rollout
@@ -266,13 +245,12 @@ type Session struct {
 	world    *mpi.World         // one world for the whole session; each Step is one Run over it
 	ownWorld bool               // the session built (and will close) the world itself
 	hist     [][]*tensor.Tensor // per rank: extended frames, oldest first
-	rk       []sessionRank
-	mode     ExchangeMode
+	out      []*tensor.Tensor   // per rank: the step's prediction [1,C,h,w], reused every step
 	channels int
 	step     int
 	trace    string // request ID captured from NewSession's context
 	closed   bool
-	broken   bool // a Step failed; pending requests may never complete
+	broken   bool // a Step failed: ranks disagree on the step and strips may be queued
 
 	stats     mpi.CommStats // cumulative over all steps
 	haloStats mpi.CommStats // cumulative halo-exchange share (rank 0)
@@ -299,9 +277,12 @@ func (eng *Engine) NewSession(ctx context.Context, initials ...*tensor.Tensor) (
 	// known, so their halos come from direct slicing — no messages.
 	// One SplitCHW per frame hands every rank its piece.
 	hist := make([][]*tensor.Tensor, p.Ranks())
+	out := make([]*tensor.Tensor, p.Ranks())
 	for r := range hist {
 		if eng.hostsRank(r) {
+			b := p.BlockOfRank(r)
 			hist[r] = make([]*tensor.Tensor, window)
+			out[r] = tensor.New(1, c, b.Height(), b.Width())
 		}
 	}
 	for k := 0; k < window; k++ {
@@ -341,20 +322,9 @@ func (eng *Engine) NewSession(ctx context.Context, initials ...*tensor.Tensor) (
 		world:    world,
 		ownWorld: ownWorld,
 		hist:     hist,
-		rk:       make([]sessionRank, p.Ranks()),
-		mode:     eng.mode,
+		out:      out,
 		channels: c,
 		trace:    RequestID(ctx),
-	}
-	// The interior/boundary tile plan per locally hosted rank (nil
-	// where the split does not apply — the session falls back to
-	// whole-frame forwards there, identically in both exchange modes).
-	for r := 0; r < p.Ranks(); r++ {
-		if !eng.hostsRank(r) {
-			continue
-		}
-		b := p.BlockOfRank(r)
-		s.rk[r].split = nn.NewHaloSplit(s.rm.models[r], b.Height(), b.Width(), halo)
 	}
 	return s, nil
 }
@@ -380,162 +350,89 @@ func subStats(a, b mpi.CommStats) mpi.CommStats {
 }
 
 // Step advances the rollout by one autoregressive step and returns the
-// predicted full-domain CHW state: every rank predicts its subdomain
-// through the interior/boundary tile pipeline, exchanges halo strips
-// point-to-point where the model strategy needs them (the scheme's
-// only genuine communication), and the pieces are gathered into one
-// frame on rank 0 (nil is returned by processes not hosting rank 0 on
-// a distributed world).
-//
-// In Blocking mode the two-phase exchange runs synchronously after the
-// frame is produced. In Overlap mode the phase-1 (west/east) strips
-// are posted non-blocking and complete during the NEXT step's interior
-// tile compute; phase 2 overlaps the west/east boundary tiles. Both
-// modes execute the same tile kernels in the same order, so their
-// frames are bit-identical.
+// predicted full-domain CHW state. Every rank forwards its window of
+// halo-extended history frames — the very input Predict builds for it,
+// through the same call, so step 1 of a session IS Predict, bit for
+// bit — then swaps halo strips with its neighbours where the model
+// strategy needs them (exchangeHalo, the scheme's only genuine
+// communication), and the pieces are gathered into one frame on rank 0
+// (nil is returned by processes not hosting rank 0 on a distributed
+// world).
 //
 // Cancellation is checked before the step starts; a cancelled context
 // returns ctx.Err() without touching the rollout state, so the session
-// remains usable if the caller retries.
+// remains usable if the caller retries. A step that fails part-way
+// does not: ranks have advanced unevenly and the world may still hold
+// the failed step's strips, so every later Step returns
+// ErrSessionBroken.
 func (s *Session) Step(ctx context.Context) (*tensor.Tensor, error) {
 	if s.closed {
 		return nil, fmt.Errorf("core: Step: %w", ErrSessionClosed)
 	}
+	if s.broken {
+		return nil, s.traced(fmt.Errorf("core: Step: %w", ErrSessionBroken))
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	eng := s.eng
-	p := eng.ens.Partition
-	halo := eng.ens.ModelCfg.Halo()
-	window := eng.ens.window()
-	c := s.channels
-	world := s.world
+	p := s.eng.ens.Partition
+	halo := s.eng.ens.ModelCfg.Halo()
+	window := s.eng.ens.window()
 
 	var frame *tensor.Tensor
 	var haloDelta mpi.CommStats
-	err := world.Run(func(comm *mpi.Comm) {
+	err := s.world.Run(func(comm *mpi.Comm) {
 		r := comm.Rank()
-		cart := mpi.NewCart(comm, p.Px, p.Py, false)
-		b := p.BlockOfRank(r)
-		bh, bw := b.Height(), b.Width()
-		hist := s.hist[r]
-		net := s.rm.models[r]
-		st := &s.rk[r]
-		// Tile inputs: a window of history frames cropped to the same
-		// region of the extended coordinate frame, channel-stacked.
-		crop := func(y0, y1, x0, x1 int) *tensor.Tensor {
-			return tensor.SubImageConcat(y0, y1, x0, x1, hist...)
+		hist, out := s.hist[r], s.out[r]
+		in := hist[window-1]
+		if window > 1 {
+			in = tensor.ConcatChannels(hist...)
 		}
-		fullForward := func() *tensor.Tensor {
-			in := hist[window-1]
-			if window > 1 {
-				in = tensor.ConcatChannels(hist...)
-			}
-			return net.Forward(in)
-		}
-		// trackHalo charges a communication segment to the session's
-		// halo share (rank 0's view, as before).
-		trackHalo := func(f func()) {
-			if r != 0 {
-				f()
-				return
-			}
-			before := comm.Stats()
-			f()
-			addStats(&haloDelta, subStats(comm.Stats(), before))
-		}
+		s.rm.models[r].ForwardInto(in, out)
 
-		var out *tensor.Tensor
-		switch {
-		case halo == 0:
-			// Zero-pad / transpose-conv strategies: no halo, no
-			// exchange, whole-frame forward.
-			out = fullForward()
-		case st.pending:
-			// Overlap mode, steady state: the newest frame's phase-1
-			// strips are in flight from the previous step. Compute the
-			// interior tile (which needs no halo data) while they
-			// travel, then complete the phases with boundary tiles in
-			// between.
-			ext := hist[window-1]
-			var interior *tensor.Tensor
-			if st.split != nil {
-				interior = st.split.Interior(crop)
-			}
-			var reqS, reqN *mpi.Request
-			trackHalo(func() {
-				waitHaloPhase1(ext, halo, st.reqW, st.reqE)
-				reqS, reqN = postHaloPhase2(cart, ext, halo)
-			})
-			st.reqW, st.reqE = nil, nil
-			var west, east *tensor.Tensor
-			if st.split != nil {
-				west, east = st.split.WestEast(crop)
-			}
-			trackHalo(func() { waitHaloPhase2(ext, halo, reqS, reqN) })
-			st.pending = false
-			if st.split != nil {
-				south, north := st.split.SouthNorth(crop)
-				out = st.split.Finish(st.split.Assemble(interior, west, east, south, north))
-			} else {
-				out = fullForward()
-			}
-		default:
-			// Complete halo ring (Blocking mode always; Overlap's first
-			// step, whose halos came from slicing the initial states).
-			// Same tile kernels in the same order as the overlapped
-			// path, so the frames cannot diverge between modes.
-			if st.split != nil {
-				out = st.split.ForwardComplete(crop)
-			} else {
-				out = fullForward()
-			}
+		// The oldest frame has been consumed; it becomes the new
+		// prediction's extended frame.
+		next := hist[0]
+		before := comm.Stats()
+		exchangeHalo(mpi.NewCart(comm, p.Px, p.Py, false), out, next, halo)
+		if r == 0 {
+			haloDelta = subStats(comm.Stats(), before)
 		}
-		if out.Dim(2) != bh || out.Dim(3) != bw {
-			panic(fmt.Sprintf("core: rank %d produced %v for block %v", r, out.Shape(), b))
-		}
+		copy(hist, hist[1:])
+		hist[window-1] = next
 
-		// Extend the new frame with neighbour halos for the next step.
-		next := out
-		if halo > 0 {
-			if s.mode == Overlap {
-				// Post phase 1 now; it completes during the next step's
-				// interior compute (and overlaps this step's gather).
-				next = newExtendedFrame(out, halo)
-				trackHalo(func() { st.reqW, st.reqE = postHaloPhase1(cart, out, halo) })
-				st.pending = true
-			} else {
-				trackHalo(func() { next = exchangeHalo(cart, out, halo) })
-			}
-		}
-		s.hist[r] = append(hist[1:], next)
 		// Gather this step's prediction on rank 0.
 		pieces := comm.Gather(0, out.Data())
 		if r == 0 {
 			parts := make([]*tensor.Tensor, p.Ranks())
 			for pr := range pieces {
 				pb := p.BlockOfRank(pr)
-				parts[pr] = tensor.FromSlice(pieces[pr], c, pb.Height(), pb.Width())
+				parts[pr] = tensor.FromSlice(pieces[pr], s.channels, pb.Height(), pb.Width())
 			}
 			frame = p.GatherCHW(parts)
 		}
 	})
 	if err != nil {
 		s.broken = true
-		// Stamp the session's request ID onto the failure: combined with
-		// the *mpi.RankPanicError and the chaos transport's attribution
-		// inside it, the surfaced error names request, rank and link.
-		if s.trace != "" {
-			return nil, fmt.Errorf("request=%s: %w", s.trace, err)
-		}
-		return nil, err
+		// With the *mpi.RankPanicError and the chaos transport's
+		// attribution inside it, the surfaced error names request, rank
+		// and link.
+		return nil, s.traced(err)
 	}
-	s.lastStats = world.TotalStats()
+	s.lastStats = s.world.TotalStats()
 	s.lastHalo = haloDelta
 	addStats(&s.stats, s.lastStats)
 	addStats(&s.haloStats, haloDelta)
 	s.step++
 	return frame, nil
+}
+
+// traced stamps the session's request ID, if any, onto a step error.
+func (s *Session) traced(err error) error {
+	if s.trace == "" {
+		return err
+	}
+	return fmt.Errorf("request=%s: %w", s.trace, err)
 }
 
 // Run drives the session `steps` steps, handing each predicted frame
@@ -571,11 +468,8 @@ func (s *Session) Steps() int { return s.step }
 func (s *Session) TraceID() string { return s.trace }
 
 // CommStats returns the cumulative communication cost of all steps so
-// far (halo exchanges plus result gathers). In Overlap mode the final
-// frame's phase-2 exchange never happens and its phase-1 receives
-// complete only when Close drains them, so a closed Overlap session
-// reports slightly fewer messages than a Blocking one (DESIGN.md §8);
-// across transports the numbers are identical for identical schedules.
+// far (halo exchanges plus result gathers); the numbers are identical
+// across transports.
 func (s *Session) CommStats() mpi.CommStats { return s.stats }
 
 // HaloCommStats returns the cumulative halo-exchange share of the
@@ -589,57 +483,30 @@ func (s *Session) LastStepStats() (comm, halo mpi.CommStats) {
 	return s.lastStats, s.lastHalo
 }
 
-// Close releases the session's model clones back to the engine's pool
-// and, in Overlap mode, drains the still-pending phase-1 receives of
-// the final frame — so a bound world is left without stray messages
-// and can serve the next session. If that drain fails (e.g. a TCP
-// peer died while the receives were in flight), Close still releases
-// every resource and returns the drain error wrapped — the session is
-// fully closed either way, so callers that only want cleanup may
-// ignore it, while callers reusing a bound world should treat it as
-// fail-stop and build a fresh world. Closing twice is a no-op
-// (returns nil); using the session after Close fails with
-// ErrSessionClosed.
+// Close releases the session's model clones back to the engine's pool,
+// closes a world the session built itself and hands a bound world back
+// to the engine for the next session. Closing twice is a no-op; using
+// the session after Close fails with ErrSessionClosed.
+//
+// A broken session (a rank failed mid-step) leaves its bound world
+// permanently busy: peers' halo/gather messages may still be queued
+// and a new session's receives would silently match them (identical
+// tags and strip sizes). Fail-stop — build a fresh world — rather than
+// serve stale data.
 func (s *Session) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	var drainErr error
-	if s.mode == Overlap && !s.broken {
-		drainErr = s.world.Run(func(comm *mpi.Comm) {
-			st := &s.rk[comm.Rank()]
-			if st.reqW != nil {
-				st.reqW.Wait()
-				st.reqW = nil
-			}
-			if st.reqE != nil {
-				st.reqE.Wait()
-				st.reqE = nil
-			}
-			st.pending = false
-		})
-		if drainErr == nil {
-			addStats(&s.stats, s.world.TotalStats())
-		}
-	}
 	if s.ownWorld {
 		s.world.Close()
-	} else if !s.broken && drainErr == nil {
+	} else if !s.broken {
 		s.eng.worldBusy.Store(false)
 	}
-	// A broken session (a rank failed mid-step, or the close-time drain
-	// itself failed) leaves its bound world permanently busy: peers'
-	// halo/gather messages may still be queued and a new session's
-	// receives would silently match them (identical tags and strip
-	// sizes). Fail-stop — build a fresh world — rather than serve stale
-	// data.
 	s.eng.release(s.rm)
 	s.rm = nil
 	s.hist = nil
+	s.out = nil
 	s.world = nil
-	if drainErr != nil {
-		return fmt.Errorf("core: draining pending halo receives on close: %w", drainErr)
-	}
 	return nil
 }

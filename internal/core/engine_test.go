@@ -86,7 +86,7 @@ func TestConcurrentSessionsBitIdentical(t *testing.T) {
 		if state, err = refEng.Predict(context.Background(), state); err != nil {
 			t.Fatal(err)
 		}
-		if !state.AllClose(ref.Steps[k], 1e-12) {
+		if !state.Equal(ref.Steps[k]) {
 			t.Fatalf("step %d: session-backed rollout differs from direct-slicing Predict (max diff %g)",
 				k, state.Sub(ref.Steps[k]).AbsMax())
 		}

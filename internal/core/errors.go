@@ -19,6 +19,12 @@ var (
 	// Close.
 	ErrSessionClosed = errors.New("session is closed")
 
+	// ErrSessionBroken reports a Step/Run call on a session after one
+	// of its steps failed part-way (a rank panicked, a link dropped):
+	// the per-rank histories no longer agree, so the session computes
+	// nothing further. Close it and open a fresh one.
+	ErrSessionBroken = errors.New("session is broken by an earlier failed step")
+
 	// ErrWorldBusy reports a NewSession call on a WithWorld engine
 	// whose bound world already serves a live session.
 	ErrWorldBusy = errors.New("the engine's bound world already serves a live session")

@@ -67,7 +67,7 @@ func TestRolloutMatchesPredictOneStepFirstStep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
-		if !roll.Steps[0].AllClose(direct, 1e-12) {
+		if !roll.Steps[0].Equal(direct) {
 			t.Fatalf("%v: rollout step 1 != direct one-step (max diff %g)",
 				strat, roll.Steps[0].Sub(direct).AbsMax())
 		}
@@ -96,7 +96,7 @@ func TestRolloutHaloCorners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !roll.Steps[0].AllClose(direct, 1e-12) {
+	if !roll.Steps[0].Equal(direct) {
 		t.Fatalf("corner halo data wrong: max diff %g", roll.Steps[0].Sub(direct).AbsMax())
 	}
 }

@@ -47,7 +47,7 @@ func TestUnevenBlocksTrainAndRollout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !roll.Steps[0].AllClose(direct, 1e-12) {
+	if !roll.Steps[0].Equal(direct) {
 		t.Fatalf("uneven blocks: rollout != direct (max diff %g)",
 			roll.Steps[0].Sub(direct).AbsMax())
 	}

@@ -75,7 +75,7 @@ func TestWindowedRolloutMatchesDirectPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !roll.Steps[0].AllClose(direct, 1e-12) {
+	if !roll.Steps[0].Equal(direct) {
 		t.Fatalf("windowed rollout != direct prediction (max diff %g)",
 			roll.Steps[0].Sub(direct).AbsMax())
 	}

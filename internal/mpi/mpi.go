@@ -417,9 +417,7 @@ func (c *Comm) Isend(to, tag int, data []float64) *Request {
 
 // Irecv starts a non-blocking receive. The matching and blocking work
 // happens when Wait is called; this mirrors the common MPI usage
-// pattern of posting receives first and waiting later. The overlapped
-// halo pipeline posts Irecvs in one Session step and waits for them in
-// the next, with interior compute in between.
+// pattern of posting receives first and waiting later.
 func (c *Comm) Irecv(from, tag int) *Request {
 	return &Request{wait: func() []float64 { return c.Recv(from, tag) }}
 }

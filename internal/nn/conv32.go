@@ -20,17 +20,9 @@ func useDirectConv32(cin, cout, k int) bool {
 	return cin*cout*k*k <= directConv32MaxWork
 }
 
-// setPrecision32 implements layer32. Pinning packs the weights
-// immediately (once per Engine — clones share the pack), so serving
-// never pays the narrowing on a request path.
+// setPrecision32 implements layer32.
 func (c *Conv2D) setPrecision32(on bool, a *Arena) error {
-	c.f32on = on
-	if on {
-		c.f32arena = a
-		c.pack.get(c.weight.Value, c.bias.Value)
-	} else {
-		c.f32arena = nil
-	}
+	c.f32on, c.f32arena = pin32(on, a, c.pack, c.weight, c.bias)
 	return nil
 }
 

@@ -2,15 +2,9 @@ package nn
 
 import "fmt"
 
-// setPrecision32 implements layer32 (see Conv2D.setPrecision32).
+// setPrecision32 implements layer32.
 func (c *ConvTranspose2D) setPrecision32(on bool, a *Arena) error {
-	c.f32on = on
-	if on {
-		c.f32arena = a
-		c.pack.get(c.weight.Value, c.bias.Value)
-	} else {
-		c.f32arena = nil
-	}
+	c.f32on, c.f32arena = pin32(on, a, c.pack, c.weight, c.bias)
 	return nil
 }
 

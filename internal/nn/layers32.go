@@ -3,8 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/tensor"
 )
 
 // This file holds the float32 inference paths (layer32
@@ -15,13 +13,7 @@ import (
 
 // setPrecision32 implements layer32.
 func (d *Dense) setPrecision32(on bool, a *Arena) error {
-	d.f32on = on
-	if on {
-		d.f32arena = a
-		d.pack.get(d.weight.Value, d.bias.Value)
-	} else {
-		d.f32arena = nil
-	}
+	d.f32on, d.f32arena = pin32(on, a, d.pack, d.weight, d.bias)
 	return nil
 }
 
@@ -47,14 +39,12 @@ func (d *Dense) forward32(x act32, a *Arena) act32 {
 func (f *Flatten) setPrecision32(bool, *Arena) error { return nil }
 
 // forward32 implements layer32: flattening is a header rewrite, the
-// data slice passes through untouched. The original shape is kept for
-// the (float64) Backward without allocating at steady state.
+// data slice passes through untouched.
 func (f *Flatten) forward32(x act32, _ *Arena) act32 {
+	f.cacheShape = nil
 	if x.rank == 2 {
-		f.cacheShape = append(f.cacheShape[:0], x.n, x.c)
 		return x
 	}
-	f.cacheShape = append(f.cacheShape[:0], x.n, x.c, x.h, x.w)
 	return act32{n: x.n, c: x.c * x.h * x.w, h: 1, w: 1, rank: 2, d: x.d}
 }
 
@@ -64,22 +54,14 @@ func (f *Flatten) forward32(x act32, _ *Arena) act32 {
 func (l *LeakyReLU) setPrecision32(bool, *Arena) error { return nil }
 
 // forward32 implements layer32 with the same branch-free sign-bit
-// select as the float64 Forward. It fills the same negMask, so the
-// float64 Backward works unchanged after an f32 forward.
+// select as the float64 Forward.
 func (l *LeakyReLU) forward32(x act32, a *Arena) act32 {
-	n := len(x.d)
-	if cap(l.negMask) < n {
-		l.negMask = make([]uint8, n)
-	}
-	mask := l.negMask[:n]
-	yd := a.Alloc32(n)
+	l.haveCache = false
+	yd := a.Alloc32(len(x.d))
 	scale := [2]float32{1, float32(l.Epsilon)}
 	for i, v := range x.d {
-		neg := uint8(math.Float32bits(v) >> 31)
-		mask[i] = neg
-		yd[i] = v * scale[neg&1]
+		yd[i] = v * scale[math.Float32bits(v)>>31]
 	}
-	l.haveCache = true
 	y := x
 	y.d = yd
 	return y
@@ -90,25 +72,17 @@ func (l *LeakyReLU) forward32(x act32, a *Arena) act32 {
 // setPrecision32 implements layer32 (stateless).
 func (l *ReLU) setPrecision32(bool, *Arena) error { return nil }
 
-// forward32 implements layer32, filling the same negMask as the
-// float64 Forward (same v < 0 convention, so −0.0 passes through).
+// forward32 implements layer32 (same v < 0 convention as the float64
+// Forward, so −0.0 passes through).
 func (l *ReLU) forward32(x act32, a *Arena) act32 {
-	n := len(x.d)
-	if cap(l.negMask) < n {
-		l.negMask = make([]uint8, n)
-	}
-	mask := l.negMask[:n]
-	yd := a.Alloc32(n)
+	l.haveCache = false
+	yd := a.Alloc32(len(x.d))
 	for i, v := range x.d {
 		if v < 0 {
-			yd[i] = 0
-			mask[i] = 1
-		} else {
-			yd[i] = v
-			mask[i] = 0
+			v = 0
 		}
+		yd[i] = v
 	}
-	l.haveCache = true
 	y := x
 	y.d = yd
 	return y
@@ -120,19 +94,13 @@ func (l *ReLU) forward32(x act32, a *Arena) act32 {
 func (l *Tanh) setPrecision32(bool, *Arena) error { return nil }
 
 // forward32 implements layer32. The transcendental runs in float64 and
-// rounds once to float32; Backward needs the output, so the f32 result
-// is widened into the regular cache (an allocation — Tanh is ablation
-// material, not rollout hot path).
+// rounds once to float32.
 func (l *Tanh) forward32(x act32, a *Arena) act32 {
+	l.cacheOutput = nil
 	yd := a.Alloc32(len(x.d))
-	cache := tensor.New(len(x.d))
-	cd := cache.Data()
 	for i, v := range x.d {
-		yv := float32(math.Tanh(float64(v)))
-		yd[i] = yv
-		cd[i] = float64(yv)
+		yd[i] = float32(math.Tanh(float64(v)))
 	}
-	l.cacheOutput = cache
 	y := x
 	y.d = yd
 	return y
@@ -145,15 +113,11 @@ func (l *Sigmoid) setPrecision32(bool, *Arena) error { return nil }
 
 // forward32 implements layer32 (see Tanh.forward32).
 func (l *Sigmoid) forward32(x act32, a *Arena) act32 {
+	l.cacheOutput = nil
 	yd := a.Alloc32(len(x.d))
-	cache := tensor.New(len(x.d))
-	cd := cache.Data()
 	for i, v := range x.d {
-		yv := float32(1 / (1 + math.Exp(-float64(v))))
-		yd[i] = yv
-		cd[i] = float64(yv)
+		yd[i] = float32(1 / (1 + math.Exp(-float64(v))))
 	}
-	l.cacheOutput = cache
 	y := x
 	y.d = yd
 	return y

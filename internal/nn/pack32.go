@@ -71,6 +71,18 @@ func (p *pack32) get(w, b *tensor.Tensor) ([]float32, []float32) {
 	return p.w, p.b
 }
 
+// pin32 is setPrecision32 for the parameterised layers: it returns the
+// layer's new (f32on, f32arena). Pinning packs the weights at once
+// (once per Engine — clones share the pack), so serving never pays the
+// narrowing on a request path.
+func pin32(on bool, a *Arena, p *pack32, w, b *Param) (bool, *Arena) {
+	if !on {
+		return false, nil
+	}
+	p.get(w.Value, b.Value)
+	return true, a
+}
+
 // invalidate drops the cached pack; the next get re-narrows.
 func (p *pack32) invalidate() { p.ok.Store(false) }
 

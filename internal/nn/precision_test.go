@@ -120,21 +120,30 @@ func TestF32ForwardThenF64TrainingStep(t *testing.T) {
 }
 
 // TestF32BackwardPanics pins the forward-only contract of the float32
-// path: Backward straight after an F32-pinned Forward panics with the
-// documented message — on the network and on each parameterised layer
-// — and so does Backward after unpinning without a fresh Forward.
+// path: Backward straight after an F32-pinned Forward panics — with the
+// documented message on the network and on each parameterised layer,
+// and as "Backward before Forward" on the activations and Flatten,
+// whose f32 forward leaves nothing to differentiate — and so does
+// Backward after unpinning without a fresh Forward.
 func TestF32BackwardPanics(t *testing.T) {
+	const forwardOnly, noForward = "float32 path is forward-only", "Backward before Forward"
 	g := tensor.NewRNG(15)
 	x4 := tensor.Normal(g, 0, 1, 1, 4, 8, 8)
 	x2 := tensor.Normal(g, 0, 1, 3, 6)
 	for _, tc := range []struct {
 		layer Layer
 		x     *tensor.Tensor
+		want  string
 	}{
-		{buildPrecisionNet(17), x4},
-		{NewConv2D("c", g, 4, 3, 3, 1), x4},
-		{NewConvTranspose2D("d", g, 4, 3, 3), x4},
-		{NewDense("fc", g, 6, 2), x2},
+		{buildPrecisionNet(17), x4, forwardOnly},
+		{NewConv2D("c", g, 4, 3, 3, 1), x4, forwardOnly},
+		{NewConvTranspose2D("d", g, 4, 3, 3), x4, forwardOnly},
+		{NewDense("fc", g, 6, 2), x2, forwardOnly},
+		{NewLeakyReLU("lrelu", 0.01), x4, noForward},
+		{NewReLU("relu"), x4, noForward},
+		{NewTanh("tanh"), x4, noForward},
+		{NewSigmoid("sigmoid"), x4, noForward},
+		{NewFlatten("flat"), x4, noForward},
 	} {
 		pinned := NewSequential(tc.layer)
 		if s, ok := tc.layer.(*Sequential); ok {
@@ -144,13 +153,13 @@ func TestF32BackwardPanics(t *testing.T) {
 		if err := pinned.SetPrecision(F32); err != nil {
 			t.Fatal(err)
 		}
-		y := tc.layer.Forward(tc.x)
-		mustPanicWith(t, tc.layer.Name(), "float32 path is forward-only", func() { tc.layer.Backward(y) })
+		y := pinned.Forward(tc.x)
+		mustPanicWith(t, tc.layer.Name(), tc.want, func() { tc.layer.Backward(y) })
 		if err := pinned.SetPrecision(F64); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := tc.layer.(*Sequential); !ok {
-			mustPanicWith(t, tc.layer.Name(), "Backward before Forward", func() { tc.layer.Backward(y) })
+			mustPanicWith(t, tc.layer.Name(), noForward, func() { tc.layer.Backward(y) })
 		}
 	}
 }
@@ -352,37 +361,4 @@ func TestForwardIntoZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state ForwardInto allocates %.1f objects/op, want 0", allocs)
 	}
-}
-
-// TestHaloSplitF32MatchesWholeFrame mirrors the f64 halo-split
-// crosscheck on the f32 path: the five-tile split plus fused tail
-// agrees with the whole-frame fused forward to the f32 budget (tile
-// panel positions shift the per-element rounding, so agreement is to
-// round-off, not bit-for-bit — same contract as f64, wider budget).
-func TestHaloSplitF32MatchesWholeFrame(t *testing.T) {
-	const (
-		c    = 4
-		h, w = 12, 14
-		halo = 2
-	)
-	g := tensor.NewRNG(81)
-	net := NewSequential(
-		NewConv2D("c1", g, c, 6, 2*halo+1, 0),
-		NewLeakyReLU("a1", 0.01),
-		NewConv2D("c2", g, 6, c, 3, 1),
-	)
-	if err := net.SetPrecision(F32); err != nil {
-		t.Fatal(err)
-	}
-	split := NewHaloSplit(net, h, w, halo)
-	if split == nil {
-		t.Fatal("split does not apply")
-	}
-	ext := tensor.Normal(g, 0, 1, 1, c, h+2*halo, w+2*halo)
-	crop := func(y0, y1, x0, x1 int) *tensor.Tensor {
-		return tensor.SubImageConcat(y0, y1, x0, x1, ext)
-	}
-	got := split.ForwardComplete(crop)
-	want := net.Forward(ext)
-	maxRelDiff(t, "halosplit f32", got.Data(), want.Data(), f32Tol)
 }

@@ -96,55 +96,6 @@ func SubImage(t *Tensor, y0, y1, x0, x1 int) *Tensor {
 	return out
 }
 
-// SubImageConcat extracts the window rows [y0,y1) × columns [x0,x1)
-// from each of several rank-4 NCHW tensors and concatenates the crops
-// along the channel axis in one pass — the fused form of
-// ConcatChannels(SubImage(...), ...) without the intermediate copies.
-// It is the per-tile input builder of the halo-overlap pipeline, where
-// a temporal window of frames is cropped to the same region every
-// step. All inputs must share batch and spatial dimensions. With a
-// single input it degrades to exactly SubImage.
-func SubImageConcat(y0, y1, x0, x1 int, parts ...*Tensor) *Tensor {
-	if len(parts) == 0 {
-		panic("tensor: SubImageConcat of nothing")
-	}
-	if len(parts) == 1 {
-		return SubImage(parts[0], y0, y1, x0, x1)
-	}
-	first := parts[0]
-	if first.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: SubImageConcat needs rank-4 NCHW tensors, got %v", first.shape))
-	}
-	n, h, w := first.shape[0], first.shape[2], first.shape[3]
-	if y0 < 0 || x0 < 0 || y1 > h || x1 > w || y0 >= y1 || x0 >= x1 {
-		panic(fmt.Sprintf("tensor: SubImageConcat window [%d:%d,%d:%d] out of range for %dx%d", y0, y1, x0, x1, h, w))
-	}
-	totalC := 0
-	for _, p := range parts {
-		if p.Rank() != 4 || p.shape[0] != n || p.shape[2] != h || p.shape[3] != w {
-			panic(fmt.Sprintf("tensor: SubImageConcat shape mismatch %v vs %v", p.shape, first.shape))
-		}
-		totalC += p.shape[1]
-	}
-	nh, nw := y1-y0, x1-x0
-	out := New(n, totalC, nh, nw)
-	for in := 0; in < n; in++ {
-		off := 0
-		for _, p := range parts {
-			c := p.shape[1]
-			for ic := 0; ic < c; ic++ {
-				srcBase := (in*c+ic)*h*w + y0*w + x0
-				dstBase := (in*totalC + off + ic) * nh * nw
-				for y := 0; y < nh; y++ {
-					copy(out.data[dstBase+y*nw:dstBase+(y+1)*nw], p.data[srcBase+y*w:srcBase+y*w+nw])
-				}
-			}
-			off += c
-		}
-	}
-	return out
-}
-
 // SetSubImage writes src (rank-4 NCHW) into the window of t whose
 // top-left corner in the last two dimensions is (y0, x0). Batch and
 // channel dimensions must match.

@@ -3,8 +3,8 @@
 # snapshot of the convolution engine (the Workers sweep of the forward
 # pass), the per-layer Table-I costs, the serving API's
 # concurrent-session rollout throughput (1 vs 4 sessions over one
-# Engine; the steps_per_s metric), the halo-exchange schedule ×
-# transport matrix ({mem,tcp} × {blocking,overlap} rollout steps/s),
+# Engine; the steps_per_s metric), the rollout per transport
+# (RolloutTransport/{mem,tcp} steps/s),
 # the micro-batched serving throughput (unbatched Predict vs
 # Batcher at batch 1/4/8/16; requests_per_s), the f64-vs-f32 session
 # rollout (PrecisionRollout; speedup_vs_f64), the fused zero-alloc
@@ -17,12 +17,12 @@
 #   scripts/bench.sh out.json      # writes elsewhere
 #
 # BENCHTIME (default 10x) and BENCH (default the conv + session +
-# halo-exchange benchmarks) override the sweep.
+# rollout benchmarks) override the sweep.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_baseline.json}"
-BENCH="${BENCH:-ConvGEMMWorkers|Table1_LayerForwardBackward|SessionConcurrentRollout|HaloOverlapVsBlocking|BatcherThroughput|PrecisionRollout|SteadyStateRollout|PredictCodec}"
+BENCH="${BENCH:-ConvGEMMWorkers|Table1_LayerForwardBackward|SessionConcurrentRollout|RolloutTransport|BatcherThroughput|PrecisionRollout|SteadyStateRollout|PredictCodec}"
 BENCHTIME="${BENCHTIME:-10x}"
 
 RAW="$(mktemp)"
