@@ -137,8 +137,8 @@ bench-compare:
 	scripts/bench_compare.sh
 
 # Blocking static analysis: go vet, then the repo's own invariant
-# analyzers (errwrap, ctxflow, goroutinelife, detpath, closecheck —
-# DESIGN.md §12). staticcheck is guarded because the dev container has
+# analyzers (errwrap, ctxflow, goroutinelife, detpath, closecheck,
+# reach — DESIGN.md §12). staticcheck is guarded because the dev container has
 # no network to install it; CI always installs and runs it, so the
 # guard relaxes laptops, never the gate.
 lint: vet
@@ -153,7 +153,9 @@ lint: vet
 # wire-frame codec and the chaos rule DSL; internal/admission: the
 # policy parser behind POST /v2/admin/policy and the LPM trie vs its
 # linear-scan oracle; internal/serve: the predict/rollout tensor codec
-# vs encoding/json, decoder and float formatter), FUZZTIME each.
+# vs encoding/json, decoder and float formatter; internal/model: the
+# artifact manifest reader behind cmd/serve start-up and POST
+# /v2/admin/load), FUZZTIME each.
 # `go test -fuzz` accepts exactly one target per invocation, hence the
 # loop.
 FUZZ_TARGETS = \
@@ -163,7 +165,8 @@ FUZZ_TARGETS = \
 	./internal/admission:FuzzPolicyParse \
 	./internal/admission:FuzzTrieLookup \
 	./internal/serve:FuzzPredictBody \
-	./internal/serve:FuzzAppendFloat
+	./internal/serve:FuzzAppendFloat \
+	./internal/model:FuzzManifest
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -1165,36 +1165,6 @@ func BenchmarkAblation_DecompositionShape(b *testing.B) {
 	}
 }
 
-// BenchmarkMPIRingVsTree compares the two allreduce algorithms on the
-// data-parallel baseline's weight vector: recursive doubling
-// (latency-optimal) vs ring (bandwidth-optimal).
-func BenchmarkMPIRingVsTree(b *testing.B) {
-	const vecLen = 11032 // Table-I parameter count
-	for _, algo := range []string{"tree", "ring"} {
-		b.Run(fmt.Sprintf("%s/P=8", algo), func(b *testing.B) {
-			data := make([]float64, vecLen)
-			var bytesPerRank int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w := mpi.NewWorld(8)
-				err := w.Run(func(c *mpi.Comm) {
-					if algo == "ring" {
-						c.RingAllreduce(data, mpi.OpSum)
-					} else {
-						c.Allreduce(data, mpi.OpSum)
-					}
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				bytesPerRank = w.Stats()[0].BytesSent
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(bytesPerRank)/1e3, "sent_KB_per_rank")
-		})
-	}
-}
-
 // BenchmarkMPIAllreduce times the recursive-doubling allreduce used by
 // the data-parallel baseline, per world size, on a Table-I-sized
 // parameter vector.

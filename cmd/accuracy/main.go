@@ -84,32 +84,17 @@ func main() {
 	// One-step prediction over the validation pairs (Fig. 3 protocol:
 	// "input and output data are chosen randomly from the validation
 	// data set" — we evaluate all pairs and report the mean, plus maps
-	// of one representative pair). Served through the Engine so the
-	// shared ensemble is never mutated.
-	eng, err := core.NewEngine(rep.Ensemble())
+	// of one representative pair).
+	if val.Len() < 2 {
+		log.Fatal("no validation pairs; increase -snapshots")
+	}
+	per, _, err := core.EvaluateOneStep(rep.Ensemble(), val)
 	if err != nil {
 		log.Fatal(err)
 	}
-	valPairs := val.Pairs()
-	if len(valPairs) == 0 {
-		log.Fatal("no validation pairs; increase -snapshots")
-	}
-	agg := make([]*tensor.Tensor, 0, len(valPairs))
-	tgt := make([]*tensor.Tensor, 0, len(valPairs))
-	for _, pr := range valPairs {
-		pred, err := eng.Predict(context.Background(), pr.Input)
-		if err != nil {
-			log.Fatal(err)
-		}
-		agg = append(agg, pred)
-		tgt = append(tgt, pr.Target)
-	}
-	predBatch := tensor.Stack(agg)
-	tgtBatch := tensor.Stack(tgt)
-	per := stats.PerChannel(predBatch, tgtBatch)
 
 	tbl := stats.NewTable(
-		fmt.Sprintf("Fig. 3 — one-step prediction vs target over %d validation pairs", len(valPairs)),
+		fmt.Sprintf("Fig. 3 — one-step prediction vs target over %d validation pairs", val.Len()-1),
 		"channel", "mape[%]", "mse", "rmse", "linf", "r2")
 	for c, m := range per {
 		tbl.Add(grid.ChannelNames[c],
@@ -120,11 +105,24 @@ func main() {
 	fmt.Print(tbl.String())
 
 	if *maps {
-		mid := len(valPairs) / 2
+		// Served through the Engine so the shared ensemble is never
+		// mutated.
+		eng, err := core.NewEngine(rep.Ensemble())
+		if err != nil {
+			log.Fatal(err)
+		}
+		mid := (val.Len() - 1) / 2
+		pred, err := eng.Predict(context.Background(), val.Snapshots[mid])
+		if err != nil {
+			log.Fatal(err)
+		}
+		pressure := func(frame *tensor.Tensor) *tensor.Tensor {
+			return tensor.Channel(frame.Reshape(1, frame.Dim(0), frame.Dim(1), frame.Dim(2)), 0, grid.ChanPressure)
+		}
 		fmt.Println("\npressure field, target (left) vs prediction (right):")
 		lines := viz.SideBySide(
-			viz.AsciiMap(tensor.Channel(tgtBatch, mid, grid.ChanPressure), 16, 32),
-			viz.AsciiMap(tensor.Channel(predBatch, mid, grid.ChanPressure), 16, 32),
+			viz.AsciiMap(pressure(val.Snapshots[mid+1]), 16, 32),
+			viz.AsciiMap(pressure(pred), 16, 32),
 			"   |   ")
 		for _, l := range lines {
 			fmt.Println(l)

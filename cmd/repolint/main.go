@@ -1,6 +1,6 @@
 // Command repolint is the repository's static-analysis multichecker:
 // it compiles the internal/analysis suite — errwrap, ctxflow,
-// goroutinelife, detpath, closecheck (DESIGN.md §12) — into one
+// goroutinelife, detpath, closecheck, reach (DESIGN.md §12) — into one
 // binary, usable two ways:
 //
 // Standalone, over package patterns (the `make lint` and CI form):
@@ -54,25 +54,39 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	cwd, err := os.Getwd()
+	diags, err := lint(patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repolint: %v\n", err)
 		os.Exit(1)
+	}
+	for _, d := range diags {
+		fmt.Println(d)
+	}
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "repolint: %d finding(s)\n", len(diags))
+		os.Exit(1)
+	}
+}
+
+// lint loads the packages matching patterns plus the module's nested
+// client modules (bench/, the roots reach needs beyond the mains) and
+// runs the whole suite over them.
+func lint(patterns []string) ([]analysis.Diagnostic, error) {
+	cwd, err := os.Getwd()
+	if err != nil {
+		return nil, err
 	}
 	pkgs, err := analysis.Load(cwd, patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "repolint: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
-	total := 0
-	for _, pkg := range pkgs {
-		for _, d := range analysis.RunPackage(pkg, analysis.All()) {
-			fmt.Println(d)
-			total++
-		}
+	root, err := analysis.ModuleRoot(cwd)
+	if err != nil {
+		return nil, err
 	}
-	if total > 0 {
-		fmt.Fprintf(os.Stderr, "repolint: %d finding(s)\n", total)
-		os.Exit(1)
+	clients, err := analysis.LoadClients(root)
+	if err != nil {
+		return nil, err
 	}
+	return analysis.Run(append(pkgs, clients...), analysis.All()), nil
 }

@@ -54,6 +54,38 @@ func jitter() float64 { return rand.Float64() }
 	return dir
 }
 
+// seedReachModule writes a throwaway module whose one binary reaches
+// internal/nn.Used and leaves internal/nn.planted referenced by nothing.
+func seedReachModule(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module seedtest\n\ngo 1.24\n",
+		filepath.Join("cmd", "tool", "main.go"): `package main
+
+import "seedtest/internal/nn"
+
+func main() { nn.Used() }
+`,
+		filepath.Join("internal", "nn", "nn.go"): `package nn
+
+func Used() {}
+
+func planted() {}
+`,
+	}
+	for name, content := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
 func exitCode(t *testing.T, err error) int {
 	t.Helper()
 	if err == nil {
@@ -99,6 +131,58 @@ func TestStandaloneSeededViolation(t *testing.T) {
 	s := string(out)
 	if !strings.Contains(s, "global math/rand RNG") || !strings.Contains(s, "(detpath)") {
 		t.Fatalf("seeded detpath violation not reported:\n%s", s)
+	}
+}
+
+// TestReachSeededViolation: a package-level function planted in
+// internal/nn that nothing refers to fails the lint, and the function
+// the binary calls does not.
+func TestReachSeededViolation(t *testing.T) {
+	bin := buildRepolint(t)
+	cmd := exec.Command(bin, "./...")
+	cmd.Dir = seedReachModule(t)
+	out, err := cmd.CombinedOutput()
+	if code := exitCode(t, err); code != 1 {
+		t.Fatalf("repolint on seeded module: exit %d, want 1\n%s", code, out)
+	}
+	s := string(out)
+	if !strings.Contains(s, "func planted is reachable from no main") || !strings.Contains(s, "(reach)") {
+		t.Fatalf("planted function not reported:\n%s", s)
+	}
+	if strings.Contains(s, "Used") {
+		t.Fatalf("reached function reported:\n%s", s)
+	}
+}
+
+// TestReachRootsAtBench: on the real tree reach is clean only because
+// the nested bench/ module is loaded as a root — without it the names
+// kept for the frozen benchmark alone are what it reports.
+func TestReachRootsAtBench(t *testing.T) {
+	root, err := analysis.ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := analysis.Load(root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients, err := analysis.LoadClients(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clients) == 0 {
+		t.Fatal("LoadClients found no nested module; bench/ should be one")
+	}
+	reach := []*analysis.Analyzer{analysis.Reach}
+	for _, d := range analysis.Run(append(pkgs, clients...), reach) {
+		t.Errorf("%s", d)
+	}
+	var benchOnly []string
+	for _, d := range analysis.Run(pkgs, reach) {
+		benchOnly = append(benchOnly, d.Message)
+	}
+	if s := strings.Join(benchOnly, "\n"); !strings.Contains(s, "func WithExchangeMode ") {
+		t.Errorf("without bench/ as a root, core.WithExchangeMode should be unreached; got:\n%s", s)
 	}
 }
 

@@ -43,8 +43,8 @@
 // name → refcounted engine Handle with Load/Get/Swap/Unload/Close:
 // Swap atomically replaces the published version — new Gets see the
 // new engine immediately while in-flight PredictBatch calls and open
-// Sessions finish on the old one, which drains (runs its OnDrain
-// hooks, closes Drained) only when its last reference is released.
+// Sessions finish on the old one, which drains (closes Drained) only
+// when its last reference is released.
 // Registry errors are named too: core.ErrModelNotFound,
 // core.ErrModelExists, core.ErrRegistryClosed.
 //
@@ -179,20 +179,23 @@
 //     cross-validates every hand-written backward pass
 //   - internal/viz — ASCII/PGM/PPM field rendering
 //
-// Five of the invariants above are enforced statically (DESIGN.md
+// Six invariants are enforced statically (DESIGN.md
 // §12): internal/analysis implements repo-specific analyzers —
 // errwrap (sentinels matched via errors.Is/As and wrapped with %w),
 // ctxflow (a received context is never replaced by a fresh root),
 // goroutinelife (every go statement in the runtime packages has a
 // visible WaitGroup/close lifecycle), detpath (no wall clock, global
-// RNG, or map iteration in the bit-deterministic packages), and
-// closecheck (write-mode Close errors are checked) — compiled into
+// RNG, or map iteration in the bit-deterministic packages),
+// closecheck (write-mode Close errors are checked), and reach (every
+// package-level symbol is reachable from a main or the bench/ module;
+// what only tests use lives in _test.go files) — compiled into
 // cmd/repolint, runnable standalone (`go run ./cmd/repolint ./...`)
 // or as `go vet -vettool`, gated by `make lint`, and re-asserted by a
 // tier-1 clean-tree test. Violations are suppressed only line-by-line
 // via `//repolint:allow <analyzer> -- <reason>`. The TCP frame codec,
-// the chaos rule DSL, the admission policy parser and the LPM trie
-// additionally carry native fuzz targets (`make fuzz-smoke`; extended
+// the chaos rule DSL, the admission policy parser, the LPM trie, the
+// tensor codec and the artifact manifest reader additionally carry
+// native fuzz targets (`make fuzz-smoke`; extended
 // nightly with `make race-stress`).
 //
 // The benchmark harness in bench_test.go regenerates every table and

@@ -25,6 +25,10 @@ type Analyzer struct {
 	Match func(pkgPath string) bool
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
+	// RunProgram, set instead of Run by a whole-program analyzer
+	// (reach), inspects everything loaded at once. It runs under Run
+	// only: the vet protocol hands the tool one package at a time.
+	RunProgram func(pkgs []*Package, report func(pkg *Package, pos token.Pos, format string, args ...any))
 }
 
 // Pass carries one analyzer's view of one type-checked package.
@@ -65,7 +69,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{ErrWrap, CtxFlow, GoroutineLife, DetPath, CloseCheck}
+	return []*Analyzer{ErrWrap, CtxFlow, GoroutineLife, DetPath, CloseCheck, Reach}
 }
 
 // matchPackages builds a Match that accepts exactly the given import
@@ -81,14 +85,47 @@ func matchPackages(suffixes ...string) func(string) bool {
 	}
 }
 
-// RunPackage applies every applicable analyzer to one loaded package
-// and returns the findings that survive //repolint:allow filtering,
-// sorted by position. Test files never produce findings: the suite
-// governs shipped code, and fixtures exercise the analyzers directly.
-func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
+// Run applies the suite to everything loaded together: the
+// whole-program analyzers once over all of pkgs, then RunPackage on each
+// package that is not a client (client modules are roots for reach, not
+// governed code).
+func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	program := make(map[*Package][]Diagnostic)
 	for _, a := range analyzers {
-		if a.Match != nil && !a.Match(pkg.ImportPath) {
+		if a.RunProgram == nil {
+			continue
+		}
+		a.RunProgram(pkgs, func(pkg *Package, pos token.Pos, format string, args ...any) {
+			program[pkg] = append(program[pkg], Diagnostic{
+				Pos:      pkg.Fset.Position(pos),
+				Analyzer: a.Name,
+				Message:  fmt.Sprintf(format, args...),
+			})
+		})
+	}
+	var all []Diagnostic
+	for _, pkg := range pkgs {
+		if !pkg.Client {
+			all = append(all, runPackage(pkg, analyzers, program[pkg])...)
+		}
+	}
+	return all
+}
+
+// RunPackage applies every applicable per-package analyzer to one
+// loaded package and returns the findings that survive
+// //repolint:allow filtering, sorted by position. Test files never
+// produce findings: the suite governs shipped code, and fixtures
+// exercise the analyzers directly.
+func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+	return runPackage(pkg, analyzers, nil)
+}
+
+// runPackage is RunPackage with the whole-program findings that landed
+// in pkg joining its own before filtering.
+func runPackage(pkg *Package, analyzers []*Analyzer, diags []Diagnostic) []Diagnostic {
+	for _, a := range analyzers {
+		if a.Run == nil || (a.Match != nil && !a.Match(pkg.ImportPath)) {
 			continue
 		}
 		pass := &Pass{
@@ -127,7 +164,8 @@ const allowPrefix = "//repolint:allow"
 // filterAllowed drops diagnostics on lines covered by a
 // //repolint:allow directive naming their analyzer. A directive covers
 // its own line (trailing comment) and, when nothing but whitespace
-// precedes it on the line, the next line (comment-above form).
+// precedes it on the line, the next line (comment-above form). One
+// without a reason covers nothing and is itself reported.
 func filterAllowed(pkg *Package, diags []Diagnostic) []Diagnostic {
 	type key struct {
 		file string
@@ -137,11 +175,16 @@ func filterAllowed(pkg *Package, diags []Diagnostic) []Diagnostic {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				names, ok := parseAllow(c.Text)
+				names, reason, ok := parseAllow(c.Text)
 				if !ok {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
+				if reason == "" {
+					diags = append(diags, Diagnostic{Pos: pos, Analyzer: "allow",
+						Message: "//repolint:allow " + strings.Join(names, ",") + " needs a reason: append `-- <why the invariant does not apply here>`"})
+					continue
+				}
 				grant := func(line int) {
 					k := key{pos.Filename, line}
 					if allowed[k] == nil {
@@ -158,9 +201,6 @@ func filterAllowed(pkg *Package, diags []Diagnostic) []Diagnostic {
 			}
 		}
 	}
-	if len(allowed) == 0 {
-		return diags
-	}
 	kept := diags[:0]
 	for _, d := range diags {
 		if allowed[key{d.Pos.Filename, d.Pos.Line}][d.Analyzer] {
@@ -171,18 +211,16 @@ func filterAllowed(pkg *Package, diags []Diagnostic) []Diagnostic {
 	return kept
 }
 
-// parseAllow extracts the analyzer names from an allow directive:
+// parseAllow extracts the analyzer names and the reason from an allow
+// directive:
 //
 //	//repolint:allow name1,name2 -- reason
-func parseAllow(text string) ([]string, bool) {
+func parseAllow(text string) (names []string, reason string, ok bool) {
 	rest, ok := strings.CutPrefix(text, allowPrefix)
 	if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-		return nil, false
+		return nil, "", false
 	}
-	if i := strings.Index(rest, "--"); i >= 0 {
-		rest = rest[:i]
-	}
-	var names []string
+	rest, reason, _ = strings.Cut(rest, "--")
 	for _, f := range strings.Fields(rest) {
 		for _, n := range strings.Split(f, ",") {
 			if n != "" {
@@ -190,7 +228,7 @@ func parseAllow(text string) ([]string, bool) {
 			}
 		}
 	}
-	return names, len(names) > 0
+	return names, strings.TrimSpace(reason), len(names) > 0
 }
 
 // ownLine reports whether only whitespace precedes offset on its line.

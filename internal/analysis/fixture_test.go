@@ -2,11 +2,73 @@ package analysis
 
 import (
 	"fmt"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 )
+
+// LoadFixtureDir loads the single package rooted at dir (a testdata
+// fixture, invisible to `go list ./...`): it parses every .go file,
+// resolves the fixture's stdlib imports to export data, and
+// type-checks. Fixture packages may import the standard library only.
+func LoadFixtureDir(dir string) (*Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: fixture %s: %w", dir, err)
+	}
+	var files []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			files = append(files, filepath.Join(dir, e.Name()))
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("analysis: fixture %s: no .go files", dir)
+	}
+
+	// A throwaway parse collects the imports so one `go list` resolves
+	// their export data (compiling them into the build cache on first
+	// use).
+	impSet := map[string]bool{}
+	scanFset := token.NewFileSet()
+	for _, f := range files {
+		af, err := parser.ParseFile(scanFset, f, nil, parser.ImportsOnly)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: fixture %s: %w", dir, err)
+		}
+		for _, im := range af.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			if p != "" && p != "unsafe" {
+				impSet[p] = true
+			}
+		}
+	}
+	exports := make(map[string]string)
+	if len(impSet) > 0 {
+		patterns := make([]string, 0, len(impSet))
+		for p := range impSet {
+			patterns = append(patterns, p)
+		}
+		listed, err := goList(dir, false, patterns)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range listed {
+			if p.Export != "" {
+				exports[p.ImportPath] = p.Export
+			}
+		}
+	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", exportLookup(exports))
+	return typecheck(fset, imp, "fixture/"+filepath.Base(dir), dir, files)
+}
 
 // wantRe extracts `// want `regex“ (or "regex") expectations from
 // fixture comments, analysistest-style. One comment may carry several.
@@ -72,8 +134,8 @@ func runFixture(t *testing.T, a *Analyzer) {
 	if len(wants) == 0 {
 		t.Fatalf("fixture %s declares no wants; a fixture must have at least one positive case", a.Name)
 	}
-	unscoped := &Analyzer{Name: a.Name, Doc: a.Doc, Run: a.Run}
-	diags := RunPackage(pkg, []*Analyzer{unscoped})
+	unscoped := &Analyzer{Name: a.Name, Doc: a.Doc, Run: a.Run, RunProgram: a.RunProgram}
+	diags := Run([]*Package{pkg}, []*Analyzer{unscoped})
 	for _, d := range diags {
 		found := false
 		for _, w := range wants {
@@ -118,11 +180,11 @@ func TestRepoTreeIsClean(t *testing.T) {
 	if len(pkgs) == 0 {
 		t.Fatal("Load returned no packages")
 	}
-	var all []Diagnostic
-	for _, pkg := range pkgs {
-		all = append(all, RunPackage(pkg, All())...)
+	clients, err := LoadClients(root)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, d := range all {
+	for _, d := range Run(append(pkgs, clients...), All()) {
 		t.Errorf("%s", d)
 	}
 	if t.Failed() {
@@ -133,21 +195,23 @@ func TestRepoTreeIsClean(t *testing.T) {
 // TestParseAllow pins the directive grammar.
 func TestParseAllow(t *testing.T) {
 	cases := []struct {
-		text  string
-		names []string
-		ok    bool
+		text   string
+		names  []string
+		reason string
+		ok     bool
 	}{
-		{"//repolint:allow detpath -- timeout bookkeeping", []string{"detpath"}, true},
-		{"//repolint:allow errwrap,detpath -- two at once", []string{"errwrap", "detpath"}, true},
-		{"//repolint:allow errwrap detpath", []string{"errwrap", "detpath"}, true},
-		{"//repolint:allow", nil, false},
-		{"//repolint:allowx detpath", nil, false},
-		{"// repolint:allow detpath", nil, false},
+		{"//repolint:allow detpath -- timeout bookkeeping", []string{"detpath"}, "timeout bookkeeping", true},
+		{"//repolint:allow errwrap,detpath -- two at once", []string{"errwrap", "detpath"}, "two at once", true},
+		{"//repolint:allow errwrap detpath", []string{"errwrap", "detpath"}, "", true},
+		{"//repolint:allow reach --  ", []string{"reach"}, "", true},
+		{"//repolint:allow", nil, "", false},
+		{"//repolint:allowx detpath", nil, "", false},
+		{"// repolint:allow detpath", nil, "", false},
 	}
 	for _, c := range cases {
-		names, ok := parseAllow(c.text)
-		if ok != c.ok || fmt.Sprint(names) != fmt.Sprint(c.names) {
-			t.Errorf("parseAllow(%q) = %v, %v; want %v, %v", c.text, names, ok, c.names, c.ok)
+		names, reason, ok := parseAllow(c.text)
+		if ok != c.ok || reason != c.reason || fmt.Sprint(names) != fmt.Sprint(c.names) {
+			t.Errorf("parseAllow(%q) = %v, %q, %v; want %v, %q, %v", c.text, names, reason, ok, c.names, c.reason, c.ok)
 		}
 	}
 }

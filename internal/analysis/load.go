@@ -14,7 +14,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 )
 
@@ -22,8 +21,12 @@ import (
 type Package struct {
 	ImportPath string
 	Dir        string
-	Fset       *token.FileSet
-	Files      []*ast.File
+	// Client marks a package of a nested module that builds against
+	// this tree (LoadClients): reach roots at everything it refers to,
+	// and no analyzer reports on it.
+	Client bool
+	Fset   *token.FileSet
+	Files  []*ast.File
 	// Srcs maps absolute file names to their source bytes (needed by
 	// the allow-directive own-line test).
 	Srcs       map[string][]byte
@@ -35,22 +38,29 @@ type Package struct {
 // listedPackage is the subset of `go list -json` output the loader
 // consumes.
 type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	Standard   bool
-	DepOnly    bool
-	GoFiles    []string
-	Error      *struct{ Err string }
+	ImportPath  string
+	Dir         string
+	Export      string
+	Standard    bool
+	DepOnly     bool
+	GoFiles     []string
+	TestGoFiles []string
+	ForTest     string
+	Error       *struct{ Err string }
 }
 
-// goList runs `go list -deps -export -json` on the patterns from dir
-// and returns every listed package.
-func goList(dir string, patterns []string) ([]listedPackage, error) {
-	args := append([]string{
+// goList runs `go list -deps -export -json` (with -test when tests is
+// set, so the test files' own dependencies are listed and compiled too)
+// on the patterns from dir and returns every listed package.
+func goList(dir string, tests bool, patterns []string) ([]listedPackage, error) {
+	args := []string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,Error",
-	}, patterns...)
+		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,TestGoFiles,ForTest,Error",
+	}
+	if tests {
+		args = append(args, "-test")
+	}
+	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -95,7 +105,35 @@ func exportLookup(exports map[string]string) func(string) (io.ReadCloser, error)
 // RunPackage. Only non-test Go files are loaded: the suite governs
 // shipped code.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(dir, patterns)
+	return load(dir, false, patterns)
+}
+
+// LoadClients loads, in place and with their in-package test files,
+// the modules nested one directory below root (bench/): separate
+// modules `./...` cannot see that build against this tree, whose every
+// reference into it is a root for reach. The packages come back marked
+// Client.
+func LoadClients(root string) ([]*Package, error) {
+	mods, err := filepath.Glob(filepath.Join(root, "*", "go.mod"))
+	if err != nil {
+		return nil, fmt.Errorf("analysis: %w", err)
+	}
+	var clients []*Package
+	for _, mod := range mods {
+		pkgs, err := load(filepath.Dir(mod), true, []string{"./..."})
+		if err != nil {
+			return nil, err
+		}
+		for _, pkg := range pkgs {
+			pkg.Client = true
+		}
+		clients = append(clients, pkgs...)
+	}
+	return clients, nil
+}
+
+func load(dir string, tests bool, patterns []string) ([]*Package, error) {
+	listed, err := goList(dir, tests, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +143,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly && !p.Standard {
+		// -test also lists each package's test variant and its
+		// generated test main; the plain entry carries the same files.
+		if !p.DepOnly && !p.Standard && p.ForTest == "" && !strings.HasSuffix(p.ImportPath, ".test") {
 			targets = append(targets, p)
 		}
 	}
@@ -113,8 +153,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	imp := importer.ForCompiler(fset, "gc", exportLookup(exports))
 	pkgs := make([]*Package, 0, len(targets))
 	for _, t := range targets {
-		files := make([]string, len(t.GoFiles))
-		for i, f := range t.GoFiles {
+		names := t.GoFiles
+		if tests {
+			names = append(names, t.TestGoFiles...)
+		}
+		files := make([]string, len(names))
+		for i, f := range names {
 			files[i] = filepath.Join(t.Dir, f)
 		}
 		pkg, err := typecheck(fset, imp, t.ImportPath, t.Dir, files)
@@ -124,63 +168,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// LoadFixtureDir loads the single package rooted at dir (a testdata
-// fixture, invisible to `go list ./...`): it parses every .go file,
-// resolves the fixture's stdlib imports to export data, and
-// type-checks. Fixture packages may import the standard library only.
-func LoadFixtureDir(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: fixture %s: %w", dir, err)
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: fixture %s: no .go files", dir)
-	}
-
-	// A throwaway parse collects the imports so one `go list` resolves
-	// their export data (compiling them into the build cache on first
-	// use).
-	impSet := map[string]bool{}
-	scanFset := token.NewFileSet()
-	for _, f := range files {
-		af, err := parser.ParseFile(scanFset, f, nil, parser.ImportsOnly)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: fixture %s: %w", dir, err)
-		}
-		for _, im := range af.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			if p != "" && p != "unsafe" {
-				impSet[p] = true
-			}
-		}
-	}
-	exports := make(map[string]string)
-	if len(impSet) > 0 {
-		patterns := make([]string, 0, len(impSet))
-		for p := range impSet {
-			patterns = append(patterns, p)
-		}
-		listed, err := goList(dir, patterns)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range listed {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", exportLookup(exports))
-	return typecheck(fset, imp, "fixture/"+filepath.Base(dir), dir, files)
 }
 
 // typecheck parses files and runs go/types over them with full use,

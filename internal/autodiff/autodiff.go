@@ -2,20 +2,21 @@
 // differentiation engine (a dynamic tape, PyTorch-style but per
 // scalar). The repository's layers use hand-derived batched backward
 // passes for speed; this package provides an independent oracle to
-// cross-validate those derivations (see the nn tests), and a readable
-// reference for how reverse-mode AD orders its sweeps.
+// cross-validate those derivations (nn/crosscheck_test.go — no binary
+// imports it), and a readable reference for how reverse-mode AD orders
+// its sweeps.
 package autodiff
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Tape records operations so gradients can be propagated backwards.
+//
+//repolint:allow reach -- the scalar-tape oracle of nn TestConvGradCrossCheckAutodiff and TestDenseGradCrossCheckAutodiff
 type Tape struct {
 	nodes []node
 }
 
+//repolint:allow reach -- the scalar-tape oracle of nn TestConvGradCrossCheckAutodiff and TestDenseGradCrossCheckAutodiff
 type node struct {
 	// parents are tape indices of the inputs (-1 = none).
 	p1, p2 int
@@ -25,12 +26,16 @@ type node struct {
 }
 
 // Var is a scalar variable living on a tape.
+//
+//repolint:allow reach -- the scalar-tape oracle of nn TestConvGradCrossCheckAutodiff and TestDenseGradCrossCheckAutodiff
 type Var struct {
 	tape *Tape
 	idx  int
 }
 
 // NewTape creates an empty tape.
+//
+//repolint:allow reach -- the scalar-tape oracle of nn TestConvGradCrossCheckAutodiff and TestDenseGradCrossCheckAutodiff
 func NewTape() *Tape { return &Tape{} }
 
 // Len returns the number of recorded nodes.
@@ -168,6 +173,8 @@ func (a Var) Max(b Var) Var {
 }
 
 // Sum folds a slice of variables with Add.
+//
+//repolint:allow reach -- the scalar-tape oracle of nn TestConvGradCrossCheckAutodiff and TestDenseGradCrossCheckAutodiff
 func Sum(vs []Var) Var {
 	if len(vs) == 0 {
 		panic("autodiff: Sum of no variables")
@@ -175,18 +182,6 @@ func Sum(vs []Var) Var {
 	acc := vs[0]
 	for _, v := range vs[1:] {
 		acc = acc.Add(v)
-	}
-	return acc
-}
-
-// Dot returns Σ aᵢ·bᵢ.
-func Dot(a, b []Var) Var {
-	if len(a) != len(b) || len(a) == 0 {
-		panic(fmt.Sprintf("autodiff: Dot of lengths %d and %d", len(a), len(b)))
-	}
-	acc := a[0].Mul(b[0])
-	for i := 1; i < len(a); i++ {
-		acc = acc.Add(a[i].Mul(b[i]))
 	}
 	return acc
 }
@@ -212,9 +207,4 @@ func (t *Tape) Gradients(out Var) []float64 {
 		}
 	}
 	return adj
-}
-
-// Grad returns ∂out/∂x for a single input variable.
-func Grad(out, x Var) float64 {
-	return out.tape.Gradients(out)[x.idx]
 }

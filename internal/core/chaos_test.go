@@ -102,7 +102,7 @@ func TestSessionChaosPartitionFailStop(t *testing.T) {
 			t.Fatalf("error missing %q: %v", want, msg)
 		}
 	}
-	if ses.TraceID() != "chaos-req-9" {
-		t.Fatalf("TraceID %q", ses.TraceID())
+	if ses.trace != "chaos-req-9" {
+		t.Fatalf("TraceID %q", ses.trace)
 	}
 }

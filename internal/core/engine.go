@@ -151,9 +151,6 @@ func NewEngine(e *Ensemble, opts ...EngineOption) (*Engine, error) {
 // hostsRank reports whether this process computes the given rank.
 func (eng *Engine) hostsRank(r int) bool { return eng.local == nil || eng.local[r] }
 
-// Ensemble returns the wrapped ensemble (treat as read-only).
-func (eng *Engine) Ensemble() *Ensemble { return eng.ens }
-
 // newRankModels builds one fresh set of per-rank inference clones with
 // the engine's knobs applied. Each clone shares the trained weights
 // but owns its caches and a single deduplicated scratch arena (from
@@ -462,10 +459,6 @@ func (s *Session) Run(ctx context.Context, steps int, fn func(k int, frame *tens
 
 // Steps returns how many steps the session has completed.
 func (s *Session) Steps() int { return s.step }
-
-// TraceID returns the request ID the session was opened under (from
-// ContextWithRequestID on the NewSession context), or "".
-func (s *Session) TraceID() string { return s.trace }
 
 // CommStats returns the cumulative communication cost of all steps so
 // far (halo exchanges plus result gathers); the numbers are identical

@@ -47,12 +47,6 @@ func SaveModel(e *Ensemble, dir, name, version string) error {
 	return model.WriteArtifact(dir, man, cks)
 }
 
-// SaveEnsemble writes the ensemble as a model artifact named after the
-// directory (see SaveModel). Kept for existing call sites.
-func SaveEnsemble(e *Ensemble, dir string) error {
-	return SaveModel(e, dir, "", "")
-}
-
 // OpenModel reads a model directory — a versioned artifact (digest-
 // verified manifest.json + payloads) or a legacy directory of bare
 // rank<N>.gob files — and reassembles the inference ensemble. The
@@ -90,7 +84,7 @@ func OpenModel(dir string) (*Ensemble, *model.Manifest, error) {
 	return e, man, nil
 }
 
-// LoadEnsemble reads the checkpoints written by SaveModel/SaveEnsemble
+// LoadEnsemble reads the checkpoints written by SaveModel
 // (or cmd/train) from dir and reassembles the inference ensemble —
 // OpenModel without the manifest.
 func LoadEnsemble(dir string) (*Ensemble, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -48,7 +49,7 @@ func TestLoadEnsembleEmptyDirMentionsExpectedLayout(t *testing.T) {
 func TestLoadEnsembleTruncatedRank0(t *testing.T) {
 	_, e := trainTinyEnsemble(t, model.ZeroPad, 2, 1)
 	dir := t.TempDir()
-	if err := SaveEnsemble(e, dir); err != nil {
+	if err := SaveModel(e, dir, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "rank0.gob")
@@ -74,7 +75,7 @@ func TestLoadEnsembleMissingRankFile(t *testing.T) {
 	// missing file.
 	_, e := trainTinyEnsemble(t, model.ZeroPad, 2, 2)
 	dir := t.TempDir()
-	if err := SaveEnsemble(e, dir); err != nil {
+	if err := SaveModel(e, dir, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, "rank3.gob")); err != nil {
@@ -96,10 +97,10 @@ func TestLoadEnsemblePartitionMismatch(t *testing.T) {
 	_, e21 := trainTinyEnsemble(t, model.ZeroPad, 2, 1)
 	_, e12 := trainTinyEnsemble(t, model.ZeroPad, 1, 2)
 	dirA, dirB := t.TempDir(), t.TempDir()
-	if err := SaveEnsemble(e21, dirA); err != nil {
+	if err := SaveModel(e21, dirA, "", ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveEnsemble(e12, dirB); err != nil {
+	if err := SaveModel(e12, dirB, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dirB, "rank1.gob"))
@@ -115,6 +116,46 @@ func TestLoadEnsemblePartitionMismatch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "inconsistent") {
 		t.Fatalf("error does not explain the inconsistency: %v", err)
+	}
+}
+
+// TestLoadEnsembleOverflowingGridIsRefused: a manifest (or a legacy
+// rank0.gob) declaring a 2³²×2³² grid — whose rank count wraps to the
+// zero payloads it lists — is an error naming the file, not an index
+// out of range on the first checkpoint.
+func TestLoadEnsembleOverflowingGridIsRefused(t *testing.T) {
+	_, e := trainTinyEnsemble(t, model.ZeroPad, 1, 1)
+	dir := t.TempDir()
+	if err := SaveModel(e, dir, "m", "v1"); err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	data, err := os.ReadFile(filepath.Join(dir, model.ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	man["px"], man["py"], man["payloads"] = 1<<32, 1<<32, []any{}
+	if data, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, model.ManifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenModel(dir); err == nil || !strings.Contains(err.Error(), model.ManifestName) {
+		t.Fatalf("overflowing manifest grid: got %v, want an error naming %s", err, model.ManifestName)
+	}
+
+	legacy := t.TempDir()
+	ck := snapshotEnsemble(e)[0]
+	ck.Px, ck.Py = 1<<32, 1<<32
+	if err := ck.Save(filepath.Join(legacy, "rank0.gob")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenModel(legacy); err == nil || !strings.Contains(err.Error(), "rank0.gob") {
+		t.Fatalf("overflowing legacy grid: got %v, want an error naming rank0.gob", err)
 	}
 }
 

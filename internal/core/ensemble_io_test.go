@@ -10,7 +10,7 @@ func TestSaveLoadEnsembleRoundTrip(t *testing.T) {
 	ds := tinyDataset(t, 16, 6)
 	_, e := trainTinyEnsemble(t, model.NeighborPad, 2, 2)
 	dir := t.TempDir()
-	if err := SaveEnsemble(e, dir); err != nil {
+	if err := SaveModel(e, dir, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadEnsemble(dir)
@@ -45,7 +45,7 @@ func TestSaveLoadEnsembleWindowed(t *testing.T) {
 	}
 	e := res.Ensemble()
 	dir := t.TempDir()
-	if err := SaveEnsemble(e, dir); err != nil {
+	if err := SaveModel(e, dir, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadEnsemble(dir)

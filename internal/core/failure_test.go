@@ -42,7 +42,7 @@ func TestCorruptedCheckpointRejected(t *testing.T) {
 func TestTruncatedCheckpointRejected(t *testing.T) {
 	_, e := trainTinyEnsemble(t, model.ZeroPad, 2, 1)
 	dir := t.TempDir()
-	if err := SaveEnsemble(e, dir); err != nil {
+	if err := SaveModel(e, dir, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	// Truncate rank1's file.
@@ -65,10 +65,10 @@ func TestInconsistentCheckpointMetadataRejected(t *testing.T) {
 	_, e21 := trainTinyEnsemble(t, model.ZeroPad, 2, 1)
 	_, e12 := trainTinyEnsemble(t, model.ZeroPad, 1, 2)
 	dirA, dirB := t.TempDir(), t.TempDir()
-	if err := SaveEnsemble(e21, dirA); err != nil {
+	if err := SaveModel(e21, dirA, "", ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveEnsemble(e12, dirB); err != nil {
+	if err := SaveModel(e12, dirB, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite A's rank1 with B's rank1 (different process grid).

@@ -13,9 +13,9 @@ import (
 // and Swap atomically replaces the published version — new Gets see
 // the new engine immediately, while callers still holding the old
 // handle (in-flight PredictBatch calls, open rollout Sessions) finish
-// on the old engine undisturbed. The old handle's drain hooks run —
-// and its Drained channel closes — only when the last reference is
-// released, so nothing is torn down under an active request.
+// on the old engine undisturbed. The old handle's Drained channel
+// closes only when the last reference is released, so nothing is torn
+// down under an active request.
 //
 // A Registry never mutates the engines themselves; it only governs
 // their visibility and lifetime. All methods are safe for concurrent
@@ -32,8 +32,7 @@ type Registry struct {
 // long as the handle is the published version of its name; Get adds
 // one per caller, Release removes it. When the handle has been
 // retired (swapped out, unloaded, or the registry closed) and the
-// count reaches zero, the drain hooks run (most recent first) and
-// Drained closes.
+// count reaches zero, Drained closes.
 type Handle struct {
 	name    string
 	version string
@@ -42,7 +41,6 @@ type Handle struct {
 	mu      sync.Mutex
 	refs    int
 	retired bool
-	hooks   []func()
 	drained chan struct{}
 }
 
@@ -51,6 +49,8 @@ func (h *Handle) Name() string { return h.name }
 
 // Version returns the model version string the handle was published
 // with.
+//
+//repolint:allow reach -- Example_registryHotSwap prints it to show which version a held handle pins across a swap
 func (h *Handle) Version() string { return h.version }
 
 // Engine returns the engine. Use it only between Get and Release.
@@ -60,21 +60,6 @@ func (h *Handle) Engine() *Engine { return h.eng }
 // AND every reference released — the point at which the old version
 // of a swap is provably out of service.
 func (h *Handle) Drained() <-chan struct{} { return h.drained }
-
-// OnDrain registers fn to run when the handle drains (hooks run in
-// reverse registration order, like defers). If the handle has already
-// drained, fn runs immediately. The serving layer uses this to close
-// a retired model's batcher only after its last request is done.
-func (h *Handle) OnDrain(fn func()) {
-	h.mu.Lock()
-	if h.retired && h.refs == 0 {
-		h.mu.Unlock()
-		fn()
-		return
-	}
-	h.hooks = append(h.hooks, fn)
-	h.mu.Unlock()
-}
 
 // Retain adds a reference to the handle. It is valid only while the
 // caller already holds a reference (or inside the registry's lock,
@@ -86,7 +71,7 @@ func (h *Handle) Retain() {
 }
 
 // Release drops one reference; the last release of a retired handle
-// runs the drain hooks and closes Drained. Releasing more times than
+// closes Drained. Releasing more times than
 // retained panics — that is a refcounting bug, not a runtime
 // condition.
 func (h *Handle) Release() {
@@ -97,15 +82,8 @@ func (h *Handle) Release() {
 		panic(fmt.Sprintf("core: model handle %s@%s released more times than retained", h.name, h.version))
 	}
 	drain := h.retired && h.refs == 0
-	var hooks []func()
-	if drain {
-		hooks, h.hooks = h.hooks, nil
-	}
 	h.mu.Unlock()
 	if drain {
-		for i := len(hooks) - 1; i >= 0; i-- {
-			hooks[i]()
-		}
 		close(h.drained)
 	}
 }

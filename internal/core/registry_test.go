@@ -106,8 +106,6 @@ func TestRegistrySwapRoutesNewGetsAndDrainsOld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainHookRan := false
-	hOld.OnDrain(func() { drainHookRan = true })
 
 	old, err := reg.Swap("m", "vB", engB)
 	if err != nil {
@@ -145,9 +143,6 @@ func TestRegistrySwapRoutesNewGetsAndDrainsOld(t *testing.T) {
 		t.Fatal("old handle drained while a session still references it")
 	default:
 	}
-	if drainHookRan {
-		t.Fatal("drain hook ran early")
-	}
 	if err := ses.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +151,6 @@ func TestRegistrySwapRoutesNewGetsAndDrainsOld(t *testing.T) {
 	case <-hOld.Drained():
 	default:
 		t.Fatal("old handle did not drain after its last reference was released")
-	}
-	if !drainHookRan {
-		t.Fatal("drain hook did not run")
 	}
 	if reg.Swaps() != 1 {
 		t.Fatalf("swap counter = %d, want 1", reg.Swaps())
@@ -309,7 +301,7 @@ func TestRegistrySwapRejectsBadArgs(t *testing.T) {
 func TestSaveModelRoundTrip(t *testing.T) {
 	ds, engA, _ := registryFixture(t)
 	dir := t.TempDir() + "/prod"
-	if err := SaveModel(engA.Ensemble(), dir, "prod", "v7"); err != nil {
+	if err := SaveModel(engA.ens, dir, "prod", "v7"); err != nil {
 		t.Fatal(err)
 	}
 	e2, man, err := OpenModel(dir)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/mpi"
+	"repro/internal/nn"
 	"repro/internal/stats"
 	"repro/internal/tensor"
 )
@@ -185,6 +187,34 @@ func TestRolloutValidation(t *testing.T) {
 	if _, err := predictOneStep(e, tensor.New(4, 8, 8)); err == nil {
 		t.Fatal("wrong-size state accepted")
 	}
+}
+
+// SerialRollout runs autoregressive inference with a single
+// whole-domain network: the P = 1 reference the one-rank parallel
+// rollout must reproduce.
+func SerialRollout(net *nn.Sequential, cfg model.Config, initial *tensor.Tensor, steps int) ([]*tensor.Tensor, error) {
+	if cfg.Strategy == model.InnerCrop {
+		return nil, fmt.Errorf("core: inner-crop strategy cannot roll out")
+	}
+	if steps <= 0 {
+		return nil, fmt.Errorf("core: non-positive rollout steps %d", steps)
+	}
+	c, h, w := initial.Dim(0), initial.Dim(1), initial.Dim(2)
+	halo := cfg.Halo()
+	state := initial.Clone().Reshape(1, c, h, w)
+	net.SetScratch(nn.NewArena())
+	out := make([]*tensor.Tensor, steps)
+	for s := 0; s < steps; s++ {
+		in := state
+		if halo > 0 {
+			// A single domain has no neighbours: zero-pad, exactly
+			// what the subdomain networks see at physical boundaries.
+			in = tensor.Pad2D(state, halo)
+		}
+		state = net.Forward(in)
+		out[s] = state.Clone().Reshape(c, h, w)
+	}
+	return out, nil
 }
 
 func TestSerialRollout(t *testing.T) {

@@ -196,11 +196,6 @@ func TestFitMinMaxAndApply(t *testing.T) {
 			t.Fatalf("normalized outside range: [%g,%g]", s.Min(), s.Max())
 		}
 	}
-	// Round trip through Invert.
-	back := n.Invert(nd.Snapshots[3])
-	if !back.AllClose(d.Snapshots[3], 1e-10) {
-		t.Fatalf("Invert(Apply(x)) != x")
-	}
 }
 
 func TestNormalizerConstantChannel(t *testing.T) {
@@ -232,7 +227,8 @@ func TestNormalizerBatchTensor(t *testing.T) {
 	}
 	// Per-sample result equals per-CHW result.
 	one := n.Apply(d.Snapshots[0])
-	if !tensor.Unstack(out)[0].AllClose(one, 1e-12) {
+	first := tensor.FromSlice(out.Data()[:one.Size()], one.Shape()...)
+	if !first.AllClose(one, 1e-12) {
 		t.Fatalf("NCHW vs CHW normalization mismatch")
 	}
 }

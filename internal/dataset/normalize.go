@@ -70,18 +70,6 @@ func (n *Normalizer) Apply(t *tensor.Tensor) *tensor.Tensor {
 	})
 }
 
-// Invert returns a denormalized copy: the inverse of Apply. Channels
-// with zero scale (constant in the fit) cannot be inverted and are
-// returned as the stored offset.
-func (n *Normalizer) Invert(t *tensor.Tensor) *tensor.Tensor {
-	return n.affine(t, func(v float64, ch int) float64 {
-		if n.Scale[ch] == 0 {
-			return n.Offset[ch]
-		}
-		return (v - n.Offset[ch]) / n.Scale[ch]
-	})
-}
-
 func (n *Normalizer) affine(t *tensor.Tensor, f func(v float64, ch int) float64) *tensor.Tensor {
 	var chDim int
 	switch t.Rank() {

@@ -54,14 +54,6 @@ func (b Block) Width() int { return b.I1 - b.I0 }
 // Height returns the number of rows in the block.
 func (b Block) Height() int { return b.J1 - b.J0 }
 
-// Points returns the number of grid points in the block.
-func (b Block) Points() int { return b.Width() * b.Height() }
-
-// Contains reports whether global point (i, j) lies in the block.
-func (b Block) Contains(i, j int) bool {
-	return i >= b.I0 && i < b.I1 && j >= b.J0 && j < b.J1
-}
-
 // String implements fmt.Stringer.
 func (b Block) String() string {
 	return fmt.Sprintf("[%d:%d)x[%d:%d)", b.I0, b.I1, b.J0, b.J1)
@@ -94,37 +86,6 @@ func (p *Partition) CoordsOfRank(rank int) (cx, cy int) {
 		panic(fmt.Sprintf("decomp: rank %d outside %d blocks", rank, p.Ranks()))
 	}
 	return rank % p.Px, rank / p.Px
-}
-
-// RankAt returns the rank owning process coordinates (cx, cy).
-func (p *Partition) RankAt(cx, cy int) int {
-	if cx < 0 || cx >= p.Px || cy < 0 || cy >= p.Py {
-		panic(fmt.Sprintf("decomp: coords (%d,%d) outside %dx%d", cx, cy, p.Px, p.Py))
-	}
-	return cy*p.Px + cx
-}
-
-// OwnerOf returns the rank owning global point (i, j).
-func (p *Partition) OwnerOf(i, j int) int {
-	if i < 0 || i >= p.Nx || j < 0 || j >= p.Ny {
-		panic(fmt.Sprintf("decomp: point (%d,%d) outside %dx%d", i, j, p.Nx, p.Ny))
-	}
-	// Invert the balanced split: find cx with cx·Nx/Px ≤ i < (cx+1)·Nx/Px.
-	cx := (i*p.Px + p.Px - 1) / p.Nx
-	for cx > 0 && cx*p.Nx/p.Px > i {
-		cx--
-	}
-	for (cx+1)*p.Nx/p.Px <= i {
-		cx++
-	}
-	cy := (j*p.Py + p.Py - 1) / p.Ny
-	for cy > 0 && cy*p.Ny/p.Py > j {
-		cy--
-	}
-	for (cy+1)*p.Ny/p.Py <= j {
-		cy++
-	}
-	return p.RankAt(cx, cy)
 }
 
 // HaloBlock returns the block at (cx, cy) grown by halo points on
@@ -205,15 +166,4 @@ func (p *Partition) GatherCHW(parts []*tensor.Tensor) *tensor.Tensor {
 		tensor.SetSubImage(full4, piece.Reshape(1, c, b.Height(), b.Width()), b.J0, b.I0)
 	}
 	return full
-}
-
-// StripInterior removes a halo of the given width from a CHW tensor,
-// the inverse of the extension SplitCHW applies.
-func StripInterior(t *tensor.Tensor, halo int) *tensor.Tensor {
-	if halo == 0 {
-		return t.Clone()
-	}
-	c, h, w := t.Dim(0), t.Dim(1), t.Dim(2)
-	cropped := tensor.Crop2D(t.Reshape(1, c, h, w), halo)
-	return cropped.Reshape(c, h-2*halo, w-2*halo)
 }

@@ -39,7 +39,7 @@ func TestBlockBalanced(t *testing.T) {
 			if b.Width() < 3 || b.Width() > 4 || b.Height() < 3 || b.Height() > 4 {
 				t.Errorf("unbalanced block %v", b)
 			}
-			total += b.Points()
+			total += b.Width() * b.Height()
 		}
 	}
 	if total != 100 {
@@ -110,8 +110,8 @@ func TestRankCoordsRoundTrip(t *testing.T) {
 	p, _ := NewPartition(16, 16, 4, 2)
 	for r := 0; r < p.Ranks(); r++ {
 		cx, cy := p.CoordsOfRank(r)
-		if p.RankAt(cx, cy) != r {
-			t.Fatalf("rank %d round trip gave %d", r, p.RankAt(cx, cy))
+		if got := cy*p.Px + cx; got != r || cx >= p.Px || cy >= p.Py {
+			t.Fatalf("rank %d: coords (%d,%d) are row-major rank %d", r, cx, cy, got)
 		}
 	}
 }
@@ -209,6 +209,18 @@ func TestSplitWithHaloContents(t *testing.T) {
 	}
 }
 
+// StripInterior removes a halo of the given width from a CHW tensor,
+// the inverse of the extension SplitCHW applies and the oracle of the
+// property below.
+func StripInterior(t *tensor.Tensor, halo int) *tensor.Tensor {
+	if halo == 0 {
+		return t.Clone()
+	}
+	c, h, w := t.Dim(0), t.Dim(1), t.Dim(2)
+	cropped := tensor.Crop2D(t.Reshape(1, c, h, w), halo)
+	return cropped.Reshape(c, h-2*halo, w-2*halo)
+}
+
 // Property: for interior data, cropping the halo back out recovers
 // the bare block split.
 func TestQuickHaloStripInverse(t *testing.T) {
@@ -258,7 +270,7 @@ func TestGatherValidation(t *testing.T) {
 
 func TestBlockStringAndAccessors(t *testing.T) {
 	b := Block{I0: 1, I1: 4, J0: 2, J1: 8}
-	if b.Width() != 3 || b.Height() != 6 || b.Points() != 18 {
+	if b.Width() != 3 || b.Height() != 6 {
 		t.Fatalf("accessors wrong")
 	}
 	if b.String() == "" {

@@ -140,16 +140,6 @@ func NewState(g grid.Grid) *State {
 	}
 }
 
-// Clone returns a deep copy.
-func (s *State) Clone() *State {
-	c := NewState(s.G)
-	copy(c.Rho, s.Rho)
-	copy(c.U, s.U)
-	copy(c.V, s.V)
-	copy(c.P, s.P)
-	return c
-}
-
 // ToField copies the state into a 4-channel grid.Field using the
 // repository channel order.
 func (s *State) ToField() *grid.Field {
@@ -159,17 +149,6 @@ func (s *State) ToField() *grid.Field {
 	copy(f.ChannelSlice(grid.ChanVelX), s.U)
 	copy(f.ChannelSlice(grid.ChanVelY), s.V)
 	return f
-}
-
-// FromField loads a 4-channel grid.Field back into the state.
-func (s *State) FromField(f *grid.Field) {
-	if f.Channels != grid.NumChannels || f.G.Nx != s.G.Nx || f.G.Ny != s.G.Ny {
-		panic(fmt.Sprintf("euler: FromField mismatch %d ch %dx%d vs state %dx%d", f.Channels, f.G.Nx, f.G.Ny, s.G.Nx, s.G.Ny))
-	}
-	copy(s.Rho, f.ChannelSlice(grid.ChanDensity))
-	copy(s.P, f.ChannelSlice(grid.ChanPressure))
-	copy(s.U, f.ChannelSlice(grid.ChanVelX))
-	copy(s.V, f.ChannelSlice(grid.ChanVelY))
 }
 
 // Stepper selects the time-integration scheme.
@@ -428,33 +407,4 @@ func (s *Solver) Step() float64 {
 	s.Time += dt
 	s.Steps++
 	return dt
-}
-
-// Energy returns the acoustic energy ∫ (½ρc|u'|² + p'²/(2ρc c²)) dA,
-// the quantity conserved by the interior scheme and drained by the
-// outflow boundaries.
-func (s *Solver) Energy() float64 {
-	c2 := s.Cfg.SoundSpeed() * s.Cfg.SoundSpeed()
-	dA := s.Cfg.Grid.Dx() * s.Cfg.Grid.Dy()
-	e := 0.0
-	for i := range s.State.P {
-		kin := 0.5 * s.Cfg.RhoC * (s.State.U[i]*s.State.U[i] + s.State.V[i]*s.State.V[i])
-		pot := s.State.P[i] * s.State.P[i] / (2 * s.Cfg.RhoC * c2)
-		e += (kin + pot) * dA
-	}
-	return e
-}
-
-// MaxAbs returns the largest absolute value across all four fields,
-// used as a cheap blow-up detector in tests.
-func (s *Solver) MaxAbs() float64 {
-	m := 0.0
-	for _, f := range [][]float64{s.State.Rho, s.State.U, s.State.V, s.State.P} {
-		for _, v := range f {
-			if a := math.Abs(v); a > m {
-				m = a
-			}
-		}
-	}
-	return m
 }

@@ -66,20 +66,6 @@ func (g Grid) YAt(j int) float64 { return g.Y0 + (float64(j)+0.5)*g.Dy() }
 // Points returns the total number of grid points.
 func (g Grid) Points() int { return g.Nx * g.Ny }
 
-// Sub returns the geometry of the subgrid covering columns [i0,i1)
-// and rows [j0,j1) of g — the physical extent of a subdomain in the
-// decomposition.
-func (g Grid) Sub(i0, i1, j0, j1 int) Grid {
-	if i0 < 0 || j0 < 0 || i1 > g.Nx || j1 > g.Ny || i0 >= i1 || j0 >= j1 {
-		panic(fmt.Sprintf("grid: invalid subgrid [%d:%d)x[%d:%d) of %dx%d", i0, i1, j0, j1, g.Nx, g.Ny))
-	}
-	return Grid{
-		Nx: i1 - i0, Ny: j1 - j0,
-		X0: g.X0 + float64(i0)*g.Dx(), X1: g.X0 + float64(i1)*g.Dx(),
-		Y0: g.Y0 + float64(j0)*g.Dy(), Y1: g.Y0 + float64(j1)*g.Dy(),
-	}
-}
-
 // Field is a multi-channel scalar field on a Grid, stored
 // channel-major: index (c, j, i) ↦ c·Ny·Nx + j·Nx + i.
 type Field struct {
@@ -99,12 +85,6 @@ func NewField(g Grid, channels int) *Field {
 	return &Field{G: g, Channels: channels, data: make([]float64, channels*g.Nx*g.Ny)}
 }
 
-// Data exposes the backing slice (channel-major).
-func (f *Field) Data() []float64 { return f.data }
-
-// At returns the value of channel c at row j, column i.
-func (f *Field) At(c, j, i int) float64 { return f.data[f.idx(c, j, i)] }
-
 // Set assigns channel c at row j, column i.
 func (f *Field) Set(v float64, c, j, i int) { f.data[f.idx(c, j, i)] = v }
 
@@ -121,25 +101,9 @@ func (f *Field) ChannelSlice(c int) []float64 {
 	return f.data[c*n : (c+1)*n]
 }
 
-// Clone returns a deep copy.
-func (f *Field) Clone() *Field {
-	c := NewField(f.G, f.Channels)
-	copy(c.data, f.data)
-	return c
-}
-
 // ToTensor copies the field into a CHW tensor [Channels, Ny, Nx].
 func (f *Field) ToTensor() *tensor.Tensor {
 	t := tensor.New(f.Channels, f.G.Ny, f.G.Nx)
 	copy(t.Data(), f.data)
 	return t
-}
-
-// FromTensor copies a CHW tensor back into the field; shapes must
-// match exactly.
-func (f *Field) FromTensor(t *tensor.Tensor) {
-	if t.Rank() != 3 || t.Dim(0) != f.Channels || t.Dim(1) != f.G.Ny || t.Dim(2) != f.G.Nx {
-		panic(fmt.Sprintf("grid: FromTensor shape %v does not match field %dch %dx%d", t.Shape(), f.Channels, f.G.Ny, f.G.Nx))
-	}
-	copy(f.data, t.Data())
 }

@@ -81,13 +81,14 @@ func TestMAPEScaleProportionality(t *testing.T) {
 	g := tensor.NewRNG(2)
 	p := tensor.Uniform(g, 1, 2, 10)
 	q := tensor.Uniform(g, 1, 2, 10)
+	p1000, q1000 := p.Clone().ScaleInPlace(1000), q.Clone().ScaleInPlace(1000)
 	v1, _ := NewMAPE().Eval(p, q)
-	v2, _ := NewMAPE().Eval(p.Scale(1000), q.Scale(1000))
+	v2, _ := NewMAPE().Eval(p1000, q1000)
 	if math.Abs(v1-v2) > 1e-9*v1 {
 		t.Fatalf("MAPE not scale invariant: %g vs %g", v1, v2)
 	}
 	m1, _ := MSE{}.Eval(p, q)
-	m2, _ := MSE{}.Eval(p.Scale(1000), q.Scale(1000))
+	m2, _ := MSE{}.Eval(p1000, q1000)
 	if m2 < m1*1e5 {
 		t.Fatalf("MSE should blow up with scale: %g vs %g", m1, m2)
 	}

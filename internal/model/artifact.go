@@ -86,6 +86,20 @@ type Manifest struct {
 // Ranks returns the number of per-rank payloads the manifest declares.
 func (m *Manifest) Ranks() int { return m.Px * m.Py }
 
+// maxRanks bounds the process grid a manifest.json or a legacy
+// rank0.gob may declare — both are outside input — far above any
+// machine this runs on and far below where px·py could wrap.
+const maxRanks = 1 << 16
+
+// gridRanks returns px·py for a well-formed process grid: both edges
+// ≥ 1 and a product of at most maxRanks (so it cannot have overflowed).
+func gridRanks(px, py int) (int, error) {
+	if px < 1 || py < 1 || px > maxRanks/py {
+		return 0, fmt.Errorf("bad %dx%d process grid (want 1 ≤ px·py ≤ %d)", px, py, maxRanks)
+	}
+	return px * py, nil
+}
+
 // Validate reports structural problems with the manifest itself
 // (payload digests are checked separately by Verify).
 func (m *Manifest) Validate() error {
@@ -99,16 +113,17 @@ func (m *Manifest) Validate() error {
 	if m.Name == "" {
 		return fmt.Errorf("model: manifest without a model name")
 	}
-	if m.Px < 1 || m.Py < 1 || m.Nx < 1 || m.Ny < 1 {
-		return fmt.Errorf("model: manifest %q declares bad partition %dx%d over %dx%d",
-			m.Name, m.Px, m.Py, m.Nx, m.Ny)
+	ranks, err := gridRanks(m.Px, m.Py)
+	if err != nil || m.Nx < 1 || m.Ny < 1 {
+		return fmt.Errorf("model: manifest %q declares bad partition %dx%d over %dx%d (at most %d ranks)",
+			m.Name, m.Px, m.Py, m.Nx, m.Ny, maxRanks)
 	}
 	if err := m.Config.Validate(); err != nil {
 		return fmt.Errorf("model: manifest %q: %w", m.Name, err)
 	}
-	if len(m.Payloads) != m.Ranks() {
+	if len(m.Payloads) != ranks {
 		return fmt.Errorf("model: manifest %q declares a %dx%d grid (%d ranks) but lists %d payloads",
-			m.Name, m.Px, m.Py, m.Ranks(), len(m.Payloads))
+			m.Name, m.Px, m.Py, ranks, len(m.Payloads))
 	}
 	for r, p := range m.Payloads {
 		if p.Rank != r {
@@ -316,7 +331,7 @@ func ReadManifest(dir string) (*Manifest, error) {
 		return nil, fmt.Errorf("model: artifact %s: parse %s: %w", dir, ManifestName, err)
 	}
 	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("artifact %s: %w", dir, err)
+		return nil, fmt.Errorf("artifact %s: %s: %w", dir, ManifestName, err)
 	}
 	return &m, nil
 }
@@ -386,10 +401,10 @@ func loadLegacy(dir string) ([]*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("model: artifact %s: %w (expected %s or rank<N>.gob files from cmd/train or core.SaveModel)", dir, err, ManifestName)
 	}
-	if ck0.Px < 1 || ck0.Py < 1 {
-		return nil, fmt.Errorf("model: artifact %s: rank0.gob declares a bad %dx%d process grid", dir, ck0.Px, ck0.Py)
+	ranks, err := gridRanks(ck0.Px, ck0.Py)
+	if err != nil {
+		return nil, fmt.Errorf("model: artifact %s: rank0.gob: %w", dir, err)
 	}
-	ranks := ck0.Px * ck0.Py
 	cks := make([]*Checkpoint, ranks)
 	cks[0] = ck0
 	for r := 1; r < ranks; r++ {

@@ -11,7 +11,7 @@ import (
 
 // testCheckpoints builds px·py tiny per-rank checkpoints with
 // consistent partition metadata.
-func testCheckpoints(t *testing.T, px, py int) []*Checkpoint {
+func testCheckpoints(t testing.TB, px, py int) []*Checkpoint {
 	t.Helper()
 	cfg := Config{Channels: []int{4, 5, 4}, Kernel: 3, LeakyEps: 0.01, Strategy: ZeroPad, Seed: 1}
 	cks := make([]*Checkpoint, px*py)
@@ -148,6 +148,38 @@ func TestArtifactFutureFormatVersionRefused(t *testing.T) {
 	_, _, err = LoadArtifact(dir)
 	if !errors.Is(err, ErrFutureFormat) {
 		t.Fatalf("future format version: got %v, want ErrFutureFormat", err)
+	}
+}
+
+// TestArtifactHostileGridRefused: a process grid whose product wraps
+// (2³²·2³² = 0 = len(payloads)) or exceeds the rank ceiling is refused
+// by name — in manifest.json and in a legacy rank0.gob alike — before
+// anything is sized from it, never "loaded" as zero checkpoints.
+func TestArtifactHostileGridRefused(t *testing.T) {
+	for _, g := range []struct{ px, py int }{{1 << 32, 1 << 32}, {1 << 62, 4}, {maxRanks, 2}, {0, 0}} {
+		dir := filepath.Join(t.TempDir(), "m")
+		man, _ := writeTestArtifact(t, dir, 1, 1)
+		man.Px, man.Py, man.Payloads = g.px, g.py, []Payload{}
+		data, err := json.Marshal(man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, cks, err := LoadArtifact(dir); err == nil || !strings.Contains(err.Error(), ManifestName) {
+			t.Errorf("manifest %dx%d grid: got %d checkpoints, error %v; want one naming %s", g.px, g.py, len(cks), err, ManifestName)
+		}
+
+		legacy := t.TempDir()
+		ck := testCheckpoints(t, 1, 1)[0]
+		ck.Px, ck.Py = g.px, g.py
+		if err := ck.Save(filepath.Join(legacy, rankFile(0))); err != nil {
+			t.Fatal(err)
+		}
+		if _, cks, err := LoadArtifact(legacy); err == nil || !strings.Contains(err.Error(), "rank0.gob") {
+			t.Errorf("legacy %dx%d grid: got %d checkpoints, error %v; want one naming rank0.gob", g.px, g.py, len(cks), err)
+		}
 	}
 }
 

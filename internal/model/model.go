@@ -186,15 +186,3 @@ func Build(c Config) (*nn.Sequential, error) {
 	}
 	return m, nil
 }
-
-// OutputSize returns the spatial output edge for a bare subdomain edge
-// n (the input the network actually sees is n + 2·Halo).
-func (c Config) OutputSize(n int) int {
-	switch c.Strategy {
-	case ZeroPad, NeighborPad, TransposeConv:
-		return n
-	case InnerCrop:
-		return n - c.Layers()*(c.Kernel-1)
-	}
-	return n
-}

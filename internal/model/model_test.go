@@ -61,7 +61,7 @@ func TestModelShapes(t *testing.T) {
 		in := n + 2*c.Halo()
 		x := tensor.Normal(tensor.NewRNG(1), 0, 1, 2, grid.NumChannels, in, in)
 		y := m.Forward(x)
-		wantOut := c.OutputSize(n)
+		wantOut := n - 2*c.TargetCrop()
 		if y.Dim(0) != 2 || y.Dim(1) != grid.NumChannels || y.Dim(2) != wantOut || y.Dim(3) != wantOut {
 			t.Fatalf("%v: output %v, want [2 %d %d %d]", strat, y.Shape(), grid.NumChannels, wantOut, wantOut)
 		}
@@ -72,22 +72,22 @@ func TestStrategyContracts(t *testing.T) {
 	c := PaperConfig()
 
 	c.Strategy = ZeroPad
-	if c.Halo() != 0 || c.TargetCrop() != 0 || c.OutputSize(10) != 10 || c.MinInputSize() != 1 {
+	if c.Halo() != 0 || c.TargetCrop() != 0 || c.MinInputSize() != 1 {
 		t.Fatalf("ZeroPad contract wrong")
 	}
 
 	c.Strategy = NeighborPad
-	if c.Halo() != 2 || c.TargetCrop() != 0 || c.OutputSize(10) != 10 {
+	if c.Halo() != 2 || c.TargetCrop() != 0 {
 		t.Fatalf("NeighborPad contract wrong: halo=%d", c.Halo())
 	}
 
 	c.Strategy = InnerCrop
-	if c.Halo() != 0 || c.TargetCrop() != 8 || c.OutputSize(24) != 8 || c.MinInputSize() != 17 {
-		t.Fatalf("InnerCrop contract wrong: crop=%d out=%d min=%d", c.TargetCrop(), c.OutputSize(24), c.MinInputSize())
+	if c.Halo() != 0 || c.TargetCrop() != 8 || c.MinInputSize() != 17 {
+		t.Fatalf("InnerCrop contract wrong: crop=%d min=%d", c.TargetCrop(), c.MinInputSize())
 	}
 
 	c.Strategy = TransposeConv
-	if c.Halo() != 0 || c.TargetCrop() != 0 || c.OutputSize(24) != 24 {
+	if c.Halo() != 0 || c.TargetCrop() != 0 {
 		t.Fatalf("TransposeConv contract wrong")
 	}
 }
@@ -174,8 +174,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestParamCountMatchesTableI(t *testing.T) {
 	m, _ := Build(PaperConfig())
 	want := (4*6+6*16+16*6+6*4)*25 + 6 + 16 + 6 + 4
-	if got := nn.ParamCount(m); got != want {
-		t.Fatalf("ParamCount = %d, want %d", got, want)
+	if got := len(nn.FlattenParams(m)); got != want {
+		t.Fatalf("parameter count = %d, want %d", got, want)
 	}
 }
 

@@ -12,7 +12,6 @@ const (
 	East
 	South
 	North
-	numDirections
 )
 
 // String implements fmt.Stringer.
@@ -70,20 +69,9 @@ func NewCart(c *Comm, px, py int, periodic bool) *Cart {
 // Comm returns the underlying communicator.
 func (ct *Cart) Comm() *Comm { return ct.comm }
 
-// Dims returns the process-grid dimensions (px, py).
-func (ct *Cart) Dims() (px, py int) { return ct.px, ct.py }
-
 // Coords returns this rank's grid coordinates (cx, cy).
 func (ct *Cart) Coords() (cx, cy int) {
 	return ct.comm.rank % ct.px, ct.comm.rank / ct.px
-}
-
-// CoordsOf returns the grid coordinates of an arbitrary rank.
-func (ct *Cart) CoordsOf(rank int) (cx, cy int) {
-	if rank < 0 || rank >= ct.px*ct.py {
-		panic(fmt.Sprintf("mpi: CoordsOf invalid rank %d", rank))
-	}
-	return rank % ct.px, rank / ct.px
 }
 
 // RankAt returns the rank at grid coordinates (cx, cy), applying
@@ -115,38 +103,6 @@ func (ct *Cart) Neighbor(d Direction) int {
 		return ct.RankAt(cx, cy+1)
 	}
 	panic(fmt.Sprintf("mpi: invalid direction %d", int(d)))
-}
-
-// Neighbors returns all four neighbour ranks indexed by Direction.
-func (ct *Cart) Neighbors() [4]int {
-	var n [4]int
-	for d := Direction(0); d < numDirections; d++ {
-		n[d] = ct.Neighbor(d)
-	}
-	return n
-}
-
-// haloTag derives a distinct user-level tag per direction so that the
-// four concurrent exchanges of a halo swap never cross-match.
-func haloTag(d Direction) int { return 100 + int(d) }
-
-// ExchangeHalos performs the fully point-to-point halo exchange of
-// §III of the paper: for each direction with a neighbour, send the
-// payload produced by pack(d) and deliver the neighbour's payload to
-// unpack(d, data). All sends are posted before any receive, the
-// standard deadlock-free pattern.
-func (ct *Cart) ExchangeHalos(pack func(d Direction) []float64, unpack func(d Direction, data []float64)) {
-	for d := Direction(0); d < numDirections; d++ {
-		if nb := ct.Neighbor(d); nb != NoNeighbor {
-			ct.comm.Send(nb, haloTag(d), pack(d))
-		}
-	}
-	for d := Direction(0); d < numDirections; d++ {
-		if nb := ct.Neighbor(d); nb != NoNeighbor {
-			// The neighbour sent toward us using the opposite direction's tag.
-			unpack(d, ct.comm.Recv(nb, haloTag(d.Opposite())))
-		}
-	}
 }
 
 // BalancedDims factors p into the most square px × py grid

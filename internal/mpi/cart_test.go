@@ -38,14 +38,19 @@ func TestCartCoordsRoundTrip(t *testing.T) {
 		if ct.RankAt(cx, cy) != c.Rank() {
 			t.Errorf("rank %d: RankAt(Coords()) = %d", c.Rank(), ct.RankAt(cx, cy))
 		}
-		gx, gy := ct.CoordsOf(c.Rank())
-		if gx != cx || gy != cy {
-			t.Errorf("CoordsOf mismatch")
-		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// neighbors looks up all four neighbour ranks, indexed by Direction.
+func neighbors(ct *Cart) [4]int {
+	var n [4]int
+	for d := West; d <= North; d++ {
+		n[d] = ct.Neighbor(d)
+	}
+	return n
 }
 
 func TestCartNeighborsNonPeriodic(t *testing.T) {
@@ -55,7 +60,7 @@ func TestCartNeighborsNonPeriodic(t *testing.T) {
 	w := NewWorld(6)
 	err := w.Run(func(c *Comm) {
 		ct := NewCart(c, 3, 2, false)
-		n := ct.Neighbors()
+		n := neighbors(ct)
 		switch c.Rank() {
 		case 0:
 			if n[West] != NoNeighbor || n[East] != 1 || n[South] != NoNeighbor || n[North] != 3 {
@@ -77,7 +82,7 @@ func TestCartNeighborsPeriodic(t *testing.T) {
 	err := w.Run(func(c *Comm) {
 		ct := NewCart(c, 2, 2, true)
 		if c.Rank() == 0 {
-			n := ct.Neighbors()
+			n := neighbors(ct)
 			if n[West] != 1 || n[East] != 1 || n[South] != 2 || n[North] != 2 {
 				t.Errorf("periodic rank 0 neighbors = %v", n)
 			}
@@ -89,7 +94,7 @@ func TestCartNeighborsPeriodic(t *testing.T) {
 }
 
 func TestDirectionOpposite(t *testing.T) {
-	for d := Direction(0); d < numDirections; d++ {
+	for d := Direction(0); d <= North; d++ {
 		if d.Opposite().Opposite() != d {
 			t.Errorf("Opposite not involutive for %v", d)
 		}
@@ -109,12 +114,12 @@ func TestQuickNeighborSymmetry(t *testing.T) {
 		w := NewWorld(p)
 		err := w.Run(func(c *Comm) {
 			ct := NewCart(c, px, py, false)
-			for d := Direction(0); d < numDirections; d++ {
+			for d := Direction(0); d <= North; d++ {
 				nb := ct.Neighbor(d)
 				if nb == NoNeighbor {
 					continue
 				}
-				nx, ny := ct.CoordsOf(nb)
+				nx, ny := nb%px, nb/px
 				// Reconstruct the reverse direction from the neighbour's view.
 				back := ct.RankAt(nx+dxOf(d.Opposite()), ny+dyOf(d.Opposite()))
 				if back != c.Rank() {
@@ -161,7 +166,7 @@ func TestExchangeHalos(t *testing.T) {
 			func(d Direction) []float64 { return []float64{float64(c.Rank())} },
 			func(d Direction, data []float64) { got[d] = data[0] },
 		)
-		for d := Direction(0); d < numDirections; d++ {
+		for d := Direction(0); d <= North; d++ {
 			nb := ct.Neighbor(d)
 			if nb == NoNeighbor {
 				if _, ok := got[d]; ok {

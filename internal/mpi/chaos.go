@@ -141,9 +141,6 @@ type ChaosPlan struct {
 // not say otherwise.
 const defaultChaosRecvTimeout = 5 * time.Second
 
-// Active reports whether the plan injects any fault at all.
-func (p ChaosPlan) Active() bool { return len(p.Rules) > 0 }
-
 // ParseChaosRules parses the compact CLI fault specification: a
 // comma-separated list of rules
 //

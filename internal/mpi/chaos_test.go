@@ -46,7 +46,7 @@ func TestChaosPassThrough(t *testing.T) {
 		}
 	}
 	// Stats must count user payloads, not chaos frames.
-	if s := w.Stats()[0]; s.BytesRecv != 5*8 {
+	if s := w.stats[0]; s.BytesRecv != 5*8 {
 		t.Fatalf("rank 0 recv bytes %d, want %d (chaos framing leaked into stats?)", s.BytesRecv, 5*8)
 	}
 }

@@ -13,47 +13,6 @@ func OpSum(dst, src []float64) {
 	}
 }
 
-// OpMax keeps the elementwise maximum in dst.
-func OpMax(dst, src []float64) {
-	for i, v := range src {
-		if v > dst[i] {
-			dst[i] = v
-		}
-	}
-}
-
-// OpMin keeps the elementwise minimum in dst.
-func OpMin(dst, src []float64) {
-	for i, v := range src {
-		if v < dst[i] {
-			dst[i] = v
-		}
-	}
-}
-
-// OpProd accumulates dst *= src.
-func OpProd(dst, src []float64) {
-	for i, v := range src {
-		dst[i] *= v
-	}
-}
-
-// Barrier blocks until every rank has entered it. It uses the
-// dissemination algorithm: ceil(log2 P) rounds of point-to-point
-// messages, the standard barrier structure on clusters.
-func (c *Comm) Barrier() {
-	size := c.world.size
-	if size == 1 {
-		return
-	}
-	for dist := 1; dist < size; dist *= 2 {
-		to := (c.rank + dist) % size
-		from := (c.rank - dist + size) % size
-		c.send(to, tagBarrier, nil)
-		c.Recv(from, tagBarrier)
-	}
-}
-
 // Bcast distributes root's data to every rank and returns each rank's
 // copy. Non-root ranks may pass nil. The algorithm is a binomial tree
 // rooted at root: log2 P rounds.
@@ -179,49 +138,6 @@ func (c *Comm) Gather(root int, data []float64) [][]float64 {
 		out[r] = c.Recv(r, tagGather)
 	}
 	return out
-}
-
-// Allgather collects every rank's data on every rank, in rank order.
-func (c *Comm) Allgather(data []float64) [][]float64 {
-	size := c.world.size
-	if size == 1 {
-		return [][]float64{append([]float64(nil), data...)}
-	}
-	// Ring algorithm: P-1 steps, each forwarding the previous piece.
-	out := make([][]float64, size)
-	out[c.rank] = append([]float64(nil), data...)
-	right := (c.rank + 1) % size
-	left := (c.rank - 1 + size) % size
-	cur := c.rank
-	for step := 0; step < size-1; step++ {
-		c.send(right, tagAllgath, out[cur])
-		cur = (cur - 1 + size) % size
-		out[cur] = c.Recv(left, tagAllgath)
-	}
-	return out
-}
-
-// Scatter distributes chunks[r] from root to rank r and returns each
-// rank's chunk. Only root's chunks argument is consulted; it must have
-// exactly Size entries.
-func (c *Comm) Scatter(root int, chunks [][]float64) []float64 {
-	size := c.world.size
-	if root < 0 || root >= size {
-		panic(fmt.Sprintf("mpi: Scatter invalid root %d", root))
-	}
-	if c.rank == root {
-		if len(chunks) != size {
-			panic(fmt.Sprintf("mpi: Scatter needs %d chunks, got %d", size, len(chunks)))
-		}
-		for r := 0; r < size; r++ {
-			if r == root {
-				continue
-			}
-			c.send(r, tagScatter, chunks[r])
-		}
-		return append([]float64(nil), chunks[root]...)
-	}
-	return c.Recv(root, tagScatter)
 }
 
 // AllreduceScalar is a convenience wrapper reducing a single value.

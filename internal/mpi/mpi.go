@@ -8,12 +8,10 @@
 // transport hosts in this process and hands each a *Comm, which
 // supports tagged blocking point-to-point messages (Send/Recv with
 // AnySource/AnyTag wildcards and MPI's non-overtaking guarantee per
-// (source, tag) pair), non-blocking variants (Isend/Irecv returning a
-// Request), and the usual collectives (Barrier, Bcast, Reduce,
-// Allreduce, Gather, Allgather, Scatter) implemented with
-// binomial-tree and recursive-doubling algorithms on top of the
-// point-to-point layer — the same structure a real MPI implementation
-// uses.
+// (source, tag) pair) and the collectives the schemes use (Bcast,
+// Reduce, Allreduce, Gather) implemented with binomial-tree and
+// recursive-doubling algorithms on top of the point-to-point layer —
+// the same structure a real MPI implementation uses.
 //
 // Two transports ship with the package (see DESIGN.md §8):
 //
@@ -49,26 +47,21 @@ const AnyTag = -1
 // Internal tag space for collectives. User tags must be small
 // non-negative integers; collective tags live far above them.
 const (
-	tagBarrier = 1 << 30
-	tagBcast   = 1<<30 + 1
-	tagReduce  = 1<<30 + 2
-	tagAllred  = 1<<30 + 3
-	tagGather  = 1<<30 + 4
-	tagScatter = 1<<30 + 5
-	tagGatherV = 1<<30 + 6
-	tagAllgath = 1<<30 + 7
+	tagBcast  = 1<<30 + 1
+	tagReduce = 1<<30 + 2
+	tagAllred = 1<<30 + 3
+	tagGather = 1<<30 + 4
 )
 
 // World is a communicator universe: a fixed set of ranks over one
 // Transport. Depending on the transport, this process may host every
 // rank (NewWorld) or a single one (DialTCP).
 type World struct {
-	size       int
-	tr         Transport
-	model      *NetModel
-	chaos      *ChaosPlan
-	stats      []CommStats
-	mailboxCap int
+	size  int
+	tr    Transport
+	model *NetModel
+	chaos *ChaosPlan
+	stats []CommStats
 
 	mu    sync.Mutex
 	comms map[int]*Comm // persistent per-rank endpoints, created lazily
@@ -83,17 +76,11 @@ func WithNetModel(m *NetModel) Option {
 	return func(w *World) { w.model = m }
 }
 
-// WithMailboxCapacity overrides the per-rank mailbox buffer size
-// (default max(256, 4*size) messages). Send blocks when the
-// destination mailbox is full, mirroring MPI's rendezvous behaviour
-// for large backlogs. On the TCP transport the same capacity bounds
-// the per-peer outbound queue and the local inbox.
-func WithMailboxCapacity(n int) Option {
-	return func(w *World) { w.mailboxCap = n }
-}
-
-// defaultMailboxCapacity is the default per-rank buffering.
-func defaultMailboxCapacity(size int) int {
+// mailboxCapacity is the per-rank buffering, max(256, 4*size) messages.
+// Send blocks when the destination mailbox is full, mirroring MPI's
+// rendezvous behaviour for large backlogs; on the TCP transport the
+// same capacity bounds the per-peer outbound queue and the local inbox.
+func mailboxCapacity(size int) int {
 	capacity := 4 * size
 	if capacity < 256 {
 		capacity = 256
@@ -108,7 +95,7 @@ func NewWorld(size int, opts ...Option) *World {
 		panic(fmt.Sprintf("mpi: world size must be positive, got %d", size))
 	}
 	w := newWorldShell(size, opts...)
-	w.tr = w.wrapTransport(newMemTransport(size, w.mailboxCap))
+	w.tr = w.wrapTransport(newMemTransport(size, mailboxCapacity(size)))
 	return w
 }
 
@@ -125,16 +112,12 @@ func (w *World) wrapTransport(tr Transport) Transport {
 // options; the caller attaches the transport.
 func newWorldShell(size int, opts ...Option) *World {
 	w := &World{
-		size:       size,
-		stats:      make([]CommStats, size),
-		mailboxCap: defaultMailboxCapacity(size),
-		comms:      make(map[int]*Comm),
+		size:  size,
+		stats: make([]CommStats, size),
+		comms: make(map[int]*Comm),
 	}
 	for _, o := range opts {
 		o(w)
-	}
-	if w.mailboxCap <= 0 {
-		panic(fmt.Sprintf("mpi: non-positive mailbox capacity %d", w.mailboxCap))
 	}
 	return w
 }
@@ -152,9 +135,6 @@ func (w *World) LocalRanks() []int {
 // processes.
 func (w *World) Distributed() bool { return len(w.tr.Local()) != w.size }
 
-// Transport exposes the underlying transport (read-only use).
-func (w *World) Transport() Transport { return w.tr }
-
 // Close shuts the world's transport down: queued outbound messages are
 // flushed, then any blocked or future operation fails instead of
 // hanging — the drain half of the close/drain contract. Closing an
@@ -162,13 +142,6 @@ func (w *World) Transport() Transport { return w.tr }
 // sockets); closing a TCP world releases its connections and
 // background readers/writers. Close is idempotent.
 func (w *World) Close() error { return w.tr.Close() }
-
-// Stats returns a copy of the per-rank communication statistics
-// gathered by the most recent Run (only locally hosted ranks have
-// entries on a distributed world).
-func (w *World) Stats() []CommStats {
-	return append([]CommStats(nil), w.stats...)
-}
 
 // TotalStats returns the sum of all per-rank statistics from the most
 // recent Run.
@@ -185,9 +158,8 @@ func (w *World) TotalStats() CommStats {
 }
 
 // comm returns the persistent endpoint for a rank, creating it on
-// first use. Endpoints persist across Run calls so that non-blocking
-// Requests posted in one Run can be completed in a later one (the
-// overlapped halo pipeline relies on this).
+// first use. Endpoints persist across Run calls so that a message
+// received but not yet matched in one Run is still pending in the next.
 func (w *World) comm(rank int) *Comm {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -267,7 +239,7 @@ func statsDelta(a, b CommStats) CommStats {
 // by one goroutine at a time — normally the goroutine Run is currently
 // executing for its rank. Endpoints persist across Run calls (with the
 // WaitGroup inside Run ordering the handoff), which is what lets a
-// Request posted during one Run be completed during the next.
+// message queued during one Run be received during the next.
 type Comm struct {
 	rank    int
 	world   *World
@@ -357,78 +329,6 @@ func (c *Comm) account(m Message) {
 
 func matches(m Message, from, tag int) bool {
 	return (from == AnySource || m.From == from) && (tag == AnyTag || m.Tag == tag)
-}
-
-// Probe reports whether a message matching (from, tag) can be received
-// without blocking. It drains the mailbox into the pending queue while
-// checking, so it is O(queued messages).
-func (c *Comm) Probe(from, tag int) bool {
-	for _, m := range c.pending {
-		if matches(m, from, tag) {
-			return true
-		}
-	}
-	for {
-		m, ok, err := c.world.tr.TryRecv(c.rank)
-		if err != nil || !ok {
-			return false
-		}
-		c.pending = append(c.pending, m)
-		if matches(m, from, tag) {
-			return true
-		}
-	}
-}
-
-// Request represents an in-flight non-blocking operation. A Request
-// holds no goroutine or OS resource of its own — receives match
-// lazily inside Wait, sends complete at post time against the
-// transport's buffering — so a Request abandoned without Wait leaks
-// nothing and never blocks World.Close (the regression tests assert
-// this with the race detector).
-type Request struct {
-	done bool
-	data []float64
-	wait func() []float64
-}
-
-// Wait blocks until the operation completes and returns the received
-// payload (nil for sends). Waiting twice returns the same payload.
-func (r *Request) Wait() []float64 {
-	if !r.done {
-		r.data = r.wait()
-		r.done = true
-	}
-	return r.data
-}
-
-// Done reports whether the request has already completed (always true
-// for sends, true for receives after Wait).
-func (r *Request) Done() bool { return r.done }
-
-// Isend starts a non-blocking send. Sends complete against the
-// transport's buffering (mailbox or outbound queue), so the operation
-// finishes at post time; the Request exists for API symmetry with MPI
-// code.
-func (c *Comm) Isend(to, tag int, data []float64) *Request {
-	c.Send(to, tag, data)
-	return &Request{done: true}
-}
-
-// Irecv starts a non-blocking receive. The matching and blocking work
-// happens when Wait is called; this mirrors the common MPI usage
-// pattern of posting receives first and waiting later.
-func (c *Comm) Irecv(from, tag int) *Request {
-	return &Request{wait: func() []float64 { return c.Recv(from, tag) }}
-}
-
-// WaitAll waits on every request and returns their payloads in order.
-func WaitAll(reqs ...*Request) [][]float64 {
-	out := make([][]float64, len(reqs))
-	for i, r := range reqs {
-		out[i] = r.Wait()
-	}
-	return out
 }
 
 // SendRecv performs a combined send to `to` and receive from `from`

@@ -286,19 +286,6 @@ func TestGatherScatter(t *testing.T) {
 		} else if got != nil {
 			t.Errorf("non-root Gather non-nil")
 		}
-
-		var chunks [][]float64
-		if c.Rank() == 1 {
-			chunks = make([][]float64, P)
-			for r := range chunks {
-				chunks[r] = []float64{float64(r), float64(r * r)}
-			}
-		}
-		mine := c.Scatter(1, chunks)
-		r := float64(c.Rank())
-		if mine[0] != r || mine[1] != r*r {
-			t.Errorf("Scatter rank %d = %v", c.Rank(), mine)
-		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +343,7 @@ func TestStatsCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := w.Stats()
+	st := w.stats
 	if st[0].MessagesSent != 1 || st[0].BytesSent != 800 {
 		t.Fatalf("rank0 stats = %+v", st[0])
 	}

@@ -153,7 +153,7 @@ func TestRequestsSpanRuns(t *testing.T) {
 	}
 	// Per-Run stats are deltas: the second Run only received.
 	for r := 0; r < 2; r++ {
-		s := w.Stats()[r]
+		s := w.stats[r]
 		if s.MessagesSent != 0 || s.MessagesRecv != 1 {
 			t.Errorf("rank %d second-run stats = %v, want 0 sent / 1 recv", r, s)
 		}

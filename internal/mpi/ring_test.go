@@ -151,8 +151,8 @@ func TestRingMessageVolumeBandwidthOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ringBytes := ringWorld.Stats()[0].BytesSent
-	treeBytes := treeWorld.Stats()[0].BytesSent
+	ringBytes := ringWorld.stats[0].BytesSent
+	treeBytes := treeWorld.stats[0].BytesSent
 	if ringBytes >= treeBytes {
 		t.Fatalf("ring (%d B) should beat tree (%d B) per rank at P=%d, n=%d", ringBytes, treeBytes, p, n)
 	}

@@ -80,7 +80,7 @@ func DialTCP(cfg TCPConfig, opts ...Option) (*World, error) {
 		return nil, fmt.Errorf("mpi: DialTCP rank %d out of range for %d peers", cfg.Rank, size)
 	}
 	w := newWorldShell(size, opts...)
-	tr, err := dialTCPTransport(cfg, w.mailboxCap)
+	tr, err := dialTCPTransport(cfg, mailboxCapacity(w.size))
 	if err != nil {
 		return nil, err
 	}
@@ -505,7 +505,7 @@ func (t *tcpTransport) Local() []int { return []int{t.rank} }
 
 // Send implements Transport. Self-sends short-circuit through the
 // inbox; everything else enqueues on the peer's outbound queue, which
-// the writer goroutine drains — so an Isend never blocks on the wire,
+// the writer goroutine drains — so a send never blocks on the wire,
 // only on a full queue.
 func (t *tcpTransport) Send(from, to, tag int, data []float64) error {
 	if from != t.rank {

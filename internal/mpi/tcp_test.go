@@ -211,7 +211,7 @@ func TestTCPNonOvertakingProperty(t *testing.T) {
 		}
 	}
 	for i := len(order) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
+		j := int(rng.Float64() * float64(i+1))
 		order[i], order[j] = order[j], order[i]
 	}
 	runTCP(t, worlds, func(c *Comm) {
@@ -221,11 +221,11 @@ func TestTCPNonOvertakingProperty(t *testing.T) {
 			seq := make([]int, tags)
 			lrng := tensor.NewRNG(int64(100 + c.Rank()))
 			for sent := 0; sent < tags*perTag; {
-				tag := lrng.Intn(tags)
+				tag := int(lrng.Float64() * tags)
 				if seq[tag] >= perTag {
 					continue
 				}
-				payload := make([]float64, 1+lrng.Intn(64))
+				payload := make([]float64, 1+int(lrng.Float64()*64))
 				payload[0] = float64(seq[tag])
 				c.Send(recvr, tag, payload)
 				seq[tag]++
@@ -311,8 +311,8 @@ func TestTCPStatsMatchMem(t *testing.T) {
 	worlds := dialTestWorlds(t, size, WithNetModel(ClusterEthernet()))
 	runTCP(t, worlds, pattern)
 	for r := 0; r < size; r++ {
-		memStats := mem.Stats()[r]
-		tcpStats := worlds[r].Stats()[r]
+		memStats := mem.stats[r]
+		tcpStats := worlds[r].stats[r]
 		if memStats != tcpStats {
 			t.Errorf("rank %d stats differ:\n  mem: %v\n  tcp: %v", r, memStats, tcpStats)
 		}

@@ -80,153 +80,19 @@ func (l *LeakyReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// ReLU is the plain rectifier (Eq. 1), provided for the activation
-// ablation. Like LeakyReLU it caches a byte mask of the clipped lanes
-// instead of cloning its input.
-type ReLU struct {
-	negMask   []uint8
-	haveCache bool
-	name      string
-}
+// setPrecision32 implements layer32 (stateless).
+func (l *LeakyReLU) setPrecision32(bool, *Arena) error { return nil }
 
-// NewReLU builds a ReLU activation.
-func NewReLU(name string) *ReLU { return &ReLU{name: name} }
-
-// Name implements Layer.
-func (l *ReLU) Name() string { return l.name }
-
-// Params implements Layer.
-func (l *ReLU) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (l *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if cap(l.negMask) < x.Size() {
-		l.negMask = make([]uint8, x.Size())
-	}
-	mask := l.negMask[:x.Size()]
-	y := tensor.New(x.Shape()...)
-	xd, yd := x.Data(), y.Data()
-	for i, v := range xd {
-		if v < 0 {
-			yd[i] = 0
-			mask[i] = 1
-		} else {
-			yd[i] = v
-			mask[i] = 0
-		}
-	}
-	l.haveCache = true
-	return y
-}
-
-// Backward implements Layer.
-func (l *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if !l.haveCache {
-		panic(fmt.Sprintf("nn: ReLU %s Backward before Forward", l.name))
-	}
+// forward32 implements layer32 with the same branch-free sign-bit
+// select as the float64 Forward.
+func (l *LeakyReLU) forward32(x act32, a *Arena) act32 {
 	l.haveCache = false
-	out := gradOut.Clone()
-	od, mask := out.Data(), l.negMask[:gradOut.Size()]
-	for i := range od {
-		if mask[i] != 0 {
-			od[i] = 0
-		}
+	yd := a.Alloc32(len(x.d))
+	scale := [2]float32{1, float32(l.Epsilon)}
+	for i, v := range x.d {
+		yd[i] = v * scale[math.Float32bits(v)>>31]
 	}
-	return out
-}
-
-// Tanh is the hyperbolic-tangent activation, included for the
-// activation ablation (the paper cites Glorot et al. for why ReLU
-// variants beat it).
-type Tanh struct {
-	cacheOutput *tensor.Tensor
-	name        string
-}
-
-// NewTanh builds a tanh activation.
-func NewTanh(name string) *Tanh { return &Tanh{name: name} }
-
-// Name implements Layer.
-func (l *Tanh) Name() string { return l.name }
-
-// Params implements Layer.
-func (l *Tanh) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (l *Tanh) Forward(x *tensor.Tensor) *tensor.Tensor {
-	y := x.Apply(math.Tanh)
-	l.cacheOutput = y.Clone()
+	y := x
+	y.d = yd
 	return y
 }
-
-// Backward implements Layer using dtanh = 1 - tanh².
-func (l *Tanh) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if l.cacheOutput == nil {
-		panic(fmt.Sprintf("nn: Tanh %s Backward before Forward", l.name))
-	}
-	y := l.cacheOutput
-	l.cacheOutput = nil
-	out := gradOut.Clone()
-	od, yd := out.Data(), y.Data()
-	for i := range od {
-		od[i] *= 1 - yd[i]*yd[i]
-	}
-	return out
-}
-
-// Sigmoid is the logistic activation, included for the activation
-// ablation.
-type Sigmoid struct {
-	cacheOutput *tensor.Tensor
-	name        string
-}
-
-// NewSigmoid builds a sigmoid activation.
-func NewSigmoid(name string) *Sigmoid { return &Sigmoid{name: name} }
-
-// Name implements Layer.
-func (l *Sigmoid) Name() string { return l.name }
-
-// Params implements Layer.
-func (l *Sigmoid) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (l *Sigmoid) Forward(x *tensor.Tensor) *tensor.Tensor {
-	y := x.Apply(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
-	l.cacheOutput = y.Clone()
-	return y
-}
-
-// Backward implements Layer using dσ = σ(1-σ).
-func (l *Sigmoid) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if l.cacheOutput == nil {
-		panic(fmt.Sprintf("nn: Sigmoid %s Backward before Forward", l.name))
-	}
-	y := l.cacheOutput
-	l.cacheOutput = nil
-	out := gradOut.Clone()
-	od, yd := out.Data(), y.Data()
-	for i := range od {
-		od[i] *= yd[i] * (1 - yd[i])
-	}
-	return out
-}
-
-// Identity passes its input through unchanged; useful as a final
-// "activation" slot in regression networks.
-type Identity struct{ name string }
-
-// NewIdentity builds an identity layer.
-func NewIdentity(name string) *Identity { return &Identity{name: name} }
-
-// Name implements Layer.
-func (l *Identity) Name() string { return l.name }
-
-// Params implements Layer.
-func (l *Identity) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (l *Identity) Forward(x *tensor.Tensor) *tensor.Tensor { return x.Clone() }
-
-// Backward implements Layer.
-func (l *Identity) Backward(gradOut *tensor.Tensor) *tensor.Tensor { return gradOut.Clone() }

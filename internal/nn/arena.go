@@ -37,10 +37,6 @@ type bump[T tensor.Float] struct {
 // NewArena returns an empty arena; chunks are grown on demand.
 func NewArena() *Arena { return &Arena{} }
 
-// Reset rewinds the arena to empty, keeping its chunks for reuse. It
-// is equivalent to releasing a mark taken before the first Alloc.
-func (a *Arena) Reset() { a.Release(ArenaMark{}) }
-
 // arenaMinChunk is the smallest chunk the arena allocates (64 KiB of
 // float64s), so tiny requests don't fragment into many chunks.
 const arenaMinChunk = 1 << 13

@@ -67,7 +67,6 @@ func batchedForwardCases(g *tensor.RNG) []batchCase {
 		{"tanh", NewTanh("th"), []int{3, 4, 5}},
 		{"sigmoid", NewSigmoid("sg"), []int{3, 4, 5}},
 		{"dense", NewDense("d", g, 17, 9), []int{17}},
-		{"lstm", NewLSTM("l", g, 6, 5), []int{4, 6}},
 		{"sequential", NewSequential(
 			NewConv2D("s1", g, 2, 6, 3, 1),
 			NewLeakyReLU("s2", 0.01),

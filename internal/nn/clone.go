@@ -76,30 +76,5 @@ func (c *ConvTranspose2D) CloneShared() Layer {
 	}
 }
 
-// CloneShared implements SharedCloner.
-func (d *Dense) CloneShared() Layer {
-	return &Dense{In: d.In, Out: d.Out, weight: d.weight, bias: d.bias, pack: d.pack, name: d.name}
-}
-
-// CloneShared implements SharedCloner.
-func (l *LSTM) CloneShared() Layer {
-	return &LSTM{In: l.In, Hidden: l.Hidden, w: l.w, u: l.u, b: l.b, name: l.name}
-}
-
 // CloneShared implements SharedCloner (the mask buffer is per-clone).
 func (l *LeakyReLU) CloneShared() Layer { return &LeakyReLU{Epsilon: l.Epsilon, name: l.name} }
-
-// CloneShared implements SharedCloner.
-func (l *ReLU) CloneShared() Layer { return &ReLU{name: l.name} }
-
-// CloneShared implements SharedCloner.
-func (l *Tanh) CloneShared() Layer { return &Tanh{name: l.name} }
-
-// CloneShared implements SharedCloner.
-func (l *Sigmoid) CloneShared() Layer { return &Sigmoid{name: l.name} }
-
-// CloneShared implements SharedCloner.
-func (l *Identity) CloneShared() Layer { return &Identity{name: l.name} }
-
-// CloneShared implements SharedCloner.
-func (f *Flatten) CloneShared() Layer { return &Flatten{name: f.name} }

@@ -84,27 +84,21 @@ func TestCloneSharedConcurrentForward(t *testing.T) {
 	}
 }
 
+// TestCloneSharedAllLayerKinds: every layer kind a model is built from
+// clones to the same function, and a layer that is not a SharedCloner
+// is refused by name instead of being shared across goroutines.
 func TestCloneSharedAllLayerKinds(t *testing.T) {
 	g := tensor.NewRNG(5)
 	m := NewSequential(
-		NewDense("fc", g, 4, 3),
-		NewReLU("r"),
-		NewTanh("t"),
-		NewSigmoid("s"),
-		NewIdentity("i"),
+		NewConv2D("c", g, 2, 3, 3, 0),
+		NewLeakyReLU("a", 0.01),
+		NewConvTranspose2D("d", g, 3, 2, 3),
 	)
-	c := m.CloneShared()
-	x := tensor.Normal(g, 0, 1, 2, 4)
-	if !m.Forward(x).Equal(c.Forward(x)) {
-		t.Fatal("clone differs for dense/activation stack")
+	x := tensor.Normal(g, 0, 1, 2, 2, 6, 5)
+	if !m.Forward(x).Equal(m.CloneShared().Forward(x)) {
+		t.Fatal("clone differs for the conv/activation/deconv stack")
 	}
-	f := NewSequential(NewFlatten("f"))
-	if got := f.CloneShared().Forward(tensor.Normal(g, 0, 1, 2, 3, 4)); got.Rank() != 2 {
-		t.Fatalf("cloned Flatten produced rank %d", got.Rank())
-	}
-	l := NewSequential(NewLSTM("l", g, 3, 5))
-	xs := tensor.Normal(g, 0, 1, 2, 4, 3)
-	if !l.Forward(xs).Equal(l.CloneShared().Forward(xs)) {
-		t.Fatal("cloned LSTM differs")
-	}
+	mustPanicWith(t, "non-cloner", "does not implement CloneShared", func() {
+		NewSequential(NewReLU("r")).CloneShared()
+	})
 }

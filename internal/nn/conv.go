@@ -82,17 +82,6 @@ func (c *Conv2D) Name() string { return c.name }
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.weight, c.bias} }
 
-// Weight exposes the kernel parameter (for tests and checkpoints).
-func (c *Conv2D) Weight() *Param { return c.weight }
-
-// Bias exposes the bias parameter.
-func (c *Conv2D) Bias() *Param { return c.bias }
-
-// OutputShape returns the spatial output size for an h×w input.
-func (c *Conv2D) OutputShape(h, w int) (oh, ow int) {
-	return h + 2*c.Pad - c.Kernel + 1, w + 2*c.Pad - c.Kernel + 1
-}
-
 // SetScratch replaces the layer's private scratch arena with a shared
 // one (see Sequential.SetScratch). a must not be nil.
 func (c *Conv2D) SetScratch(a *Arena) {

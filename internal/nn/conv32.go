@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // directConv32MaxWork bounds Cin·Cout·K² for the direct-convolution
 // kernel. Below it the im2col lowering's panel traffic costs more than
@@ -34,9 +30,6 @@ func (c *Conv2D) invalidatePack() { c.pack.invalidate() }
 // allocated from the chain arena before the inner scratch mark, so
 // releasing the lowering panels leaves it live for the next stage.
 func (c *Conv2D) forward32(x act32, a *Arena) act32 {
-	if x.rank != 4 {
-		panic(fmt.Sprintf("nn: Conv2D %s f32 path needs NCHW input, got rank %d", c.name, x.rank))
-	}
 	g := c.shapeFor(x.n, x.c, x.h, x.w)
 	c.cacheInput = nil // a float64 Backward must not pair with this forward
 	wd, bd := c.pack.get(c.weight.Value, c.bias.Value)
@@ -49,7 +42,7 @@ func (c *Conv2D) forward32(x act32, a *Arena) act32 {
 		convForward(&a.f32, c.Workers, g, x.d, wd, bd, yd)
 	}
 	a.Release(mark)
-	return act32{n: g.n, c: g.cout, h: oh, w: ow, rank: 4, d: yd}
+	return act32{n: g.n, c: g.cout, h: oh, w: ow, d: yd}
 }
 
 // directForward32 runs the direct kernel over the batch; images are

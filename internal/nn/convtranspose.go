@@ -69,11 +69,6 @@ func (c *ConvTranspose2D) Name() string { return c.name }
 // Params implements Layer.
 func (c *ConvTranspose2D) Params() []*Param { return []*Param{c.weight, c.bias} }
 
-// OutputShape returns the spatial output size for an h×w input.
-func (c *ConvTranspose2D) OutputShape(h, w int) (oh, ow int) {
-	return h + c.Kernel - 1, w + c.Kernel - 1
-}
-
 // SetScratch replaces the layer's private scratch arena with a shared
 // one (see Sequential.SetScratch). a must not be nil.
 func (c *ConvTranspose2D) SetScratch(a *Arena) {

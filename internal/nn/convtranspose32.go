@@ -1,7 +1,5 @@
 package nn
 
-import "fmt"
-
 // setPrecision32 implements layer32.
 func (c *ConvTranspose2D) setPrecision32(on bool, a *Arena) error {
 	c.f32on, c.f32arena = pin32(on, a, c.pack, c.weight, c.bias)
@@ -14,9 +12,6 @@ func (c *ConvTranspose2D) invalidatePack() { c.pack.invalidate() }
 // forward32 implements layer32: the shared convForward sweep on
 // float32 over the pack's flipped kernel (see Forward).
 func (c *ConvTranspose2D) forward32(x act32, a *Arena) act32 {
-	if x.rank != 4 {
-		panic(fmt.Sprintf("nn: ConvTranspose2D %s f32 path needs NCHW input, got rank %d", c.name, x.rank))
-	}
 	g := c.shapeFor(x.n, x.c, x.h, x.w)
 	c.cacheInput = nil // a float64 Backward must not pair with this forward
 	wd, bd := c.pack.get(c.weight.Value, c.bias.Value)
@@ -25,5 +20,5 @@ func (c *ConvTranspose2D) forward32(x act32, a *Arena) act32 {
 	mark := a.Mark()
 	convForward(&a.f32, c.Workers, g, x.d, wd, bd, yd)
 	a.Release(mark)
-	return act32{n: g.n, c: g.cout, h: oh, w: ow, rank: 4, d: yd}
+	return act32{n: g.n, c: g.cout, h: oh, w: ow, d: yd}
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -36,13 +37,13 @@ func TestConvGradCrossCheckAutodiff(t *testing.T) {
 	for i, v := range x.Data() {
 		xv[i] = tp.Value(v)
 	}
-	wt := conv.Weight().Value
+	wt := conv.weight.Value
 	wv := make([]autodiff.Var, wt.Size())
 	for i, v := range wt.Data() {
 		wv[i] = tp.Value(v)
 	}
 	bv := make([]autodiff.Var, cout)
-	for i, v := range conv.Bias().Value.Data() {
+	for i, v := range conv.bias.Value.Data() {
 		bv[i] = tp.Value(v)
 	}
 	oh, ow := h-k+1, w-k+1
@@ -79,7 +80,7 @@ func TestConvGradCrossCheckAutodiff(t *testing.T) {
 	// Compare weight gradients.
 	for i := range wv {
 		want := grads[wv[i].Index()]
-		got := conv.Weight().Grad.Data()[i]
+		got := conv.weight.Grad.Data()[i]
 		if math.Abs(got-want) > 1e-10*(1+math.Abs(want)) {
 			t.Fatalf("dW[%d] = %g, autodiff %g", i, got, want)
 		}
@@ -87,11 +88,29 @@ func TestConvGradCrossCheckAutodiff(t *testing.T) {
 	// Compare bias gradients.
 	for i := range bv {
 		want := grads[bv[i].Index()]
-		got := conv.Bias().Grad.Data()[i]
+		got := conv.bias.Grad.Data()[i]
 		if math.Abs(got-want) > 1e-10*(1+math.Abs(want)) {
 			t.Fatalf("dB[%d] = %g, autodiff %g", i, got, want)
 		}
 	}
+}
+
+// CopyParams copies parameter values from src into dst, so the engine
+// and the reference loops (or two worker counts) start from the same
+// weights; the models must have identical architectures.
+func CopyParams(dst, src Layer) error {
+	dp, sp := dst.Params(), src.Params()
+	if len(dp) != len(sp) {
+		return fmt.Errorf("nn: CopyParams parameter count mismatch %d vs %d", len(dp), len(sp))
+	}
+	for i := range dp {
+		if !dp[i].Value.SameShape(sp[i].Value) {
+			return fmt.Errorf("nn: CopyParams parameter %d shape mismatch %v vs %v", i, dp[i].Value.Shape(), sp[i].Value.Shape())
+		}
+		dp[i].Value.CopyFrom(sp[i].Value)
+	}
+	invalidatePacks(dst)
+	return nil
 }
 
 // closeTensors fails unless got and want agree elementwise to the
@@ -150,8 +169,8 @@ func TestConvFastSlowCrosscheck(t *testing.T) {
 
 			closeTensors(t, "forward", yf, ys, 1e-12)
 			closeTensors(t, "dx", dxf, dxs, 1e-12)
-			closeTensors(t, "dW", fast.Weight().Grad, slow.Weight().Grad, 1e-11)
-			closeTensors(t, "dB", fast.Bias().Grad, slow.Bias().Grad, 1e-11)
+			closeTensors(t, "dW", fast.weight.Grad, slow.weight.Grad, 1e-11)
+			closeTensors(t, "dB", fast.bias.Grad, slow.bias.Grad, 1e-11)
 		})
 	}
 }

@@ -13,10 +13,3 @@ func HeNormal(g *tensor.RNG, fanIn int, shape ...int) *tensor.Tensor {
 	std := math.Sqrt(2.0 / float64(fanIn))
 	return tensor.Normal(g, 0, std, shape...)
 }
-
-// XavierUniform draws weights from U(-a, a) with a = sqrt(6/(fanIn+fanOut)),
-// the Glorot initialization suited to symmetric activations.
-func XavierUniform(g *tensor.RNG, fanIn, fanOut int, shape ...int) *tensor.Tensor {
-	a := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	return tensor.Uniform(g, -a, a, shape...)
-}

@@ -1,8 +1,8 @@
 // Package nn implements the neural-network layers used by the paper's
 // per-subdomain CNN: 2-D convolutions (with the padding variants of
-// §III), transpose convolutions, leaky-ReLU and other activations,
-// dense layers, and a Sequential container. Backward passes are
-// hand-derived and verified against finite differences in the tests.
+// §III), transpose convolutions, the leaky-ReLU activation, and a
+// Sequential container. Backward passes are hand-derived and verified
+// against finite differences in the tests.
 //
 // The layer protocol is layer-wise reverse-mode differentiation:
 // Forward caches whatever the layer needs, Backward consumes the
@@ -137,15 +137,6 @@ func ZeroGrads(m Layer) {
 	}
 }
 
-// ParamCount returns the total number of scalar parameters.
-func ParamCount(m Layer) int {
-	n := 0
-	for _, p := range m.Params() {
-		n += p.Value.Size()
-	}
-	return n
-}
-
 // GradNorm returns the global L2 norm over all parameter gradients.
 func GradNorm(m Layer) float64 {
 	s := 0.0
@@ -199,23 +190,6 @@ func LoadStateDict(m Layer, d map[string]*tensor.Tensor) error {
 	return nil
 }
 
-// CopyParams copies parameter values from src into dst; the models
-// must have identical architectures.
-func CopyParams(dst, src Layer) error {
-	dp, sp := dst.Params(), src.Params()
-	if len(dp) != len(sp) {
-		return fmt.Errorf("nn: CopyParams parameter count mismatch %d vs %d", len(dp), len(sp))
-	}
-	for i := range dp {
-		if !dp[i].Value.SameShape(sp[i].Value) {
-			return fmt.Errorf("nn: CopyParams parameter %d shape mismatch %v vs %v", i, dp[i].Value.Shape(), sp[i].Value.Shape())
-		}
-		dp[i].Value.CopyFrom(sp[i].Value)
-	}
-	invalidatePacks(dst)
-	return nil
-}
-
 // FlattenParams serializes all parameter values into one flat vector,
 // the representation used when averaging weights across ranks in the
 // data-parallel baseline.
@@ -243,32 +217,5 @@ func UnflattenParams(m Layer, flat []float64) error {
 		return fmt.Errorf("nn: UnflattenParams vector length %d, model has %d parameters", len(flat), off)
 	}
 	invalidatePacks(m)
-	return nil
-}
-
-// FlattenGrads serializes all parameter gradients into one flat vector
-// (used by the data-parallel baseline's gradient allreduce variant).
-func FlattenGrads(m Layer) []float64 {
-	var out []float64
-	for _, p := range m.Params() {
-		out = append(out, p.Grad.Data()...)
-	}
-	return out
-}
-
-// UnflattenGrads loads a flat gradient vector back into Param.Grad.
-func UnflattenGrads(m Layer, flat []float64) error {
-	off := 0
-	for _, p := range m.Params() {
-		n := p.Grad.Size()
-		if off+n > len(flat) {
-			return fmt.Errorf("nn: UnflattenGrads vector too short (%d)", len(flat))
-		}
-		copy(p.Grad.Data(), flat[off:off+n])
-		off += n
-	}
-	if off != len(flat) {
-		return fmt.Errorf("nn: UnflattenGrads vector length %d, model has %d gradient entries", len(flat), off)
-	}
 	return nil
 }

@@ -40,6 +40,8 @@ var packCount atomic.Int64
 // PackCount returns the process-wide number of weight-pack narrowing
 // passes performed so far. Tests take deltas around Engine
 // construction and serving calls.
+//
+//repolint:allow reach -- the pack-once-per-Engine invariant: nn TestPackCountOncePerPin and core TestEnginePrecisionPackOncePerEngine count passes with it
 func PackCount() int64 { return packCount.Load() }
 
 // get returns the packed float32 weight and bias, narrowing them from

@@ -45,13 +45,11 @@ func ParsePrecision(s string) (Precision, error) {
 	return F64, fmt.Errorf("nn: unknown precision %q (want f64 or f32)", s)
 }
 
-// act32 is a float32 activation flowing between forward32 stages: a
-// shape header passed by value (no per-call allocation) over a data
-// slice that lives in the chain's arena. rank is 2 ([n × c]) or 4
-// (NCHW); rank-2 activations keep h = w = 1.
+// act32 is a float32 NCHW activation flowing between forward32 stages:
+// a shape header passed by value (no per-call allocation) over a data
+// slice that lives in the chain's arena.
 type act32 struct {
 	n, c, h, w int
-	rank       int
 	d          []float32
 }
 
@@ -83,8 +81,7 @@ type seqF32 struct {
 
 // SetPrecision pins the network's compute path. F32 requires every
 // contained layer to implement the float32 path; the first layer that
-// does not (e.g. LSTM) is reported by name and the network is left
-// unchanged. F64 unpins all layers. Pinning is a per-instance
+// does not is reported by name and the network is left unchanged. F64 unpins all layers. Pinning is a per-instance
 // property, like SetWorkers: clones made before a pin do not see it,
 // and CloneShared propagates the current pin to new clones. A pinned
 // network is forward-only: Backward panics until SetPrecision(F64).
@@ -132,23 +129,15 @@ func (s *Sequential) Precision() Precision {
 // actOf builds the shape header for a boundary tensor over the given
 // float32 data.
 func actOf(x *tensor.Tensor, d []float32) act32 {
-	switch x.Rank() {
-	case 2:
-		return act32{n: x.Dim(0), c: x.Dim(1), h: 1, w: 1, rank: 2, d: d}
-	case 4:
-		return act32{n: x.Dim(0), c: x.Dim(1), h: x.Dim(2), w: x.Dim(3), rank: 4, d: d}
+	if x.Rank() != 4 {
+		panic(fmt.Sprintf("nn: f32 path needs rank-4 input, got shape %v", x.Shape()))
 	}
-	panic(fmt.Sprintf("nn: f32 path needs rank-2 or rank-4 input, got shape %v", x.Shape()))
+	return act32{n: x.Dim(0), c: x.Dim(1), h: x.Dim(2), w: x.Dim(3), d: d}
 }
 
 // newFromAct allocates the float64 boundary tensor for an activation's
 // shape.
-func newFromAct(x act32) *tensor.Tensor {
-	if x.rank == 2 {
-		return tensor.New(x.n, x.c)
-	}
-	return tensor.New(x.n, x.c, x.h, x.w)
-}
+func newFromAct(x act32) *tensor.Tensor { return tensor.New(x.n, x.c, x.h, x.w) }
 
 // forwardVia32 is the per-layer pinned path: narrow the input into
 // arena scratch, run the layer's float32 kernel, widen the result into

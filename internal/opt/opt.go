@@ -181,9 +181,6 @@ func (o *Adam) LR() float64 { return o.lr }
 // SetLR implements Optimizer.
 func (o *Adam) SetLR(lr float64) { o.lr = lr }
 
-// StepCount returns the number of updates applied so far.
-func (o *Adam) StepCount() int { return o.t }
-
 // Step implements Optimizer.
 func (o *Adam) Step(model nn.Layer) {
 	o.t++

@@ -21,7 +21,7 @@ func newQuadModel(init []float64) *quadModel {
 
 func (m *quadModel) Name() string                             { return "quad" }
 func (m *quadModel) Forward(x *tensor.Tensor) *tensor.Tensor  { return m.p.Value.Clone() }
-func (m *quadModel) Backward(g *tensor.Tensor) *tensor.Tensor { m.p.Grad.AddInPlace(g); return nil }
+func (m *quadModel) Backward(g *tensor.Tensor) *tensor.Tensor { m.p.Grad.AddScaled(1, g); return nil }
 func (m *quadModel) Params() []*nn.Param                      { return []*nn.Param{m.p} }
 
 // minimize runs steps of "loss = ½‖w - target‖²" and returns the final
@@ -36,7 +36,12 @@ func minimize(o Optimizer, steps int, start, target []float64) float64 {
 		m.Backward(g)
 		o.Step(m)
 	}
-	return m.p.Value.Sub(tgt).Norm2()
+	d := m.p.Value.Sub(tgt).Data()
+	sq := 0.0
+	for _, v := range d {
+		sq += v * v
+	}
+	return math.Sqrt(sq)
 }
 
 func TestSGDConverges(t *testing.T) {
@@ -77,9 +82,6 @@ func TestAdamFirstStepIsLR(t *testing.T) {
 	got := m.p.Value.At(0)
 	if math.Abs(got+0.01) > 1e-6 {
 		t.Fatalf("first Adam step = %g, want ≈ -0.01", got)
-	}
-	if o.StepCount() != 1 {
-		t.Fatalf("StepCount = %d", o.StepCount())
 	}
 }
 
@@ -162,14 +164,6 @@ func TestTrainingLoopEndToEnd(t *testing.T) {
 }
 
 func TestSchedules(t *testing.T) {
-	c := ConstSchedule{Base: 0.1}
-	if c.LRAt(0) != 0.1 || c.LRAt(100) != 0.1 {
-		t.Fatalf("ConstSchedule broken")
-	}
-	s := StepDecay{Base: 1, Gamma: 0.5, Every: 10}
-	if s.LRAt(0) != 1 || s.LRAt(9) != 1 || s.LRAt(10) != 0.5 || s.LRAt(25) != 0.25 {
-		t.Fatalf("StepDecay: %g %g %g %g", s.LRAt(0), s.LRAt(9), s.LRAt(10), s.LRAt(25))
-	}
 	cos := Cosine{Base: 1, Floor: 0.1, Total: 11}
 	if math.Abs(cos.LRAt(0)-1) > 1e-12 {
 		t.Fatalf("Cosine start = %g", cos.LRAt(0))
@@ -184,24 +178,16 @@ func TestSchedules(t *testing.T) {
 	if mid <= 0.1 || mid >= 1 {
 		t.Fatalf("Cosine mid = %g", mid)
 	}
-	w := Warmup{Inner: ConstSchedule{Base: 1}, WarmEpochs: 4}
-	if w.LRAt(0) != 0.25 || w.LRAt(1) != 0.5 || w.LRAt(3) != 1 || w.LRAt(10) != 1 {
-		t.Fatalf("Warmup: %g %g %g %g", w.LRAt(0), w.LRAt(1), w.LRAt(3), w.LRAt(10))
-	}
-	for _, sch := range []Schedule{c, s, cos, w} {
-		if sch.Name() == "" {
-			t.Fatalf("empty schedule name")
-		}
+	if cos.Name() == "" {
+		t.Fatalf("empty schedule name")
 	}
 }
 
 // Property-like check: schedules never return negative rates.
 func TestSchedulesNonNegative(t *testing.T) {
 	scheds := []Schedule{
-		ConstSchedule{Base: 0.1},
-		StepDecay{Base: 0.1, Gamma: 0.3, Every: 3},
 		Cosine{Base: 0.1, Floor: 0, Total: 50},
-		Warmup{Inner: Cosine{Base: 0.1, Floor: 0.001, Total: 50}, WarmEpochs: 5},
+		Cosine{Base: 0.1, Floor: 0.001, Total: 1},
 	}
 	for _, s := range scheds {
 		for e := 0; e < 200; e++ {

@@ -1,9 +1,6 @@
 package opt
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Schedule maps an epoch index to a learning rate.
 type Schedule interface {
@@ -11,33 +8,6 @@ type Schedule interface {
 	LRAt(epoch int) float64
 	// Name identifies the schedule for logs.
 	Name() string
-}
-
-// ConstSchedule keeps the learning rate fixed.
-type ConstSchedule struct{ Base float64 }
-
-// Name implements Schedule.
-func (s ConstSchedule) Name() string { return "const" }
-
-// LRAt implements Schedule.
-func (s ConstSchedule) LRAt(int) float64 { return s.Base }
-
-// StepDecay multiplies the rate by Gamma every Every epochs.
-type StepDecay struct {
-	Base  float64
-	Gamma float64
-	Every int
-}
-
-// Name implements Schedule.
-func (s StepDecay) Name() string { return "step-decay" }
-
-// LRAt implements Schedule.
-func (s StepDecay) LRAt(epoch int) float64 {
-	if s.Every <= 0 {
-		return s.Base
-	}
-	return s.Base * math.Pow(s.Gamma, float64(epoch/s.Every))
 }
 
 // Cosine anneals the rate from Base to Floor over Total epochs.
@@ -60,23 +30,4 @@ func (s Cosine) LRAt(epoch int) float64 {
 	}
 	frac := float64(epoch) / float64(s.Total-1)
 	return s.Floor + 0.5*(s.Base-s.Floor)*(1+math.Cos(math.Pi*frac))
-}
-
-// Warmup linearly ramps from 0 to the inner schedule's rate over
-// WarmEpochs, then delegates.
-type Warmup struct {
-	Inner      Schedule
-	WarmEpochs int
-}
-
-// Name implements Schedule.
-func (s Warmup) Name() string { return fmt.Sprintf("warmup+%s", s.Inner.Name()) }
-
-// LRAt implements Schedule.
-func (s Warmup) LRAt(epoch int) float64 {
-	base := s.Inner.LRAt(epoch)
-	if s.WarmEpochs <= 0 || epoch >= s.WarmEpochs {
-		return base
-	}
-	return base * float64(epoch+1) / float64(s.WarmEpochs)
 }

@@ -110,16 +110,6 @@ type replica struct {
 	nextProbe time.Time // zero = probe at the next tick
 }
 
-func (rep *replica) setState(s State, version, errStr string) {
-	rep.mu.Lock()
-	rep.state = s
-	if version != "" {
-		rep.version = version
-	}
-	rep.lastErr = errStr
-	rep.mu.Unlock()
-}
-
 // snapshot returns the mutex-guarded fields consistently.
 func (rep *replica) snapshot() (State, string, string) {
 	rep.mu.Lock()

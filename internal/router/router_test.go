@@ -392,7 +392,10 @@ func TestRetryReplaysBodyIntact(t *testing.T) {
 		cfg.Replicas = append([]ReplicaSpec{{ID: "r0", URL: "http://" + lt.deadHost}}, cfg.Replicas...)
 	})
 	// r0 failed its first probe; call it Ready so it is the first pick.
-	rt.routed()[0].setState(Ready, "v1", "")
+	r0 := rt.routed()[0]
+	r0.mu.Lock()
+	r0.state, r0.version, r0.lastErr = Ready, "v1", ""
+	r0.mu.Unlock()
 	first := bytes.Repeat([]byte("first request "), 1<<16)
 	if got := postEcho(t, front.URL, first); got.Replica != fakes[0].id {
 		t.Fatalf("served by %q, want the retry on %s", got.Replica, fakes[0].id)

@@ -78,11 +78,6 @@ func (c *Client) Predict(ctx context.Context, states ...*tensor.Tensor) (*tensor
 	return c.predictPath(ctx, "/v1/predict", states)
 }
 
-// PredictModel is Predict against a named model on the /v2 surface.
-func (c *Client) PredictModel(ctx context.Context, model string, states ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return c.predictPath(ctx, "/v2/models/"+model+"/predict", states)
-}
-
 func (c *Client) predictPath(ctx context.Context, path string, states []*tensor.Tensor) (*tensor.Tensor, error) {
 	body, contentType, err := c.encodeBody(states)
 	if err != nil {
@@ -128,11 +123,6 @@ func (c *Client) predictPath(ctx context.Context, path string, states []*tensor.
 // server notices the closed connection within one step).
 func (c *Client) Rollout(ctx context.Context, steps int, states []*tensor.Tensor, fn func(step int, frame *tensor.Tensor) error) error {
 	return c.rolloutPath(ctx, "/v1/rollout", steps, states, fn)
-}
-
-// RolloutModel is Rollout against a named model on the /v2 surface.
-func (c *Client) RolloutModel(ctx context.Context, model string, steps int, states []*tensor.Tensor, fn func(step int, frame *tensor.Tensor) error) error {
-	return c.rolloutPath(ctx, "/v2/models/"+model+"/rollout", steps, states, fn)
 }
 
 func (c *Client) rolloutPath(ctx context.Context, path string, steps int, states []*tensor.Tensor, fn func(step int, frame *tensor.Tensor) error) error {
@@ -231,27 +221,6 @@ func readLine(br *bufio.Reader, line *Body) error {
 	}
 }
 
-// Models lists the server's published models (GET /v2/models).
-func (c *Client) Models(ctx context.Context) (*ModelsResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v2/models", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, httpError(resp)
-	}
-	var out ModelsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("serve: decoding models list: %w", err)
-	}
-	return &out, nil
-}
-
 // admin posts one /v2/admin operation and returns the resolved model
 // identity.
 func (c *Client) admin(ctx context.Context, op string, req AdminRequest) (*AdminResponse, error) {
@@ -279,28 +248,10 @@ func (c *Client) admin(ctx context.Context, op string, req AdminRequest) (*Admin
 	return &out, nil
 }
 
-// AdminLoad publishes the model artifact at dir under name (empty =
-// the manifest's name).
-func (c *Client) AdminLoad(ctx context.Context, name, version, dir string) (*AdminResponse, error) {
-	return c.admin(ctx, "load", AdminRequest{Name: name, Version: version, Dir: dir})
-}
-
 // AdminSwap hot-swaps the model published under name with the
 // artifact at dir; in-flight requests finish on the old version.
 func (c *Client) AdminSwap(ctx context.Context, name, version, dir string) (*AdminResponse, error) {
 	return c.admin(ctx, "swap", AdminRequest{Name: name, Version: version, Dir: dir})
-}
-
-// AdminUnload retires the model published under name.
-func (c *Client) AdminUnload(ctx context.Context, name string) (*AdminResponse, error) {
-	return c.admin(ctx, "unload", AdminRequest{Name: name})
-}
-
-// AdminPromote asks a cmd/router front end to move the named warm
-// standby replica into the routed set (POST /v2/admin/promote). It is
-// a router-only operation; a plain cmd/serve answers 404.
-func (c *Client) AdminPromote(ctx context.Context, replica string) (*AdminResponse, error) {
-	return c.admin(ctx, "promote", AdminRequest{Name: replica})
 }
 
 // Health fetches and decodes /healthz — the typed probe cmd/router's
@@ -323,10 +274,4 @@ func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 		return nil, fmt.Errorf("serve: decoding healthz: %w", err)
 	}
 	return &h, nil
-}
-
-// Healthy checks /healthz.
-func (c *Client) Healthy(ctx context.Context) error {
-	_, err := c.Health(ctx)
-	return err
 }

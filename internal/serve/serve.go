@@ -346,9 +346,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // batchers stay in sync).
 func (s *Server) Registry() *core.Registry { return s.reg }
 
-// DefaultModel returns the registry name /v1 delegates to.
-func (s *Server) DefaultModel() string { return s.deflt }
-
 // acquire pins the current version of a model for one HTTP request:
 // the returned release must be called when the request (including any
 // session it opened) is done. A version stays fully alive — engine,

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,12 +18,65 @@ import (
 	"repro/internal/tensor"
 )
 
+// The /v2 half of Client: only these tests drive the per-model and
+// admin endpoints through it (the binaries use /v1 and AdminSwap).
+
+// PredictModel is Predict against a named model on the /v2 surface.
+func (c *Client) PredictModel(ctx context.Context, model string, states ...*tensor.Tensor) (*tensor.Tensor, error) {
+	return c.predictPath(ctx, "/v2/models/"+model+"/predict", states)
+}
+
+// RolloutModel is Rollout against a named model on the /v2 surface.
+func (c *Client) RolloutModel(ctx context.Context, model string, steps int, states []*tensor.Tensor, fn func(step int, frame *tensor.Tensor) error) error {
+	return c.rolloutPath(ctx, "/v2/models/"+model+"/rollout", steps, states, fn)
+}
+
+// Models lists the server's published models (GET /v2/models).
+func (c *Client) Models(ctx context.Context) (*ModelsResponse, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v2/models", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, httpError(resp)
+	}
+	var out ModelsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return nil, fmt.Errorf("serve: decoding models list: %w", err)
+	}
+	return &out, nil
+}
+
+// AdminLoad publishes the model artifact at dir under name (empty =
+// the manifest's name).
+func (c *Client) AdminLoad(ctx context.Context, name, version, dir string) (*AdminResponse, error) {
+	return c.admin(ctx, "load", AdminRequest{Name: name, Version: version, Dir: dir})
+}
+
+// AdminUnload retires the model published under name.
+func (c *Client) AdminUnload(ctx context.Context, name string) (*AdminResponse, error) {
+	return c.admin(ctx, "unload", AdminRequest{Name: name})
+}
+
+// AdminPromote asks a cmd/router front end to move the named warm
+// standby replica into the routed set (POST /v2/admin/promote). It is
+// a router-only operation; a plain cmd/serve answers 404.
+func (c *Client) AdminPromote(ctx context.Context, replica string) (*AdminResponse, error) {
+	return c.admin(ctx, "promote", AdminRequest{Name: replica})
+}
+
 // v2Fixture trains two deliberately different tiny models (different
 // seeds) once and caches them — the two versions every hot-swap test
 // flips between.
 var v2Fixture struct {
 	sync.Once
 	ds         *dataset.Dataset
+	ensA, ensB *core.Ensemble
 	engA, engB *core.Engine
 }
 
@@ -38,7 +92,7 @@ func fixture2(t *testing.T) (*dataset.Dataset, *core.Engine, *core.Engine) {
 			t.Fatal(err)
 		}
 		ds := dataset.NormalizeDataset(raw, norm)
-		build := func(seed int64) *core.Engine {
+		build := func(seed int64) (*core.Ensemble, *core.Engine) {
 			cfg := core.DefaultTrainConfig()
 			cfg.Epochs = 1
 			cfg.Seed = seed
@@ -55,9 +109,11 @@ func fixture2(t *testing.T) (*dataset.Dataset, *core.Engine, *core.Engine) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return eng
+			return rep.Ensemble(), eng
 		}
-		v2Fixture.ds, v2Fixture.engA, v2Fixture.engB = ds, build(1), build(2)
+		v2Fixture.ds = ds
+		v2Fixture.ensA, v2Fixture.engA = build(1)
+		v2Fixture.ensB, v2Fixture.engB = build(2)
 	})
 	if v2Fixture.engA == nil {
 		t.Fatal("fixture failed in an earlier test")
@@ -194,10 +250,10 @@ func TestV2AdminLoadSwapUnload(t *testing.T) {
 	ctx := context.Background()
 	dirA := t.TempDir() + "/a"
 	dirB := t.TempDir() + "/b"
-	if err := core.SaveModel(engA.Ensemble(), dirA, "prod", "v1"); err != nil {
+	if err := core.SaveModel(v2Fixture.ensA, dirA, "prod", "v1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := core.SaveModel(engB.Ensemble(), dirB, "prod", "v2"); err != nil {
+	if err := core.SaveModel(v2Fixture.ensB, dirB, "prod", "v2"); err != nil {
 		t.Fatal(err)
 	}
 	wantA, _ := engA.Predict(ctx, ds.Snapshots[0])

@@ -175,7 +175,10 @@ func TestNonFiniteOutput(t *testing.T) {
 	ds, eng := fixture(t)
 	_, client := newTestServer(t, Config{})
 	// Finite on the wire, but large enough to overflow inside the net.
-	huge := tensor.Full(1e308, ds.Snapshots[0].Shape()...)
+	huge := tensor.New(ds.Snapshots[0].Shape()...)
+	for i := range huge.Data() {
+		huge.Data()[i] = 1e308
+	}
 	frame, err := eng.Predict(context.Background(), huge)
 	if err != nil {
 		t.Fatal(err)

@@ -36,35 +36,3 @@ func ConcatChannels(parts ...*Tensor) *Tensor {
 	}
 	return out
 }
-
-// SplitChannels is the inverse of ConcatChannels: it cuts an NCHW
-// tensor into pieces with the given channel counts.
-func SplitChannels(t *Tensor, counts ...int) []*Tensor {
-	if t.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: SplitChannels needs rank-4 NCHW tensor, got %v", t.shape))
-	}
-	sum := 0
-	for _, c := range counts {
-		if c <= 0 {
-			panic("tensor: SplitChannels non-positive channel count")
-		}
-		sum += c
-	}
-	if sum != t.shape[1] {
-		panic(fmt.Sprintf("tensor: SplitChannels counts %v do not sum to %d channels", counts, t.shape[1]))
-	}
-	n, h, w := t.shape[0], t.shape[2], t.shape[3]
-	hw := h * w
-	out := make([]*Tensor, len(counts))
-	off := 0
-	for i, c := range counts {
-		piece := New(n, c, h, w)
-		for in := 0; in < n; in++ {
-			src := t.data[(in*t.shape[1]+off)*hw : (in*t.shape[1]+off+c)*hw]
-			copy(piece.data[in*c*hw:(in+1)*c*hw], src)
-		}
-		out[i] = piece
-		off += c
-	}
-	return out
-}

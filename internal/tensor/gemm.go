@@ -346,22 +346,3 @@ func checkPanel(op string, m, n, k, alen, lda, ar, ac, blen, ldb, br, bc, clen, 
 		panic(fmt.Sprintf("tensor: %s C panel %d rows × %d cols stride %d needs %d elements, have %d", op, m, n, ldc, need, clen))
 	}
 }
-
-// MatMulInto computes dst = a·b for rank-2 tensors, reusing dst's
-// backing storage (dst must be [a.rows × b.cols]). It returns dst.
-// workers > 1 enables the kernels' task parallelism.
-func MatMulInto(dst, a, b *Tensor, workers int) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulInto needs rank-2 tensors, got %v, %v → %v", a.shape, b.shape, dst.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulInto inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	GemmNN(m, n, k, a.data, b.data, dst.data, false, workers)
-	return dst
-}

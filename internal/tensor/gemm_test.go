@@ -463,3 +463,17 @@ func testGemmPanelStridedMatchesFlat[T Float](t *testing.T, tol float64) {
 		closeSlices(t, "GemmPanelNT row", got[i*ldc:i*ldc+n], want[i*n:(i+1)*n], tol)
 	}
 }
+
+// Im2Col lowers the full CHW image x (flat, c·h·w values) into cols,
+// a [C·K·K × OH·OW] row-major matrix: the whole-frame lowering the
+// windowed tiles and the direct kernel are checked against.
+func Im2Col[T Float](x []T, c, h, w, k, pad int, cols []T) {
+	oh, ow := ConvOutSize(h, k, pad), ConvOutSize(w, k, pad)
+	Im2ColWindow(x, c, h, w, k, pad, 0, oh*ow, cols)
+}
+
+// Col2Im is the adjoint of Im2Col over the full output frame.
+func Col2Im[T Float](cols []T, c, h, w, k, pad int, x []T) {
+	oh, ow := ConvOutSize(h, k, pad), ConvOutSize(w, k, pad)
+	Col2ImWindow(cols, c, h, w, k, pad, 0, oh*ow, x)
+}

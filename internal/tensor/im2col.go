@@ -36,20 +36,6 @@ func Im2ColRows(c, k int) int { return c * k * k }
 // convolution with the given padding: n + 2·pad − k + 1.
 func ConvOutSize(n, k, pad int) int { return n + 2*pad - k + 1 }
 
-// Im2Col lowers the full CHW image x (flat, c·h·w values) into cols,
-// a [C·K·K × OH·OW] row-major matrix with OH = ConvOutSize(h, k, pad)
-// and OW = ConvOutSize(w, k, pad).
-func Im2Col[T Float](x []T, c, h, w, k, pad int, cols []T) {
-	oh, ow := ConvOutSize(h, k, pad), ConvOutSize(w, k, pad)
-	Im2ColWindow(x, c, h, w, k, pad, 0, oh*ow, cols)
-}
-
-// Col2Im is the adjoint of Im2Col over the full output frame.
-func Col2Im[T Float](cols []T, c, h, w, k, pad int, x []T) {
-	oh, ow := ConvOutSize(h, k, pad), ConvOutSize(w, k, pad)
-	Col2ImWindow(cols, c, h, w, k, pad, 0, oh*ow, x)
-}
-
 // Im2ColWindow lowers output columns [j0, j1) — flat row-major output
 // positions oy·OW+ox — of the CHW image x into cols, a
 // [C·K·K × (j1−j0)] row-major panel. Row (ci·K+ky)·K+kx holds, for

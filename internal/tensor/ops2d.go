@@ -9,6 +9,8 @@ import "fmt"
 
 // Pad2D zero-pads the last two dimensions of a rank-4 NCHW tensor by
 // pad cells on every side. pad must be >= 0.
+//
+//repolint:allow reach -- nn/reference_test.go pads with it: the nested-loop convolution oracle of the crosscheck, gradcheck and batched tests
 func Pad2D(t *Tensor, pad int) *Tensor {
 	if t.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Pad2D needs rank-4 NCHW tensor, got shape %v", t.shape))
@@ -63,13 +65,6 @@ func Crop2D(t *Tensor, crop int) *Tensor {
 		}
 	}
 	return out
-}
-
-// EmbedCenter writes src into the center of a zero tensor with the last
-// two dimensions enlarged by 2*pad; it is the inverse of Crop2D in the
-// sense that Crop2D(EmbedCenter(x, p), p) == x.
-func EmbedCenter(src *Tensor, pad int) *Tensor {
-	return Pad2D(src, pad)
 }
 
 // SubImage extracts rows [y0,y1) and columns [x0,x1) from the last two
@@ -155,35 +150,4 @@ func Stack(samples []*Tensor) *Tensor {
 		copy(out.data[i*stride:(i+1)*stride], s.data)
 	}
 	return out
-}
-
-// Unstack splits a rank-4 NCHW tensor into its rank-3 CHW samples
-// (copies).
-func Unstack(t *Tensor) []*Tensor {
-	if t.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: Unstack needs rank-4 NCHW tensor, got %v", t.shape))
-	}
-	n, c, h, w := t.shape[0], t.shape[1], t.shape[2], t.shape[3]
-	stride := c * h * w
-	out := make([]*Tensor, n)
-	for i := 0; i < n; i++ {
-		s := New(c, h, w)
-		copy(s.data, t.data[i*stride:(i+1)*stride])
-		out[i] = s
-	}
-	return out
-}
-
-// MatMul computes the matrix product of two rank-2 tensors through the
-// blocked GEMM kernel in gemm.go.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul needs rank-2 tensors, got %v and %v", a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	return MatMulInto(New(m, n), a, b, 1)
 }

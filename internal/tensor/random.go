@@ -20,9 +20,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // NormFloat64 returns a standard normal value.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 
-// Intn returns a uniform value in [0,n).
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 

@@ -52,22 +52,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	return t
 }
 
-// Zeros is an alias for New, provided for readability at call sites that
-// emphasize the initial value.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
-// Ones allocates a tensor with every element set to 1.
-func Ones(shape ...int) *Tensor { return Full(1, shape...) }
-
-// Full allocates a tensor with every element set to v.
-func Full(v float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = v
-	}
-	return t
-}
-
 func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")
@@ -106,9 +90,6 @@ func (t *Tensor) Size() int { return len(t.data) }
 
 // Data returns the backing slice. Mutating it mutates the tensor.
 func (t *Tensor) Data() []float64 { return t.data }
-
-// Strides returns a copy of the row-major strides.
-func (t *Tensor) Strides() []int { return append([]int(nil), t.strides...) }
 
 // Offset converts a multi-dimensional index to a flat offset.
 // It panics on rank mismatch or out-of-range indices.
@@ -160,13 +141,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return r
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
 	for i := range t.data {
@@ -203,68 +177,12 @@ func (t *Tensor) Add(o *Tensor) *Tensor {
 	return r
 }
 
-// AddInPlace adds o into t elementwise and returns t.
-func (t *Tensor) AddInPlace(o *Tensor) *Tensor {
-	t.mustSameShape(o, "AddInPlace")
-	for i, v := range o.data {
-		t.data[i] += v
-	}
-	return t
-}
-
 // Sub returns t - o elementwise as a new tensor.
 func (t *Tensor) Sub(o *Tensor) *Tensor {
 	t.mustSameShape(o, "Sub")
 	r := t.Clone()
 	for i, v := range o.data {
 		r.data[i] -= v
-	}
-	return r
-}
-
-// SubInPlace subtracts o from t elementwise and returns t.
-func (t *Tensor) SubInPlace(o *Tensor) *Tensor {
-	t.mustSameShape(o, "SubInPlace")
-	for i, v := range o.data {
-		t.data[i] -= v
-	}
-	return t
-}
-
-// Mul returns the elementwise (Hadamard) product t ⊙ o as a new tensor.
-func (t *Tensor) Mul(o *Tensor) *Tensor {
-	t.mustSameShape(o, "Mul")
-	r := t.Clone()
-	for i, v := range o.data {
-		r.data[i] *= v
-	}
-	return r
-}
-
-// MulInPlace multiplies o into t elementwise and returns t.
-func (t *Tensor) MulInPlace(o *Tensor) *Tensor {
-	t.mustSameShape(o, "MulInPlace")
-	for i, v := range o.data {
-		t.data[i] *= v
-	}
-	return t
-}
-
-// Div returns t / o elementwise as a new tensor.
-func (t *Tensor) Div(o *Tensor) *Tensor {
-	t.mustSameShape(o, "Div")
-	r := t.Clone()
-	for i, v := range o.data {
-		r.data[i] /= v
-	}
-	return r
-}
-
-// Scale returns c*t as a new tensor.
-func (t *Tensor) Scale(c float64) *Tensor {
-	r := t.Clone()
-	for i := range r.data {
-		r.data[i] *= c
 	}
 	return r
 }
@@ -284,40 +202,6 @@ func (t *Tensor) AddScaled(c float64, o *Tensor) *Tensor {
 		t.data[i] += c * v
 	}
 	return t
-}
-
-// Apply returns a new tensor with f applied to every element.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	r := t.Clone()
-	for i, v := range r.data {
-		r.data[i] = f(v)
-	}
-	return r
-}
-
-// ApplyInPlace applies f to every element in place and returns t.
-func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-	return t
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty tensors).
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.data))
 }
 
 // Max returns the maximum element. It panics on empty tensors.
@@ -359,27 +243,6 @@ func (t *Tensor) AbsMax() float64 {
 	return m
 }
 
-// Norm2 returns the Euclidean (Frobenius) norm of t.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Dot returns the inner product of t and o viewed as flat vectors.
-func (t *Tensor) Dot(o *Tensor) float64 {
-	if len(t.data) != len(o.data) {
-		panic(fmt.Sprintf("tensor: Dot size mismatch %d vs %d", len(t.data), len(o.data)))
-	}
-	s := 0.0
-	for i, v := range t.data {
-		s += v * o.data[i]
-	}
-	return s
-}
-
 // Equal reports exact elementwise equality of shape and data.
 func (t *Tensor) Equal(o *Tensor) bool {
 	if !t.SameShape(o) {
@@ -408,6 +271,8 @@ func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
 }
 
 // HasNaN reports whether any element is NaN or ±Inf.
+//
+//repolint:allow reach -- the finite-output invariant of core TestRolloutMultiStepAutoregressive, TestWindowedRolloutMultiStep and TestUnevenBlocksTrainAndRollout, dataset TestGenerateBasics, loss TestMAPEEpsGuard and Example_quickstart
 func (t *Tensor) HasNaN() bool {
 	for _, v := range t.data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

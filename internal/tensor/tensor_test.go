@@ -68,18 +68,6 @@ func TestArithmetic(t *testing.T) {
 	if !diff.Equal(FromSlice([]float64{4, 4, 4, 4}, 2, 2)) {
 		t.Fatalf("Sub = %v", diff)
 	}
-	prod := a.Mul(b)
-	if !prod.Equal(FromSlice([]float64{5, 12, 21, 32}, 2, 2)) {
-		t.Fatalf("Mul = %v", prod)
-	}
-	quot := b.Div(a)
-	want := FromSlice([]float64{5, 3, 7.0 / 3.0, 2}, 2, 2)
-	if !quot.AllClose(want, 1e-15) {
-		t.Fatalf("Div = %v", quot)
-	}
-	if got := a.Scale(2).Sum(); got != 20 {
-		t.Fatalf("Scale(2).Sum = %g, want 20", got)
-	}
 	// original a unchanged by the non-in-place ops
 	if !a.Equal(FromSlice([]float64{1, 2, 3, 4}, 2, 2)) {
 		t.Fatalf("a mutated: %v", a)
@@ -89,10 +77,6 @@ func TestArithmetic(t *testing.T) {
 func TestInPlaceArithmetic(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 4)
 	b := FromSlice([]float64{1, 1, 1, 1}, 4)
-	a.AddInPlace(b).SubInPlace(b)
-	if !a.Equal(FromSlice([]float64{1, 2, 3, 4}, 4)) {
-		t.Fatalf("Add/Sub round trip broke: %v", a)
-	}
 	a.AddScaled(2, b)
 	if !a.Equal(FromSlice([]float64{3, 4, 5, 6}, 4)) {
 		t.Fatalf("AddScaled: %v", a)
@@ -101,28 +85,18 @@ func TestInPlaceArithmetic(t *testing.T) {
 	if !a.Equal(FromSlice([]float64{1.5, 2, 2.5, 3}, 4)) {
 		t.Fatalf("ScaleInPlace: %v", a)
 	}
-	a.MulInPlace(FromSlice([]float64{2, 2, 2, 2}, 4))
-	if !a.Equal(FromSlice([]float64{3, 4, 5, 6}, 4)) {
-		t.Fatalf("MulInPlace: %v", a)
-	}
 }
 
 func TestShapeMismatchPanics(t *testing.T) {
 	a := New(2, 2)
 	b := New(4)
 	assertPanics(t, func() { a.Add(b) })
-	assertPanics(t, func() { a.Mul(b) })
+	assertPanics(t, func() { a.AddScaled(1, b) })
 	assertPanics(t, func() { a.CopyFrom(New(5)) })
 }
 
 func TestReductions(t *testing.T) {
 	x := FromSlice([]float64{-3, 1, 4, -1}, 4)
-	if x.Sum() != 1 {
-		t.Fatalf("Sum = %g", x.Sum())
-	}
-	if x.Mean() != 0.25 {
-		t.Fatalf("Mean = %g", x.Mean())
-	}
 	if x.Max() != 4 {
 		t.Fatalf("Max = %g", x.Max())
 	}
@@ -202,7 +176,7 @@ func TestQuickAdditiveInverse(t *testing.T) {
 			}
 		}
 		a := FromSlice(append([]float64(nil), raw...), len(raw))
-		z := a.Add(a.Scale(-1))
+		z := a.Add(a.Clone().ScaleInPlace(-1))
 		return z.AbsMax() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -382,13 +356,14 @@ func TestUniformRange(t *testing.T) {
 
 func TestNormalMoments(t *testing.T) {
 	x := Normal(NewRNG(5), 1.5, 2.0, 20000)
-	if math.Abs(x.Mean()-1.5) > 0.1 {
-		t.Fatalf("Normal mean = %g, want ≈1.5", x.Mean())
-	}
-	varSum := 0.0
+	sum, varSum := 0.0, 0.0
 	for _, v := range x.Data() {
+		sum += v
 		d := v - 1.5
 		varSum += d * d
+	}
+	if mean := sum / float64(x.Size()); math.Abs(mean-1.5) > 0.1 {
+		t.Fatalf("Normal mean = %g, want ≈1.5", mean)
 	}
 	std := math.Sqrt(varSum / float64(x.Size()))
 	if math.Abs(std-2.0) > 0.1 {
@@ -403,7 +378,7 @@ func TestApply(t *testing.T) {
 		t.Fatalf("Apply = %v", y.Data())
 	}
 	x.ApplyInPlace(func(v float64) float64 { return -v })
-	if x.Sum() != -14 {
-		t.Fatalf("ApplyInPlace sum = %g", x.Sum())
+	if !x.Equal(FromSlice([]float64{-1, -4, -9}, 3)) {
+		t.Fatalf("ApplyInPlace = %v", x.Data())
 	}
 }

@@ -40,7 +40,10 @@ func TestAsciiMapBasics(t *testing.T) {
 }
 
 func TestAsciiMapConstantField(t *testing.T) {
-	f := tensor.Full(3.5, 4, 4)
+	f := tensor.New(4, 4)
+	for i := range f.Data() {
+		f.Data()[i] = 3.5
+	}
 	m := AsciiMap(f, 2, 2)
 	for _, line := range m {
 		if strings.Trim(line, " ") != "" {
