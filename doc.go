@@ -19,8 +19,8 @@
 // Serving is micro-batched end to end (DESIGN.md §9). The batch axis
 // is first-class through the whole compute stack — every nn layer
 // maps [N, ...] inputs such that image i's output is bit-identical to
-// a batch-of-1 call, with the convolution layers sweeping one tall
-// im2col+GEMM task space per batch — and core.Engine.PredictBatch
+// a batch-of-1 call, with the convolution layers sweeping one
+// (image, band) task space per batch — and core.Engine.PredictBatch
 // evaluates a micro-batch of requests in one pass over the rank
 // models (cache-sized image chunks, one pooled clone set).
 // core.Batcher (options core.WithMaxBatch, core.WithMaxDelay)
@@ -136,7 +136,7 @@
 // across worker counts, batch sizes, transports and reruns (cmd/serve,
 // cmd/infer and cmd/train take -precision f64|f32). The float32 path
 // is forward-only — training is always float64 — and both widths run
-// the same generic im2col + GEMM kernels (DESIGN.md §3): there is one
+// the same generic shifted-band kernels (DESIGN.md §3): there is one
 // convolution engine, and the nested-loop reference it is checked
 // against is compiled only into the tests.
 //
@@ -152,9 +152,9 @@
 // bit-identical across {mem, tcp}. Every substrate the scheme needs is
 // implemented in this module:
 //
-//   - internal/tensor — dense float64 N-d tensors and the GEMM +
-//     im2col convolution engine (blocked panel kernels with AVX2/
-//     AVX-512 FMA assembly on amd64 and a portable fallback)
+//   - internal/tensor — dense float64 N-d tensors and the convolution
+//     kernels (shifted products over padded bands, with AVX2/AVX-512
+//     FMA assembly on amd64 and a portable fallback)
 //   - internal/nn     — CNN layers with hand-derived backprop and a
 //     native batch axis (batched outputs bit-identical per image), a
 //     fast-path/slow-path engine switch (DESIGN.md §3, pinnable

@@ -51,7 +51,7 @@ func (eng *Engine) batchChunk(he, we int) int {
 // (DESIGN.md §9), so a batch of B requests costs one clone-set
 // acquisition and ~1/B of the per-call fixed overhead of B Predict
 // calls, and the convolution layers sweep the whole chunk as one
-// lowered product.
+// (image, band) task space.
 //
 // Per-request error isolation: a request that fails validation
 // (ErrBadWindow, ErrShapeMismatch) gets its own PredictResult.Err and

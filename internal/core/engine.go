@@ -155,7 +155,7 @@ func (eng *Engine) hostsRank(r int) bool { return eng.local == nil || eng.local[
 // the engine's knobs applied. Each clone shares the trained weights
 // but owns its caches and a single deduplicated scratch arena (from
 // CloneShared), so the steady-state rollout loop allocates nothing in
-// the lowering.
+// the convolution engine.
 func (eng *Engine) newRankModels() *rankModels {
 	rm := &rankModels{models: make([]*nn.Sequential, len(eng.ens.Models))}
 	for r, m := range eng.ens.Models {

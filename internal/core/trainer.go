@@ -263,8 +263,8 @@ func (t *Trainer) trainOne(ctx context.Context, samples []dataset.Sample, cfg Tr
 		return nil, nil, err
 	}
 	// One shared scratch arena per rank model: the convolution layers'
-	// im2col panels all come from it, so a whole epoch reuses the same
-	// few buffers. The Workers knob fans the panel GEMMs out without
+	// band buffers all come from it, so a whole epoch reuses the same
+	// few buffers. The Workers knob fans the bands out without
 	// changing results.
 	m.SetScratch(nn.NewArena())
 	m.SetWorkers(cfg.Workers)

@@ -92,20 +92,25 @@ func TestConv2DBackwardIsAdjoint(t *testing.T) {
 	}
 }
 
-// TestConv2DPadBeyondKernelRejected: with Pad > K-1 the dX lowering
-// would need a negative pad. The constructor refuses such a layer, and
-// one forced into that state through the exported field panics in
-// Backward instead of returning a wrong gradient.
+// TestConv2DPadBeyondKernelRejected: with Pad > K-1 the dX sweep would
+// need a negative pad. The constructor refuses such a layer, and one
+// forced into that state through the exported field — before Forward,
+// or between Forward and Backward — panics in the engine's geometry
+// check, naming the layer, instead of reading out of bounds or
+// returning a wrong gradient.
 func TestConv2DPadBeyondKernelRejected(t *testing.T) {
 	g := tensor.NewRNG(5)
 	mustPanicWith(t, "NewConv2D pad 3 k 3", "exceeds kernel-1", func() { NewConv2D("c", g, 2, 2, 3, 3) })
 	mustPanicWith(t, "NewConv2D pad 1 k 1", "exceeds kernel-1", func() { NewConv2D("c", g, 2, 2, 1, 1) })
 
 	conv := NewConv2D("c", g, 2, 3, 3, 2)
-	conv.Pad = 3
 	x := tensor.Normal(g, 0, 1, 1, 2, 5, 5)
 	y := conv.Forward(x)
-	mustPanicWith(t, "Backward with Pad > K-1", "pad=-1", func() { conv.Backward(y) })
+	conv.Pad = 3
+	mustPanicWith(t, "Backward with Pad > K-1", "layer c: convolution pad 3 outside [0, kernel-1 = 2]", func() { conv.Backward(y) })
+	mustPanicWith(t, "Forward with Pad > K-1", "layer c: convolution pad 3 outside [0, kernel-1 = 2]", func() { conv.Backward(conv.Forward(x)) })
+	conv.Pad = -1
+	mustPanicWith(t, "Forward with Pad < 0", "layer c: convolution pad -1 outside [0, kernel-1 = 2]", func() { conv.Forward(x) })
 }
 
 // TestConvTranspose2DForwardIsFlippedConv runs the other direction of

@@ -3,10 +3,10 @@ package nn
 import "repro/internal/tensor"
 
 // Arena is a grow-only bump allocator for per-call scratch buffers.
-// The GEMM convolution path needs a large im2col workspace (C·K²
-// times the input size) on every Forward and Backward; allocating it
-// fresh each call would dominate the allocation profile of training
-// and of the rollout loop. An Arena hands out slices from reusable
+// The convolution engine needs band buffers (a padded copy of the input
+// rows a band reads, plus a full-width accumulator) on every Forward
+// and Backward; allocating them fresh each call would dominate the
+// allocation profile of training and of the rollout loop. An Arena hands out slices from reusable
 // chunks instead: after the first pass has grown the chunks to their
 // steady-state sizes, every later pass allocates nothing.
 //

@@ -1,6 +1,10 @@
 package nn
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/tensor"
+)
 
 func TestArenaReusesChunksAfterRelease(t *testing.T) {
 	a := NewArena()
@@ -43,4 +47,28 @@ func TestArenaMarkReleaseNesting(t *testing.T) {
 		t.Fatal("inner Release did not rewind to the inner mark")
 	}
 	a.Release(outer)
+}
+
+// TestConvScratchHighWater pins the engine's scratch bound: a Table-I
+// Conv2D (K = 5, same padding) forward + backward at 64² — the
+// per-rank tile of the benchmark's 2×2 training — grows its arena to
+// no more than the 1<<16 elements one lowered panel took, whatever the
+// channel ratio. Band buffers are what keep rss_mb flat; a whole-plane
+// buffer per layer would blow through this.
+func TestConvScratchHighWater(t *testing.T) {
+	for _, ch := range [][2]int{{4, 6}, {6, 16}, {16, 6}, {6, 4}} {
+		g := tensor.NewRNG(3)
+		conv := NewConv2D("c", g, ch[0], ch[1], 5, 2)
+		x := tensor.Normal(g, 0, 1, 1, ch[0], 64, 64)
+		for i := 0; i < 2; i++ {
+			conv.Backward(conv.Forward(x))
+		}
+		held := 0
+		for _, c := range conv.scratch.f64.chunks {
+			held += len(c)
+		}
+		if held > 1<<16 {
+			t.Errorf("%d→%d: arena holds %d float64s after forward+backward, bound %d", ch[0], ch[1], held, 1<<16)
+		}
+	}
 }

@@ -36,7 +36,7 @@ type Conv2D struct {
 	// cacheInput holds what Backward needs from the last float64
 	// Forward: a reference to the raw input, which Backward re-lowers.
 	cacheInput *tensor.Tensor
-	scratch    *Arena // im2col workspace (never nil after NewConv2D)
+	scratch    *Arena // band buffers (never nil after NewConv2D)
 	name       string
 
 	// Float32 inference path (DESIGN.md §13): pack caches the weights
@@ -53,7 +53,7 @@ func NewConv2D(name string, g *tensor.RNG, inCh, outCh, kernel, pad int) *Conv2D
 	if inCh <= 0 || outCh <= 0 || kernel <= 0 || pad < 0 {
 		panic(fmt.Sprintf("nn: invalid Conv2D config in=%d out=%d k=%d pad=%d", inCh, outCh, kernel, pad))
 	}
-	if pad > kernel-1 { // the dX lowering's pad K-1-Pad would be negative
+	if pad > kernel-1 { // the dX sweep's pad K-1-Pad would be negative
 		panic(fmt.Sprintf("nn: Conv2D %s pad %d exceeds kernel-1 = %d", name, pad, kernel-1))
 	}
 	fanIn := inCh * kernel * kernel
@@ -95,8 +95,12 @@ func (c *Conv2D) SetScratch(a *Arena) {
 func (c *Conv2D) SetWorkers(workers int) { c.Workers = workers }
 
 // convShape is the geometry of one batched convolution call: n images
-// of cin×h×w through a cout-channel k×k kernel with zero padding pad.
-type convShape struct{ n, cin, h, w, k, pad, cout int }
+// of cin×h×w through a cout-channel k×k kernel with zero padding pad,
+// run on behalf of the named layer.
+type convShape struct {
+	n, cin, h, w, k, pad, cout int
+	layer                      string
+}
 
 // out returns the spatial output size.
 func (g convShape) out() (oh, ow int) {
@@ -109,9 +113,20 @@ func (c *Conv2D) shapeFor(n, cin, h, w int) convShape {
 	if cin != c.InChannels {
 		panic(fmt.Sprintf("nn: Conv2D %s expects %d input channels, got %d", c.name, c.InChannels, cin))
 	}
-	g := convShape{n: n, cin: cin, h: h, w: w, k: c.Kernel, pad: c.Pad, cout: c.OutChannels}
+	return convShape{n: n, cin: cin, h: h, w: w, k: c.Kernel, pad: c.Pad, cout: c.OutChannels, layer: c.name}.check()
+}
+
+// check returns g, or panics naming the layer on a geometry the engine
+// cannot run: an input smaller than the kernel, or a pad outside
+// [0, K−1]. NewConv2D refuses such a pad, but a Conv2D forced past K−1
+// through its exported field would otherwise ask its dX sweep for a
+// negative one.
+func (g convShape) check() convShape {
+	if g.pad < 0 || g.pad > g.k-1 {
+		panic(fmt.Sprintf("nn: layer %s: convolution pad %d outside [0, kernel-1 = %d]", g.layer, g.pad, g.k-1))
+	}
 	if oh, ow := g.out(); oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: conv input %dx%d smaller than kernel %d", h+2*c.Pad, w+2*c.Pad, c.Kernel))
+		panic(fmt.Sprintf("nn: layer %s: conv input %dx%d smaller than kernel %d", g.layer, g.h+2*g.pad, g.w+2*g.pad, g.k))
 	}
 	return g
 }
@@ -122,13 +137,13 @@ func panicF32Backward(layer string) {
 	panic(fmt.Sprintf("nn: %s Backward while pinned to F32: the float32 path is forward-only (DESIGN.md §13); SetPrecision(F64) and run Forward again before Backward", layer))
 }
 
-// Forward implements Layer: the convolution as matrix products over
-// cache-sized column tiles (convForward), with the raw input cached by
+// Forward implements Layer: the convolution as shifted products over
+// padded row bands (convForward), with the raw input cached by
 // reference for Backward. That relies on the layer protocol's
 // single-flight contract — the input must not be mutated between
 // Forward and the matching Backward — which holds everywhere in this
 // repository, where layer inputs are the previous layer's freshly
-// built output. Steady-state calls allocate nothing in the lowering;
+// built output. Steady-state calls allocate nothing in the engine;
 // only the output tensor is new.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
@@ -147,101 +162,162 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
-// convTileCols returns the column-tile width of the tiled GEMM engine:
-// wide enough to amortize per-tile setup, narrow enough that one
-// [C·K² × tile] im2col panel (~512 KiB) stays L2-resident across the
-// whole reduction sweep — the locality property that makes the lowered
-// convolution faster than the naive loops instead of memory-bound.
-// The width depends only on the layer shape, never on the worker
-// count, so tiling preserves the engine's bit-identical-results
-// contract.
-func convTileCols(ckk, frame int) int {
-	const targetFloats = 1 << 16 // 512 KiB per panel
-	tw := targetFloats / ckk
-	tw &^= 7
-	if tw < 32 {
-		tw = 32
-	}
-	if tw > frame {
-		tw = frame
-	}
-	return tw
+// convBandFloats is the size of a band buffer — its padded input rows
+// plus cout full-width rows — 256 KiB of float64, unless one band row
+// needs more. Every layer asks for the same size, so the layers of a
+// network reuse one arena chunk instead of each growing its own. A
+// backward takes two buffers in turn (dW's, then dX's behind the
+// flipped kernel), so a layer's scratch stays within 1<<16 elements,
+// about one lowered panel's worth (TestConvScratchHighWater).
+const convBandFloats = 1 << 15
+
+// convPlan is how the engine cuts a convShape (DESIGN.md §3): each
+// image into bands of rows output rows — the last band may be shorter
+// — whose padded input rows, rows+K−1 of them at width wp, are copied
+// once per band. The band height depends only on the layer shape and
+// the input width, never on the worker count or the batch size, which
+// is what keeps results bit-identical across both.
+type convPlan struct {
+	convShape
+	oh, ow, wp, rows, bands int
 }
 
-// convForward computes the convolution as matrix products over
-// cache-sized column tiles (DESIGN.md §3), for either element width:
-// each tile of output positions is lowered with Im2ColWindow into a
-// [Cin·K² × tile] panel taken from scratch, the kernel tensor is viewed
-// as a [Cout × Cin·K²] matrix, and the tile's output columns are
-// Y[:, tile] = W·panel + b. Padding is folded into the lowering, so no
-// padded input copy is ever materialized. The caller brackets the call
-// with the arena's Mark/Release.
+// plan checks g and returns its banding.
+func (g convShape) plan() convPlan {
+	oh, ow := g.check().out()
+	wp := g.w + 2*g.pad
+	rows := max(1, min(oh, (convBandFloats/wp-g.cin*(g.k-1))/(g.cin+g.cout)))
+	bands := (oh + rows - 1) / rows
+	return convPlan{convShape: g, oh: oh, ow: ow, wp: wp, rows: (oh + bands - 1) / bands, bands: bands}
+}
+
+// bandLen is the band buffer: the padded input rows, then cout
+// full-width rows (the accumulator, or dY for the weight gradient),
+// rounded up to convBandFloats.
+func (p convPlan) bandLen() int {
+	return max(convBandFloats, (p.cin*(p.rows+p.k-1)+p.cout*p.rows)*p.wp)
+}
+
+// convBand is task t of a banded sweep: output rows [oy0, oy0+r) of
+// image img. Its padded input rows sit at the front of the band buffer,
+// read through tp; its cout full-width rows follow, ld apart, of which
+// the first n columns are computed (the K−1 per row past ow are
+// dropped).
+type convBand struct {
+	img, oy0, r, n, ld int
+	tp                 tensor.Taps
+}
+
+// loadBand copies the padded input rows of band t of the batch xd into
+// the front of buf. It returns the band, that copy, and the rest of buf.
+func loadBand[T tensor.Float](p convPlan, t int, xd, buf []T) (convBand, []T, []T) {
+	img, oy0 := t/p.bands, t%p.bands*p.rows
+	r := min(p.rows, p.oh-oy0)
+	tp := tensor.Taps{C: p.cin, K: p.k, CS: (r + p.k - 1) * p.wp, RS: p.wp}
+	per := p.cin * p.h * p.w
+	tensor.PadRows(xd[img*per:][:per], p.cin, p.h, p.w, p.pad, oy0, oy0+r+p.k-1, buf)
+	return convBand{img, oy0, r, (r-1)*p.wp + p.ow, r * p.wp, tp}, buf[:p.cin*tp.CS], buf[p.cin*tp.CS:]
+}
+
+// convForward computes the convolution (DESIGN.md §3), for either
+// element width, without lowering it. Per band of output rows it copies
+// the padded input rows the band reads (PadRows), accumulates the
+// kernel — viewed as a [Cout × Cin·K²] matrix — against shifted slices
+// of that copy at every full-width output position (ShiftedNN, bias
+// prefilled), and copies the valid columns out. The caller brackets
+// the call with the arena's Mark/Release.
 //
-// The batch axis is folded into the tile axis (DESIGN.md §9): a batch
-// of N images is one sweep over N·ntiles (image, tile) tasks with a
-// single scratch reservation, so the whole batch flows through the
-// layer as one tall lowered product instead of N independent calls.
-// Tile geometry is strictly per-image — tiles never span image
-// boundaries — because the GEMM kernels' per-element rounding depends
-// on the element's position within its panel: per-image tiling is what
-// makes a batched forward bit-identical, image for image, to N
-// batch-of-1 forwards (asserted by nn/batched_test.go). With
-// workers > 1 the (image, tile) tasks — whose output columns are
-// disjoint — fan out to goroutines, each with its own panel, so
-// parallelism scales with the batch even when a single frame has few
-// tiles; with workers <= 1 the sweep is a plain loop over one panel
-// that builds no closure, the zero-allocation steady state of the
-// rollout loop.
+// The batch axis is folded into the band axis (DESIGN.md §9): a batch
+// of N images is one sweep over N·bands (image, band) tasks. Bands
+// never span images, and the SIMD kernels' rounding depends only on a
+// band's own geometry, so a batched forward is bit-identical, image
+// for image, to N batch-of-1 forwards (nn/batched_test.go). With
+// workers > 1 the tasks — whose output rows are disjoint — fan out to
+// goroutines, each with its own band buffer; with workers <= 1 the
+// sweep is a plain loop over one buffer that builds no closure, the
+// zero-allocation steady state of the rollout loop.
 func convForward[T tensor.Float](scratch *bump[T], workers int, g convShape, xd, wd, bd, yd []T) {
-	oh, ow := g.out()
-	ckk := tensor.Im2ColRows(g.cin, g.k)
-	frame := oh * ow
-	tw := convTileCols(ckk, frame)
-	ntiles := (frame + tw - 1) / tw
-	tasks := g.n * ntiles
+	p := g.plan()
+	tasks := g.n * p.bands
 	nw := min(workers, tasks)
 	if nw <= 1 {
-		cols := scratch.alloc(ckk * tw)
+		buf := scratch.alloc(p.bandLen())
 		for t := 0; t < tasks; t++ {
-			convForwardTile(t, ntiles, tw, g, xd, cols, wd, bd, yd)
+			convForwardBand(p, t, xd, wd, bd, yd, buf)
 		}
 		return
 	}
-	panels := make([][]T, nw)
-	for w := range panels {
-		panels[w] = scratch.alloc(ckk * tw)
+	bufs := make([][]T, nw)
+	for w := range bufs {
+		bufs[w] = scratch.alloc(p.bandLen())
 	}
-	// Worker w sweeps its contiguous range of (image, tile) tasks with
-	// its own panel; task output columns are disjoint, so any
-	// assignment of tasks to goroutines produces identical results.
+	// Worker w sweeps its contiguous range of (image, band) tasks with
+	// its own buffer; task output rows are disjoint, so any assignment
+	// of tasks to goroutines produces identical results.
 	parallelFor(nw, nw, func(w int) {
 		for t := w * tasks / nw; t < (w+1)*tasks/nw; t++ {
-			convForwardTile(t, ntiles, tw, g, xd, panels[w], wd, bd, yd)
+			convForwardBand(p, t, xd, wd, bd, yd, bufs[w])
 		}
 	})
 }
 
-// convForwardTile runs task t of convForward: it lowers one column
-// tile of one image into cols and multiplies it against the kernel
-// matrix onto the bias-prefilled output columns. A nil bd means no
-// bias: the product overwrites the columns, with no prefill pass.
-func convForwardTile[T tensor.Float](t, ntiles, tw int, g convShape, xd, cols, wd, bd, yd []T) {
-	oh, ow := g.out()
-	ckk := tensor.Im2ColRows(g.cin, g.k)
-	frame := oh * ow
-	in, tt := t/ntiles, t%ntiles
-	xn := xd[in*g.cin*g.h*g.w : (in+1)*g.cin*g.h*g.w]
-	out := yd[in*g.cout*frame : (in+1)*g.cout*frame]
-	j0 := tt * tw
-	j1 := min(j0+tw, frame)
-	tensor.Im2ColWindow(xn, g.cin, g.h, g.w, g.k, g.pad, j0, j1, cols)
+// convForwardBand runs task t of convForward. A nil bd means no bias:
+// the product overwrites the accumulator, with no prefill pass.
+func convForwardBand[T tensor.Float](p convPlan, t int, xd, wd, bd, yd, buf []T) {
+	b, xb, acc := loadBand(p, t, xd, buf)
 	for co, bv := range bd {
-		row := out[co*frame+j0 : co*frame+j1]
+		row := acc[co*b.ld:][:b.n]
 		for i := range row {
 			row[i] = bv
 		}
 	}
-	tensor.GemmPanelNN(g.cout, j1-j0, ckk, wd, ckk, cols, j1-j0, out[j0:], frame, bd != nil, 1)
+	tensor.ShiftedNN(p.cout, b.n, wd, p.cin*p.k*p.k, xb, b.tp, acc, b.ld, bd != nil, 1)
+	out := yd[b.img*p.cout*p.oh*p.ow:]
+	for co := 0; co < p.cout; co++ {
+		for y := 0; y < b.r; y++ {
+			copy(out[(co*p.oh+b.oy0+y)*p.ow:][:p.ow], acc[co*b.ld+y*p.wp:])
+		}
+	}
+}
+
+// convWeightGrad accumulates the weight gradient of the convolution g
+// over the batch, dW[co, ci, ky, kx] += Σ dY[co, oy, ox]·x̃[ci, oy+ky,
+// ox+kx] with x̃ the zero-padded input, in convForward's bands: per band
+// the padded input rows, dY copied into the band's full-width layout
+// with zeros in the dropped columns, and one ShiftedNT. Bands run in
+// order (their contributions overlap); workers > 1 parallelizes the row
+// pairs of each product, which keeps every accumulation order fixed.
+// Conv2D's dW and ConvTranspose2D's both come from here.
+func convWeightGrad(a *Arena, workers int, g convShape, xd, dyd, dwd []float64) {
+	p := g.plan()
+	mark := a.Mark()
+	buf := a.Alloc(p.bandLen())
+	for t := 0; t < g.n*p.bands; t++ {
+		b, xb, dyb := loadBand(p, t, xd, buf)
+		dy := dyd[b.img*p.cout*p.oh*p.ow:]
+		for co := 0; co < p.cout; co++ {
+			for y := 0; y < b.r; y++ {
+				row := dyb[co*b.ld+y*p.wp:][:p.wp]
+				copy(row, dy[(co*p.oh+b.oy0+y)*p.ow:][:p.ow])
+				clear(row[p.ow:])
+			}
+		}
+		tensor.ShiftedNT(p.cout, b.n, dyb, b.ld, xb, b.tp, dwd, p.cin*p.k*p.k, true, workers)
+	}
+	a.Release(mark)
+}
+
+// addChannelSums accumulates the bias gradient: db[c] += Σ dy over
+// every image's channel c plane of frame values.
+func addChannelSums(db, dy []float64, frame int) {
+	c := len(db)
+	for i := 0; i < len(dy); i += frame {
+		s := 0.0
+		for _, v := range dy[i : i+frame] {
+			s += v
+		}
+		db[i/frame%c] += s
+	}
 }
 
 // flipKernel writes the 180°-rotated, channel-transposed form of the
@@ -277,13 +353,13 @@ func convAdjoint(a *Arena, workers int, g convShape, xd, wd, bd, yd []float64) {
 // (gather form, no scatter), dX = convAdjoint(dY, W, pad K-1-Pad, no
 // bias), so every dX element is written exactly once and results are
 // bit-identical for any worker count and, image for image, any batch
-// size (convForward's per-image tiling). The dW panel is released
-// before the dX sweep takes its own, so scratch high-water is the
-// larger of the two, not their sum.
+// size (convForward's per-image bands). The dW band is released before
+// the dX sweep takes its own, so the live scratch is the larger of the
+// two, not their sum.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	x := c.backwardParams(gradOut)
 	dx := tensor.New(x.Shape()...)
-	g := convShape{n: x.Dim(0), cin: c.OutChannels, h: gradOut.Dim(2), w: gradOut.Dim(3), k: c.Kernel, pad: c.Kernel - 1 - c.Pad, cout: c.InChannels}
+	g := convShape{n: x.Dim(0), cin: c.OutChannels, h: gradOut.Dim(2), w: gradOut.Dim(3), k: c.Kernel, pad: c.Kernel - 1 - c.Pad, cout: c.InChannels, layer: c.name}
 	convAdjoint(c.scratch, c.Workers, g, gradOut.Data(), c.weight.Value.Data(), nil, dx.Data())
 	return dx
 }
@@ -291,13 +367,9 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // backwardParams is the half of Backward that needs no input gradient
 // (Sequential.BackwardParams calls it alone for a first layer): it
 // consumes and returns the cached input, checks gradOut against it, and
-// accumulates dB (per-channel sums of dY) and, per column tile with dYt
-// the [Cout × tile] panel of dY, dW += dYt · panelᵀ (GemmPanelNT). The
-// patch panels are recomputed from the cached raw input — the full
-// lowering is ~K² times the input size, so re-lowering beats caching
-// it. Tiles run serially (their dW contributions overlap); Workers > 1
-// parallelizes the row pairs inside each GEMM, which keeps every
-// accumulation order fixed.
+// accumulates dB (per-channel sums of dY) and dW (convWeightGrad, which
+// reads the cached raw input band by band — the same copies the
+// forward made, 1/K² of a lowered panel each).
 func (c *Conv2D) backwardParams(gradOut *tensor.Tensor) *tensor.Tensor {
 	if c.f32on {
 		panicF32Backward("Conv2D " + c.name)
@@ -307,39 +379,12 @@ func (c *Conv2D) backwardParams(gradOut *tensor.Tensor) *tensor.Tensor {
 	}
 	x := c.cacheInput
 	c.cacheInput = nil
-	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	k, cout := c.Kernel, c.OutChannels
-	oh := tensor.ConvOutSize(h, k, c.Pad)
-	ow := tensor.ConvOutSize(wid, k, c.Pad)
-	if gradOut.Dim(0) != n || gradOut.Dim(1) != cout || gradOut.Dim(2) != oh || gradOut.Dim(3) != ow {
+	g := c.shapeFor(x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3))
+	oh, ow := g.out()
+	if gradOut.Dim(0) != g.n || gradOut.Dim(1) != g.cout || gradOut.Dim(2) != oh || gradOut.Dim(3) != ow {
 		panic(fmt.Sprintf("nn: conv backward shape mismatch x=%v w=%v dy=%v", x.Shape(), c.weight.Value.Shape(), gradOut.Shape()))
 	}
-
-	ckk := tensor.Im2ColRows(cin, k)
-	frame := oh * ow
-	tw := convTileCols(ckk, frame)
-	mark := c.scratch.Mark()
-	cols := c.scratch.Alloc(ckk * tw)
-	defer c.scratch.Release(mark)
-
-	xd, gd := x.Data(), gradOut.Data()
-	dWd, dBd := c.weight.Grad.Data(), c.bias.Grad.Data()
-	for in := 0; in < n; in++ {
-		xn := xd[in*cin*h*wid : (in+1)*cin*h*wid]
-		dy := gd[in*cout*frame : (in+1)*cout*frame]
-		for co := 0; co < cout; co++ {
-			s := 0.0
-			for _, v := range dy[co*frame : (co+1)*frame] {
-				s += v
-			}
-			dBd[co] += s
-		}
-		for j0 := 0; j0 < frame; j0 += tw {
-			j1 := min(j0+tw, frame)
-			twa := j1 - j0
-			tensor.Im2ColWindow(xn, cin, h, wid, k, c.Pad, j0, j1, cols)
-			tensor.GemmPanelNT(cout, ckk, twa, dy[j0:], frame, cols, twa, dWd, ckk, true, c.Workers)
-		}
-	}
+	addChannelSums(c.bias.Grad.Data(), gradOut.Data(), oh*ow)
+	convWeightGrad(c.scratch, c.Workers, g, x.Data(), gradOut.Data(), c.weight.Grad.Data())
 	return x
 }

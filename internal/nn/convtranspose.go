@@ -17,9 +17,10 @@ import (
 // convention): the forward map is exactly the adjoint of Conv2D's
 // valid cross-correlation with a [Cin→Cout] kernel.
 //
-// Like Conv2D, the layer runs on the GEMM engine, in gather form both
+// Like Conv2D, the layer runs on the banded engine, in gather form both
 // ways: the forward pass is Conv2D's own sweep over the flipped kernel,
-// the backward pass Im2Col followed by two products.
+// the backward pass that sweep over the kernel as stored plus
+// convWeightGrad.
 type ConvTranspose2D struct {
 	InChannels  int
 	OutChannels int
@@ -111,17 +112,17 @@ func (c *ConvTranspose2D) shapeFor(n, cin, h, w int) convShape {
 	if cin != c.InChannels {
 		panic(fmt.Sprintf("nn: ConvTranspose2D %s expects %d input channels, got %d", c.name, c.InChannels, cin))
 	}
-	return convShape{n: n, cin: cin, h: h, w: w, k: c.Kernel, pad: c.Kernel - 1, cout: c.OutChannels}
+	return convShape{n: n, cin: cin, h: h, w: w, k: c.Kernel, pad: c.Kernel - 1, cout: c.OutChannels, layer: c.name}
 }
 
-// Backward implements Layer. Because Forward is the adjoint of a valid
-// cross-correlation, lowering the output gradient with Im2ColWindow
-// turns dx into a plain valid cross-correlation and dW into a product
-// with the cached input:
+// Backward implements Layer. Forward is the adjoint of the valid
+// cross-correlation g of dY (Cout channels) with W as stored, viewed as
+// a [Cin × Cout·K²] kernel, so dx is that convolution — convForward
+// with pad 0 — and dW is its weight gradient with the cached input in
+// the role of the output gradient (convWeightGrad):
 //
-//	panelG       = Im2ColWindow(dY)   ([Cout·K² × tile])
-//	dx[:, tile]  = W · panelG         (GemmPanelNN)
-//	dW          += X[:, tile]·panelGᵀ (GemmPanelNT)
+//	dx[ci, iy, ix]      = Σ W[ci, co, ky, kx]·dY[co, iy+ky, ix+kx]
+//	dW[ci, co, ky, kx] += Σ X[ci, iy, ix]·dY[co, iy+ky, ix+kx]
 func (c *ConvTranspose2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if c.f32on {
 		panicF32Backward("ConvTranspose2D " + c.name)
@@ -137,35 +138,12 @@ func (c *ConvTranspose2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if gradOut.Dim(0) != n || gradOut.Dim(1) != cout || gradOut.Dim(2) != oh || gradOut.Dim(3) != ow {
 		panic(fmt.Sprintf("nn: ConvTranspose2D backward shape mismatch x=%v dy=%v", x.Shape(), gradOut.Shape()))
 	}
-
-	ckk := tensor.Im2ColRows(cout, k)
-	frame := h * wid
-	tw := convTileCols(ckk, frame)
-	mark := c.scratch.Mark()
-	colsG := c.scratch.Alloc(ckk * tw)
-	defer c.scratch.Release(mark)
-
+	g := convShape{n: n, cin: cout, h: oh, w: ow, k: k, pad: 0, cout: cin, layer: c.name}
+	addChannelSums(c.bias.Grad.Data(), gradOut.Data(), oh*ow)
+	convWeightGrad(c.scratch, c.Workers, g, gradOut.Data(), x.Data(), c.weight.Grad.Data())
 	dx := tensor.New(n, cin, h, wid)
-	xd, wd, gd, dxd := x.Data(), c.weight.Value.Data(), gradOut.Data(), dx.Data()
-	dWd, dBd := c.weight.Grad.Data(), c.bias.Grad.Data()
-	for in := 0; in < n; in++ {
-		dy := gd[in*cout*oh*ow : (in+1)*cout*oh*ow]
-		for co := 0; co < cout; co++ {
-			s := 0.0
-			for _, v := range dy[co*oh*ow : (co+1)*oh*ow] {
-				s += v
-			}
-			dBd[co] += s
-		}
-		xn := xd[in*cin*frame : (in+1)*cin*frame]
-		dxn := dxd[in*cin*frame : (in+1)*cin*frame]
-		for j0 := 0; j0 < frame; j0 += tw {
-			j1 := min(j0+tw, frame)
-			twa := j1 - j0
-			tensor.Im2ColWindow(dy, cout, oh, ow, k, 0, j0, j1, colsG)
-			tensor.GemmPanelNN(cin, twa, ckk, wd, ckk, colsG, twa, dxn[j0:], frame, false, c.Workers)
-			tensor.GemmPanelNT(cin, ckk, twa, xn[j0:], frame, colsG, twa, dWd, ckk, true, c.Workers)
-		}
-	}
+	mark := c.scratch.Mark()
+	convForward(&c.scratch.f64, c.Workers, g, gradOut.Data(), c.weight.Value.Data(), nil, dx.Data())
+	c.scratch.Release(mark)
 	return dx
 }

@@ -5,25 +5,29 @@ import (
 	"sync"
 )
 
-// This file is the dense-linear-algebra engine behind the GEMM-backed
-// convolution path (see internal/nn/conv.go and DESIGN.md §3). Three
-// strided panel kernels cover every product the convolution forward
-// and backward passes need:
+// This file is the dense-linear-algebra engine behind the convolution
+// layers (see internal/nn/conv.go and DESIGN.md §3). Two shifted sweeps
+// cover every product the convolution forward and backward passes need:
 //
-//	GemmPanelNN — C (+)= A·B      (conv and transpose-conv forward and dx)
-//	GemmPanelTN — C (+)= Aᵀ·B     (GemmTN's body; no layer calls it)
-//	GemmPanelNT — C (+)= A·Bᵀ     (conv dW, transpose-conv dW)
+//	ShiftedNN — C (+)= A·B   (conv and transpose-conv forward and dx)
+//	ShiftedNT — C (+)= A·Bᵀ  (conv dW, transpose-conv dW)
 //
-// All three take explicit row strides (lda/ldb/ldc), which is what
-// lets the convolution layers run them over cache-sized column tiles
-// of a larger frame without repacking. The reduction loop of the
-// NN/TN kernels is register-tiled four wide and dispatches to an
-// AVX2+FMA micro-kernel on amd64 (gemm_amd64.s) with a pure-Go
-// fallback everywhere else; NT is a two-row dot-product tile. None of
-// the kernels allocate: callers own every buffer, which is what lets
-// the convolution layers reuse scratch arenas across steps — and with
-// workers <= 1 they build no closure either, so the single-worker
-// rollout loop stays allocation-free.
+// where row p of B is not a row of a lowered panel but a slice of a
+// zero-padded input band at the tap's constant offset (Taps). The
+// strided panel kernels are their K = 1 case:
+//
+//	GemmPanelNN — C (+)= A·B   (ShiftedNN, K = 1)
+//	GemmPanelTN — C (+)= Aᵀ·B  (the NN sweep reading A by columns)
+//	GemmPanelNT — C (+)= A·Bᵀ  (ShiftedNT, K = 1)
+//
+// No layer calls the panel kernels; GemmNN/TN/NT and the benchmark
+// probes do. The reduction loop of the NN/TN sweeps is register-tiled
+// four wide and dispatches to an AVX2+FMA micro-kernel on amd64
+// (gemm_amd64.s) with a pure-Go fallback everywhere else; NT is a
+// two-row dot-product tile. None of the kernels allocate: callers own
+// every buffer, which is what lets the convolution layers reuse scratch
+// arenas across steps — and with workers <= 1 they build no closure
+// either, so the single-worker rollout loop stays allocation-free.
 //
 // The kernels are generic over the element width (Float): training
 // instantiates them on float64, the inference path of DESIGN.md §13 on
@@ -36,7 +40,7 @@ import (
 // exactly one worker in the same order as the serial sweep. Results
 // are therefore bit-identical for any workers value.
 
-// Float is the element type of the lowering kernels.
+// Float is the element type of the kernels.
 type Float interface{ ~float32 | ~float64 }
 
 // gemmColBlock is the column-block width (in elements) of the NN/TN
@@ -136,18 +140,56 @@ func axpy1Go[T Float](c, b []T, a T) {
 	}
 }
 
-// gemmPanelRow accumulates one row of C over the reduction dimension:
-// ci[j] (+)= Σ_p a[p·astride]·b[p·ldb+j]. astride is 1 when the A
-// operand is a contiguous row (NN) and the A row stride when it is a
-// strided column (TN). ci and the b rows must hold len(ci) elements.
-func gemmPanelRow[T Float](axpy4 axpy4Func[T], ci []T, a []T, astride int, b []T, ldb, k int, acc bool) {
-	if !acc {
-		for j := range ci {
-			ci[j] = 0
+// Taps is the geometry of a shifted B operand, the zero-memory-overhead
+// direct convolution of Zhang, Franchetti & Low (arXiv:1809.10170): in
+// a stride-1 K×K convolution over a zero-padded band of C channels
+// (channel stride CS, row stride RS), tap (c, ky, kx) reads the band at
+// the constant offset c·CS + ky·RS + kx from every full-width output
+// position, so row p = (c·K + ky)·K + kx of the lowered matrix is a
+// slice of the band itself and no patch panel is ever built. With K = 1
+// the operand is an ordinary panel of C rows and row stride CS.
+type Taps struct{ C, K, CS, RS int }
+
+// rows returns the tap count C·K².
+func (t Taps) rows() int { return t.C * t.K * t.K }
+
+// span returns the operand length that rows of n elements need: the
+// last tap's offset plus n.
+func (t Taps) span(n int) int { return (t.C-1)*t.CS + (t.K-1)*(t.RS+1) + n }
+
+// tapWalk yields the offsets of consecutive taps, stepping (kx, ky, c)
+// instead of dividing: the sweeps ask once per tap per row, where two
+// integer divisions would cost a visible share of a short axpy.
+type tapWalk struct {
+	Taps
+	kx, ky, row, base int
+}
+
+func (w *tapWalk) next() int {
+	o := w.base + w.row + w.kx
+	if w.kx++; w.kx == w.K {
+		w.kx, w.row = 0, w.row+w.RS
+		if w.ky++; w.ky == w.K {
+			w.ky, w.row, w.base = 0, 0, w.base+w.CS
 		}
 	}
+	return o
+}
+
+// gemmPanelRow accumulates one row of C over the taps of tp:
+// ci[j] (+)= Σ_p a[p·astride]·b[off(p)+j], off(p) the offset of tap p.
+// astride is 1 when the A operand is a contiguous row (NN) and the A
+// row stride when it is a strided column (TN). Taps group four per
+// axpy sweep in order, across channel boundaries.
+func gemmPanelRow[T Float](axpy4 axpy4Func[T], ci []T, a []T, astride int, b []T, tp Taps, acc bool) {
+	if !acc {
+		clear(ci)
+	}
+	w, k := len(ci), tp.rows()
+	walk := tapWalk{Taps: tp}
 	p := 0
 	for ; p+4 <= k; p += 4 {
+		o0, o1, o2, o3 := walk.next(), walk.next(), walk.next(), walk.next()
 		a0 := a[p*astride]
 		a1 := a[(p+1)*astride]
 		a2 := a[(p+2)*astride]
@@ -155,56 +197,119 @@ func gemmPanelRow[T Float](axpy4 axpy4Func[T], ci []T, a []T, astride int, b []T
 		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 			continue
 		}
-		w := len(ci)
-		axpy4(ci,
-			b[p*ldb:p*ldb+w],
-			b[(p+1)*ldb:(p+1)*ldb+w],
-			b[(p+2)*ldb:(p+2)*ldb+w],
-			b[(p+3)*ldb:(p+3)*ldb+w],
-			a0, a1, a2, a3)
+		axpy4(ci, b[o0:o0+w], b[o1:o1+w], b[o2:o2+w], b[o3:o3+w], a0, a1, a2, a3)
 	}
 	for ; p < k; p++ {
-		av := a[p*astride]
-		if av == 0 {
-			continue
+		o := walk.next()
+		if av := a[p*astride]; av != 0 {
+			axpy1Go(ci, b[o:o+w], av)
 		}
-		axpy1Go(ci, b[p*ldb:p*ldb+len(ci)], av)
 	}
 }
 
 // gemmPanelRows is the sweep shared by the NN and TN kernels: task
 // t = i·nb + jb produces column block jb of C row i, reading A element
 // (i, p) at a[i·arow + p·astride] — (lda, 1) for NN, (1, lda) for TN.
-func gemmPanelRows[T Float](m, n, k int, a []T, arow, astride int, b []T, ldb int, c []T, ldc int, acc bool, workers int) {
+func gemmPanelRows[T Float](m, n int, a []T, arow, astride int, b []T, tp Taps, c []T, ldc int, acc bool, workers int) {
 	nb := colBlocks(n)
 	axpy4 := axpy4For[T]()
 	if workers <= 1 {
 		for t := 0; t < m*nb; t++ {
-			gemmPanelTask(axpy4, t, nb, n, k, a, arow, astride, b, ldb, c, ldc, acc)
+			gemmPanelTask(axpy4, t, nb, n, a, arow, astride, b, tp, c, ldc, acc)
 		}
 		return
 	}
 	ParallelFor(m*nb, workers, func(t int) {
-		gemmPanelTask(axpy4, t, nb, n, k, a, arow, astride, b, ldb, c, ldc, acc)
+		gemmPanelTask(axpy4, t, nb, n, a, arow, astride, b, tp, c, ldc, acc)
 	})
 }
 
 // gemmPanelTask runs one (row × column-block) task of gemmPanelRows.
-func gemmPanelTask[T Float](axpy4 axpy4Func[T], t, nb, n, k int, a []T, arow, astride int, b []T, ldb int, c []T, ldc int, acc bool) {
+func gemmPanelTask[T Float](axpy4 axpy4Func[T], t, nb, n int, a []T, arow, astride int, b []T, tp Taps, c []T, ldc int, acc bool) {
 	i, jb := t/nb, t%nb
 	j0 := jb * gemmColBlock
 	j1 := min(j0+gemmColBlock, n)
-	gemmPanelRow(axpy4, c[i*ldc+j0:i*ldc+j1], a[i*arow:], astride, b[j0:], ldb, k, acc)
+	gemmPanelRow(axpy4, c[i*ldc+j0:i*ldc+j1], a[i*arow:], astride, b[j0:], tp, acc)
+}
+
+// ShiftedNN computes C = A·B (or C += A·B when acc is true) where row p
+// of B is the slice of tap p of tp: C[i·ldc+j] for i<m, j<n accumulates
+// Σ_p A[i·lda+p]·b[off(p)+j] over p < C·K². Over a padded band this is
+// a stride-1 convolution's forward at every full-width output position,
+// with no lowering. workers > 1 fans the (row × column-block) tasks of
+// C out to that many goroutines; results are bit-identical for any
+// worker count.
+func ShiftedNN[T Float](m, n int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool, workers int) {
+	checkPanel("ShiftedNN", m, n, len(a), lda, m, tp.rows(), len(b), tp, n, len(c), ldc)
+	gemmPanelRows(m, n, a, lda, 1, b, tp, c, ldc, acc, workers)
+}
+
+// ShiftedNT computes C = A·Bᵀ (or C += A·Bᵀ when acc is true) where row
+// j of B is the slice of tap j of tp: C[i·ldc+j] for i<m, j<C·K²
+// accumulates Σ_q A[i·lda+q]·b[off(j)+q] over q < k. Over a padded
+// band, with A the output gradient in the band's full-width layout
+// (zeros in the columns that fall off the frame), this is a stride-1
+// convolution's weight gradient. Every C element is a dot product; the
+// kernel streams B once per pair of A rows and sweeps the reduction in
+// ntBlock-wide slices, so both A slices and one channel's window of the
+// band stay L1-resident across that channel's taps. workers > 1 fans
+// the row pairs of C out to goroutines; bit-identical for any worker
+// count.
+func ShiftedNT[T Float](m, k int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool, workers int) {
+	checkPanel("ShiftedNT", m, tp.rows(), len(a), lda, m, k, len(b), tp, k, len(c), ldc)
+	pairs := (m + 1) / 2
+	dot2 := dot2For[T]()
+	if workers <= 1 {
+		for ip := 0; ip < pairs; ip++ {
+			gemmPanelNTPair(dot2, ip, m, k, a, lda, b, tp, c, ldc, acc)
+		}
+		return
+	}
+	ParallelFor(pairs, workers, func(ip int) {
+		gemmPanelNTPair(dot2, ip, m, k, a, lda, b, tp, c, ldc, acc)
+	})
+}
+
+// ntBlock is the reduction slice of the NT sweep: 8 KiB of float64 per
+// A row, so a pair of A slices plus one channel's window of the band
+// fit a 48 KiB L1 with room to spare.
+const ntBlock = 1024
+
+// gemmPanelNTPair produces rows 2·ip and 2·ip+1 of the NT product (only
+// the first when m is odd and this is the last pair).
+func gemmPanelNTPair[T Float](dot2 dot2Func[T], ip, m, k int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool) {
+	i, n := 2*ip, tp.rows()
+	two := i+1 < m
+	a0, c0 := a[i*lda:][:k], c[i*ldc:][:n]
+	a1, c1 := a0, c0
+	if two {
+		a1, c1 = a[(i+1)*lda:][:k], c[(i+1)*ldc:][:n]
+	}
+	if !acc {
+		clear(c0)
+		clear(c1)
+	}
+	for q0 := 0; q0 < k; q0 += ntBlock {
+		q1 := min(q0+ntBlock, k)
+		s0, s1 := a0[q0:q1], a1[q0:q1]
+		walk := tapWalk{Taps: tp}
+		for j := range c0 {
+			o := walk.next() + q0
+			d0, d1 := dot2(s0, s1, b[o:o+q1-q0])
+			c0[j] += d0
+			if two {
+				c1[j] += d1
+			}
+		}
+	}
 }
 
 // GemmPanelNN computes C = A·B (or C += A·B when acc is true) over
 // row-major panels: C[i·ldc+j] for i<m, j<n accumulates
-// Σ_p A[i·lda+p]·B[p·ldb+j]. workers > 1 fans the (row × column-block)
-// tasks of C out to that many goroutines; results are bit-identical
+// Σ_p A[i·lda+p]·B[p·ldb+j]. It is ShiftedNN with K = 1; bit-identical
 // for any worker count.
 func GemmPanelNN[T Float](m, n, k int, a []T, lda int, b []T, ldb int, c []T, ldc int, acc bool, workers int) {
-	checkPanel("GemmPanelNN", m, n, k, len(a), lda, m, k, len(b), ldb, k, n, len(c), ldc)
-	gemmPanelRows(m, n, k, a, lda, 1, b, ldb, c, ldc, acc, workers)
+	ShiftedNN(m, n, a, lda, b, Taps{C: k, K: 1, CS: ldb}, c, ldc, acc, workers)
 }
 
 // GemmPanelNN32 is GemmPanelNN on float32, kept under its old name for
@@ -219,62 +324,17 @@ func GemmPanelNN32(m, n, k int, a []float32, lda int, b []float32, ldb int, c []
 // the small operand whose strided loads stay cache-resident.
 // Bit-identical for any worker count.
 func GemmPanelTN[T Float](m, n, k int, a []T, lda int, b []T, ldb int, c []T, ldc int, acc bool, workers int) {
-	checkPanel("GemmPanelTN", m, n, k, len(a), lda, k, m, len(b), ldb, k, n, len(c), ldc)
-	gemmPanelRows(m, n, k, a, 1, lda, b, ldb, c, ldc, acc, workers)
+	tp := Taps{C: k, K: 1, CS: ldb}
+	checkPanel("GemmPanelTN", m, n, len(a), lda, k, m, len(b), tp, n, len(c), ldc)
+	gemmPanelRows(m, n, a, 1, lda, b, tp, c, ldc, acc, workers)
 }
 
 // GemmPanelNT computes C = A·Bᵀ (or C += A·Bᵀ when acc is true) over
 // row-major panels: C[i·ldc+j] for i<m, j<n accumulates
-// Σ_p A[i·lda+p]·B[j·ldb+p]. Every C element is a dot product of two
-// contiguous k-length rows; the kernel processes two A rows per B-row
-// stream (halving B traffic) with a 4-way unrolled dot. workers > 1
-// fans the row pairs of C out to goroutines; bit-identical for any
-// worker count.
+// Σ_p A[i·lda+p]·B[j·ldb+p]. It is ShiftedNT with K = 1; bit-identical
+// for any worker count.
 func GemmPanelNT[T Float](m, n, k int, a []T, lda int, b []T, ldb int, c []T, ldc int, acc bool, workers int) {
-	checkPanel("GemmPanelNT", m, n, k, len(a), lda, m, k, len(b), ldb, n, k, len(c), ldc)
-	pairs := (m + 1) / 2
-	dot2 := dot2For[T]()
-	if workers <= 1 {
-		for ip := 0; ip < pairs; ip++ {
-			gemmPanelNTPair(dot2, ip, m, n, k, a, lda, b, ldb, c, ldc, acc)
-		}
-		return
-	}
-	ParallelFor(pairs, workers, func(ip int) {
-		gemmPanelNTPair(dot2, ip, m, n, k, a, lda, b, ldb, c, ldc, acc)
-	})
-}
-
-// gemmPanelNTPair produces rows 2·ip and 2·ip+1 of the NT product.
-func gemmPanelNTPair[T Float](dot2 dot2Func[T], ip, m, n, k int, a []T, lda int, b []T, ldb int, c []T, ldc int, acc bool) {
-	i := 2 * ip
-	a0 := a[i*lda : i*lda+k]
-	c0 := c[i*ldc : i*ldc+n]
-	if i+1 < m {
-		a1 := a[(i+1)*lda : (i+1)*lda+k]
-		c1 := c[(i+1)*ldc : (i+1)*ldc+n]
-		for j := 0; j < n; j++ {
-			bj := b[j*ldb : j*ldb+k]
-			d0, d1 := dot2(a0, a1, bj)
-			if acc {
-				c0[j] += d0
-				c1[j] += d1
-			} else {
-				c0[j] = d0
-				c1[j] = d1
-			}
-		}
-		return
-	}
-	for j := 0; j < n; j++ {
-		bj := b[j*ldb : j*ldb+k]
-		d, _ := dot2(a0, a0, bj)
-		if acc {
-			c0[j] += d
-		} else {
-			c0[j] = d
-		}
-	}
+	ShiftedNT(m, k, a, lda, b, Taps{C: n, K: 1, CS: ldb}, c, ldc, acc, workers)
 }
 
 // gemmDot2Go is the portable dot micro-kernel: it returns (a0·b, a1·b)
@@ -325,13 +385,15 @@ func GemmNT[T Float](m, n, k int, a, b, c []T, acc bool, workers int) {
 	GemmPanelNT(m, n, k, a, k, b, k, c, n, acc, workers)
 }
 
-// checkPanel panics when a panel operand cannot hold its stated extent
+// checkPanel panics when an operand cannot hold its stated extent
 // (catching mis-wired strides at the call site instead of as silent
-// out-of-range reads). Operand X spanning rx rows of cx used columns
-// with row stride ldx needs (rx-1)·ldx + cx elements.
-func checkPanel(op string, m, n, k, alen, lda, ar, ac, blen, ldb, br, bc, clen, ldc int) {
-	if m < 0 || n < 0 || k < 0 {
-		panic(fmt.Sprintf("tensor: %s negative dimensions m=%d n=%d k=%d", op, m, n, k))
+// out-of-range reads). A spans ar rows of ac used columns with row
+// stride lda; B is read through the taps of tp in rows of bc elements
+// (at K = 1 a plain panel, whose rows may not overlap); C is m × n
+// with row stride ldc.
+func checkPanel(op string, m, n, alen, lda, ar, ac, blen int, tp Taps, bc, clen, ldc int) {
+	if m < 0 || n < 0 || ac < 0 || bc < 0 || tp.C < 0 || tp.K < 1 {
+		panic(fmt.Sprintf("tensor: %s negative dimensions m=%d n=%d taps %+v", op, m, n, tp))
 	}
 	if m == 0 || n == 0 {
 		return
@@ -339,8 +401,8 @@ func checkPanel(op string, m, n, k, alen, lda, ar, ac, blen, ldb, br, bc, clen, 
 	if need := (ar-1)*lda + ac; ar > 0 && (lda < ac || alen < need) {
 		panic(fmt.Sprintf("tensor: %s A panel %d rows × %d cols stride %d needs %d elements, have %d", op, ar, ac, lda, need, alen))
 	}
-	if need := (br-1)*ldb + bc; br > 0 && (ldb < bc || blen < need) {
-		panic(fmt.Sprintf("tensor: %s B panel %d rows × %d cols stride %d needs %d elements, have %d", op, br, bc, ldb, need, blen))
+	if need := tp.span(bc); tp.C > 0 && ((tp.K == 1 && tp.CS < bc) || blen < need) {
+		panic(fmt.Sprintf("tensor: %s B operand taps %+v × %d cols needs %d elements, have %d", op, tp, bc, need, blen))
 	}
 	if need := (m-1)*ldc + n; ldc < n || clen < need {
 		panic(fmt.Sprintf("tensor: %s C panel %d rows × %d cols stride %d needs %d elements, have %d", op, m, n, ldc, need, clen))

@@ -3,31 +3,24 @@ package tensor
 import "fmt"
 
 // im2col/col2im lower a stride-1, zero-padded K×K convolution to a
-// matrix product (DESIGN.md §3): each column of the lowered matrix
-// holds the K×K×C input patch under one output position, so
+// matrix product: each column of the lowered matrix holds the K×K×C
+// input patch under one output position, so
 //
 //	Y [Cout × OH·OW] = W [Cout × C·K·K] · cols [C·K·K × OH·OW]
 //
-// is exactly the convolution forward pass. The backward pass lowers
-// the same way: dW is one more GEMM over the panel, and dX is itself a
-// convolution of dY with the flipped kernel (nn.Conv2D.Backward), so
-// the adjoint scatter Col2Im is kept as the lowering's documented
-// inverse but sits on no layer's path. Padding is folded into the
-// lowering itself — out-of-range taps read as zeros in Im2Col and are
-// dropped by Col2Im — so the engine never materializes a padded copy
-// of the input.
+// is exactly the convolution forward pass. No layer lowers any more —
+// the convolution layers read shifted slices of a padded band instead
+// (PadRows + ShiftedNN/NT, DESIGN.md §3) — so the lowering is kept as
+// the test oracle of those sweeps and for the benchmark probes, which
+// time it by name. Col2Im is its adjoint scatter. Padding is folded
+// into the lowering itself: out-of-range taps read as zeros in Im2Col
+// and are dropped by Col2Im.
 //
 // The windowed variants lower only output columns [j0, j1), producing
-// a [C·K·K × (j1−j0)] panel. The convolution layers sweep these
-// cache-sized tiles instead of materializing the full (K² times the
-// input) matrix, which keeps the working set L2-resident — the full
-// lowering exists only as the j0=0, j1=OH·OW special case.
-//
-// Both routines work on one CHW image at a time (batch loops live in
-// the callers, which reuse one panel buffer across the batch) and
-// write into caller-owned buffers so hot loops can run
-// allocation-free. Like the GEMM kernels they are generic over the
-// element width.
+// a [C·K·K × (j1−j0)] panel; the full lowering is the j0=0, j1=OH·OW
+// special case. Both routines work on one CHW image at a time and
+// write into caller-owned buffers. Like the GEMM kernels they are
+// generic over the element width.
 
 // Im2ColRows returns the row count C·K·K of the lowered matrix.
 func Im2ColRows(c, k int) int { return c * k * k }
@@ -35,6 +28,32 @@ func Im2ColRows(c, k int) int { return c * k * k }
 // ConvOutSize returns the output edge of a stride-1 K-kernel
 // convolution with the given padding: n + 2·pad − k + 1.
 func ConvOutSize(n, k, pad int) int { return n + 2*pad - k + 1 }
+
+// PadRows copies rows [r0, r1) of the zero-padded CHW image x (c × h ×
+// w, pad zero cells on every side) into dst, channel after channel with
+// channel stride (r1−r0)·(w+2·pad). Every element of that window of the
+// padded image is written, padding as zeros, so dst is the band a
+// shifted sweep reads (Taps{C: c, K: k, CS: (r1−r0)·(w+2·pad), RS:
+// w+2·pad}); r0 and r1 index padded rows, 0 ≤ r0 < r1 ≤ h+2·pad.
+func PadRows[T Float](x []T, c, h, w, pad, r0, r1 int, dst []T) {
+	wp := w + 2*pad
+	if pad < 0 || r0 < 0 || r1 > h+2*pad || r0 >= r1 || len(x) < c*h*w || len(dst) < c*(r1-r0)*wp {
+		panic(fmt.Sprintf("tensor: PadRows rows [%d:%d) of %dx%dx%d pad %d into %d elements", r0, r1, c, h, w, pad, len(dst)))
+	}
+	for ci := 0; ci < c; ci++ {
+		for r := r0; r < r1; r++ {
+			d := dst[(ci*(r1-r0)+r-r0)*wp:][:wp]
+			iy := r - pad
+			if iy < 0 || iy >= h {
+				clear(d)
+				continue
+			}
+			clear(d[:pad])
+			copy(d[pad:pad+w], x[(ci*h+iy)*w:][:w])
+			clear(d[pad+w:])
+		}
+	}
+}
 
 // Im2ColWindow lowers output columns [j0, j1) — flat row-major output
 // positions oy·OW+ox — of the CHW image x into cols, a
