@@ -90,6 +90,12 @@ func getDataset(b *testing.B, n, snaps int) *dataset.Dataset {
 // bwd_ms is the Backward share of an op; a second, untimed loop runs
 // the dW-only backward (BackwardParams on a one-layer Sequential) to
 // split it into dw_ms and dx_ms = bwd_ms − dw_ms.
+//
+// The cost model: an op is three convolution products (forward, dW and
+// dX) of 2·Cin·Cout·K²·H·W FLOPs each. gflops is that count over the
+// op's time, and peak_frac is gflops over hostPeakGFLOPS, the rate the
+// same kernels reach on an L1-resident problem. Both are ratios, so they
+// compare across hosts.
 func BenchmarkTable1_LayerForwardBackward(b *testing.B) {
 	layers := []struct {
 		name    string
@@ -100,11 +106,13 @@ func BenchmarkTable1_LayerForwardBackward(b *testing.B) {
 		{"layer3_16to6", 16, 6},
 		{"layer4_6to4", 6, 4},
 	}
+	const k, hw = 5, 64
+	peak := hostPeakGFLOPS()
 	for _, l := range layers {
 		b.Run(l.name, func(b *testing.B) {
 			g := tensor.NewRNG(1)
-			conv := nn.NewConv2D(l.name, g, l.in, l.out, 5, 2)
-			x := tensor.Normal(g, 0, 1, 1, l.in, 64, 64)
+			conv := nn.NewConv2D(l.name, g, l.in, l.out, k, 2)
+			x := tensor.Normal(g, 0, 1, 1, l.in, hw, hw)
 			var bwd, dw time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -115,6 +123,10 @@ func BenchmarkTable1_LayerForwardBackward(b *testing.B) {
 				nn.ZeroGrads(conv)
 			}
 			b.StopTimer()
+			flops := 3 * 2 * float64(l.in*l.out*k*k*hw*hw)
+			gflops := flops * float64(b.N) / b.Elapsed().Seconds() / 1e9
+			b.ReportMetric(gflops, "gflops")
+			b.ReportMetric(gflops/peak, "peak_frac")
 			one := nn.NewSequential(conv)
 			for i := 0; i < b.N; i++ {
 				y := one.Forward(x)
@@ -130,6 +142,31 @@ func BenchmarkTable1_LayerForwardBackward(b *testing.B) {
 		})
 	}
 }
+
+// hostPeakGFLOPS calibrates the cost model's ceiling: the float64
+// ShiftedNN kernel on a problem that fits in L1 — 4 rows × 64 columns
+// over 400 taps of an overlapping 3 KB band — so memory never waits and
+// the rate is this host's own FMA throughput through that kernel. It
+// returns the best of five timed runs.
+var hostPeakGFLOPS = sync.OnceValue(func() float64 {
+	const m, n = 4, 64
+	tp := tensor.Taps{C: 16, K: 5, CS: 16, RS: 16}
+	taps := tp.C * tp.K * tp.K
+	g := tensor.NewRNG(1)
+	a := tensor.Normal(g, 0, 1, m, taps).Data()
+	band := tensor.Normal(g, 0, 1, (tp.C-1)*tp.CS+(tp.K-1)*(tp.RS+1)+n).Data()
+	c := make([]float64, m*n)
+	const calls = 2000
+	best := 0.0
+	for rep := 0; rep < 5; rep++ {
+		t0 := time.Now()
+		for i := 0; i < calls; i++ {
+			tensor.ShiftedNN(m, n, a, taps, band, tp, c, n, false, 1)
+		}
+		best = max(best, 2*float64(m*n*taps*calls)/time.Since(t0).Seconds()/1e9)
+	}
+	return best
+})
 
 // BenchmarkTable1_FullNetwork times the whole Table-I stack
 // (4 conv layers + leaky ReLUs) forward+backward.

@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-// kernelDispatch32 mirrors the axpy4f32 cascade: the SIMD/scalar split
-// is a pure function of the span length, which is exactly what the
-// determinism contract wants.
+// kernelDispatch32 mirrors a cascading SIMD dispatch: the SIMD/scalar
+// split is a pure function of the span length, which is exactly what
+// the determinism contract wants.
 func kernelDispatch32(c, b []float32, a float32) {
 	i := 0
 	if len(c) >= 32 { // negative: branch on length only

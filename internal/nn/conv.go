@@ -24,7 +24,7 @@ type Conv2D struct {
 
 	// Workers enables intra-layer parallelism: the forward pass and the
 	// input-gradient sweep (the same engine) fan output-column tiles out
-	// to goroutines, and the dW product parallelizes its row pairs. 0 or
+	// to goroutines, and the dW product parallelizes its row blocks. 0 or
 	// 1 (the default) keeps the layer strictly single-threaded, which
 	// the critical-path timing model relies on (DESIGN.md §5); results
 	// are bit-identical either way.
@@ -286,7 +286,7 @@ func convForwardBand[T tensor.Float](p convPlan, t int, xd, wd, bd, yd, buf []T)
 // the padded input rows, dY copied into the band's full-width layout
 // with zeros in the dropped columns, and one ShiftedNT. Bands run in
 // order (their contributions overlap); workers > 1 parallelizes the row
-// pairs of each product, which keeps every accumulation order fixed.
+// blocks of each product, which keeps every accumulation order fixed.
 // Conv2D's dW and ConvTranspose2D's both come from here.
 func convWeightGrad(a *Arena, workers int, g convShape, xd, dyd, dwd []float64) {
 	p := g.plan()

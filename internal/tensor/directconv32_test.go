@@ -52,9 +52,10 @@ func TestDirectConv32MatchesLowered(t *testing.T) {
 	}
 }
 
-// TestDirectConv32ZeroWeightSkip pins the zero-coefficient skips: a
-// kernel with zeroed taps must produce the same result as one where
-// those taps contribute zero.
+// TestDirectConv32ZeroWeightSkip: a kernel with zeroed taps must
+// produce the same result as one where those taps contribute zero,
+// whether the sweep skips them (the axpy4 fallback) or multiplies them
+// (the register tiles).
 func TestDirectConv32ZeroWeightSkip(t *testing.T) {
 	g := NewRNG(31)
 	const cin, cout, h, w, k, pad = 2, 2, 8, 8, 5, 2

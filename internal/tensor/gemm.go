@@ -21,18 +21,21 @@ import (
 //	GemmPanelNT — C (+)= A·Bᵀ  (ShiftedNT, K = 1)
 //
 // No layer calls the panel kernels; GemmNN/TN/NT and the benchmark
-// probes do. The reduction loop of the NN/TN sweeps is register-tiled
-// four wide and dispatches to an AVX2+FMA micro-kernel on amd64
-// (gemm_amd64.s) with a pure-Go fallback everywhere else; NT is a
-// two-row dot-product tile. None of the kernels allocate: callers own
-// every buffer, which is what lets the convolution layers reuse scratch
-// arenas across steps — and with workers <= 1 they build no closure
-// either, so the single-worker rollout loop stays allocation-free.
+// probes do. On amd64 with AVX-512 the two shifted sweeps run on
+// register-tile micro-kernels (tile_amd64.go/.s): an NN tile holds up to
+// 4 rows × 4 vectors of C in zmm registers across the whole reduction,
+// an NT tile 4 × 4 dot products. Everywhere else, and for TN, the
+// reduction loop takes taps four at a time through the axpy4
+// micro-kernel (AVX2+FMA in gemm_amd64.s, a pure-Go loop elsewhere) and
+// NT is a two-row dot-product tile. None of the kernels allocate:
+// callers own every buffer, which is what lets the convolution layers
+// reuse scratch arenas across steps — and with workers <= 1 they build
+// no closure either, so the single-worker rollout loop stays
+// allocation-free.
 //
 // The kernels are generic over the element width (Float): training
 // instantiates them on float64, the inference path of DESIGN.md §13 on
-// float32. Only the SIMD micro-kernels behind axpy4For and dot2For are
-// width-specific.
+// float32. Only the SIMD micro-kernels are width-specific.
 //
 // Determinism contract: for a fixed kernel the per-element accumulation
 // order depends only on the operand dimensions, never on the worker
@@ -85,9 +88,10 @@ func ParallelFor(n, workers int, f func(i int)) {
 // covering n columns.
 func colBlocks(n int) int { return (n + gemmColBlock - 1) / gemmColBlock }
 
-// The two micro-kernels every panel product is built from. The panel
-// kernels pick theirs once per call (axpy4For, dot2For), so the hot
-// loops pay an indirect call, never a type switch.
+// The two micro-kernels of the sweeps that run without the register
+// tiles (and of GemmPanelTN always). The sweeps pick theirs once per
+// call (axpy4For, dot2For), so the hot loops pay an indirect call,
+// never a type switch.
 type (
 	// axpy4Func: c[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j].
 	axpy4Func[T Float] func(c, b0, b1, b2, b3 []T, a0, a1, a2, a3 T)
@@ -112,8 +116,8 @@ func axpy4For[T Float]() axpy4Func[T] {
 
 // dot2For returns the dot micro-kernel of element type T. Only float64
 // — the one width whose NT product sits on a hot path, the convolution
-// dW of training — has a SIMD version; every other type takes the
-// portable loop.
+// dW of training — has a SIMD version (AVX2; with AVX-512 the NT tiles
+// run instead); every other type takes the portable loop.
 func dot2For[T Float]() dot2Func[T] {
 	var z T
 	if _, ok := any(z).(float64); ok {
@@ -125,7 +129,8 @@ func dot2For[T Float]() dot2Func[T] {
 // axpy4Go is the portable reduction micro-kernel:
 // c[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j].
 // On amd64 the width-specific dispatchers route the bulk of the work
-// to the AVX2+FMA versions and keep this loop for the tail.
+// to the AVX2+FMA versions and keep this loop for the tail; with
+// AVX-512 no shifted sweep reaches it.
 func axpy4Go[T Float](c, b0, b1, b2, b3 []T, a0, a1, a2, a3 T) {
 	for j := range c {
 		c[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
@@ -236,12 +241,15 @@ func gemmPanelTask[T Float](axpy4 axpy4Func[T], t, nb, n int, a []T, arow, astri
 // of B is the slice of tap p of tp: C[i·ldc+j] for i<m, j<n accumulates
 // Σ_p A[i·lda+p]·b[off(p)+j] over p < C·K². Over a padded band this is
 // a stride-1 convolution's forward at every full-width output position,
-// with no lowering. workers > 1 fans the (row × column-block) tasks of
-// C out to that many goroutines; results are bit-identical for any
-// worker count.
+// with no lowering. On the register tiles each element is one FMA chain
+// over the taps in order, however the sweep is tiled. workers > 1 fans
+// disjoint blocks of C out to that many goroutines; results are
+// bit-identical for any worker count.
 func ShiftedNN[T Float](m, n int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool, workers int) {
 	checkPanel("ShiftedNN", m, n, len(a), lda, m, tp.rows(), len(b), tp, n, len(c), ldc)
-	gemmPanelRows(m, n, a, lda, 1, b, tp, c, ldc, acc, workers)
+	if !shiftedNNTiled(m, n, a, lda, b, tp, c, ldc, acc, workers) {
+		gemmPanelRows(m, n, a, lda, 1, b, tp, c, ldc, acc, workers)
+	}
 }
 
 // ShiftedNT computes C = A·Bᵀ (or C += A·Bᵀ when acc is true) where row
@@ -249,14 +257,17 @@ func ShiftedNN[T Float](m, n int, a []T, lda int, b []T, tp Taps, c []T, ldc int
 // accumulates Σ_q A[i·lda+q]·b[off(j)+q] over q < k. Over a padded
 // band, with A the output gradient in the band's full-width layout
 // (zeros in the columns that fall off the frame), this is a stride-1
-// convolution's weight gradient. Every C element is a dot product; the
-// kernel streams B once per pair of A rows and sweeps the reduction in
-// ntBlock-wide slices, so both A slices and one channel's window of the
-// band stay L1-resident across that channel's taps. workers > 1 fans
-// the row pairs of C out to goroutines; bit-identical for any worker
-// count.
+// convolution's weight gradient. Every C element is a dot product,
+// swept in ntBlock-wide slices of the reduction so the A slices and one
+// channel's window of the band stay L1-resident across that channel's
+// taps. The register tiles stream each B slice once per four A rows;
+// the fallback once per pair. workers > 1 fans those row blocks out to
+// goroutines; bit-identical for any worker count.
 func ShiftedNT[T Float](m, k int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool, workers int) {
 	checkPanel("ShiftedNT", m, tp.rows(), len(a), lda, m, k, len(b), tp, k, len(c), ldc)
+	if shiftedNTTiled(m, k, a, lda, b, tp, c, ldc, acc, workers) {
+		return
+	}
 	pairs := (m + 1) / 2
 	dot2 := dot2For[T]()
 	if workers <= 1 {
@@ -271,8 +282,8 @@ func ShiftedNT[T Float](m, k int, a []T, lda int, b []T, tp Taps, c []T, ldc int
 }
 
 // ntBlock is the reduction slice of the NT sweep: 8 KiB of float64 per
-// A row, so a pair of A slices plus one channel's window of the band
-// fit a 48 KiB L1 with room to spare.
+// A row, so the four A slices of a register tile plus one channel's
+// window of the band fit a 48 KiB L1. 512 and 2048 measured slower.
 const ntBlock = 1024
 
 // gemmPanelNTPair produces rows 2·ip and 2·ip+1 of the NT product (only

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// Float32 twins of the axpy4 kernels in gemm_amd64.s: same register plan,
+// Float32 twin of the axpy4AVX2 kernel in gemm_amd64.s: same register plan,
 // same per-element FMA chaining, packed-single instructions at twice
 // the lane count, 4-byte element addressing.
 
@@ -48,49 +48,5 @@ loop16:
 	JMP  loop16
 
 done:
-	VZEROUPPER
-	RET
-
-// func axpy4AVX512F32(c, b0, b1, b2, b3 *float32, n int, coef *[4]float32)
-//
-// Identical contract to axpy4AVX2F32 but 32 float32 lanes per
-// iteration (two ZMM registers); n must be a non-negative multiple of
-// 32. The per-element FMA chain is the same, so the two SIMD widths
-// round identically lane for lane.
-TEXT ·axpy4AVX512F32(SB), NOSPLIT, $0-56
-	MOVQ c+0(FP), DI
-	MOVQ b0+8(FP), SI
-	MOVQ b1+16(FP), R8
-	MOVQ b2+24(FP), R9
-	MOVQ b3+32(FP), R10
-	MOVQ n+40(FP), CX
-	MOVQ coef+48(FP), AX
-
-	VBROADCASTSS 0(AX), Z0
-	VBROADCASTSS 4(AX), Z1
-	VBROADCASTSS 8(AX), Z2
-	VBROADCASTSS 12(AX), Z3
-
-	XORQ BX, BX
-
-loop32:
-	CMPQ BX, CX
-	JGE  done512
-	VMOVUPS (DI)(BX*4), Z4
-	VMOVUPS 64(DI)(BX*4), Z5
-	VFMADD231PS (SI)(BX*4), Z0, Z4
-	VFMADD231PS 64(SI)(BX*4), Z0, Z5
-	VFMADD231PS (R8)(BX*4), Z1, Z4
-	VFMADD231PS 64(R8)(BX*4), Z1, Z5
-	VFMADD231PS (R9)(BX*4), Z2, Z4
-	VFMADD231PS 64(R9)(BX*4), Z2, Z5
-	VFMADD231PS (R10)(BX*4), Z3, Z4
-	VFMADD231PS 64(R10)(BX*4), Z3, Z5
-	VMOVUPS Z4, (DI)(BX*4)
-	VMOVUPS Z5, 64(DI)(BX*4)
-	ADDQ $32, BX
-	JMP  loop32
-
-done512:
 	VZEROUPPER
 	RET

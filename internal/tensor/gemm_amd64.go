@@ -2,22 +2,24 @@
 
 package tensor
 
-// amd64 dispatch for the reduction micro-kernel: when the CPU (and the
-// OS, via XSAVE) support AVX2 and FMA, the bulk of every axpy4 panel
-// update runs through the assembly loop in gemm_amd64.s — four
-// broadcast coefficients against four B streams, eight float64 lanes
-// per iteration, one C load/store per 16 multiply-adds. The scalar
-// remainder (and the whole call when SIMD is unavailable) falls back
-// to the portable Go loop.
+// amd64 dispatch for the fallback micro-kernels. With AVX-512 the
+// shifted sweeps run on the register tiles of tile_amd64.go instead,
+// and only GemmPanelTN still reaches axpy4. When the CPU (and the OS,
+// via XSAVE) support AVX2 and FMA, the bulk of every axpy4 update runs
+// through the assembly loop in gemm_amd64.s — four broadcast
+// coefficients against four B streams, eight float64 lanes per
+// iteration, one C load and store per four taps. The scalar remainder
+// (and the whole call when SIMD is unavailable) falls back to the
+// portable Go loop.
 //
-// FMA rounds once where the Go loop rounds twice, so the two variants
+// FMA rounds once where the Go loop rounds twice, so the variants
 // differ by float round-off; every cross-implementation comparison in
 // this repository is tolerance-based, and the determinism contract
 // (bit-identical results for any worker count) holds within each
 // variant because dispatch never depends on the worker count.
 
 // useAVX2FMA / useAVX512 gate the assembly kernels. They are variables
-// (not constants) so tests can force the portable path and compare.
+// (not constants) so tests can force each fallback level and compare.
 var (
 	useAVX2FMA = detectAVX2FMA()
 	useAVX512  = useAVX2FMA && detectAVX512()
@@ -25,9 +27,6 @@ var (
 
 //go:noescape
 func axpy4AVX2(c, b0, b1, b2, b3 *float64, n int, coef *[4]float64)
-
-//go:noescape
-func axpy4AVX512(c, b0, b1, b2, b3 *float64, n int, coef *[4]float64)
 
 //go:noescape
 func dot2AVX2(a0, a1, b *float64, n int) (d0, d1 float64)
@@ -77,18 +76,12 @@ func detectAVX512() bool {
 }
 
 // axpy4f64 adds a0·b0 + a1·b1 + a2·b2 + a3·b3 elementwise into c. The b
-// slices must be at least len(c) long. Per element all variants chain
-// the four multiply-adds in the same coefficient order, so which SIMD
-// width handles which span depends only on len(c) — never on worker
-// count — preserving the kernels' determinism contract.
+// slices must be at least len(c) long. The SIMD/scalar split depends
+// only on len(c) — never on worker count — preserving the kernels'
+// determinism contract.
 func axpy4f64(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 	i := 0
-	if useAVX512 && len(c) >= 16 {
-		n := len(c) &^ 15
-		coef := [4]float64{a0, a1, a2, a3}
-		axpy4AVX512(&c[0], &b0[0], &b1[0], &b2[0], &b3[0], n, &coef)
-		i = n
-	} else if useAVX2FMA && len(c) >= 8 {
+	if useAVX2FMA && len(c) >= 8 {
 		n := len(c) &^ 7
 		coef := [4]float64{a0, a1, a2, a3}
 		axpy4AVX2(&c[0], &b0[0], &b1[0], &b2[0], &b3[0], n, &coef)

@@ -47,50 +47,6 @@ done:
 	VZEROUPPER
 	RET
 
-// func axpy4AVX512(c, b0, b1, b2, b3 *float64, n int, coef *[4]float64)
-//
-// Identical contract to axpy4AVX2 but 16 float64 lanes per iteration
-// (two ZMM registers); n must be a non-negative multiple of 16. The
-// per-element FMA chain is the same, so the two SIMD widths round
-// identically lane for lane.
-TEXT ·axpy4AVX512(SB), NOSPLIT, $0-56
-	MOVQ c+0(FP), DI
-	MOVQ b0+8(FP), SI
-	MOVQ b1+16(FP), R8
-	MOVQ b2+24(FP), R9
-	MOVQ b3+32(FP), R10
-	MOVQ n+40(FP), CX
-	MOVQ coef+48(FP), AX
-
-	VBROADCASTSD 0(AX), Z0
-	VBROADCASTSD 8(AX), Z1
-	VBROADCASTSD 16(AX), Z2
-	VBROADCASTSD 24(AX), Z3
-
-	XORQ BX, BX
-
-loop16:
-	CMPQ BX, CX
-	JGE  done512
-	VMOVUPD (DI)(BX*8), Z4
-	VMOVUPD 64(DI)(BX*8), Z5
-	VFMADD231PD (SI)(BX*8), Z0, Z4
-	VFMADD231PD 64(SI)(BX*8), Z0, Z5
-	VFMADD231PD (R8)(BX*8), Z1, Z4
-	VFMADD231PD 64(R8)(BX*8), Z1, Z5
-	VFMADD231PD (R9)(BX*8), Z2, Z4
-	VFMADD231PD 64(R9)(BX*8), Z2, Z5
-	VFMADD231PD (R10)(BX*8), Z3, Z4
-	VFMADD231PD 64(R10)(BX*8), Z3, Z5
-	VMOVUPD Z4, (DI)(BX*8)
-	VMOVUPD Z5, 64(DI)(BX*8)
-	ADDQ $16, BX
-	JMP  loop16
-
-done512:
-	VZEROUPPER
-	RET
-
 // func dot2AVX2(a0, a1, b *float64, n int) (d0, d1 float64)
 //
 // Returns (a0·b, a1·b) over the first n elements; n must be a

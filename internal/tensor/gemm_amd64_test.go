@@ -19,6 +19,30 @@ func TestGemmAsmMatchesPortable(t *testing.T) {
 		func(t *testing.T) { testGemmAsmMatchesPortable[float32](t, tol32) })
 }
 
+// TestSweepsOnEveryFallbackLevel reruns the sweep and convolution tests
+// with the register tiles switched off (useAVX512 = false), then with
+// the AVX2 kernels off as well, so an AVX-512 host keeps testing the
+// paths that AVX2-only and non-amd64 hosts run.
+func TestSweepsOnEveryFallbackLevel(t *testing.T) {
+	save2, save512 := useAVX2FMA, useAVX512
+	defer func() { useAVX2FMA, useAVX512 = save2, save512 }()
+	for _, level := range []struct {
+		name         string
+		avx2, avx512 bool
+	}{
+		{"avx2", save2, false},
+		{"portable", false, false},
+	} {
+		useAVX2FMA, useAVX512 = level.avx2, level.avx512
+		t.Run(level.name, func(t *testing.T) {
+			t.Run("ShiftedSweepsMatchLowered", TestShiftedSweepsMatchLowered)
+			t.Run("DirectConv32MatchesLowered", TestDirectConv32MatchesLowered)
+			t.Run("GemmKernelsMatchNaive", TestGemmKernelsMatchNaive)
+			t.Run("GemmWorkersBitIdentical", TestGemmWorkersBitIdentical)
+		})
+	}
+}
+
 func testGemmAsmMatchesPortable[T Float](t *testing.T, tol float64) {
 	save2, save512 := useAVX2FMA, useAVX512
 	defer func() { useAVX2FMA, useAVX512 = save2, save512 }()
