@@ -796,15 +796,15 @@ func BenchmarkPredictCodec(b *testing.B) {
 }
 
 // steadyStateNet builds the whole-frame Table-I network pinned to the
-// float32 path for the zero-alloc rollout loop: shape-preserving
+// given precision for the zero-alloc rollout loop: shape-preserving
 // (zero-padding strategy), so a predicted frame feeds straight back in.
-func steadyStateNet(tb testing.TB) *nn.Sequential {
+func steadyStateNet(tb testing.TB, p nn.Precision) *nn.Sequential {
 	tb.Helper()
 	m, err := model.Build(model.PaperConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := m.SetPrecision(nn.F32); err != nil {
+	if err := m.SetPrecision(p); err != nil {
 		tb.Fatal(err)
 	}
 	return m
@@ -816,10 +816,10 @@ func steadyStateNet(tb testing.TB) *nn.Sequential {
 // preallocated frames via ForwardInto. After the warmup iteration the
 // steady state must report allocs_per_op == 0 — the bench-regression
 // gate treats any growth from a zero baseline as a failure, and
-// TestSteadyStateRolloutZeroAlloc asserts the same contract in the
-// ordinary test suite.
+// TestSteadyStateRolloutZeroAlloc asserts the same contract, at both
+// widths, in the ordinary test suite.
 func BenchmarkSteadyStateRollout(b *testing.B) {
-	m := steadyStateNet(b)
+	m := steadyStateNet(b, nn.F32)
 	g := tensor.NewRNG(1)
 	x := tensor.Normal(g, 0, 1, 1, grid.NumChannels, 64, 64)
 	y := tensor.New(1, grid.NumChannels, 64, 64)
@@ -837,21 +837,24 @@ func BenchmarkSteadyStateRollout(b *testing.B) {
 }
 
 // TestSteadyStateRolloutZeroAlloc asserts the benchmark's contract
-// outside the bench harness, so `go test ./...` catches an allocation
-// creeping into the hot loop without anyone running benchmarks.
+// outside the bench harness, at both widths, so `go test ./...` catches
+// an allocation creeping into the hot loop without anyone running
+// benchmarks.
 func TestSteadyStateRolloutZeroAlloc(t *testing.T) {
-	m := steadyStateNet(t)
-	g := tensor.NewRNG(1)
-	x := tensor.Normal(g, 0, 1, 1, grid.NumChannels, 64, 64)
-	y := tensor.New(1, grid.NumChannels, 64, 64)
-	m.ForwardInto(x, y)
-	m.ForwardInto(y, x)
-	allocs := testing.AllocsPerRun(20, func() {
+	for _, p := range []nn.Precision{nn.F64, nn.F32} {
+		m := steadyStateNet(t, p)
+		g := tensor.NewRNG(1)
+		x := tensor.Normal(g, 0, 1, 1, grid.NumChannels, 64, 64)
+		y := tensor.New(1, grid.NumChannels, 64, 64)
 		m.ForwardInto(x, y)
-		x, y = y, x
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state rollout step allocates %.1f objects/op, want 0", allocs)
+		m.ForwardInto(y, x)
+		allocs := testing.AllocsPerRun(20, func() {
+			m.ForwardInto(x, y)
+			x, y = y, x
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: steady-state rollout step allocates %.1f objects/op, want 0", p, allocs)
+		}
 	}
 }
 

@@ -136,9 +136,10 @@
 // across worker counts, batch sizes, transports and reruns (cmd/serve,
 // cmd/infer and cmd/train take -precision f64|f32). The float32 path
 // is forward-only — training is always float64 — and both widths run
-// the same generic shifted-band kernels (DESIGN.md §3): there is one
-// convolution engine, and the nested-loop reference it is checked
-// against is compiled only into the tests.
+// one arena-resident layer chain over the same generic shifted-band
+// kernels (DESIGN.md §3): there is one convolution engine, and the
+// nested-loop reference it is checked against is compiled only into
+// the tests.
 //
 // The message-passing runtime is transport-agnostic (DESIGN.md §8):
 // the same World/Comm semantics (non-overtaking tagged p2p,

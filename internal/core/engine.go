@@ -84,7 +84,7 @@ func WithChaos(plan mpi.ChaosPlan) EngineOption {
 // budget (EXPERIMENTS.md), never bit-for-bit; within the f32 path,
 // results remain bit-identical for any worker count and transport.
 // NewEngine fails if any layer of the ensemble's models has no float32
-// path (e.g. LSTM).
+// path.
 func WithPrecision(p nn.Precision) EngineOption {
 	return func(e *Engine) { e.precision = p }
 }
@@ -121,19 +121,14 @@ func NewEngine(e *Ensemble, opts ...EngineOption) (*Engine, error) {
 		return nil, fmt.Errorf("core: engine world has %d ranks, partition needs %d",
 			eng.world.Size(), e.Partition.Ranks())
 	}
-	if eng.precision != nn.F64 && eng.precision != nn.F32 {
-		return nil, fmt.Errorf("core: invalid precision %d", int(eng.precision))
-	}
-	if eng.precision == nn.F32 {
-		// Probe every rank model once: this surfaces unsupported layers
-		// as a construction error instead of a serving panic, and — since
-		// clones share their master's weight packs — performs the one
-		// f64→f32 weight narrowing per Engine right here, off every
-		// request path.
-		for r, m := range e.Models {
-			if err := m.CloneShared().SetPrecision(nn.F32); err != nil {
-				return nil, fmt.Errorf("core: precision f32 unsupported by rank %d model: %w", r, err)
-			}
+	// Probe every rank model once: this surfaces an invalid precision or
+	// a layer the float32 chain cannot run as a construction error
+	// instead of a serving panic, and — since clones share their
+	// master's weight packs — performs the one f64→f32 weight narrowing
+	// per Engine right here, off every request path.
+	for r, m := range e.Models {
+		if err := m.CloneShared().SetPrecision(eng.precision); err != nil {
+			return nil, fmt.Errorf("core: precision %v unsupported by rank %d model: %w", eng.precision, r, err)
 		}
 	}
 	if eng.world != nil && eng.world.Distributed() {
@@ -153,9 +148,9 @@ func (eng *Engine) hostsRank(r int) bool { return eng.local == nil || eng.local[
 
 // newRankModels builds one fresh set of per-rank inference clones with
 // the engine's knobs applied. Each clone shares the trained weights
-// but owns its caches and a single deduplicated scratch arena (from
-// CloneShared), so the steady-state rollout loop allocates nothing in
-// the convolution engine.
+// but owns its caches and its arena (from CloneShared), so the
+// steady-state rollout loop allocates nothing in the network at either
+// precision.
 func (eng *Engine) newRankModels() *rankModels {
 	rm := &rankModels{models: make([]*nn.Sequential, len(eng.ens.Models))}
 	for r, m := range eng.ens.Models {
@@ -166,11 +161,8 @@ func (eng *Engine) newRankModels() *rankModels {
 		if eng.workersSet {
 			c.SetWorkers(eng.workers)
 		}
-		if eng.precision == nn.F32 {
-			if err := c.SetPrecision(nn.F32); err != nil {
-				// Unreachable: NewEngine probed every model.
-				panic(fmt.Sprintf("core: precision f32: %v", err))
-			}
+		if err := c.SetPrecision(eng.precision); err != nil {
+			panic(fmt.Sprintf("core: precision: %v", err)) // NewEngine probed every model
 		}
 		rm.models[r] = c
 	}

@@ -46,23 +46,3 @@ func TestEvaluateOneStepWindowed(t *testing.T) {
 		t.Fatal("short dataset accepted")
 	}
 }
-
-func TestEvaluateRollout(t *testing.T) {
-	ds := tinyDataset(t, 16, 10)
-	_, e := trainTinyEnsemble(t, model.NeighborPad, 2, 2)
-	ms, err := EvaluateRollout(e, ds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 4 {
-		t.Fatalf("steps = %d", len(ms))
-	}
-	for k, m := range ms {
-		if m.MSE < 0 {
-			t.Fatalf("step %d invalid: %+v", k, m)
-		}
-	}
-	if _, err := EvaluateRollout(e, ds, 100); err == nil {
-		t.Fatal("oversized rollout accepted")
-	}
-}

@@ -262,11 +262,10 @@ func (t *Trainer) trainOne(ctx context.Context, samples []dataset.Sample, cfg Tr
 	if err != nil {
 		return nil, nil, err
 	}
-	// One shared scratch arena per rank model: the convolution layers'
-	// band buffers all come from it, so a whole epoch reuses the same
-	// few buffers. The Workers knob fans the bands out without
-	// changing results.
-	m.SetScratch(nn.NewArena())
+	// The rank model's activations, gradient buffers and band buffers
+	// all live in its arena, so after the first step a whole epoch
+	// allocates nothing in the network. The Workers knob fans the bands
+	// out without changing results.
 	m.SetWorkers(cfg.Workers)
 	optimizer, err := NewOptimizer(cfg.Optimizer, cfg.lr())
 	if err != nil {
@@ -315,6 +314,9 @@ func (t *Trainer) trainOne(ctx context.Context, samples []dataset.Sample, cfg Tr
 		history = append(history, mean)
 		t.report(Progress{Rank: rank, Epoch: epoch, Loss: mean})
 	}
+	// Drop the training arena — a minibatch's activations — so a
+	// finished rank holds only its weights while the next one trains.
+	m.SetScratch(nn.NewArena())
 	return m, history, nil
 }
 
@@ -461,6 +463,7 @@ func (t *Trainer) trainDataParallel(ctx context.Context, ds *dataset.Dataset) (*
 					epochsDone = epoch + 1
 				}
 			}
+			m.SetScratch(nn.NewArena()) // as trainOne: keep the weights, not the activations
 			models[r] = m
 		})
 		if runErr != nil && errs[0] == nil {

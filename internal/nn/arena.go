@@ -2,36 +2,39 @@ package nn
 
 import "repro/internal/tensor"
 
-// Arena is a grow-only bump allocator for per-call scratch buffers.
-// The convolution engine needs band buffers (a padded copy of the input
-// rows a band reads, plus a full-width accumulator) on every Forward
-// and Backward; allocating them fresh each call would dominate the
-// allocation profile of training and of the rollout loop. An Arena hands out slices from reusable
-// chunks instead: after the first pass has grown the chunks to their
-// steady-state sizes, every later pass allocates nothing.
+// Arena is a grow-only bump allocator for a network's per-pass memory:
+// the Sequential chain's activations and gradient buffers, and the
+// convolution engine's band buffers (a padded copy of the input rows a
+// band reads, plus a full-width accumulator). Allocating them fresh on
+// every Forward and Backward would dominate the allocation profile of
+// training and of the rollout loop. An Arena hands out slices from
+// reusable chunks instead: after the first pass has grown them to their
+// steady-state size, every later pass allocates nothing.
 //
-// Lifetimes are stack-shaped: callers bracket each batch of Alloc
-// calls with Mark / Release, which makes one arena safely shareable by
-// all layers of a Sequential (layers run one at a time, and scratch
-// never outlives the layer call that requested it). An Arena is NOT
-// safe for concurrent use; concurrent ranks each own their models and
-// therefore their arenas.
+// Lifetimes are stack-shaped: callers bracket each batch of Alloc calls
+// with Mark / Release. A Sequential's forward opens a bracket that its
+// Backward closes (DESIGN.md §3), and every band buffer is a bracket
+// nested inside one layer call. An Arena is NOT safe for concurrent
+// use; concurrent ranks each own their models and therefore their
+// arenas.
 //
-// Float32 scratch (the F32 inference path, DESIGN.md §13) lives in its
+// Float32 memory (the F32 inference path, DESIGN.md §13) lives in its
 // own chunk list inside the same arena, so one Mark/Release bracket
-// governs both element types and the f32 layers share the network's
-// arena without mixing widths within a chunk.
+// governs both element types without mixing widths within a chunk.
 type Arena struct {
 	f64 bump[float64]
 	f32 bump[float32]
 }
 
 // bump is the arena's allocator for one element width: a list of
-// grow-only chunks and the position of the next free element.
+// grow-only chunks, the position of the next free element, and the
+// count of elements handed out and not yet released, with its
+// high-water mark.
 type bump[T tensor.Float] struct {
-	chunks [][]T
-	cur    int // index of the chunk being bumped
-	off    int // bump offset within chunks[cur]
+	chunks     [][]T
+	cur        int // index of the chunk being bumped
+	off        int // bump offset within chunks[cur]
+	live, peak int
 }
 
 // NewArena returns an empty arena; chunks are grown on demand.
@@ -41,11 +44,22 @@ func NewArena() *Arena { return &Arena{} }
 // float64s), so tiny requests don't fragment into many chunks.
 const arenaMinChunk = 1 << 13
 
-// alloc returns a scratch slice of n elements with arbitrary contents.
+// bumpOf returns a's allocator for the element width T.
+func bumpOf[T tensor.Float](a *Arena) *bump[T] {
+	if b, ok := any(&a.f32).(*bump[T]); ok {
+		return b
+	}
+	return any(&a.f64).(*bump[T])
+}
+
+// alloc returns a slice of n elements with arbitrary contents, valid
+// until the enclosing Mark is Released.
 func (b *bump[T]) alloc(n int) []T {
 	if n == 0 {
 		return nil
 	}
+	b.live += n
+	b.peak = max(b.peak, b.live)
 	for b.cur < len(b.chunks) {
 		c := b.chunks[b.cur]
 		if b.off+n <= len(c) {
@@ -63,43 +77,25 @@ func (b *bump[T]) alloc(n int) []T {
 	return c[:n]
 }
 
-// Alloc returns a scratch slice of n float64s with arbitrary contents.
-// The slice is valid until the enclosing Mark is Released (or the
-// arena is reused past it); callers must not retain it beyond that.
-func (a *Arena) Alloc(n int) []float64 { return a.f64.alloc(n) }
+// bumpMark is a position in one width's bump stack.
+type bumpMark struct{ cur, off, live int }
 
-// Alloc32 returns a scratch slice of n float32s with arbitrary
-// contents, under the same Mark/Release discipline as Alloc.
-func (a *Arena) Alloc32(n int) []float32 { return a.f32.alloc(n) }
+func (b *bump[T]) mark() bumpMark { return bumpMark{b.cur, b.off, b.live} }
+
+func (b *bump[T]) release(m bumpMark) { b.cur, b.off, b.live = m.cur, m.off, m.live }
 
 // ArenaMark is a position in the arena's bump stack (both widths).
-type ArenaMark struct{ cur, off, cur32, off32 int }
+type ArenaMark struct{ f64, f32 bumpMark }
 
 // Mark records the current allocation position. Pair it with Release
 // to return every slice handed out in between to the arena.
-func (a *Arena) Mark() ArenaMark { return ArenaMark{a.f64.cur, a.f64.off, a.f32.cur, a.f32.off} }
+func (a *Arena) Mark() ArenaMark { return ArenaMark{a.f64.mark(), a.f32.mark()} }
 
 // Release rewinds the arena to a previous Mark, invalidating all
 // slices allocated after it.
 func (a *Arena) Release(m ArenaMark) {
-	a.f64.cur, a.f64.off = m.cur, m.off
-	a.f32.cur, a.f32.off = m.cur32, m.off32
-}
-
-// scratchUser is implemented by layers that consume arena scratch.
-type scratchUser interface{ SetScratch(*Arena) }
-
-// SetScratch threads one shared scratch arena through every contained
-// layer that can use it (the convolution layers). Each conv layer owns
-// a private arena by default, so calling this is an optimization — it
-// deduplicates the workspaces of a whole network into one — not a
-// requirement for buffer reuse.
-func (s *Sequential) SetScratch(a *Arena) {
-	for _, l := range s.layers {
-		if u, ok := l.(scratchUser); ok {
-			u.SetScratch(a)
-		}
-	}
+	a.f64.release(m.f64)
+	a.f32.release(m.f32)
 }
 
 // workersUser is implemented by layers with an intra-layer parallelism

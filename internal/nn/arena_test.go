@@ -9,8 +9,8 @@ import (
 func TestArenaReusesChunksAfterRelease(t *testing.T) {
 	a := NewArena()
 	m := a.Mark()
-	s1 := a.Alloc(100)
-	s2 := a.Alloc(arenaMinChunk) // forces a second chunk
+	s1 := a.f64.alloc(100)
+	s2 := a.f64.alloc(arenaMinChunk) // forces a second chunk
 	if len(s1) != 100 || len(s2) != arenaMinChunk {
 		t.Fatalf("Alloc lengths %d, %d", len(s1), len(s2))
 	}
@@ -21,8 +21,8 @@ func TestArenaReusesChunksAfterRelease(t *testing.T) {
 	// that is the steady-state zero-allocation property the rollout
 	// loop relies on.
 	m2 := a.Mark()
-	r1 := a.Alloc(100)
-	r2 := a.Alloc(arenaMinChunk)
+	r1 := a.f64.alloc(100)
+	r2 := a.f64.alloc(arenaMinChunk)
 	if &r1[0] != p1 || &r2[0] != p2 {
 		t.Fatal("Release did not rewind to the same backing storage")
 	}
@@ -32,17 +32,17 @@ func TestArenaReusesChunksAfterRelease(t *testing.T) {
 func TestArenaMarkReleaseNesting(t *testing.T) {
 	a := NewArena()
 	outer := a.Mark()
-	x := a.Alloc(10)
+	x := a.f64.alloc(10)
 	x[0] = 1
 	inner := a.Mark()
-	y := a.Alloc(20)
+	y := a.f64.alloc(20)
 	y[0] = 2
 	a.Release(inner)
 	// x's storage must be untouched by releasing the inner mark.
 	if x[0] != 1 {
 		t.Fatal("inner Release clobbered outer allocation")
 	}
-	z := a.Alloc(20)
+	z := a.f64.alloc(20)
 	if &z[0] != &y[0] {
 		t.Fatal("inner Release did not rewind to the inner mark")
 	}

@@ -17,13 +17,12 @@ type SharedCloner interface {
 }
 
 // CloneShared returns a weight-sharing copy of the whole network with
-// fresh per-layer caches (see SharedCloner), its convolution layers
-// threaded onto one new shared scratch arena (the same deduplication
-// Sequential.SetScratch performs). It panics if any contained layer
+// fresh per-layer caches (see SharedCloner) and its own arena, pinned
+// to the same precision. It panics if any contained layer
 // does not support shared cloning — silently reusing a stateful layer
 // across goroutines would be a data race, not a fallback.
 func (s *Sequential) CloneShared() *Sequential {
-	out := &Sequential{layers: make([]Layer, len(s.layers))}
+	out := NewSequential(make([]Layer, len(s.layers))...)
 	for i, l := range s.layers {
 		c, ok := l.(SharedCloner)
 		if !ok {
@@ -31,50 +30,28 @@ func (s *Sequential) CloneShared() *Sequential {
 		}
 		out.layers[i] = c.CloneShared()
 	}
-	out.SetScratch(NewArena())
-	// The precision pin is a per-instance property, and the clone's
-	// layers share the master's packed f32 weights (the pack pointers
-	// were copied above), so propagating the pin costs no re-narrowing
+	// The clone's convolutions share the master's float32 packs (the
+	// pack pointers are copied below), so the pin costs no re-narrowing
 	// — pack-once-per-Engine.
-	if s.f32 != nil {
-		if err := out.SetPrecision(F32); err != nil {
-			panic(fmt.Sprintf("nn: CloneShared precision pin: %v", err))
-		}
-	}
+	out.prec = s.prec
 	return out
 }
 
-// CloneShared implements SharedCloner: the clone shares the weight and
-// bias Params but owns a private scratch arena and empty caches.
+// CloneShared implements SharedCloner: the clone copies the layer —
+// sharing its Params and float32 pack — with no recorded input and a
+// scratch arena of its own.
 func (c *Conv2D) CloneShared() Layer {
-	return &Conv2D{
-		InChannels:  c.InChannels,
-		OutChannels: c.OutChannels,
-		Kernel:      c.Kernel,
-		Pad:         c.Pad,
-		Workers:     c.Workers,
-		weight:      c.weight,
-		bias:        c.bias,
-		scratch:     NewArena(),
-		pack:        c.pack,
-		name:        c.name,
-	}
+	d := *c
+	d.in, d.scratch = act[float64]{}, NewArena()
+	return &d
+}
+
+// CloneShared implements SharedCloner (see Conv2D's).
+func (c *ConvTranspose2D) CloneShared() Layer {
+	d := *c
+	d.in, d.scratch = act[float64]{}, NewArena()
+	return &d
 }
 
 // CloneShared implements SharedCloner.
-func (c *ConvTranspose2D) CloneShared() Layer {
-	return &ConvTranspose2D{
-		InChannels:  c.InChannels,
-		OutChannels: c.OutChannels,
-		Kernel:      c.Kernel,
-		Workers:     c.Workers,
-		weight:      c.weight,
-		bias:        c.bias,
-		scratch:     NewArena(),
-		pack:        c.pack,
-		name:        c.name,
-	}
-}
-
-// CloneShared implements SharedCloner (the mask buffer is per-clone).
 func (l *LeakyReLU) CloneShared() Layer { return &LeakyReLU{Epsilon: l.Epsilon, name: l.name} }

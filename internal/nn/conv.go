@@ -33,19 +33,14 @@ type Conv2D struct {
 	weight *Param // [Cout, Cin, K, K]
 	bias   *Param // [Cout]
 
-	// cacheInput holds what Backward needs from the last float64
-	// Forward: a reference to the raw input, which Backward re-lowers.
-	cacheInput *tensor.Tensor
-	scratch    *Arena // band buffers (never nil after NewConv2D)
-	name       string
-
-	// Float32 inference path (DESIGN.md §13): pack caches the weights
-	// narrowed to f32 (shared across clones, see pack32) and f32on pins
-	// the layer. The path is forward-only — Backward panics while the
-	// layer is pinned.
-	f32on    bool
-	f32arena *Arena
-	pack     *pack32
+	// in is the input of the last float64 forward, until Backward: a
+	// view of the caller's tensor, or an activation in a chain's arena.
+	in      act[float64]
+	scratch *Arena // band buffers of the layer's own tensor API
+	// pack caches the weights narrowed to float32 for the chain's F32
+	// path (DESIGN.md §13), shared across clones (see pack32).
+	pack *pack32
+	name string
 }
 
 // NewConv2D builds a convolution layer with He-initialized weights.
@@ -81,15 +76,6 @@ func (c *Conv2D) Name() string { return c.name }
 
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.weight, c.bias} }
-
-// SetScratch replaces the layer's private scratch arena with a shared
-// one (see Sequential.SetScratch). a must not be nil.
-func (c *Conv2D) SetScratch(a *Arena) {
-	if a == nil {
-		panic(fmt.Sprintf("nn: Conv2D %s SetScratch(nil)", c.name))
-	}
-	c.scratch = a
-}
 
 // SetWorkers sets the intra-layer parallelism knob.
 func (c *Conv2D) SetWorkers(workers int) { c.Workers = workers }
@@ -131,35 +117,46 @@ func (g convShape) check() convShape {
 	return g
 }
 
-// panicF32Backward is the one failure every parameterised layer (and
-// Sequential) reports when asked for gradients while pinned to F32.
-func panicF32Backward(layer string) {
-	panic(fmt.Sprintf("nn: %s Backward while pinned to F32: the float32 path is forward-only (DESIGN.md §13); SetPrecision(F64) and run Forward again before Backward", layer))
+// output allocates the output tensor of the convolution g.
+func (g convShape) output() *tensor.Tensor {
+	oh, ow := g.out()
+	return tensor.New(g.n, g.cout, oh, ow)
 }
 
-// Forward implements Layer: the convolution as shifted products over
-// padded row bands (convForward), with the raw input cached by
-// reference for Backward. That relies on the layer protocol's
-// single-flight contract — the input must not be mutated between
-// Forward and the matching Backward — which holds everywhere in this
-// repository, where layer inputs are the previous layer's freshly
-// built output. Steady-state calls allocate nothing in the engine;
-// only the output tensor is new.
+// Forward implements Layer: conv2DStage on a view of x into a fresh
+// tensor. x is recorded by reference for Backward — the layer
+// protocol's single-flight contract: it must not be mutated before the
+// matching Backward, which holds everywhere in this repository, where
+// layer inputs are the previous layer's output. Steady-state calls
+// allocate nothing in the engine; only the output tensor is new.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("nn: Conv2D %s needs NCHW input, got shape %v", c.name, x.Shape()))
-	}
-	if c.f32on {
-		return forwardVia32(c, c.f32arena, x)
-	}
-	g := c.shapeFor(x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3))
-	c.cacheInput = x
-	oh, ow := g.out()
-	y := tensor.New(g.n, g.cout, oh, ow)
-	mark := c.scratch.Mark()
-	convForward(&c.scratch.f64, c.Workers, g, x.Data(), c.weight.Value.Data(), c.bias.Value.Data(), y.Data())
-	c.scratch.Release(mark)
+	in := view(x)
+	y := c.shapeFor(in.nchw(c.name)).output()
+	conv2DStage(c, in, c.scratch, y.Data())
 	return y
+}
+
+// conv2DStage is Conv2D's forward at either width, for Forward and for
+// the Sequential chain alike: it records x (keep) and runs convStage.
+func conv2DStage[T tensor.Float](c *Conv2D, x act[T], a *Arena, y []T) act[T] {
+	keep(&c.in, x)
+	return convStage(c.shapeFor(x.nchw(c.name)), c.pack, c.weight, c.bias, c.Workers, x, a, y)
+}
+
+// convStage is the forward of both convolution layers at width T: the
+// sweep g over x with the layer's weights, into y — or into a fresh
+// slice of a when y is nil. The weight scratch and band buffers sit
+// above the output and are released before it returns.
+func convStage[T tensor.Float](g convShape, p *pack32, w, b *Param, workers int, x act[T], a *Arena, y []T) act[T] {
+	oh, ow := g.out()
+	if y == nil {
+		y = bumpOf[T](a).alloc(g.n * g.cout * oh * ow)
+	}
+	mark := a.Mark()
+	wd, bd := weights[T](p, w, b, a)
+	convForward(bumpOf[T](a), workers, g, x.d, wd, bd, y)
+	a.Release(mark)
+	return act[T]{dims: [4]int{g.n, g.cout, oh, ow}, rank: 4, d: y}
 }
 
 // convBandFloats is the size of a band buffer — its padded input rows
@@ -291,7 +288,7 @@ func convForwardBand[T tensor.Float](p convPlan, t int, xd, wd, bd, yd, buf []T)
 func convWeightGrad(a *Arena, workers int, g convShape, xd, dyd, dwd []float64) {
 	p := g.plan()
 	mark := a.Mark()
-	buf := a.Alloc(p.bandLen())
+	buf := a.f64.alloc(p.bandLen())
 	for t := 0; t < g.n*p.bands; t++ {
 		b, xb, dyb := loadBand(p, t, xd, buf)
 		dy := dyd[b.img*p.cout*p.oh*p.ow:]
@@ -333,58 +330,69 @@ func flipKernel[T tensor.Float](dst, src []T, a, b, kk int) {
 	}
 }
 
-// convAdjoint is convForward over the flipped form of wd, a
-// [g.cin, g.cout, K, K] kernel. The adjoint of a stride-1 convolution
-// with padding P is itself a stride-1 convolution, of the flipped
-// kernel with padding K-1-P, so this one gather-form sweep is both
-// Conv2D's input gradient and ConvTranspose2D's forward. The flipped
-// kernel is rebuilt per call into arena scratch (Cin·Cout·K² values):
-// there is no cache to invalidate when the optimizer steps.
-func convAdjoint(a *Arena, workers int, g convShape, xd, wd, bd, yd []float64) {
-	mark := a.Mark()
-	wflip := a.Alloc(len(wd))
-	flipKernel(wflip, wd, g.cin, g.cout, g.k*g.k)
-	convForward(&a.f64, workers, g, xd, wflip, bd, yd)
-	a.Release(mark)
+// conv is the backward stage both convolution layers implement: the
+// parameter gradients, which consume the recorded input and return it,
+// then the input gradient into a buffer of its shape.
+type conv interface {
+	backwardParams(dy act[float64], a *Arena) act[float64]
+	inputGrad(dy, dx act[float64], a *Arena) act[float64]
 }
 
-// Backward implements Layer. The parameter gradients come from
-// backwardParams; the input gradient is a convolution in its own right
-// (gather form, no scatter), dX = convAdjoint(dY, W, pad K-1-Pad, no
-// bias), so every dX element is written exactly once and results are
-// bit-identical for any worker count and, image for image, any batch
-// size (convForward's per-image bands). The dW band is released before
-// the dX sweep takes its own, so the live scratch is the larger of the
-// two, not their sum.
-func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	x := c.backwardParams(gradOut)
-	dx := tensor.New(x.Shape()...)
-	g := convShape{n: x.Dim(0), cin: c.OutChannels, h: gradOut.Dim(2), w: gradOut.Dim(3), k: c.Kernel, pad: c.Kernel - 1 - c.Pad, cout: c.InChannels, layer: c.name}
-	convAdjoint(c.scratch, c.Workers, g, gradOut.Data(), c.weight.Value.Data(), nil, dx.Data())
+// convBackward is a convolution's Backward on the tensor API: the
+// backward stage with dX in a fresh tensor.
+func convBackward(c conv, gradOut *tensor.Tensor, a *Arena) *tensor.Tensor {
+	dy := view(gradOut)
+	x := c.backwardParams(dy, a)
+	dx := tensor.New(x.shape()...)
+	c.inputGrad(dy, view(dx), a)
 	return dx
 }
 
-// backwardParams is the half of Backward that needs no input gradient
-// (Sequential.BackwardParams calls it alone for a first layer): it
-// consumes and returns the cached input, checks gradOut against it, and
-// accumulates dB (per-channel sums of dY) and dW (convWeightGrad, which
-// reads the cached raw input band by band — the same copies the
-// forward made, 1/K² of a lowered panel each).
-func (c *Conv2D) backwardParams(gradOut *tensor.Tensor) *tensor.Tensor {
-	if c.f32on {
-		panicF32Backward("Conv2D " + c.name)
-	}
-	if c.cacheInput == nil {
+// Backward implements Layer (convBackward).
+func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return convBackward(c, gradOut, c.scratch)
+}
+
+// backwardParams is the half of the backward stage that needs no input
+// gradient (Sequential.BackwardParams stops here for a first layer): it
+// consumes the recorded input, checks dy against it, accumulates dB
+// (per-channel sums of dY) and dW (convWeightGrad, which reads the
+// input band by band — the same copies the forward made), and returns
+// the input, whose shape dX takes.
+func (c *Conv2D) backwardParams(dy act[float64], a *Arena) act[float64] {
+	x := c.in
+	if x.rank == 0 {
 		panic(fmt.Sprintf("nn: Conv2D %s Backward before Forward", c.name))
 	}
-	x := c.cacheInput
-	c.cacheInput = nil
-	g := c.shapeFor(x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3))
+	c.in = act[float64]{}
+	g := c.shapeFor(x.nchw(c.name))
 	oh, ow := g.out()
-	if gradOut.Dim(0) != g.n || gradOut.Dim(1) != g.cout || gradOut.Dim(2) != oh || gradOut.Dim(3) != ow {
-		panic(fmt.Sprintf("nn: conv backward shape mismatch x=%v w=%v dy=%v", x.Shape(), c.weight.Value.Shape(), gradOut.Shape()))
+	if dy.rank != 4 || dy.dims != [4]int{g.n, g.cout, oh, ow} {
+		panic(fmt.Sprintf("nn: conv backward shape mismatch x=%v w=%v dy=%v", x, c.weight.Value.Shape(), dy))
 	}
-	addChannelSums(c.bias.Grad.Data(), gradOut.Data(), oh*ow)
-	convWeightGrad(c.scratch, c.Workers, g, x.Data(), gradOut.Data(), c.weight.Grad.Data())
+	addChannelSums(c.bias.Grad.Data(), dy.d, oh*ow)
+	convWeightGrad(a, c.Workers, g, x.d, dy.d, c.weight.Grad.Data())
 	return x
+}
+
+// inputGrad writes the input gradient into dx and returns it. The
+// adjoint of a stride-1 convolution with padding P is itself a stride-1
+// convolution, of the flipped, channel-transposed kernel with padding
+// K-1-P, so dX is the forward sweep over that kernel (gather form, no
+// scatter): every dX element is written exactly once, and results are
+// bit-identical for any worker count and, image for image, any batch
+// size (convForward's per-image bands). The flipped kernel is rebuilt
+// per call into arena scratch (Cin·Cout·K² values): there is no cache
+// to invalidate when the optimizer steps. backwardParams released its
+// band before this sweep takes its own, so the live scratch is the
+// larger of the two, not their sum.
+func (c *Conv2D) inputGrad(dy, dx act[float64], a *Arena) act[float64] {
+	g := convShape{n: dx.dims[0], cin: c.OutChannels, h: dy.dims[2], w: dy.dims[3], k: c.Kernel, pad: c.Kernel - 1 - c.Pad, cout: c.InChannels, layer: c.name}
+	wd := c.weight.Value.Data()
+	mark := a.Mark()
+	wflip := a.f64.alloc(len(wd))
+	flipKernel(wflip, wd, g.cin, g.cout, g.k*g.k)
+	convForward(&a.f64, c.Workers, g, dy.d, wflip, nil, dx.d)
+	a.Release(mark)
+	return dx
 }

@@ -33,14 +33,10 @@ type ConvTranspose2D struct {
 	weight *Param // [Cin, Cout, K, K]
 	bias   *Param // [Cout]
 
-	cacheInput *tensor.Tensor
-	scratch    *Arena
-	name       string
-
-	// Float32 inference path — see the matching fields on Conv2D.
-	f32on    bool
-	f32arena *Arena
-	pack     *pack32
+	in      act[float64] // see Conv2D
+	scratch *Arena
+	pack    *pack32 // flipped, see pack32.flipIn
+	name    string
 }
 
 // NewConvTranspose2D builds a transpose convolution layer with
@@ -70,40 +66,29 @@ func (c *ConvTranspose2D) Name() string { return c.name }
 // Params implements Layer.
 func (c *ConvTranspose2D) Params() []*Param { return []*Param{c.weight, c.bias} }
 
-// SetScratch replaces the layer's private scratch arena with a shared
-// one (see Sequential.SetScratch). a must not be nil.
-func (c *ConvTranspose2D) SetScratch(a *Arena) {
-	if a == nil {
-		panic(fmt.Sprintf("nn: ConvTranspose2D %s SetScratch(nil)", c.name))
-	}
-	c.scratch = a
-}
-
 // SetWorkers sets the intra-layer parallelism knob.
 func (c *ConvTranspose2D) SetWorkers(workers int) { c.Workers = workers }
 
 // Forward implements Layer:
 // y[n,co,iy+ky,ix+kx] += x[n,ci,iy,ix] · w[ci,co,ky,kx], plus bias —
-// computed not as that scatter but as the convolution it equals
-// (convAdjoint, pad K-1), the same sweep Conv2D.Backward uses for dX.
-// Every output element is written by exactly one (image, tile) task, so
-// results are bit-identical for any worker count and, image for image,
-// any batch size. The input is cached by reference (see
-// Conv2D.Forward): it must not be mutated between Forward and the
-// matching Backward.
+// computed not as that scatter but as the convolution it equals (the
+// sweep over the flipped kernel at pad K-1, the one Conv2D's input
+// gradient runs). Every output element is written by exactly one
+// (image, band) task, so results are bit-identical for any worker count
+// and, image for image, any batch size. x is recorded by reference, as
+// in Conv2D.Forward.
 func (c *ConvTranspose2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("nn: ConvTranspose2D %s needs NCHW input, got %v", c.name, x.Shape()))
-	}
-	if c.f32on {
-		return forwardVia32(c, c.f32arena, x)
-	}
-	g := c.shapeFor(x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3))
-	c.cacheInput = x
-	oh, ow := g.out()
-	y := tensor.New(g.n, g.cout, oh, ow)
-	convAdjoint(c.scratch, c.Workers, g, x.Data(), c.weight.Value.Data(), c.bias.Value.Data(), y.Data())
+	in := view(x)
+	y := c.shapeFor(in.nchw(c.name)).output()
+	convTransposeStage(c, in, c.scratch, y.Data())
 	return y
+}
+
+// convTransposeStage is ConvTranspose2D's forward at either width (see
+// conv2DStage).
+func convTransposeStage[T tensor.Float](c *ConvTranspose2D, x act[T], a *Arena, y []T) act[T] {
+	keep(&c.in, x)
+	return convStage(c.shapeFor(x.nchw(c.name)), c.pack, c.weight, c.bias, c.Workers, x, a, y)
 }
 
 // shapeFor validates an NCHW input against the layer and returns the
@@ -116,34 +101,45 @@ func (c *ConvTranspose2D) shapeFor(n, cin, h, w int) convShape {
 }
 
 // Backward implements Layer. Forward is the adjoint of the valid
-// cross-correlation g of dY (Cout channels) with W as stored, viewed as
+// cross-correlation of dY (Cout channels) with W as stored, viewed as
 // a [Cin × Cout·K²] kernel, so dx is that convolution — convForward
-// with pad 0 — and dW is its weight gradient with the cached input in
-// the role of the output gradient (convWeightGrad):
+// with pad 0 (inputGrad) — and dW is its weight gradient with the
+// recorded input in the role of the output gradient (backwardParams):
 //
 //	dx[ci, iy, ix]      = Σ W[ci, co, ky, kx]·dY[co, iy+ky, ix+kx]
 //	dW[ci, co, ky, kx] += Σ X[ci, iy, ix]·dY[co, iy+ky, ix+kx]
 func (c *ConvTranspose2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if c.f32on {
-		panicF32Backward("ConvTranspose2D " + c.name)
-	}
-	if c.cacheInput == nil {
+	return convBackward(c, gradOut, c.scratch)
+}
+
+// backwardParams consumes the recorded input, checks dy against it and
+// accumulates dB and dW; it returns the input (see Conv2D's).
+func (c *ConvTranspose2D) backwardParams(dy act[float64], a *Arena) act[float64] {
+	x := c.in
+	if x.rank == 0 {
 		panic(fmt.Sprintf("nn: ConvTranspose2D %s Backward before Forward", c.name))
 	}
-	x := c.cacheInput
-	c.cacheInput = nil
-	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	k, cout := c.Kernel, c.OutChannels
-	oh, ow := h+k-1, wid+k-1
-	if gradOut.Dim(0) != n || gradOut.Dim(1) != cout || gradOut.Dim(2) != oh || gradOut.Dim(3) != ow {
-		panic(fmt.Sprintf("nn: ConvTranspose2D backward shape mismatch x=%v dy=%v", x.Shape(), gradOut.Shape()))
+	c.in = act[float64]{}
+	n, _, h, wid := x.nchw(c.name)
+	oh, ow := h+c.Kernel-1, wid+c.Kernel-1
+	if dy.rank != 4 || dy.dims != [4]int{n, c.OutChannels, oh, ow} {
+		panic(fmt.Sprintf("nn: ConvTranspose2D backward shape mismatch x=%v dy=%v", x, dy))
 	}
-	g := convShape{n: n, cin: cout, h: oh, w: ow, k: k, pad: 0, cout: cin, layer: c.name}
-	addChannelSums(c.bias.Grad.Data(), gradOut.Data(), oh*ow)
-	convWeightGrad(c.scratch, c.Workers, g, gradOut.Data(), x.Data(), c.weight.Grad.Data())
-	dx := tensor.New(n, cin, h, wid)
-	mark := c.scratch.Mark()
-	convForward(&c.scratch.f64, c.Workers, g, gradOut.Data(), c.weight.Value.Data(), nil, dx.Data())
-	c.scratch.Release(mark)
+	addChannelSums(c.bias.Grad.Data(), dy.d, oh*ow)
+	convWeightGrad(a, c.Workers, c.adjoint(dy), dy.d, x.d, c.weight.Grad.Data())
+	return x
+}
+
+// adjoint is the valid convolution whose result is dX: dY through W as
+// stored, pad 0.
+func (c *ConvTranspose2D) adjoint(dy act[float64]) convShape {
+	return convShape{n: dy.dims[0], cin: c.OutChannels, h: dy.dims[2], w: dy.dims[3], k: c.Kernel, cout: c.InChannels, layer: c.name}
+}
+
+// inputGrad writes dX, the adjoint sweep over dY, into dx.
+func (c *ConvTranspose2D) inputGrad(dy, dx act[float64], a *Arena) act[float64] {
+	mark := a.Mark()
+	convForward(&a.f64, c.Workers, c.adjoint(dy), dy.d, c.weight.Value.Data(), nil, dx.d)
+	a.Release(mark)
 	return dx
 }

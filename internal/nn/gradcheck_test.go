@@ -177,6 +177,41 @@ func TestLeakyReLUGradients(t *testing.T) {
 		}
 	}
 	checkLayerGradients(t, layer, x, 1e-6)
+
+	// At the kink the mask is the sign bit of the input: slope 1 at +0
+	// and ε at −0, and ε for a negative input whose product with ε
+	// underflows to −0, or whatever ε is, 0 included. Backward reads the
+	// sign off the output, which must give the same rows.
+	negTiny := -math.SmallestNonzeroFloat64
+	for _, row := range []struct{ eps, x, want float64 }{
+		{0.01, 0, 1},
+		{0.01, math.Copysign(0, -1), 0.01},
+		{0.01, negTiny, 0.01},
+		{0, -2, 0},
+		{0, math.Copysign(0, -1), 0},
+		{0, 0, 1},
+		{0, 2, 1},
+	} {
+		l := NewLeakyReLU("kink", row.eps)
+		l.Forward(tensor.FromSlice([]float64{row.x}, 1))
+		if got := l.Backward(tensor.FromSlice([]float64{1}, 1)).Data()[0]; got != row.want {
+			t.Errorf("ε=%g x=%g: dx = %g, want %g", row.eps, row.x, got, row.want)
+		}
+	}
+}
+
+// TestLeakyReLUBackwardShapeMismatch is the regression for a stale
+// mask: after a batch-8 forward and then a batch-3 one, a batch-8
+// gradient must be refused, naming the layer, not answered with signs
+// the older forward left behind.
+func TestLeakyReLUBackwardShapeMismatch(t *testing.T) {
+	g := tensor.NewRNG(4)
+	l := NewLeakyReLU("lrelu", 0.01)
+	l.Forward(tensor.Normal(g, 0, 1, 8, 2, 3, 3))
+	l.Forward(tensor.Normal(g, 0, 1, 3, 2, 3, 3))
+	mustPanicWith(t, "batch-8 gradient after a batch-3 forward", "LeakyReLU lrelu backward shape mismatch", func() {
+		l.Backward(tensor.Normal(g, 0, 1, 8, 2, 3, 3))
+	})
 }
 
 func TestReLUGradients(t *testing.T) {

@@ -14,6 +14,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -49,16 +50,23 @@ type Layer interface {
 }
 
 // Sequential chains layers; the output of layer i feeds layer i+1.
+// Every entry point runs one chain (chain.go) at the pinned width
+// (SetPrecision): Forward opens a bracket on the network's arena that
+// holds every activation, and Backward consumes those activations and
+// releases it (DESIGN.md §3).
 type Sequential struct {
 	layers []Layer
-	// f32 is non-nil when the network is pinned to the float32 compute
-	// path (SetPrecision); Forward then runs the fused f32 chain.
-	f32 *seqF32
+	prec   Precision
+	arena  *Arena
+	mark   ArenaMark // where the open forward's bracket starts
+	open   bool      // a forward's activations are in the arena
+	widest int       // the open forward's longest activation
+	params []*Param  // Params, built on first use
 }
 
 // NewSequential builds a container over the given layers.
 func NewSequential(layers ...Layer) *Sequential {
-	return &Sequential{layers: layers}
+	return &Sequential{layers: layers, arena: NewArena()}
 }
 
 // Name implements Layer.
@@ -68,66 +76,59 @@ func (s *Sequential) Name() string { return "sequential" }
 func (s *Sequential) Layers() []Layer { return s.layers }
 
 // Add appends a layer.
-func (s *Sequential) Add(l Layer) { s.layers = append(s.layers, l) }
-
-// Forward implements Layer by chaining the contained layers. When the
-// network is pinned to F32 (SetPrecision), the whole chain runs fused
-// on float32 — one narrowing at the input, one widening at the output
-// — which is bit-identical to running the pinned layers one by one
-// (widening is exact, so the per-layer f64 boundaries round-trip).
-func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if s.f32 != nil {
-		mark := s.f32.arena.Mark()
-		out := s.forwardChain32(x)
-		y := newFromAct(out)
-		tensor.Widen64(y.Data(), out.d)
-		s.f32.arena.Release(mark)
-		return y
-	}
-	for _, l := range s.layers {
-		x = l.Forward(x)
-	}
-	return x
+func (s *Sequential) Add(l Layer) {
+	s.layers = append(s.layers, l)
+	s.params = nil
 }
 
-// Backward implements Layer by back-propagating in reverse order. A
-// network pinned to F32 is forward-only and panics.
+// SetScratch replaces the arena the chain runs in. The old arena's
+// memory goes with it, so a model that is done training drops its
+// activations this way.
+func (s *Sequential) SetScratch(a *Arena) { s.arena, s.open = a, false }
+
+// Forward implements Layer: the chain at the pinned width, its final
+// activation copied into a fresh tensor (callers keep outputs across
+// forwards). The float32 chain narrows x once on entry and widens once
+// at the output, which is exact.
+func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor { return s.ForwardInto(x, nil) }
+
+// ForwardInto is Forward writing the result into dst, which must
+// already have the network's output shape for this input (nil means a
+// fresh tensor), and returns it. Once the arena is warm it allocates
+// nothing at either width: the steady state of the rollout loop.
+func (s *Sequential) ForwardInto(x, dst *tensor.Tensor) *tensor.Tensor {
+	if s.prec == F32 {
+		return output(dst, forward[float32](s, x))
+	}
+	return output(dst, forward[float64](s, x))
+}
+
+// Backward implements Layer by back-propagating the forward's
+// activations in reverse order. A network pinned to F32 is forward-only
+// and panics.
 func (s *Sequential) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if s.f32 != nil {
-		panicF32Backward("Sequential")
-	}
-	for i := len(s.layers) - 1; i >= 0; i-- {
-		gradOut = s.layers[i].Backward(gradOut)
-	}
-	return gradOut
+	return s.backward(gradOut, false)
 }
 
 // BackwardParams is Backward for callers that only want the parameter
 // gradients — the training loops, which never read dL/d(input). Every
 // Param.Grad ends up bit-identical to Backward's; the one thing skipped
-// is the first layer's input gradient when that layer is a Conv2D
-// (whose dW and dB do not depend on it). Any other first layer runs
-// its ordinary Backward.
-func (s *Sequential) BackwardParams(gradOut *tensor.Tensor) {
-	if s.f32 != nil {
-		panicF32Backward("Sequential")
-	}
-	for i := len(s.layers) - 1; i >= 0; i-- {
-		if c, ok := s.layers[i].(*Conv2D); i == 0 && ok {
-			c.backwardParams(gradOut)
-			return
-		}
-		gradOut = s.layers[i].Backward(gradOut)
-	}
-}
+// is the first layer's input gradient when that layer is a convolution
+// (whose dW and dB do not depend on it). Any other first layer runs its
+// ordinary backward.
+func (s *Sequential) BackwardParams(gradOut *tensor.Tensor) { s.backward(gradOut, true) }
 
-// Params implements Layer by concatenating the layers' parameters.
+// Params implements Layer by concatenating the layers' parameters. The
+// list is built once (Add resets it), so the per-step ZeroGrads and
+// optimizer walks allocate nothing.
 func (s *Sequential) Params() []*Param {
-	var ps []*Param
-	for _, l := range s.layers {
-		ps = append(ps, l.Params()...)
+	if s.params == nil {
+		for _, l := range s.layers {
+			s.params = append(s.params, l.Params()...)
+		}
+		s.params = slices.Clip(s.params)
 	}
-	return ps
+	return s.params
 }
 
 // ZeroGrads resets all parameter gradients of the model.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -46,14 +47,14 @@ func PackCount() int64 { return packCount.Load() }
 
 // get returns the packed float32 weight and bias, narrowing them from
 // the masters on first use or after an invalidation.
-func (p *pack32) get(w, b *tensor.Tensor) ([]float32, []float32) {
+func (p *pack32) get(w, b *Param) ([]float32, []float32) {
 	if p.ok.Load() {
 		return p.w, p.b
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.ok.Load() {
-		wd, bd := w.Data(), b.Data()
+		wd, bd := w.Value.Data(), b.Value.Data()
 		if cap(p.w) < len(wd) {
 			p.w = make([]float32, len(wd))
 		}
@@ -73,36 +74,51 @@ func (p *pack32) get(w, b *tensor.Tensor) ([]float32, []float32) {
 	return p.w, p.b
 }
 
-// pin32 is setPrecision32 for the parameterised layers: it returns the
-// layer's new (f32on, f32arena). Pinning packs the weights at once
-// (once per Engine — clones share the pack), so serving never pays the
-// narrowing on a request path.
-func pin32(on bool, a *Arena, p *pack32, w, b *Param) (bool, *Arena) {
-	if !on {
-		return false, nil
+// weights returns a convolution's kernel and bias at width T as its
+// forward sweep reads them: the float32 pack; or the float64 masters,
+// with a transpose convolution's kernel flipped into scratch from a per
+// call, so there is nothing to invalidate when the optimizer steps.
+func weights[T tensor.Float](p *pack32, w, b *Param, a *Arena) ([]T, []T) {
+	if _, ok := any([]T(nil)).([]float32); ok {
+		wd, bd := p.get(w, b)
+		return any(wd).([]T), any(bd).([]T)
 	}
-	p.get(w.Value, b.Value)
-	return true, a
+	wd := w.Value.Data()
+	if p.flipIn > 0 {
+		f := a.f64.alloc(len(wd))
+		flipKernel(f, wd, p.flipIn, p.flipOut, len(wd)/(p.flipIn*p.flipOut))
+		wd = f
+	}
+	return any(wd).([]T), any(b.Value.Data()).([]T)
 }
 
-// invalidate drops the cached pack; the next get re-narrows.
-func (p *pack32) invalidate() { p.ok.Store(false) }
-
-// packInvalidator is implemented by layers caching derived forms of
-// their weights.
-type packInvalidator interface{ invalidatePack() }
-
-// invalidatePacks walks a model and drops every cached weight pack —
-// called by the parameter-mutation paths so stale float32 panels can
-// never outlive a weight swap.
+// invalidatePacks drops every cached weight pack of a model — called
+// by the parameter-mutation paths so stale float32 panels can never
+// outlive a weight swap.
 func invalidatePacks(m Layer) {
-	if s, ok := m.(*Sequential); ok {
-		for _, l := range s.layers {
-			invalidatePacks(l)
+	eachPack([]Layer{m}, func(p *pack32, _, _ *Param) { p.ok.Store(false) })
+}
+
+// eachPack calls f on the float32 pack, kernel and bias of every
+// convolution in layers, at any depth, and returns an error naming the
+// first layer the float32 chain cannot run.
+func eachPack(layers []Layer, f func(p *pack32, w, b *Param)) (err error) {
+	for i, l := range layers {
+		switch l := l.(type) {
+		case *Sequential:
+			if e := eachPack(l.layers, f); err == nil {
+				err = e
+			}
+		case *Conv2D:
+			f(l.pack, l.weight, l.bias)
+		case *ConvTranspose2D:
+			f(l.pack, l.weight, l.bias)
+		case *LeakyReLU:
+		default:
+			if err == nil {
+				err = fmt.Errorf("nn: layer %d (%s) has no float32 path", i, l.Name())
+			}
 		}
-		return
 	}
-	if p, ok := m.(packInvalidator); ok {
-		p.invalidatePack()
-	}
+	return err
 }

@@ -121,9 +121,9 @@ func TestF32ForwardThenF64TrainingStep(t *testing.T) {
 
 // TestF32BackwardPanics pins the forward-only contract of the float32
 // path: Backward straight after an F32-pinned Forward panics — with the
-// documented message on the network and on each parameterised layer,
-// and as "Backward before Forward" on the activation, whose f32
-// forward leaves nothing to differentiate — and so does
+// documented message on the network, and as "Backward before Forward"
+// on each layer in it, whose float32 stage leaves nothing to
+// differentiate (precision is the Sequential's alone) — and so does
 // Backward after unpinning without a fresh Forward.
 func TestF32BackwardPanics(t *testing.T) {
 	const forwardOnly, noForward = "float32 path is forward-only", "Backward before Forward"
@@ -135,8 +135,8 @@ func TestF32BackwardPanics(t *testing.T) {
 		want  string
 	}{
 		{buildPrecisionNet(17), x4, forwardOnly},
-		{NewConv2D("c", g, 4, 3, 3, 1), x4, forwardOnly},
-		{NewConvTranspose2D("d", g, 4, 3, 3), x4, forwardOnly},
+		{NewConv2D("c", g, 4, 3, 3, 1), x4, noForward},
+		{NewConvTranspose2D("d", g, 4, 3, 3), x4, noForward},
 		{NewLeakyReLU("lrelu", 0.01), x4, noForward},
 	} {
 		pinned := NewSequential(tc.layer)
@@ -313,22 +313,84 @@ func TestF32PackInvalidationChangesOutput(t *testing.T) {
 }
 
 // TestForwardIntoZeroAllocSteadyState is the zero-alloc contract of
-// the fused rollout loop: once the arena and caches are warm,
-// ForwardInto on the pinned net allocates nothing.
+// the rollout loop, at both widths: once the arena and caches are
+// warm, ForwardInto allocates nothing.
 func TestForwardIntoZeroAllocSteadyState(t *testing.T) {
-	net := buildPrecisionNet(71)
-	if err := net.SetPrecision(F32); err != nil {
-		t.Fatal(err)
-	}
-	g := tensor.NewRNG(73)
-	x := tensor.Normal(g, 0, 1, 1, 4, 16, 16)
-	dst := tensor.New(1, 4, 18, 18) // the transpose conv grows the frame by K-1
-	net.ForwardInto(x, dst)
-	net.ForwardInto(x, dst)
-	allocs := testing.AllocsPerRun(20, func() {
+	for _, p := range []Precision{F64, F32} {
+		net := buildPrecisionNet(71)
+		if err := net.SetPrecision(p); err != nil {
+			t.Fatal(err)
+		}
+		g := tensor.NewRNG(73)
+		x := tensor.Normal(g, 0, 1, 1, 4, 16, 16)
+		dst := tensor.New(1, 4, 18, 18) // the transpose conv grows the frame by K-1
 		net.ForwardInto(x, dst)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state ForwardInto allocates %.1f objects/op, want 0", allocs)
+		net.ForwardInto(x, dst)
+		allocs := testing.AllocsPerRun(20, func() {
+			net.ForwardInto(x, dst)
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: steady-state ForwardInto allocates %.1f objects/op, want 0", p, allocs)
+		}
+	}
+}
+
+// buildTable1Net is the paper's Table-I network (4→6→16→6→4 channels,
+// 5×5 kernels, same padding, leaky ReLU between layers).
+func buildTable1Net(seed int64) *Sequential {
+	g := tensor.NewRNG(seed)
+	return NewSequential(
+		NewConv2D("c1", g, 4, 6, 5, 2),
+		NewLeakyReLU("a1", 0.01),
+		NewConv2D("c2", g, 6, 16, 5, 2),
+		NewLeakyReLU("a2", 0.01),
+		NewConv2D("c3", g, 16, 6, 5, 2),
+		NewLeakyReLU("a3", 0.01),
+		NewConv2D("c4", g, 6, 4, 5, 2),
+	)
+}
+
+// TestTrainingStepAllocs is the allocation contract of a training step
+// on the chain: once warm, ZeroGrads + Forward + BackwardParams at F64
+// allocate the returned tensor (a header and its data) and nothing else.
+func TestTrainingStepAllocs(t *testing.T) {
+	net := buildTable1Net(81)
+	g := tensor.NewRNG(83)
+	x := tensor.Normal(g, 0, 1, 2, 4, 16, 16)
+	dy := tensor.Normal(g, 0, 1, 2, 4, 16, 16)
+	step := func() {
+		ZeroGrads(net)
+		net.Forward(x)
+		net.BackwardParams(dy)
+	}
+	step()
+	step()
+	if allocs := testing.AllocsPerRun(20, step); allocs > 2 {
+		t.Fatalf("warm training step allocates %.1f objects/op, want ≤ 2 (the returned tensor)", allocs)
+	}
+}
+
+// TestTrainingStepArenaHighWater bounds what one training step holds
+// at once: the arena's high-water mark is no more than the forward
+// activations (the input copy and the four convolution outputs —
+// LeakyReLU runs in place), two gradient buffers as long as the widest
+// of them, and one band buffer with the flipped kernel the widest dX
+// sweep reads.
+func TestTrainingStepArenaHighWater(t *testing.T) {
+	const n, hw = 8, 64
+	net := buildTable1Net(85)
+	g := tensor.NewRNG(87)
+	x := tensor.Normal(g, 0, 1, n, 4, hw, hw)
+	dy := tensor.Normal(g, 0, 1, n, 4, hw, hw)
+	for range 2 {
+		ZeroGrads(net)
+		net.Forward(x)
+		net.BackwardParams(dy)
+	}
+	plane := n * hw * hw
+	acts := (4 + 6 + 16 + 6 + 4) * plane
+	bound := acts + 2*16*plane + convBandFloats + 16*6*5*5
+	if peak := net.arena.f64.peak; peak > bound {
+		t.Fatalf("arena high-water %d float64s in a training step, bound %d", peak, bound)
 	}
 }

@@ -6,9 +6,7 @@ package tensor
 // narrowed once on entry, every kernel in between runs on float32, and
 // the result is widened once at the output boundary. Both routines are
 // plain element loops: narrowing rounds to nearest, widening is exact,
-// so a float32 value survives a f32→f64→f32 round trip bit-for-bit —
-// which is what makes the per-layer and fused f32 paths produce
-// identical frames.
+// so a float32 value survives a f32→f64→f32 round trip bit-for-bit.
 
 // Narrow32 writes float32(src[i]) into dst. The slices must have equal
 // length.

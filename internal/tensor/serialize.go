@@ -36,7 +36,8 @@ func (t *Tensor) GobDecode(p []byte) error {
 	}
 	t.shape = w.Shape
 	t.data = w.Data
-	t.strides = computeStrides(w.Shape)
+	t.strides = make([]int, len(w.Shape))
+	fillStrides(t.strides, w.Shape)
 	return nil
 }
 

@@ -12,6 +12,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Tensor is a dense, contiguous, row-major N-dimensional array of
@@ -21,18 +22,15 @@ type Tensor struct {
 	shape   []int
 	strides []int
 	data    []float64
+	// dims backs shape and strides up to rank 4, so a tensor is two
+	// allocations: this header and its data.
+	dims [8]int
 }
 
 // New allocates a zero-filled tensor with the given shape.
 // It panics if any dimension is negative or the shape is empty.
 func New(shape ...int) *Tensor {
-	n := checkShape(shape)
-	t := &Tensor{
-		shape: append([]int(nil), shape...),
-		data:  make([]float64, n),
-	}
-	t.strides = computeStrides(t.shape)
-	return t
+	return withShape(make([]float64, checkShape(shape)), shape)
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
@@ -42,16 +40,28 @@ func New(shape ...int) *Tensor {
 func FromSlice(data []float64, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: FromSlice data length %d does not match shape %v (need %d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: FromSlice data length %d does not match shape %v (need %d)", len(data), slices.Clone(shape), n))
 	}
-	t := &Tensor{
-		shape: append([]int(nil), shape...),
-		data:  data,
+	return withShape(data, shape)
+}
+
+// withShape returns a tensor over data with a copy of shape.
+func withShape(data []float64, shape []int) *Tensor {
+	t := &Tensor{data: data}
+	r := len(shape)
+	buf := t.dims[:]
+	if 2*r > len(buf) {
+		buf = make([]int, 2*r)
 	}
-	t.strides = computeStrides(t.shape)
+	t.shape = buf[:r:r]
+	copy(t.shape, shape)
+	t.strides = buf[r : 2*r : 2*r]
+	fillStrides(t.strides, shape)
 	return t
 }
 
+// checkShape returns the volume of shape. Its panics format a copy, so
+// a caller's variadic shape never escapes to the heap.
 func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")
@@ -59,21 +69,20 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			panic(fmt.Sprintf("tensor: negative dimension in shape %v", slices.Clone(shape)))
 		}
 		n *= d
 	}
 	return n
 }
 
-func computeStrides(shape []int) []int {
-	strides := make([]int, len(shape))
+// fillStrides writes the row-major strides of shape into strides.
+func fillStrides(strides, shape []int) {
 	s := 1
 	for i := len(shape) - 1; i >= 0; i-- {
 		strides[i] = s
 		s *= shape[i]
 	}
-	return strides
 }
 
 // Shape returns a copy of the tensor's dimensions.
@@ -134,11 +143,9 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 func (t *Tensor) Reshape(shape ...int) *Tensor {
 	n := checkShape(shape)
 	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n))
+		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), slices.Clone(shape), n))
 	}
-	r := &Tensor{shape: append([]int(nil), shape...), data: t.data}
-	r.strides = computeStrides(r.shape)
-	return r
+	return withShape(t.data, shape)
 }
 
 // Zero sets every element to 0.
