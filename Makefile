@@ -153,7 +153,8 @@ lint: vet
 # wire-frame codec and the chaos rule DSL; internal/admission: the
 # policy parser behind POST /v2/admin/policy and the LPM trie vs its
 # linear-scan oracle; internal/serve: the predict/rollout tensor codec
-# vs encoding/json, decoder and float formatter; internal/model: the
+# vs encoding/json, decoder, float formatter and float parser vs
+# strconv.ParseFloat; internal/model: the
 # artifact manifest reader behind cmd/serve start-up and POST
 # /v2/admin/load), FUZZTIME each.
 # `go test -fuzz` accepts exactly one target per invocation, hence the
@@ -166,6 +167,7 @@ FUZZ_TARGETS = \
 	./internal/admission:FuzzTrieLookup \
 	./internal/serve:FuzzPredictBody \
 	./internal/serve:FuzzAppendFloat \
+	./internal/serve:FuzzScanFloat \
 	./internal/model:FuzzManifest
 
 fuzz-smoke:

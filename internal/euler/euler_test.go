@@ -309,23 +309,6 @@ func TestStateFieldRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	cfg := DefaultConfig(16)
-	s, _ := NewSolver(cfg)
-	c := s.State.Clone()
-	s.Step()
-	same := true
-	for i := range c.P {
-		if c.P[i] != s.State.P[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatalf("Clone aliases the state")
-	}
-}
-
 func TestBackgroundAdvection(t *testing.T) {
 	// With a nonzero background velocity the pulse center should
 	// drift downstream: the pressure centroid moves in +x.

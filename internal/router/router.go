@@ -536,7 +536,10 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, rep *replica, 
 		w.Header().Set("X-Served-By", rep.id)
 		w.WriteHeader(resp.StatusCode)
 		flusher, _ := w.(http.Flusher)
-		buf := make([]byte, 32<<10)
+		const chunk = 32 << 10
+		slab := serve.NewBody(chunk)
+		defer slab.Release()
+		buf := slab.B[:chunk]
 		for {
 			n, rerr := resp.Body.Read(buf)
 			if n > 0 {

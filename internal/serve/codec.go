@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -10,16 +11,17 @@ import (
 )
 
 // The tensor codec (DESIGN.md §9): the JSON bodies that carry tensors —
-// PredictRequest, TensorJSON, RolloutFrame — are written with
-// strconv.AppendFloat and read by a one-pass scanner, because
-// encoding/json's reflection costs more than the forward passes the
-// bodies feed. The wire format does not change by a byte: the encoder
-// reproduces encoding/json's output exactly, and the scanner accepts
-// only the plain layout clients actually send (any whitespace, keys in
-// any order) and hands anything else — unknown, escaped or duplicate
-// key, null, odd number, trailing bytes — to encoding/json, which
-// stays the one authority on errors and on odd-but-legal input, and is
-// the oracle the fuzz targets compare against.
+// PredictRequest, TensorJSON, RolloutFrame — are written by an
+// appender and read by a one-pass scanner, both with their own float
+// text (float.go), because encoding/json's reflection costs more than
+// the forward passes the bodies feed. The wire format does not change
+// by a byte: the encoder reproduces encoding/json's output exactly, and
+// the scanner accepts only the plain layout clients actually send (any
+// whitespace, keys in any order) and hands anything else — unknown,
+// escaped or duplicate key, null, odd number, trailing bytes — to
+// encoding/json, which stays the one authority on errors and on
+// odd-but-legal input, and is the oracle the fuzz targets compare
+// against.
 
 // ErrNonFiniteOutput reports a frame holding NaN or ±Inf, which JSON
 // cannot carry: a typed 500 on predict, a terminal in-stream record on
@@ -179,49 +181,78 @@ func (s *scanner) uint() (int, bool) {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// float reads one number. The token is checked against JSON's grammar
-// here — strconv.ParseFloat alone also takes "+1", ".5", "0x1p-2",
-// "Inf" and "1_0" — and its value is ParseFloat's, as in encoding/json,
-// so the bits agree; out of range is an error there and a fallback here.
+// float reads one number. Its value is strconv.ParseFloat's, as in
+// encoding/json, so the bits agree: decimal.value's when the fast paths
+// decide, ParseFloat's on the token otherwise. Out of range is an error
+// there and a fallback here.
 func (s *scanner) float() (float64, bool) {
+	d, tok, ok := s.number()
+	if !ok {
+		return 0, false
+	}
+	if f, ok := d.value(); ok {
+		return f, true
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	return f, err == nil
+}
+
+// number reads one number token, checked against JSON's grammar —
+// strconv.ParseFloat alone also takes "+1", ".5", "0x1p-2", "Inf" and
+// "1_0" — and collects the decimal it spells in the same pass.
+func (s *scanner) number() (d decimal, tok []byte, ok bool) {
 	s.skip()
 	b, i := s.b, s.i
 	if i < len(b) && b[i] == '-' {
+		d.neg = true
 		i++
 	}
 	intStart := i
-	for i < len(b) && isDigit(b[i]) {
-		i++
+	for ; i < len(b) && isDigit(b[i]); i++ {
+		d.digit(b[i])
 	}
 	if i == intStart || (i > intStart+1 && b[intStart] == '0') {
-		return 0, false
+		return d, nil, false
 	}
 	if i < len(b) && b[i] == '.' {
 		i++
 		fracStart := i
-		for i < len(b) && isDigit(b[i]) {
-			i++
+		for d.nd <= maxMantDigits-8 && len(b)-i >= 8 {
+			if !d.digits8(binary.LittleEndian.Uint64(b[i:])) {
+				break
+			}
+			i += 8
+		}
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			d.digit(b[i])
+			d.exp--
 		}
 		if i == fracStart {
-			return 0, false
+			return d, nil, false
 		}
 	}
 	if i < len(b) && b[i]|0x20 == 'e' {
 		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		neg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || neg) {
 			i++
 		}
-		expStart := i
-		for i < len(b) && isDigit(b[i]) {
-			i++
+		expStart, e := i, 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < 10000 { // past any float64, as strconv clamps it
+				e = e*10 + int(b[i]-'0')
+			}
 		}
 		if i == expStart {
-			return 0, false
+			return d, nil, false
 		}
+		if neg {
+			e = -e
+		}
+		d.exp += e
 	}
-	f, err := strconv.ParseFloat(string(b[s.i:i]), 64)
-	s.i = i
-	return f, err == nil
+	tok, s.i = b[s.i:i], i
+	return d, tok, true
 }
 
 func (s *scanner) predictRequest() (req PredictRequest, ok bool) {
@@ -283,25 +314,9 @@ func (s *scanner) rolloutFrame() (f RolloutFrame, ok bool) {
 	return f, ok
 }
 
-// appendFloat formats x exactly as encoding/json does: ES6 number
-// formatting, shortest digits that round-trip, exponent form below
-// 1e-6 and from 1e21, and a one-digit negative exponent unpadded.
-func appendFloat(dst []byte, x float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, x, format, -1, 64)
-	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst
-}
-
-// jsonSizeHint is a slab size that holds n encoded values without
-// growing (shortest-form float64 text is at most 24 bytes).
-func jsonSizeHint(n int) int { return 256 + 25*n }
+// jsonSizeHint is a slab size that holds n encoded values, each with
+// its separator, without growing.
+func jsonSizeHint(n int) int { return 256 + (maxFloatText+1)*n }
 
 // AppendTensorJSON appends t as encoding/json writes it (without the
 // newline json.Encoder adds), nil slices as null included. A non-finite
