@@ -17,7 +17,7 @@ GO ?= go
 # Per-target budget for fuzz-smoke; CI keeps the default.
 FUZZTIME ?= 30s
 
-.PHONY: build test vet fmt race bench bench-smoke bench-check bench-run-smoke bench-baseline bench-compare smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission lint fuzz-smoke race-stress ci
+.PHONY: build test vet fmt race race-batcher bench bench-smoke bench-check bench-run-smoke bench-baseline bench-compare smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission lint fuzz-smoke race-stress ci
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,12 @@ fmt:
 
 race:
 	$(GO) test -race ./...
+
+# The batcher holds a batch open only while a batchmate is on its way
+# (DESIGN.md §9), which depends on goroutine scheduling: run its tests
+# repeatedly under the race detector on one and on two processors.
+race-batcher:
+	$(GO) test -race -cpu 1,2 -count=20 -run Batcher ./internal/core
 
 # Full benchmark sweep (regenerates every paper exhibit; slow).
 bench:
@@ -193,4 +199,4 @@ race-stress:
 smoke-admission:
 	scripts/smoke_admission.sh
 
-ci: build fmt lint test race bench-smoke bench-check bench-run-smoke fuzz-smoke smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission
+ci: build fmt lint test race race-batcher bench-smoke bench-check bench-run-smoke fuzz-smoke smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission

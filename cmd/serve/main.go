@@ -8,6 +8,10 @@
 //	serve -ckpt ckpt -addr 127.0.0.1:8080 -max-batch 8 -max-delay 2ms
 //	serve -ckpt ckpt -model prod          # publish under an explicit name
 //
+// -max-batch caps a predict micro-batch; -max-delay is the cap on the
+// wait for batchmates that are arriving. A batch waits only while
+// another predict is on its way, so a lone request dispatches at once.
+//
 // Endpoints:
 //
 //	GET  /healthz                       per-model readiness + registry state (JSON)
@@ -137,7 +141,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "serving parallelism: ranks fan out per micro-batch and convolution kernels tile-parallelize (0 = single-threaded; results are bit-identical for any value)")
 		precision    = flag.String("precision", "f64", "serving compute precision: f64 (reference, bit-reproducible) | f32 (faster, within documented error budget)")
 		maxBatch     = flag.Int("max-batch", 8, "micro-batch size cap for predict coalescing (per model)")
-		maxDelay     = flag.Duration("max-delay", 2*time.Millisecond, "max wait for predict batchmates before dispatching a partial batch")
+		maxDelay     = flag.Duration("max-delay", 2*time.Millisecond, "cap on the wait for predict batchmates that are arriving (a lone request dispatches at once)")
 		maxSteps     = flag.Int("max-steps", 10000, "cap on the rollout steps query parameter")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
 		accessLog    = flag.Bool("access-log", false, "log one line per request (method, path, status, duration, request ID) plus rollout comm summaries to stderr")

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,12 +13,15 @@ import (
 
 // Batcher transparently coalesces concurrent Predict calls into
 // Engine.PredictBatch micro-batches: callers keep the one-request
-// Predict signature, and the batcher races a size trigger against a
-// delay trigger — a batch dispatches as soon as MaxBatch requests
-// have queued, or MaxDelay after its first request arrived, whichever
-// comes first (DESIGN.md §9). Because PredictBatch is bit-identical
-// to per-request Predict, coalescing is invisible to callers except
-// in latency and throughput.
+// Predict signature, and a batch waits for batchmates only while one
+// is known to be on its way (DESIGN.md §9). It takes everything
+// already queued and dispatches, unless it is full or there is
+// evidence of another request: a caller between entering Predict and
+// landing in the queue, or an arrival brought in by yielding the
+// processor once. MaxDelay caps any such wait, so a lone caller never
+// sleeps it out. Because PredictBatch is bit-identical to per-request
+// Predict, coalescing is invisible to callers except in latency and
+// throughput.
 //
 // Per-request isolation is preserved end to end: a request whose
 // context is cancelled returns ctx.Err() promptly (before dispatch it
@@ -42,6 +46,7 @@ type Batcher struct {
 	done   chan struct{}
 	once   sync.Once
 
+	arriving atomic.Int64 // requests between entering Predict and leaving the queue
 	requests atomic.Int64 // requests delivered through batches
 	batches  atomic.Int64 // batches dispatched (incl. partial fills)
 }
@@ -63,9 +68,10 @@ func WithMaxBatch(n int) BatcherOption {
 	return func(b *Batcher) { b.maxBatch = n }
 }
 
-// WithMaxDelay bounds how long the first request of a batch may wait
-// for batchmates (default 2ms). 0 dispatches greedily: whatever is
-// queued at collection time forms the batch.
+// WithMaxDelay is the cap on the wait for batchmates that are
+// arriving (default 2ms): a batch waits only while a caller is on its
+// way to the queue, and never longer than this. 0 dispatches
+// greedily: whatever is queued at collection time forms the batch.
 func WithMaxDelay(d time.Duration) BatcherOption {
 	return func(b *Batcher) { b.maxDelay = d }
 }
@@ -109,11 +115,16 @@ func (b *Batcher) Predict(ctx context.Context, states ...*tensor.Tensor) (*tenso
 		return nil, err
 	}
 	req := &batchReq{ctx: ctx, states: states, at: time.Now(), res: make(chan PredictResult, 1)}
+	// The dispatcher lowers the count when it takes req off the queue,
+	// so the count never includes a request already in a batch.
+	b.arriving.Add(1)
 	select {
 	case b.queue <- req:
 	case <-ctx.Done():
+		b.arriving.Add(-1)
 		return nil, ctx.Err()
 	case <-b.closed:
+		b.arriving.Add(-1)
 		return nil, fmt.Errorf("core: %w", ErrBatcherClosed)
 	}
 	select {
@@ -165,15 +176,16 @@ func (b *Batcher) Stats() BatcherStats {
 }
 
 // dispatch is the single collector/dispatcher goroutine: it forms
-// batches by racing the size trigger against the delay trigger and
-// runs them inline — while a batch computes, later arrivals buffer in
-// the queue (the backpressure bound) and form the next batch.
+// batches (collect) and runs them inline — while a batch computes,
+// later arrivals buffer in the queue (the backpressure bound) and form
+// the next batch.
 func (b *Batcher) dispatch() {
 	defer close(b.done)
 	for {
 		var first *batchReq
 		select {
 		case first = <-b.queue:
+			b.arriving.Add(-1)
 		case <-b.closed:
 			b.drain()
 			return
@@ -182,32 +194,53 @@ func (b *Batcher) dispatch() {
 	}
 }
 
-// collect fills a batch starting from its first request: up to
-// maxBatch requests, or whatever has queued when maxDelay expires (or
-// the batcher closes), whichever comes first. With maxDelay 0 it
-// takes only what is queued right now.
+// collect fills a batch starting from its first request. It takes
+// whatever is queued, then dispatches unless the batch is full or a
+// batchmate is on its way:
+//   - a caller has entered Predict but its request is not yet in the
+//     queue (arriving > 0 with the queue drained): block on the queue,
+//     maxDelay and close;
+//   - one runtime.Gosched brings in a new request: take it and look
+//     again. Goroutines woken together (a burst) are runnable but have
+//     not run yet, and only the yield lets them reach Predict.
+//
+// maxDelay caps the blocking wait and its timer is made only when the
+// batch blocks, so a lone request dispatches at once and allocates no
+// timer. With maxDelay 0 collect takes only what is queued right now.
 func (b *Batcher) collect(first *batchReq) []*batchReq {
 	batch := append(make([]*batchReq, 0, b.maxBatch), first)
-	var delay <-chan time.Time
-	if b.maxDelay > 0 {
-		timer := time.NewTimer(b.maxDelay)
-		defer timer.Stop()
-		delay = timer.C
-	}
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
 	for len(batch) < b.maxBatch {
+		select {
+		case r := <-b.queue:
+			b.arriving.Add(-1)
+			batch = append(batch, r)
+			continue
+		default:
+		}
 		if b.maxDelay == 0 {
-			select {
-			case r := <-b.queue:
-				batch = append(batch, r)
-				continue
-			default:
-			}
 			break
+		}
+		if b.arriving.Load() == 0 {
+			runtime.Gosched()
+			if len(b.queue) == 0 && b.arriving.Load() == 0 {
+				break
+			}
+			continue
+		}
+		if timer == nil {
+			timer = time.NewTimer(b.maxDelay)
 		}
 		select {
 		case r := <-b.queue:
+			b.arriving.Add(-1)
 			batch = append(batch, r)
-		case <-delay:
+		case <-timer.C:
 			return batch
 		case <-b.closed:
 			return batch
@@ -222,6 +255,7 @@ func (b *Batcher) drain() {
 	for {
 		select {
 		case r := <-b.queue:
+			b.arriving.Add(-1)
 			batch = append(batch, r)
 			if len(batch) == b.maxBatch {
 				b.run(batch)

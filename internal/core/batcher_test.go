@@ -224,6 +224,140 @@ func TestBatcherConcurrentBitIdentical(t *testing.T) {
 	}
 }
 
+// announce holds batches open the way a caller on its way to the
+// queue does: it raises the arriving-caller count by n, so the
+// dispatcher waits for batchmates (up to MaxDelay) instead of
+// dispatching what it has. The returned func lowers the count again.
+func announce(b *Batcher, n int) func() {
+	b.arriving.Add(int64(n))
+	return func() { b.arriving.Add(-int64(n)) }
+}
+
+// TestBatcherLoneCallerNoWait asserts a lone request dispatches at
+// once: with nobody on the way, a one-minute MaxDelay must not hold
+// its batch open.
+func TestBatcherLoneCallerNoWait(t *testing.T) {
+	ds := tinyDataset(t, 16, 8)
+	_, e := trainTinyEnsemble(t, model.ZeroPad, 2, 2)
+	eng, err := NewEngine(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fills := make(chan time.Duration, 1)
+	bat, err := NewBatcher(eng, WithMaxDelay(time.Minute),
+		WithFillObserver(func(d time.Duration) { fills <- d }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bat.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got, err := bat.Predict(ctx, ds.Snapshots[0])
+	if err != nil {
+		t.Fatalf("lone Predict: %v", err)
+	}
+	want, err := eng.Predict(ctx, ds.Snapshots[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("lone batched frame differs from Engine.Predict")
+	}
+	if d := <-fills; d >= time.Second {
+		t.Fatalf("lone request waited %v for batchmates, want < 1s", d)
+	}
+}
+
+// TestBatcherAnnouncedArrivalsCoalesce asserts the wait half of the
+// rule deterministically: with MaxBatch callers announced, the batch
+// stays open until all of them have landed and dispatches once, full,
+// bit-identical to Engine.Predict.
+func TestBatcherAnnouncedArrivalsCoalesce(t *testing.T) {
+	ds := tinyDataset(t, 16, 8)
+	_, e := trainTinyEnsemble(t, model.NeighborPad, 2, 2)
+	eng, err := NewEngine(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const N = 4
+	bat, err := NewBatcher(eng, WithMaxBatch(N), WithMaxDelay(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bat.Close()
+	defer announce(bat, N)()
+	ctx := context.Background()
+	got := make([]*tensor.Tensor, N)
+	errs := make([]error, N)
+	var wg sync.WaitGroup
+	for i := 0; i < N; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = bat.Predict(ctx, ds.Snapshots[i])
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < N; i++ {
+		if errs[i] != nil {
+			t.Fatalf("request %d failed: %v", i, errs[i])
+		}
+		want, err := eng.Predict(ctx, ds.Snapshots[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got[i].Equal(want) {
+			t.Fatalf("request %d: coalesced frame differs from Engine.Predict", i)
+		}
+	}
+	if s := bat.Stats(); s.Batches != 1 || s.Requests != N {
+		t.Fatalf("stats = %+v, want %d requests in 1 batch", s, N)
+	}
+}
+
+// TestBatcherCloseWhileWaiting closes the batcher while its open
+// batch waits on an announced caller who never lands: Close must not
+// wait out MaxDelay, and the requests already in the batch are served
+// in that one batch.
+func TestBatcherCloseWhileWaiting(t *testing.T) {
+	ds := tinyDataset(t, 16, 8)
+	_, e := trainTinyEnsemble(t, model.ZeroPad, 2, 2)
+	eng, err := NewEngine(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bat, err := NewBatcher(eng, WithMaxBatch(8), WithMaxDelay(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer announce(bat, 1)()
+	ctx := context.Background()
+	const N = 2
+	done := make(chan error, N)
+	for i := 0; i < N; i++ {
+		go func(i int) {
+			_, err := bat.Predict(ctx, ds.Snapshots[i])
+			done <- err
+		}(i)
+	}
+	time.Sleep(50 * time.Millisecond) // let both join the open batch
+	start := time.Now()
+	if err := bat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d >= 10*time.Second {
+		t.Fatalf("Close took %v: it waited for the announced caller", d)
+	}
+	for i := 0; i < N; i++ {
+		if err := <-done; err != nil {
+			t.Fatalf("request in the open batch dropped at close: %v", err)
+		}
+	}
+	if s := bat.Stats(); s.Batches != 1 || s.Requests != N {
+		t.Fatalf("stats = %+v, want %d requests in 1 batch", s, N)
+	}
+}
+
 // TestBatcherMidBatchCancellation cancels one request after it has
 // been batched but before its batch dispatches: the cancelled caller
 // gets ctx.Err() and its batchmates are served bit-identically.
@@ -240,6 +374,7 @@ func TestBatcherMidBatchCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bat.Close()
+	defer announce(bat, 1)()
 
 	type res struct {
 		frame *tensor.Tensor
@@ -254,9 +389,10 @@ func TestBatcherMidBatchCancellation(t *testing.T) {
 			results[i] <- res{f, err}
 		}()
 	}
-	// Request 0 opens the batch (the dispatcher now waits up to a
-	// minute for batchmates), request 1 joins and is then cancelled
-	// mid-batch; request 2 completes the batch and triggers dispatch.
+	// Request 0 opens the batch (a caller is announced, so the
+	// dispatcher waits up to a minute for batchmates), request 1 joins
+	// and is then cancelled mid-batch; request 2 completes the batch
+	// and triggers dispatch.
 	submit(0, ctx)
 	submit(1, cancelCtx)
 	time.Sleep(50 * time.Millisecond) // let both join the batch
@@ -296,14 +432,15 @@ func TestBatcherCloseDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer announce(bat, 1)()
 	done := make(chan error, 1)
 	go func() {
 		_, err := bat.Predict(ctx, ds.Snapshots[0])
 		done <- err
 	}()
 	// Wait for the request to reach the dispatcher (it sits in an
-	// open batch waiting out the one-minute delay), then close: the
-	// drain must flush it rather than abandon it.
+	// open batch, waiting up to a minute for the announced caller),
+	// then close: the drain must flush it rather than abandon it.
 	time.Sleep(50 * time.Millisecond)
 	if err := bat.Close(); err != nil {
 		t.Fatal(err)

@@ -96,7 +96,10 @@ func TestPredictEndToEnd(t *testing.T) {
 
 // TestPredictConcurrentCoalesced drives concurrent clients through
 // the HTTP path and checks bit-identity with sequential local calls
-// plus that the batcher actually coalesced something.
+// under concurrency, with every request served by the batcher. Over
+// HTTP whether requests share a batch depends on the scheduler, so
+// coalescing itself is asserted in core
+// (TestBatcherAnnouncedArrivalsCoalesce).
 func TestPredictConcurrentCoalesced(t *testing.T) {
 	ds, eng := fixture(t)
 	srv, client := newTestServer(t, Config{MaxBatch: 4, MaxDelay: 5 * time.Millisecond})
