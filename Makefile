@@ -39,10 +39,12 @@ race:
 	$(GO) test -race ./...
 
 # The batcher holds a batch open only while a batchmate is on its way
-# (DESIGN.md §9), which depends on goroutine scheduling: run its tests
-# repeatedly under the race detector on one and on two processors.
+# (DESIGN.md §9), which depends on goroutine scheduling, and every
+# Predict writes into the buffers of a pooled clone set: run the
+# batcher and predict tests repeatedly under the race detector on one
+# and on two processors.
 race-batcher:
-	$(GO) test -race -cpu 1,2 -count=20 -run Batcher ./internal/core
+	$(GO) test -race -cpu 1,2 -count=20 -run 'Batcher|Predict' ./internal/core
 
 # Full benchmark sweep (regenerates every paper exhibit; slow).
 bench:

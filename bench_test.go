@@ -952,12 +952,12 @@ func servingEnsemble(b *testing.B, n, px, py int) *core.Ensemble {
 // in-flight request) and the mean achieved batch fill. Batched
 // and unbatched frames are bit-identical
 // (core.TestBatcherConcurrentBitIdentical); this benchmark measures
-// only what the coalescing buys in wall-clock. Single-core machines
-// mostly see the per-request fixed-overhead amortization (clone-set
-// acquisition, per-layer call overhead at small subdomains);
-// multi-core machines additionally get PredictBatch's rank fan-out,
-// which the per-request path cannot use. scripts/bench.sh snapshots
-// requests_per_s into BENCH_baseline.json.
+// only what the coalescing buys in wall-clock. A request runs the same
+// per-rank forward on a pooled clone set alone or in a batch, and both
+// paths fan the ranks out over WithWorkers(GOMAXPROCS), so a batch
+// saves only the per-request clone-set acquisition and pays the
+// batcher's queueing; on one processor the two roughly cancel.
+// scripts/bench.sh snapshots requests_per_s into BENCH_baseline.json.
 func BenchmarkBatcherThroughput(b *testing.B) {
 	const (
 		n           = 128

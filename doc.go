@@ -16,18 +16,14 @@
 // named errors core.ErrBadWindow / core.ErrShapeMismatch for
 // errors.Is branching.
 //
-// Serving is micro-batched end to end (DESIGN.md §9). The batch axis
-// is first-class through the whole compute stack — every nn layer
-// maps [N, ...] inputs such that image i's output is bit-identical to
-// a batch-of-1 call, with the convolution layers sweeping one
-// (image, band) task space per batch — and core.Engine.PredictBatch
-// evaluates a micro-batch of requests in one pass over the rank
-// models (cache-sized image chunks, one pooled clone set).
-// core.Batcher (options core.WithMaxBatch, core.WithMaxDelay)
-// transparently coalesces concurrent Predict callers into such
-// micro-batches, racing the batch-size trigger against the delay
-// trigger while preserving per-request cancellation and error
-// isolation.
+// Serving is micro-batched (DESIGN.md §9). core.Engine.PredictBatch
+// evaluates a micro-batch of requests on one pooled clone set, each
+// through the per-rank forward a session step runs, so a batched
+// request is bit-identical to a lone Predict. core.Batcher (options
+// core.WithMaxBatch, core.WithMaxDelay) transparently coalesces
+// concurrent Predict callers into such micro-batches, holding a batch
+// open only while a batchmate is on its way (MaxDelay caps that wait),
+// while preserving per-request cancellation and error isolation.
 //
 // Trained models ship as versioned artifacts and serve through a
 // registry (DESIGN.md §10). An artifact is one directory per model

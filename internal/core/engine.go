@@ -37,9 +37,13 @@ type Engine struct {
 	pool       sync.Pool    // of *rankModels
 }
 
-// rankModels is one pooled set of per-rank inference clones.
+// rankModels is one pooled set of per-rank inference clones with the
+// buffers every one-step forward runs on: per hosted rank, the
+// halo-extended input [1, Channels[0], h+2·halo, w+2·halo] and the
+// prediction [1, C, h, w].
 type rankModels struct {
-	models []*nn.Sequential
+	models  []*nn.Sequential
+	in, out []*tensor.Tensor
 }
 
 // EngineOption configures an Engine at construction time.
@@ -48,7 +52,7 @@ type EngineOption func(*Engine)
 // WithWorkers sets the serving parallelism for this engine (0 or 1 =
 // single-threaded; results are bit-identical for any value): the
 // intra-layer tile parallelism of the convolution kernels in every
-// session, and the per-rank fan-out of PredictBatch micro-batches.
+// session, and the per-rank fan-out of every Predict.
 // This never touches the shared models — the knob is applied to each
 // session's private clones. Without this option, clones inherit whatever knob the
 // ensemble's models already carry (e.g. from TrainConfig.Workers).
@@ -147,16 +151,25 @@ func NewEngine(e *Ensemble, opts ...EngineOption) (*Engine, error) {
 func (eng *Engine) hostsRank(r int) bool { return eng.local == nil || eng.local[r] }
 
 // newRankModels builds one fresh set of per-rank inference clones with
-// the engine's knobs applied. Each clone shares the trained weights
-// but owns its caches and its arena (from CloneShared), so the
-// steady-state rollout loop allocates nothing in the network at either
-// precision.
+// the engine's knobs applied, and their input and output buffers. Each
+// clone shares the trained weights but owns its caches and its arena
+// (from CloneShared), so the steady-state rollout loop allocates
+// nothing in the network at either precision.
 func (eng *Engine) newRankModels() *rankModels {
-	rm := &rankModels{models: make([]*nn.Sequential, len(eng.ens.Models))}
+	n := len(eng.ens.Models)
+	rm := &rankModels{
+		models: make([]*nn.Sequential, n),
+		in:     make([]*tensor.Tensor, n),
+		out:    make([]*tensor.Tensor, n),
+	}
+	p, halo, ch := eng.ens.Partition, eng.ens.ModelCfg.Halo(), eng.ens.ModelCfg.Channels
 	for r, m := range eng.ens.Models {
 		if !eng.hostsRank(r) {
 			continue // a remote process's rank on a distributed world
 		}
+		b := p.BlockOfRank(r)
+		rm.in[r] = tensor.New(1, ch[0], b.Height()+2*halo, b.Width()+2*halo)
+		rm.out[r] = tensor.New(1, ch[len(ch)-1], b.Height(), b.Width())
 		c := m.CloneShared()
 		if eng.workersSet {
 			c.SetWorkers(eng.workers)
@@ -208,7 +221,8 @@ func (eng *Engine) validateStates(states []*tensor.Tensor) (window int, err erro
 // states (oldest first, at least Window of them) without any message
 // passing — the §IV-B one-step evaluation path, served concurrently:
 // any number of Predict calls may run at once. It is the one-request
-// case of PredictBatch.
+// case of PredictBatch: each rank runs the forward of a session's
+// first step on a pooled clone set, so the two agree bit for bit.
 func (eng *Engine) Predict(ctx context.Context, states ...*tensor.Tensor) (*tensor.Tensor, error) {
 	res, err := eng.PredictBatch(ctx, [][]*tensor.Tensor{states})
 	if err != nil {
@@ -234,7 +248,6 @@ type Session struct {
 	world    *mpi.World         // one world for the whole session; each Step is one Run over it
 	ownWorld bool               // the session built (and will close) the world itself
 	hist     [][]*tensor.Tensor // per rank: extended frames, oldest first
-	out      []*tensor.Tensor   // per rank: the step's prediction [1,C,h,w], reused every step
 	channels int
 	step     int
 	trace    string // request ID captured from NewSession's context
@@ -262,27 +275,19 @@ func (eng *Engine) NewSession(ctx context.Context, initials ...*tensor.Tensor) (
 	p := eng.ens.Partition
 	halo := eng.ens.ModelCfg.Halo()
 	c := initials[0].Dim(0)
-	// Pre-slice each rank's initial history. Initial states are fully
-	// known, so their halos come from direct slicing — no messages.
-	// One SplitCHW per frame hands every rank its piece.
+	// Pre-slice each hosted rank's initial history. Initial states are
+	// fully known, so their halos come from direct slicing — no
+	// messages.
 	hist := make([][]*tensor.Tensor, p.Ranks())
-	out := make([]*tensor.Tensor, p.Ranks())
 	for r := range hist {
-		if eng.hostsRank(r) {
-			b := p.BlockOfRank(r)
-			hist[r] = make([]*tensor.Tensor, window)
-			out[r] = tensor.New(1, c, b.Height(), b.Width())
+		if !eng.hostsRank(r) {
+			continue
 		}
-	}
-	for k := 0; k < window; k++ {
-		full := initials[len(initials)-window+k]
-		pieces := p.SplitCHW(full, halo)
-		for r := 0; r < p.Ranks(); r++ {
-			if !eng.hostsRank(r) {
-				continue
-			}
-			b := p.BlockOfRank(r)
-			hist[r][k] = pieces[r].Reshape(1, c, b.Height()+2*halo, b.Width()+2*halo)
+		b := p.BlockOfRank(r)
+		hist[r] = make([]*tensor.Tensor, window)
+		for k, full := range initials[len(initials)-window:] {
+			hist[r][k] = tensor.New(1, c, b.Height()+2*halo, b.Width()+2*halo)
+			p.HaloWindowInto(hist[r][k].Data(), full, r, halo)
 		}
 	}
 	// One message-passing world for the whole session; each Step is one
@@ -311,7 +316,6 @@ func (eng *Engine) NewSession(ctx context.Context, initials ...*tensor.Tensor) (
 		world:    world,
 		ownWorld: ownWorld,
 		hist:     hist,
-		out:      out,
 		channels: c,
 		trace:    RequestID(ctx),
 	}
@@ -340,11 +344,12 @@ func subStats(a, b mpi.CommStats) mpi.CommStats {
 
 // Step advances the rollout by one autoregressive step and returns the
 // predicted full-domain CHW state. Every rank forwards its window of
-// halo-extended history frames — the very input Predict builds for it,
-// through the same call, so step 1 of a session IS Predict, bit for
-// bit — then swaps halo strips with its neighbours where the model
-// strategy needs them (exchangeHalo, the scheme's only genuine
-// communication), and the pieces are gathered into one frame on rank 0
+// halo-extended history frames into its clone set's output buffer —
+// the very input Predict builds for it, through the same call, so
+// step 1 of a session IS Predict, bit for bit — then swaps halo strips
+// with its neighbours where the model strategy needs them
+// (exchangeHalo, the scheme's only genuine communication), and the
+// pieces are gathered into one frame on rank 0
 // (nil is returned by processes not hosting rank 0 on a distributed
 // world).
 //
@@ -372,10 +377,14 @@ func (s *Session) Step(ctx context.Context) (*tensor.Tensor, error) {
 	var haloDelta mpi.CommStats
 	err := s.world.Run(func(comm *mpi.Comm) {
 		r := comm.Rank()
-		hist, out := s.hist[r], s.out[r]
+		hist, out := s.hist[r], s.rm.out[r]
 		in := hist[window-1]
 		if window > 1 {
-			in = tensor.ConcatChannels(hist...)
+			in = s.rm.in[r]
+			slab := in.Size() / window
+			for k, f := range hist {
+				copy(in.Data()[k*slab:], f.Data())
+			}
 		}
 		s.rm.models[r].ForwardInto(in, out)
 
@@ -491,7 +500,6 @@ func (s *Session) Close() error {
 	s.eng.release(s.rm)
 	s.rm = nil
 	s.hist = nil
-	s.out = nil
 	s.world = nil
 	return nil
 }

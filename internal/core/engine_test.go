@@ -136,34 +136,67 @@ func TestConcurrentSessionsBitIdentical(t *testing.T) {
 func TestConcurrentPredict(t *testing.T) {
 	ds := tinyDataset(t, 16, 6)
 	_, e := trainTinyEnsemble(t, model.ZeroPad, 2, 2)
-	eng, err := NewEngine(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := eng.Predict(context.Background(), ds.Snapshots[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got, err := eng.Predict(context.Background(), ds.Snapshots[0])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if !got.Equal(want) {
-				errs[i] = fmt.Errorf("concurrent Predict %d differs", i)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for _, workers := range []int{0, 2} {
+		var opts []EngineOption
+		if workers > 0 {
+			opts = append(opts, WithWorkers(workers))
+		}
+		eng, err := NewEngine(e, opts...)
 		if err != nil {
 			t.Fatal(err)
+		}
+		want, err := eng.Predict(context.Background(), ds.Snapshots[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 4)
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got, err := eng.Predict(context.Background(), ds.Snapshots[0])
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				if !got.Equal(want) {
+					errs[i] = fmt.Errorf("workers=%d: concurrent Predict %d differs", workers, i)
+				}
+			}(i)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestPredictAllocs pins what a warm Predict allocates: the returned
+// frame and a few headers, never the per-rank inputs, outputs or
+// activations, which live on the pooled clone set.
+func TestPredictAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	ds := tinyDataset(t, 16, 6)
+	_, e := trainTinyEnsemble(t, model.NeighborPad, 2, 2)
+	ctx := context.Background()
+	for _, prec := range []nn.Precision{nn.F64, nn.F32} {
+		eng, err := NewEngine(e, WithPrecision(prec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		predict := func() {
+			if _, err := eng.Predict(ctx, ds.Snapshots[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		predict()
+		if allocs := testing.AllocsPerRun(20, predict); allocs > 8 {
+			t.Errorf("%v: warm Predict allocates %.1f objects, want <= 8", prec, allocs)
 		}
 	}
 }

@@ -31,7 +31,7 @@ const haloTagBase = 300
 // in phase 1 travel on into the neighbours' corners and no diagonal
 // message is needed. A side without a neighbour is never written: it
 // keeps the zeros the session's initial frames were cut with
-// (decomp.SplitCHW) — the padding physical boundaries had in training.
+// (decomp.HaloWindowInto) — the padding physical boundaries had in training.
 func exchangeHalo(cart *mpi.Cart, local, ext *tensor.Tensor, halo int) {
 	tensor.SetSubImage(ext, local, halo, halo)
 	if halo == 0 {

@@ -119,17 +119,10 @@ func SubdomainSamples(d *Dataset, p *decomp.Partition, rank, halo int) []Sample 
 
 // sliceOne extracts a single rank's window from a CHW tensor.
 func sliceOne(t *tensor.Tensor, p *decomp.Partition, rank, halo int) *tensor.Tensor {
-	c := t.Dim(0)
-	t4 := t.Reshape(1, c, p.Ny, p.Nx)
-	cx, cy := p.CoordsOfRank(rank)
-	b := p.Block(cx, cy)
-	clamped, miss := p.HaloBlock(cx, cy, halo)
-	h := b.Height() + 2*halo
-	w := b.Width() + 2*halo
-	piece := tensor.New(1, c, h, w)
-	src := tensor.SubImage(t4, clamped.J0, clamped.J1, clamped.I0, clamped.I1)
-	tensor.SetSubImage(piece, src, miss[2], miss[0])
-	return piece.Reshape(c, h, w)
+	b := p.BlockOfRank(rank)
+	piece := tensor.New(t.Dim(0), b.Height()+2*halo, b.Width()+2*halo)
+	p.HaloWindowInto(piece.Data(), t, rank, halo)
+	return piece
 }
 
 // Batch stacks the samples' inputs and targets into NCHW tensors.

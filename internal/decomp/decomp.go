@@ -120,31 +120,51 @@ func (p *Partition) HaloBlock(cx, cy, halo int) (Block, [4]int) {
 	return g, missing
 }
 
-// SplitCHW cuts a full-domain CHW tensor [C, Ny, Nx] into one tensor
-// per rank. With halo = 0 each piece is the bare block. With halo > 0
-// each piece has shape [C, height+2·halo, width+2·halo]: interior data
-// where a neighbouring block provides it, zeros where the window
-// crosses the physical boundary. This produces the "overlapping
-// inputs" of §III used by the neighbour-padding strategy.
-func (p *Partition) SplitCHW(t *tensor.Tensor, halo int) []*tensor.Tensor {
+// HaloWindowInto writes rank's halo-extended window of the
+// full-domain CHW tensor t [C, Ny, Nx] into dst, the data of a caller's
+// [C, height+2·halo, width+2·halo] tensor or view: interior data where
+// a neighbouring block provides it, zeros where the window crosses the
+// physical boundary. Every element of dst is written, so a reused
+// buffer needs no clearing.
+func (p *Partition) HaloWindowInto(dst []float64, t *tensor.Tensor, rank, halo int) {
 	if t.Rank() != 3 || t.Dim(1) != p.Ny || t.Dim(2) != p.Nx {
-		panic(fmt.Sprintf("decomp: SplitCHW tensor %v does not match grid %dx%d", t.Shape(), p.Nx, p.Ny))
+		panic(fmt.Sprintf("decomp: tensor %v does not match grid %dx%d", t.Shape(), p.Nx, p.Ny))
 	}
-	c := t.Dim(0)
-	t4 := t.Reshape(1, c, p.Ny, p.Nx)
+	cx, cy := p.CoordsOfRank(rank)
+	b := p.Block(cx, cy)
+	g, miss := p.HaloBlock(cx, cy, halo)
+	c, h, w := t.Dim(0), b.Height()+2*halo, b.Width()+2*halo
+	if len(dst) != c*h*w {
+		panic(fmt.Sprintf("decomp: window buffer holds %d values, rank %d needs %dx%dx%d", len(dst), rank, c, h, w))
+	}
+	src := t.Data()
+	for ch := 0; ch < c; ch++ {
+		for y := 0; y < h; y++ {
+			row := dst[(ch*h+y)*w : (ch*h+y+1)*w]
+			gy := b.J0 - halo + y
+			if gy < g.J0 || gy >= g.J1 {
+				clear(row)
+				continue
+			}
+			line := src[(ch*p.Ny+gy)*p.Nx:]
+			clear(row[:miss[0]])
+			copy(row[miss[0]:w-miss[1]], line[g.I0:g.I1])
+			clear(row[w-miss[1]:])
+		}
+	}
+}
+
+// SplitCHW cuts a full-domain CHW tensor [C, Ny, Nx] into one tensor
+// per rank, each holding HaloWindowInto's window: with halo = 0 the
+// bare block, with halo > 0 the [C, height+2·halo, width+2·halo]
+// "overlapping inputs" of §III used by the neighbour-padding strategy.
+func (p *Partition) SplitCHW(t *tensor.Tensor, halo int) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, p.Ranks())
-	for r := 0; r < p.Ranks(); r++ {
-		cx, cy := p.CoordsOfRank(r)
-		b := p.Block(cx, cy)
-		clamped, miss := p.HaloBlock(cx, cy, halo)
-		h := b.Height() + 2*halo
-		w := b.Width() + 2*halo
-		piece := tensor.New(1, c, h, w)
-		src := tensor.SubImage(t4, clamped.J0, clamped.J1, clamped.I0, clamped.I1)
-		// Destination offset: where the clamped window begins inside
-		// the halo-extended local frame.
-		tensor.SetSubImage(piece, src, miss[2], miss[0])
-		out[r] = piece.Reshape(c, h, w)
+	for r := range out {
+		b := p.BlockOfRank(r)
+		piece := tensor.New(t.Dim(0), b.Height()+2*halo, b.Width()+2*halo)
+		p.HaloWindowInto(piece.Data(), t, r, halo)
+		out[r] = piece
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -251,4 +252,38 @@ func TestBlockStringAndAccessors(t *testing.T) {
 	if b.String() == "" {
 		t.Fatalf("empty String")
 	}
+}
+
+// TestHaloWindowIntoOverwritesReusedBuffer: HaloWindowInto writes
+// every element of a reused buffer, matching the window cut out of the
+// frame and pasted into a fresh zero tensor, on uneven blocks and for
+// halos wider than a neighbouring block.
+func TestHaloWindowIntoOverwritesReusedBuffer(t *testing.T) {
+	p, _ := NewPartition(13, 11, 3, 2)
+	full := tensor.Normal(tensor.NewRNG(1), 0, 1, 2, 11, 13)
+	full4 := full.Reshape(1, 2, 11, 13)
+	for halo := 0; halo <= 5; halo++ {
+		for r := 0; r < p.Ranks(); r++ {
+			cx, cy := p.CoordsOfRank(r)
+			b := p.Block(cx, cy)
+			g, miss := p.HaloBlock(cx, cy, halo)
+			want := tensor.New(1, 2, b.Height()+2*halo, b.Width()+2*halo)
+			tensor.SetSubImage(want, tensor.SubImage(full4, g.J0, g.J1, g.I0, g.I1), miss[2], miss[0])
+
+			dst := make([]float64, want.Size())
+			for i := range dst {
+				dst[i] = math.NaN()
+			}
+			p.HaloWindowInto(dst, full, r, halo)
+			if !tensor.FromSlice(dst, want.Shape()...).Equal(want) {
+				t.Fatalf("halo %d rank %d: window differs from the cut-and-paste reference", halo, r)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("HaloWindowInto into a buffer of the wrong size must panic")
+		}
+	}()
+	p.HaloWindowInto(make([]float64, 3), full, 0, 1)
 }

@@ -3,7 +3,6 @@ package grid
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestGridGeometry(t *testing.T) {
@@ -37,54 +36,6 @@ func TestGridValidate(t *testing.T) {
 		if err := g.Validate(); err == nil {
 			t.Errorf("case %d: bad grid accepted", i)
 		}
-	}
-}
-
-func TestSubGrid(t *testing.T) {
-	g := NewUnitSquare(8)
-	s := g.Sub(2, 6, 0, 4)
-	if s.Nx != 4 || s.Ny != 4 {
-		t.Fatalf("sub size = %dx%d", s.Nx, s.Ny)
-	}
-	// The subgrid's point (0,0) must coincide with g's point (0,2).
-	if math.Abs(s.XAt(0)-g.XAt(2)) > 1e-12 || math.Abs(s.YAt(0)-g.YAt(0)) > 1e-12 {
-		t.Fatalf("sub origin mismatch: %g vs %g", s.XAt(0), g.XAt(2))
-	}
-	if math.Abs(s.Dx()-g.Dx()) > 1e-15 {
-		t.Fatalf("sub spacing changed")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid subgrid must panic")
-		}
-	}()
-	g.Sub(5, 3, 0, 4)
-}
-
-// Property: Sub preserves spacing and point coordinates for any
-// valid window.
-func TestQuickSubGridCoordinates(t *testing.T) {
-	f := func(i0Raw, j0Raw, wRaw, hRaw uint8) bool {
-		g := NewUnitSquare(16)
-		i0 := int(i0Raw % 12)
-		j0 := int(j0Raw % 12)
-		w := int(wRaw%4) + 1
-		h := int(hRaw%4) + 1
-		s := g.Sub(i0, i0+w, j0, j0+h)
-		for di := 0; di < w; di++ {
-			if math.Abs(s.XAt(di)-g.XAt(i0+di)) > 1e-12 {
-				return false
-			}
-		}
-		for dj := 0; dj < h; dj++ {
-			if math.Abs(s.YAt(dj)-g.YAt(j0+dj)) > 1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -128,17 +79,6 @@ func TestFieldTensorRoundTrip(t *testing.T) {
 		if tt.Data()[i] != v {
 			t.Fatalf("tensor differs from the field at %d", i)
 		}
-	}
-}
-
-func TestFieldClone(t *testing.T) {
-	g := NewUnitSquare(3)
-	f := NewField(g, 1)
-	f.Set(1, 0, 0, 0)
-	c := f.Clone()
-	c.Set(2, 0, 0, 0)
-	if f.data[0] != 1 {
-		t.Fatalf("Clone aliases data")
 	}
 }
 
