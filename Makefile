@@ -17,7 +17,7 @@ GO ?= go
 # Per-target budget for fuzz-smoke; CI keeps the default.
 FUZZTIME ?= 30s
 
-.PHONY: build test vet fmt race race-batcher bench bench-smoke bench-check bench-run-smoke bench-baseline bench-compare smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission lint fuzz-smoke race-stress ci
+.PHONY: build test vet fmt race race-predict bench bench-smoke bench-check bench-run-smoke bench-baseline bench-compare smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission lint fuzz-smoke race-stress ci
 
 build:
 	$(GO) build ./...
@@ -38,12 +38,11 @@ fmt:
 race:
 	$(GO) test -race ./...
 
-# The batcher holds a batch open only while a batchmate is on its way
-# (DESIGN.md §9), which depends on goroutine scheduling, and every
-# Predict writes into the buffers of a pooled clone set: run the
-# batcher and predict tests repeatedly under the race detector on one
-# and on two processors.
-race-batcher:
+# Every Predict writes into the buffers of a pooled clone set, and
+# concurrent callers each take their own: run the predict tests (and
+# the bench-only Batcher shim's) repeatedly under the race detector on
+# one and on two processors.
+race-predict:
 	$(GO) test -race -cpu 1,2 -count=20 -run 'Batcher|Predict' ./internal/core
 
 # Full benchmark sweep (regenerates every paper exhibit; slow).
@@ -105,7 +104,7 @@ smoke-tcp:
 
 # HTTP serving smoke: datagen → train → start cmd/serve, then curl
 # /healthz, a 3-step streamed /v1/rollout and /v1/predict (sequential
-# and 8-way concurrent through the micro-batcher), asserting golden
+# and 8-way concurrent), asserting golden
 # bit-identity between the predict response and the rollout's next
 # frame, and a graceful SIGTERM drain (scripts/smoke_serve.sh).
 smoke-serve:
@@ -201,4 +200,4 @@ race-stress:
 smoke-admission:
 	scripts/smoke_admission.sh
 
-ci: build fmt lint test race race-batcher bench-smoke bench-check bench-run-smoke fuzz-smoke smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission
+ci: build fmt lint test race race-predict bench-smoke bench-check bench-run-smoke fuzz-smoke smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission

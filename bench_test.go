@@ -923,7 +923,7 @@ func BenchmarkSessionConcurrentRollout(b *testing.B) {
 }
 
 // -----------------------------------------------------------------------------
-// Serving API — micro-batched request coalescing (DESIGN.md §9).
+// Serving API — concurrent one-step prediction (DESIGN.md §9).
 // -----------------------------------------------------------------------------
 
 // servingEnsemble builds an untrained (but deterministic) ensemble for
@@ -940,25 +940,17 @@ func servingEnsemble(b *testing.B, n, px, py int) *core.Ensemble {
 	return ens
 }
 
-// BenchmarkBatcherThroughput measures one-step serving throughput
+// BenchmarkPredictThroughput measures one-step serving throughput
 // (requests/s) on the Table-I architecture over the full 128×128 grid
-// at the paper's 8×8 decomposition, comparing the unbatched
-// Engine.Predict baseline (sequential, and 16 concurrent callers)
-// against the same 16 callers coalesced by a core.Batcher at
-// micro-batch caps 1/4/8/16. The batcher cells additionally report
-// speedup_vs_sequential (vs the one-caller Predict loop),
-// speedup_vs_unbatched (vs the 16 concurrent unbatched callers — the
-// apples-to-apples serving baseline, which pays one clone set per
-// in-flight request) and the mean achieved batch fill. Batched
-// and unbatched frames are bit-identical
-// (core.TestBatcherConcurrentBitIdentical); this benchmark measures
-// only what the coalescing buys in wall-clock. A request runs the same
-// per-rank forward on a pooled clone set alone or in a batch, and both
-// paths fan the ranks out over WithWorkers(GOMAXPROCS), so a batch
-// saves only the per-request clone-set acquisition and pays the
-// batcher's queueing; on one processor the two roughly cancel.
-// scripts/bench.sh snapshots requests_per_s into BENCH_baseline.json.
-func BenchmarkBatcherThroughput(b *testing.B) {
+// at the paper's 8×8 decomposition: one caller issuing 16 Predicts in
+// a row (sequential) against 16 callers issuing one each at once
+// (concurrent). Every Predict runs the per-rank forward of a session
+// step on a pooled clone set and fans the ranks out over
+// WithWorkers(GOMAXPROCS); concurrent callers each take a clone set of
+// their own, so on more than one processor they compute in parallel.
+// The concurrent cell reports speedup_vs_sequential. scripts/bench.sh
+// snapshots requests_per_s into BENCH_baseline.json.
+func BenchmarkPredictThroughput(b *testing.B) {
 	const (
 		n           = 128
 		nStates     = 8
@@ -971,15 +963,19 @@ func BenchmarkBatcherThroughput(b *testing.B) {
 	for i := range states {
 		states[i] = tensor.Normal(g, 0, 1, grid.NumChannels, n, n)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	newEng := func() *core.Engine {
-		eng, err := core.NewEngine(ens, core.WithWorkers(workers))
+	ctx := context.Background()
+	warmEngine := func(b *testing.B) *core.Engine {
+		eng, err := core.NewEngine(ens, core.WithWorkers(runtime.GOMAXPROCS(0)))
 		if err != nil {
 			b.Fatal(err)
 		}
+		if _, err := eng.Predict(ctx, states[0]); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
 		return eng
 	}
-	ctx := context.Background()
 	reportRPS := func(b *testing.B, served int) float64 {
 		secs := b.Elapsed().Seconds()
 		if secs <= 0 {
@@ -990,14 +986,9 @@ func BenchmarkBatcherThroughput(b *testing.B) {
 		return rps
 	}
 
-	var seqRPS, concRPS float64
-	b.Run("unbatched/sequential", func(b *testing.B) {
-		eng := newEng()
-		if _, err := eng.Predict(ctx, states[0]); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
+	var seqRPS float64
+	b.Run("sequential", func(b *testing.B) {
+		eng := warmEngine(b)
 		for i := 0; i < b.N; i++ {
 			for r := 0; r < reqsPerIter; r++ {
 				if _, err := eng.Predict(ctx, states[r%nStates]); err != nil {
@@ -1008,13 +999,8 @@ func BenchmarkBatcherThroughput(b *testing.B) {
 		b.StopTimer()
 		seqRPS = reportRPS(b, reqsPerIter*b.N)
 	})
-	b.Run("unbatched/concurrent", func(b *testing.B) {
-		eng := newEng()
-		if _, err := eng.Predict(ctx, states[0]); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
+	b.Run("concurrent", func(b *testing.B) {
+		eng := warmEngine(b)
 		for i := 0; i < b.N; i++ {
 			var wg sync.WaitGroup
 			errs := make([]error, clients)
@@ -1033,57 +1019,10 @@ func BenchmarkBatcherThroughput(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		concRPS = reportRPS(b, clients*b.N)
+		if rps := reportRPS(b, clients*b.N); seqRPS > 0 {
+			b.ReportMetric(rps/seqRPS, "speedup_vs_sequential")
+		}
 	})
-	for _, mb := range []int{1, 4, 8, 16} {
-		b.Run(fmt.Sprintf("batcher/max=%d", mb), func(b *testing.B) {
-			eng := newEng()
-			bat, err := core.NewBatcher(eng, core.WithMaxBatch(mb), core.WithMaxDelay(2*time.Millisecond))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer bat.Close()
-			if _, err := bat.Predict(ctx, states[0]); err != nil {
-				b.Fatal(err)
-			}
-			warm := bat.Stats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				errs := make([]error, clients)
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						_, errs[c] = bat.Predict(ctx, states[c%nStates])
-					}(c)
-				}
-				wg.Wait()
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			rps := reportRPS(b, clients*b.N)
-			if seqRPS > 0 {
-				b.ReportMetric(rps/seqRPS, "speedup_vs_sequential")
-			}
-			if concRPS > 0 {
-				// The apples-to-apples serving comparison: the same 16
-				// concurrent clients with coalescing off. Unbatched
-				// concurrency pays one clone set per in-flight request
-				// and the resulting allocation/cache pressure.
-				b.ReportMetric(rps/concRPS, "speedup_vs_unbatched")
-			}
-			s := bat.Stats()
-			s.Requests -= warm.Requests
-			s.Batches -= warm.Batches
-			b.ReportMetric(s.MeanFill(), "mean_batch_fill")
-		})
-	}
 }
 
 // -----------------------------------------------------------------------------

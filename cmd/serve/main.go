@@ -1,25 +1,25 @@
 // Command serve exposes trained models over HTTP: one-step prediction
-// behind per-model micro-batching request coalescers (core.Batcher),
-// streaming rollout sessions, and the /v2 multi-model registry
-// surface with zero-downtime hot swap (DESIGN.md §9–§10).
+// straight on each model's core.Engine (concurrent predicts run on
+// pooled clone sets), streaming rollout sessions, and the /v2
+// multi-model registry surface with zero-downtime hot swap (DESIGN.md
+// §9–§10).
 //
 // Usage:
 //
-//	serve -ckpt ckpt -addr 127.0.0.1:8080 -max-batch 8 -max-delay 2ms
+//	serve -ckpt ckpt -addr 127.0.0.1:8080
 //	serve -ckpt ckpt -model prod          # publish under an explicit name
 //
-// -max-batch caps a predict micro-batch; -max-delay is the cap on the
-// wait for batchmates that are arriving. A batch waits only while
-// another predict is on its way, so a lone request dispatches at once.
+// Predict concurrency is bounded where rollout concurrency is: by the
+// admission gate's concurrency budget (-policy, max_concurrent).
 //
 // Endpoints:
 //
 //	GET  /healthz                       per-model readiness + registry state (JSON)
-//	GET  /metrics                       per-model request/batch counters, swap count
+//	GET  /metrics                       per-model request counters, swap count
 //	POST /v1/predict                    one-step prediction on the default model;
 //	                                    body {"states":[{"shape":[c,h,w],"data":[...]}]}
 //	                                    (or gob with Content-Type application/x-gob);
-//	                                    concurrent requests are coalesced into micro-batches
+//	                                    concurrent requests run concurrently
 //	POST /v1/rollout?steps=N            streaming rollout from the POSTed history
 //	                                    (one JSON frame per chunk)
 //	GET  /v1/rollout?steps=N            the same, from the -init dataset's opening history
@@ -57,8 +57,8 @@
 //
 // On SIGTERM/SIGINT the server drains gracefully: the listener stops
 // accepting, in-flight requests (including open rollout streams) get
-// -drain-timeout to finish, and every model's batcher flushes its
-// queued predictions before the process exits.
+// -drain-timeout to finish, and every model's registry handle drains
+// before the process exits.
 package main
 
 import (
@@ -138,10 +138,8 @@ func main() {
 		modelVersion = flag.String("version", "", "version label for the boot model (default: the manifest's)")
 		initPath     = flag.String("init", "", "dataset (.gob) whose opening snapshots seed GET rollouts")
 		replicaID    = flag.String("replica", "", "fleet identity reported in /healthz when this process runs behind cmd/router")
-		workers      = flag.Int("workers", 0, "serving parallelism: ranks fan out per micro-batch and convolution kernels tile-parallelize (0 = single-threaded; results are bit-identical for any value)")
+		workers      = flag.Int("workers", 0, "serving parallelism: ranks fan out per request and convolution kernels tile-parallelize (0 = single-threaded; results are bit-identical for any value)")
 		precision    = flag.String("precision", "f64", "serving compute precision: f64 (reference, bit-reproducible) | f32 (faster, within documented error budget)")
-		maxBatch     = flag.Int("max-batch", 8, "micro-batch size cap for predict coalescing (per model)")
-		maxDelay     = flag.Duration("max-delay", 2*time.Millisecond, "cap on the wait for predict batchmates that are arriving (a lone request dispatches at once)")
 		maxSteps     = flag.Int("max-steps", 10000, "cap on the rollout steps query parameter")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
 		accessLog    = flag.Bool("access-log", false, "log one line per request (method, path, status, duration, request ID) plus rollout comm summaries to stderr")
@@ -188,8 +186,6 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		MaxBatch:        *maxBatch,
-		MaxDelay:        *maxDelay,
 		MaxRolloutSteps: *maxSteps,
 		DefaultModel:    name,
 		Replica:         *replicaID,
@@ -245,7 +241,7 @@ func main() {
 	case <-ctx.Done():
 	}
 	// Graceful drain: stop accepting, let in-flight handlers finish,
-	// then flush every model's batcher queue and drain the registry.
+	// then drain the registry.
 	// Healthz flips to "draining" first so a router stops picking this
 	// replica while the listener winds down.
 	srv.SetDraining()
@@ -267,6 +263,5 @@ func main() {
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
-	fmt.Printf("served %d predictions in %d micro-batches (mean fill %.2f), %d swaps\n",
-		stats.Requests, stats.Batches, stats.MeanFill(), srv.Registry().Swaps())
+	fmt.Printf("served %d predictions, %d swaps\n", stats.Requests, srv.Registry().Swaps())
 }

@@ -16,14 +16,11 @@
 // named errors core.ErrBadWindow / core.ErrShapeMismatch for
 // errors.Is branching.
 //
-// Serving is micro-batched (DESIGN.md §9). core.Engine.PredictBatch
-// evaluates a micro-batch of requests on one pooled clone set, each
-// through the per-rank forward a session step runs, so a batched
-// request is bit-identical to a lone Predict. core.Batcher (options
-// core.WithMaxBatch, core.WithMaxDelay) transparently coalesces
-// concurrent Predict callers into such micro-batches, holding a batch
-// open only while a batchmate is on its way (MaxDelay caps that wait),
-// while preserving per-request cancellation and error isolation.
+// Predict is not batched (DESIGN.md §9): each call runs, on its own
+// pooled clone set, the per-rank forward a session step runs, so
+// concurrent callers compute in parallel and each result is
+// bit-identical to step 1 of a session. Concurrency is bounded at the
+// edge, by the admission gate's concurrency budget.
 //
 // Trained models ship as versioned artifacts and serve through a
 // registry (DESIGN.md §10). An artifact is one directory per model
@@ -38,22 +35,20 @@
 // dir -migrate` upgrades them in place). core.Registry maps model
 // name → refcounted engine Handle with Load/Get/Swap/Unload/Close:
 // Swap atomically replaces the published version — new Gets see the
-// new engine immediately while in-flight PredictBatch calls and open
+// new engine immediately while in-flight Predict calls and open
 // Sessions finish on the old one, which drains (closes Drained) only
 // when its last reference is released.
 // Registry errors are named too: core.ErrModelNotFound,
 // core.ErrModelExists, core.ErrRegistryClosed.
 //
 // cmd/serve exposes the whole surface over HTTP: the /v1 routes —
-// POST /v1/predict (JSON or gob tensors, coalesced behind the
-// batcher) and GET|POST /v1/rollout (chunked streaming of session
-// frames) — delegate to the default model unchanged, while /v2 adds
-// the multi-model surface: GET /v2/models, per-model
-// /v2/models/{name}/predict|rollout routed through per-model
-// batchers, POST /v2/admin/load|swap|unload for zero-downtime
-// rollouts from artifact directories, structured JSON error
-// envelopes, /metrics counters (per-model requests, batch fill, swap
-// count) and a /healthz that reports per-model readiness. JSON
+// POST /v1/predict (JSON or gob tensors) and GET|POST /v1/rollout
+// (chunked streaming of session frames) — delegate to the default
+// model unchanged, while /v2 adds the multi-model surface: GET
+// /v2/models, per-model /v2/models/{name}/predict|rollout, POST
+// /v2/admin/load|swap|unload for zero-downtime rollouts from artifact
+// directories, structured JSON error envelopes, /metrics counters
+// (per-model requests, swap count, request latency) and a /healthz that reports per-model readiness. JSON
 // tensors cross the wire through a purpose-built codec (DESIGN.md §9:
 // strconv-based, byte-identical to encoding/json, which remains the
 // fallback and the fuzz oracle) in pooled, Content-Length-sized
@@ -62,7 +57,7 @@
 // Client, scripts/loadtest.sh drives throughput, and
 // scripts/smoke_swap.sh proves a mid-load hot swap drops zero
 // requests. See the package examples (Example_enginePredict,
-// Example_batcher, Example_httpClient, Example_registryHotSwap) for
+// Example_concurrentPredict, Example_httpClient, Example_registryHotSwap) for
 // runnable end-to-end snippets.
 //
 // Above the single process sits cluster serving (DESIGN.md §14):
@@ -83,7 +78,8 @@
 // sustained load and every client request still succeeds,
 // bit-identical to a single-replica golden run.
 //
-// Ahead of the batcher sits edge admission control (DESIGN.md §15).
+// Ahead of the engine sits edge admission control (DESIGN.md §15),
+// which also bounds how many predicts and rollouts run at once.
 // internal/admission wraps the front door of both cmd/serve and
 // cmd/router (-policy, off by default) with three stages: CIDR
 // allow/deny/classify via a longest-prefix-match trie over client IPs
@@ -113,10 +109,10 @@
 // `make smoke-chaos` asserts all three in-process and across a
 // 4-process TCP world (cmd/serve and cmd/infer take -chaos,
 // -chaos-seed, -chaos-recv-timeout). Every HTTP request carries an
-// X-Request-ID (minted or honored, echoed back, stamped into batcher
+// X-Request-ID (minted or honored, echoed back, stamped into predict
 // and session errors via core.ContextWithRequestID), so a failed
 // request names its ID, rank and link in one string; per-model
-// request-latency and batch-fill histograms (internal/stats.Histogram,
+// request-latency histograms (internal/stats.Histogram,
 // fixed log-spaced buckets) export on /metrics in the Prometheus
 // histogram format, and perf regressions are gated by cmd/benchdiff
 // against BENCH_baseline.json (make bench-compare).
@@ -159,7 +155,7 @@
 //     weight-sharing clones for concurrent inference
 //   - internal/serve  — HTTP serving front end (predict + streaming
 //     rollout handlers, /v2 registry surface + admin hot swap, typed
-//     client) over Engine/Batcher/Registry (§9–§10)
+//     client) over Engine/Registry (§9–§10)
 //   - internal/opt    — SGD / momentum / RMSProp / ADAM (paper Eq. 3–6)
 //   - internal/loss   — MSE / MAE / MAPE (paper Eq. 7) / SMAPE / Huber
 //   - internal/mpi    — message-passing runtime with MPI semantics
@@ -197,7 +193,7 @@
 //
 // The benchmark harness in bench_test.go regenerates every table and
 // figure of the paper's evaluation plus the serving exhibits
-// (BenchmarkBatcherThroughput, BenchmarkSessionConcurrentRollout);
+// (BenchmarkPredictThroughput, BenchmarkSessionConcurrentRollout);
 // see DESIGN.md for the experiment index and EXPERIMENTS.md for
 // paper-vs-measured results.
 package repro

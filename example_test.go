@@ -1,8 +1,8 @@
 package repro_test
 
 // Runnable examples for the serving surface (doc.go): one-step
-// prediction on an Engine, transparent micro-batching through a
-// Batcher, and the HTTP client against an in-process server. Each
+// prediction on an Engine, concurrent predictions on one Engine, and
+// the HTTP client against an in-process server. Each
 // builds a small untrained-but-deterministic ensemble — serving
 // behaviour does not depend on the weights — so the examples run in
 // milliseconds under `go test`.
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/decomp"
@@ -73,19 +72,15 @@ func Example_enginePredict() {
 	// predicted shape: [4 16 16] finite: true
 }
 
-// Example_batcher coalesces concurrent Predict calls into
-// micro-batches. Results are bit-identical to unbatched calls — the
-// batcher changes throughput, never values.
-func Example_batcher() {
+// Example_concurrentPredict calls Predict from several goroutines at
+// once on one Engine. Each call runs on its own pooled clone set, so
+// the calls compute in parallel and every result is bit-identical to
+// the same call made alone.
+func Example_concurrentPredict() {
 	eng, err := core.NewEngine(exampleEnsemble())
 	if err != nil {
 		panic(err)
 	}
-	bat, err := core.NewBatcher(eng, core.WithMaxBatch(4), core.WithMaxDelay(time.Millisecond))
-	if err != nil {
-		panic(err)
-	}
-	defer bat.Close()
 
 	ctx := context.Background()
 	g := tensor.NewRNG(2)
@@ -99,7 +94,7 @@ func Example_batcher() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f, err := bat.Predict(ctx, states[i])
+			f, err := eng.Predict(ctx, states[i])
 			if err != nil {
 				panic(err)
 			}
@@ -115,20 +110,19 @@ func Example_batcher() {
 		}
 		identical = identical && f.Equal(want)
 	}
-	fmt.Println("coalesced results bit-identical to unbatched:", identical)
+	fmt.Println("concurrent results bit-identical to sequential:", identical)
 	// Output:
-	// coalesced results bit-identical to unbatched: true
+	// concurrent results bit-identical to sequential: true
 }
 
-// Example_httpClient drives the HTTP front end: POST /v1/predict
-// (micro-batched server-side) and a streamed /v1/rollout, via the
-// typed client cmd/serve shares.
+// Example_httpClient drives the HTTP front end: POST /v1/predict and a
+// streamed /v1/rollout, via the typed client cmd/serve shares.
 func Example_httpClient() {
 	eng, err := core.NewEngine(exampleEnsemble())
 	if err != nil {
 		panic(err)
 	}
-	srv, err := serve.New(eng, serve.Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	srv, err := serve.New(eng, serve.Config{})
 	if err != nil {
 		panic(err)
 	}

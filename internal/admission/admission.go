@@ -1,7 +1,7 @@
 // Package admission is the edge admission-control layer (DESIGN.md
 // §15): a policy gate wrapped around the HTTP front door of both
 // internal/serve (replica-side) and internal/router (fleet-edge),
-// ahead of the batcher, so overload degrades deliberately instead of
+// ahead of the engine, so overload degrades deliberately instead of
 // collapsing the tail. Three stages run per request:
 //
 //  1. CIDR policy — a longest-prefix-match radix trie over the
@@ -15,7 +15,7 @@
 //     GC'd. Empty bucket → 429 "rate_limited" with a Retry-After
 //     computed from the refill rate.
 //  3. Priority classes with deadline-aware queueing — a bounded
-//     per-class queue ahead of the batcher. When the concurrency
+//     per-class queue ahead of the engine. When the concurrency
 //     budget is exceeded the lowest class sheds first (503
 //     "overloaded" + Retry-After); queue time of shed requests lands
 //     in a histogram on /metrics.

@@ -6,7 +6,7 @@ import (
 )
 
 // Stage 3: priority classes with deadline-aware queueing. A bounded
-// per-class queue sits ahead of the batcher; when the concurrency
+// per-class queue sits ahead of the engine; when the concurrency
 // budget is exhausted and a queue overflows, the LOWEST class sheds
 // first — a high-class arrival displaces the newest waiter of the
 // lowest occupied class below it rather than being turned away. Every

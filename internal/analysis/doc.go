@@ -25,7 +25,7 @@
 //   - ctxflow: a function that receives a context.Context must thread
 //     it (possibly derived) to every callee that accepts one, never
 //     context.Background()/TODO() — preserving the PR 6 request-ID
-//     chain HTTP → batcher → engine → ranks.
+//     chain HTTP → engine → ranks.
 //
 //   - goroutinelife: every `go` statement in internal/{core,mpi,serve}
 //     must have a visible lifecycle: a WaitGroup Add in the spawning

@@ -191,8 +191,8 @@ func (eng *Engine) release(rm *rankModels) { eng.pool.Put(rm) }
 // validateStates checks a history of full-domain states against the
 // engine's grid, channel count and window, returning the effective
 // window. Validation failures wrap the named errors ErrBadWindow and
-// ErrShapeMismatch so callers (the Batcher, the HTTP front end) can
-// branch with errors.Is.
+// ErrShapeMismatch so callers (the HTTP front end) can branch with
+// errors.Is.
 func (eng *Engine) validateStates(states []*tensor.Tensor) (window int, err error) {
 	window = eng.ens.window()
 	if len(states) < window {
@@ -220,15 +220,55 @@ func (eng *Engine) validateStates(states []*tensor.Tensor) (window int, err erro
 // Predict evaluates one step from a fully known history of full-domain
 // states (oldest first, at least Window of them) without any message
 // passing — the §IV-B one-step evaluation path, served concurrently:
-// any number of Predict calls may run at once. It is the one-request
-// case of PredictBatch: each rank runs the forward of a session's
-// first step on a pooled clone set, so the two agree bit for bit.
+// any number of Predict calls may run at once, each on its own pooled
+// clone set. Each rank runs the forward of a session's first step, so
+// the two agree bit for bit. Errors carry the context's request ID.
 func (eng *Engine) Predict(ctx context.Context, states ...*tensor.Tensor) (*tensor.Tensor, error) {
-	res, err := eng.PredictBatch(ctx, [][]*tensor.Tensor{states})
-	if err != nil {
-		return nil, err
+	if err := ctx.Err(); err != nil {
+		return nil, wrapRequestErr(ctx, err)
 	}
-	return res[0].Frame, res[0].Err
+	if eng.local != nil {
+		return nil, wrapRequestErr(ctx, fmt.Errorf("core: one-step prediction evaluates every rank in-process; this engine's world hosts only rank(s) %v — build an engine without WithWorld for one-step prediction", eng.world.LocalRanks()))
+	}
+	if _, err := eng.validateStates(states); err != nil {
+		return nil, wrapRequestErr(ctx, err)
+	}
+	rm := eng.acquire()
+	defer eng.release(rm)
+	return eng.predictOne(rm, states), nil
+}
+
+// predictOne evaluates one validated request on the clone set rm. Each
+// rank writes the halo-extended windows of the request's newest Window
+// frames into the channel slabs of rm.in[r], forwards them into
+// rm.out[r] and copies its block into a fresh frame the caller owns.
+//
+// Ranks are independent models with disjoint outputs, so with
+// WithWorkers(n) they fan out to goroutines on top of each clone's own
+// intra-layer parallelism; each rank is served by exactly one task, so
+// clone caches and buffers are never shared, and the assignment of
+// ranks to workers cannot change any result.
+func (eng *Engine) predictOne(rm *rankModels, states []*tensor.Tensor) *tensor.Tensor {
+	p := eng.ens.Partition
+	halo := eng.ens.ModelCfg.Halo()
+	states = states[len(states)-eng.ens.window():]
+	c := states[0].Dim(0)
+	frame := tensor.New(1, c, p.Ny, p.Nx)
+	rankWorkers := 1
+	if eng.workersSet && eng.workers > 1 {
+		rankWorkers = eng.workers
+	}
+	tensor.ParallelFor(p.Ranks(), rankWorkers, func(r int) {
+		in, out := rm.in[r], rm.out[r]
+		slab := in.Size() / len(states)
+		for k, st := range states {
+			p.HaloWindowInto(in.Data()[k*slab:(k+1)*slab], st, r, halo)
+		}
+		rm.models[r].ForwardInto(in, out)
+		b := p.BlockOfRank(r)
+		tensor.SetSubImage(frame, out, b.J0, b.I0)
+	})
+	return frame.Reshape(c, p.Ny, p.Nx)
 }
 
 // Session is one autoregressive rollout in progress: an incremental,

@@ -2,10 +2,10 @@ package core
 
 import "errors"
 
-// Named serving errors. The Engine/Session/Batcher entrypoints wrap
-// these with call-site context (fmt.Errorf + %w), so callers branch
-// with errors.Is instead of matching message strings — the HTTP front
-// end in internal/serve maps them to status codes this way.
+// Named serving errors. The Engine, Session and Registry entrypoints
+// wrap these with call-site context (fmt.Errorf + %w), so callers
+// branch with errors.Is instead of matching message strings — the HTTP
+// front end in internal/serve maps them to status codes this way.
 var (
 	// ErrBadWindow reports a Predict/NewSession call with fewer history
 	// states than the ensemble's temporal window requires.
@@ -28,9 +28,6 @@ var (
 	// ErrWorldBusy reports a NewSession call on a WithWorld engine
 	// whose bound world already serves a live session.
 	ErrWorldBusy = errors.New("the engine's bound world already serves a live session")
-
-	// ErrBatcherClosed reports a Predict call on a Batcher after Close.
-	ErrBatcherClosed = errors.New("batcher is closed")
 
 	// ErrModelNotFound reports a Registry Get/Swap/Unload on a name no
 	// model is loaded under.

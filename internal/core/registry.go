@@ -12,7 +12,7 @@ import (
 // a name, Get hands out a refcounted handle to the current version,
 // and Swap atomically replaces the published version — new Gets see
 // the new engine immediately, while callers still holding the old
-// handle (in-flight PredictBatch calls, open rollout Sessions) finish
+// handle (in-flight Predict calls, open rollout Sessions) finish
 // on the old engine undisturbed. The old handle's Drained channel
 // closes only when the last reference is released, so nothing is torn
 // down under an active request.

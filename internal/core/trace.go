@@ -7,11 +7,11 @@ import (
 
 // Request tracing (DESIGN.md §11): the HTTP front end mints (or
 // honors) a request ID per request and threads it through the context.
-// Everything below — the Batcher's per-request error delivery, the
-// Session's step errors — stamps the ID onto failures, so an error
-// that surfaces in an HTTP envelope or a streamed rollout record names
-// the request AND (via the mpi panic wrapping and the chaos
-// transport's attribution) the rank and link that killed it.
+// Everything below — Predict's errors, the Session's step errors —
+// stamps the ID onto failures, so an error that surfaces in an HTTP
+// envelope or a streamed rollout record names the request AND (via
+// the mpi panic wrapping and the chaos transport's attribution) the
+// rank and link that killed it.
 
 // requestIDKey is the context key for the request ID.
 type requestIDKey struct{}

@@ -71,9 +71,9 @@ func httpError(resp *http.Response) error {
 }
 
 // Predict posts the history (oldest first) to /v1/predict and returns
-// the predicted full-domain frame. Requests are coalesced into
-// micro-batches server-side; results are bit-identical to a local
-// Engine.Predict on the same ensemble.
+// the predicted full-domain frame. The server runs it on the model's
+// Engine.Predict, concurrently with other requests; results are
+// bit-identical to a local Engine.Predict on the same ensemble.
 func (c *Client) Predict(ctx context.Context, states ...*tensor.Tensor) (*tensor.Tensor, error) {
 	return c.predictPath(ctx, "/v1/predict", states)
 }

@@ -1,19 +1,19 @@
 // Package serve is the HTTP serving front end over core.Engine and
-// core.Registry (DESIGN.md §9–§10): one-step prediction behind
-// per-model micro-batching core.Batchers, streaming rollout sessions
-// over chunked responses, and a /v2 multi-model surface with
-// zero-downtime hot swap — named, versioned models that can be
-// listed, loaded, atomically swapped and unloaded under load while
-// in-flight requests drain on the old version. The package splits
-// handler from process concerns so the whole surface is testable
-// in-process (httptest) — cmd/serve is a thin flag-parsing shell
-// around Server, and Client is the typed Go client the examples and
-// load tests drive it with.
+// core.Registry (DESIGN.md §9–§10): one-step prediction straight on
+// each model's core.Engine (concurrent predicts run on pooled clone
+// sets), streaming rollout sessions over chunked responses, and a /v2
+// multi-model surface with zero-downtime hot swap — named, versioned
+// models that can be listed, loaded, atomically swapped and unloaded
+// under load while in-flight requests drain on the old version. The
+// package splits handler from process concerns so the whole surface is
+// testable in-process (httptest) — cmd/serve is a thin flag-parsing
+// shell around Server, and Client is the typed Go client the examples
+// and load tests drive it with.
 //
 // Routes:
 //
 //	GET  /healthz                        per-model readiness + registry state (JSON)
-//	GET  /metrics                        per-model request/batch counters, swap count
+//	GET  /metrics                        per-model request counters, swap count
 //	POST /v1/predict                     one-step prediction on the default model
 //	GET|POST /v1/rollout                 streaming rollout on the default model
 //	GET  /v2/models                      list models (name, version, readiness, stats)
@@ -58,6 +58,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
@@ -139,11 +140,6 @@ type RolloutFrame struct {
 
 // Config tunes a Server.
 type Config struct {
-	// MaxBatch / MaxDelay configure every model's request coalescer
-	// (core.WithMaxBatch / core.WithMaxDelay); zero values take the
-	// Batcher defaults.
-	MaxBatch int
-	MaxDelay time.Duration
 	// Initials, when set, is the history GET rollout routes start from
 	// (oldest first, at least the ensemble's Window states). POST
 	// rollouts carry their own history and work without it.
@@ -172,22 +168,21 @@ type Config struct {
 
 // servedModel is the per-published-version serving state: the
 // registry handle (the server's own reference, held until the version
-// is retired AND its last request finishes) and the version's private
-// request coalescer. A swap installs a fresh servedModel — and with
-// it a fresh batcher — so queued work never crosses versions.
+// is retired AND its last request finishes) and its counters. A swap
+// installs a fresh servedModel, so a request runs wholly on the
+// version it acquired.
 type servedModel struct {
 	h        *core.Handle
-	bat      *core.Batcher
 	inflight sync.WaitGroup // HTTP requests currently using this version
 	requests atomic.Int64   // predict + rollout requests routed here
+	predicts atomic.Int64   // predicts served
 }
 
 // modelTally is the retired-version remainder of one model name's
 // counters (folded in when a version finishes draining).
 type modelTally struct {
-	httpRequests int64 // servedModel.requests of retired versions
-	batRequests  int64 // batcher-delivered predicts of retired versions
-	batBatches   int64 // batches dispatched by retired versions
+	requests int64 // servedModel.requests of retired versions
+	predicts int64 // servedModel.predicts of retired versions
 }
 
 // Server is the http.Handler serving a model registry. Build it with
@@ -221,11 +216,11 @@ type Server struct {
 	models map[string]*servedModel
 	// totals accumulates the counters of retired versions per model
 	// name, so /metrics and the exit stats survive hot swaps instead
-	// of resetting with each fresh batcher.
+	// of resetting with each fresh version.
 	totals map[string]*modelTally
-	// hists holds the per-model-NAME latency histograms (request
-	// latency, batch-fill delay), surviving hot swaps like totals.
-	hists  map[string]*modelHists
+	// hists holds the per-model-NAME request-latency histograms,
+	// surviving hot swaps like totals.
+	hists  map[string]*stats.Histogram
 	closed bool
 
 	adminMu sync.Mutex     // serializes load/swap/unload/close
@@ -264,7 +259,7 @@ func NewMulti(reg *core.Registry, cfg Config) (*Server, error) {
 		mux:       http.NewServeMux(),
 		models:    make(map[string]*servedModel),
 		totals:    make(map[string]*modelTally),
-		hists:     make(map[string]*modelHists),
+		hists:     make(map[string]*stats.Histogram),
 		accessLog: cfg.AccessLog,
 	}
 	if s.deflt == "" {
@@ -279,13 +274,7 @@ func NewMulti(reg *core.Registry, cfg Config) (*Server, error) {
 		if err != nil {
 			continue // unloaded between List and Get
 		}
-		sm, err := s.newServedModel(info.Name, h)
-		if err != nil {
-			h.Release()
-			s.Close()
-			return nil, err
-		}
-		s.models[info.Name] = sm
+		s.models[info.Name] = &servedModel{h: h}
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -298,28 +287,6 @@ func NewMulti(reg *core.Registry, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v2/admin/swap", s.handleAdmin)
 	s.mux.HandleFunc("POST /v2/admin/unload", s.handleAdmin)
 	return s, nil
-}
-
-// newServedModel builds the per-version serving state (the batcher)
-// around a handle the caller has already retained for us. The name
-// routes the version's batch-fill delays into the model's histogram
-// (which outlives the version — hists are keyed by name).
-func (s *Server) newServedModel(name string, h *core.Handle) (*servedModel, error) {
-	hist := s.histFor(name)
-	bopts := []core.BatcherOption{
-		core.WithFillObserver(func(d time.Duration) { hist.fill.Observe(d) }),
-	}
-	if s.cfg.MaxBatch > 0 {
-		bopts = append(bopts, core.WithMaxBatch(s.cfg.MaxBatch))
-	}
-	if s.cfg.MaxDelay > 0 {
-		bopts = append(bopts, core.WithMaxDelay(s.cfg.MaxDelay))
-	}
-	bat, err := core.NewBatcher(h.Engine(), bopts...)
-	if err != nil {
-		return nil, err
-	}
-	return &servedModel{h: h, bat: bat}, nil
 }
 
 // ServeHTTP implements http.Handler: assign the request its ID (honor
@@ -342,20 +309,20 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Registry exposes the underlying model registry (read-mostly; use
-// the server's Load/Swap/Unload methods for mutations so the per-model
-// batchers stay in sync).
+// the server's Load/Swap/Unload methods for mutations so the served
+// versions stay in sync).
 func (s *Server) Registry() *core.Registry { return s.reg }
 
 // acquire pins the current version of a model for one HTTP request:
 // the returned release must be called when the request (including any
-// session it opened) is done. A version stays fully alive — engine,
-// handle, batcher — until every acquire has been released, which is
-// what makes swaps invisible to in-flight traffic.
+// session it opened) is done. A version stays fully alive — engine
+// and handle — until every acquire has been released, which is what
+// makes swaps invisible to in-flight traffic.
 func (s *Server) acquire(name string) (*servedModel, func(), error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, nil, fmt.Errorf("serve: %w", core.ErrBatcherClosed)
+		return nil, nil, fmt.Errorf("serve: server closed: %w", core.ErrRegistryClosed)
 	}
 	sm, ok := s.models[name]
 	if !ok {
@@ -388,10 +355,9 @@ func (s *Server) LoadEngine(name, version string, eng *core.Engine) error {
 
 // SwapEngine atomically replaces the model published under name with
 // a new engine: requests that arrive after the swap run on the new
-// version (through a fresh batcher), in-flight requests and open
-// sessions finish on the old one, and the old version's batcher and
-// registry handle are released in the background once its last
-// request drains. Swapping a fresh name publishes it.
+// version, in-flight requests and open sessions finish on the old one,
+// and the old version's registry handle is released in the background
+// once its last request drains. Swapping a fresh name publishes it.
 func (s *Server) SwapEngine(name, version string, eng *core.Engine) error {
 	if err := validateModelName(name); err != nil {
 		return err
@@ -412,14 +378,9 @@ func (s *Server) install(name string) error {
 	if err != nil {
 		return err
 	}
-	sm, err := s.newServedModel(name, h)
-	if err != nil {
-		h.Release()
-		return err
-	}
 	s.mu.Lock()
 	old := s.models[name]
-	s.models[name] = sm
+	s.models[name] = &servedModel{h: h}
 	s.mu.Unlock()
 	if old != nil {
 		s.drainInBackground(name, old)
@@ -428,8 +389,7 @@ func (s *Server) install(name string) error {
 }
 
 // UnloadModel retires a published model: new requests 404, in-flight
-// ones finish, then the version's batcher closes and its handle is
-// released.
+// ones finish, then the version's handle is released.
 func (s *Server) UnloadModel(name string) error {
 	s.adminMu.Lock()
 	defer s.adminMu.Unlock()
@@ -447,23 +407,20 @@ func (s *Server) UnloadModel(name string) error {
 }
 
 // retire drains one displaced version synchronously: wait out its
-// in-flight requests, flush its batcher, fold its counters into the
-// name's running totals, release the server's handle reference. The
-// handle's own Drained channel closes once every other reference
-// (open sessions) is gone.
+// in-flight requests, fold its counters into the name's running
+// totals, release the server's handle reference. The handle's own
+// Drained channel closes once every other reference (open sessions)
+// is gone.
 func (s *Server) retire(name string, old *servedModel) {
 	old.inflight.Wait()
-	old.bat.Close()
-	bs := old.bat.Stats()
 	s.mu.Lock()
 	t := s.totals[name]
 	if t == nil {
 		t = &modelTally{}
 		s.totals[name] = t
 	}
-	t.httpRequests += old.requests.Load()
-	t.batRequests += bs.Requests
-	t.batBatches += bs.Batches
+	t.requests += old.requests.Load()
+	t.predicts += old.predicts.Load()
 	s.mu.Unlock()
 	old.h.Release()
 }
@@ -527,9 +484,15 @@ func (s *Server) LoadDir(dir, name, version string, swap bool) (string, string, 
 }
 
 // validateModelName keeps names routable as a single /v2 path segment.
+// "." and ".." are refused: http.ServeMux redirects a path holding
+// either segment to its cleaned form, so such a model could never be
+// reached.
 func validateModelName(name string) error {
-	if name == "" {
+	switch name {
+	case "":
 		return fmt.Errorf("serve: empty model name")
+	case ".", "..":
+		return fmt.Errorf("serve: model name %q cannot be routed as a path segment", name)
 	}
 	for _, c := range name {
 		switch {
@@ -544,13 +507,11 @@ func validateModelName(name string) error {
 
 // ModelStatus is one /v2/models (and healthz) entry.
 type ModelStatus struct {
-	Name     string  `json:"name"`
-	Version  string  `json:"version"`
-	Ready    bool    `json:"ready"`
-	Refs     int     `json:"refs"`
-	Requests int64   `json:"requests"`
-	Batches  int64   `json:"batches"`
-	MeanFill float64 `json:"mean_fill"`
+	Name     string `json:"name"`
+	Version  string `json:"version"`
+	Ready    bool   `json:"ready"`
+	Refs     int    `json:"refs"`
+	Requests int64  `json:"requests"`
 }
 
 // Models returns a snapshot of every published model with its serving
@@ -562,51 +523,38 @@ func (s *Server) Models() []ModelStatus {
 	defer s.mu.RUnlock()
 	for _, info := range infos {
 		st := ModelStatus{Name: info.Name, Version: info.Version, Ready: info.Ready, Refs: info.Refs}
-		var batReq int64
 		if t := s.totals[info.Name]; t != nil {
-			st.Requests += t.httpRequests
-			st.Batches += t.batBatches
-			batReq += t.batRequests
+			st.Requests += t.requests
 		}
 		if sm := s.models[info.Name]; sm != nil {
-			bs := sm.bat.Stats()
 			st.Requests += sm.requests.Load()
-			st.Batches += bs.Batches
-			batReq += bs.Requests
-		}
-		if st.Batches > 0 {
-			st.MeanFill = float64(batReq) / float64(st.Batches)
 		}
 		out = append(out, st)
 	}
 	return out
 }
 
-// Stats returns the aggregate batcher counters across every model
-// ever served, retired versions included (what cmd/serve prints on
-// exit).
+// Stats counts the predicts served across every model ever served,
+// retired versions included (what cmd/serve prints on exit). Each
+// predict is its own batch, so Requests = Batches.
 func (s *Server) Stats() core.BatcherStats {
-	var total core.BatcherStats
+	var n int64
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, sm := range s.models {
-		bs := sm.bat.Stats()
-		total.Requests += bs.Requests
-		total.Batches += bs.Batches
+		n += sm.predicts.Load()
 	}
 	for _, t := range s.totals {
-		total.Requests += t.batRequests
-		total.Batches += t.batBatches
+		n += t.predicts
 	}
-	return total
+	return core.BatcherStats{Requests: n, Batches: n}
 }
 
 // Close drains the whole server: new requests are refused (503 for
 // predicts, as before), every model's in-flight requests finish,
-// every batcher flushes its queue, background swap drains complete,
-// and the registry closes once every handle has drained. Call it
-// after http.Server.Shutdown has drained in-flight handlers. Closing
-// twice is a no-op.
+// background swap drains complete, and the registry closes once every
+// handle has drained. Call it after http.Server.Shutdown has drained
+// in-flight handlers. Closing twice is a no-op.
 func (s *Server) Close() error {
 	s.draining.Store(true)
 	s.adminMu.Lock()
@@ -690,16 +638,15 @@ func bodyErrStatus(err error) int {
 }
 
 // statusFor maps serving errors to HTTP statuses: validation failures
-// are the client's fault, an unknown model is 404, a closed batcher
-// or registry means the server (or that model) is draining.
+// are the client's fault, an unknown model is 404, a closed server or
+// registry means the server (or that model) is draining.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, core.ErrModelNotFound):
 		return http.StatusNotFound
 	case errors.Is(err, core.ErrBadWindow), errors.Is(err, core.ErrShapeMismatch):
 		return http.StatusBadRequest
-	case errors.Is(err, core.ErrBatcherClosed), errors.Is(err, core.ErrWorldBusy),
-		errors.Is(err, core.ErrRegistryClosed):
+	case errors.Is(err, core.ErrRegistryClosed), errors.Is(err, core.ErrWorldBusy):
 		// Draining for shutdown/swap, or a bound-world engine already
 		// serving its one live session: retryable capacity conditions.
 		return http.StatusServiceUnavailable
@@ -736,7 +683,7 @@ func (s *Server) handlePredictV2(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name string, mode errorMode) {
 	start := time.Now()
-	defer func() { s.histFor(name).latency.Observe(time.Since(start)) }()
+	defer func() { s.histFor(name).Observe(time.Since(start)) }()
 	if r.Method != http.MethodPost {
 		s.httpErr(w, r, mode, name, fmt.Errorf("serve: POST only"), http.StatusMethodNotAllowed)
 		return
@@ -752,11 +699,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, name stri
 		s.httpErr(w, r, mode, name, err, bodyErrStatus(err))
 		return
 	}
-	frame, err := sm.bat.Predict(r.Context(), states...)
+	frame, err := sm.h.Engine().Predict(r.Context(), states...)
 	if err != nil {
 		s.httpErr(w, r, mode, name, err, statusFor(err))
 		return
 	}
+	sm.predicts.Add(1)
 	if binary {
 		w.Header().Set("Content-Type", ContentTypeGob)
 		if err := gob.NewEncoder(w).Encode(frame); err != nil {
@@ -788,7 +736,7 @@ func (s *Server) handleRolloutV2(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRollout(w http.ResponseWriter, r *http.Request, name string, mode errorMode) {
 	start := time.Now()
-	defer func() { s.histFor(name).latency.Observe(time.Since(start)) }()
+	defer func() { s.histFor(name).Observe(time.Since(start)) }()
 	steps := 1
 	if v := r.URL.Query().Get("steps"); v != "" {
 		n, err := strconv.Atoi(v)

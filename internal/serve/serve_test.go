@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -76,7 +75,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 // Engine.Predict bit for bit — JSON float64 round-tripping included.
 func TestPredictEndToEnd(t *testing.T) {
 	ds, eng := fixture(t)
-	_, client := newTestServer(t, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	_, client := newTestServer(t, Config{})
 	ctx := context.Background()
 	want, err := eng.Predict(ctx, ds.Snapshots[0])
 	if err != nil {
@@ -94,15 +93,12 @@ func TestPredictEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPredictConcurrentCoalesced drives concurrent clients through
-// the HTTP path and checks bit-identity with sequential local calls
-// under concurrency, with every request served by the batcher. Over
-// HTTP whether requests share a batch depends on the scheduler, so
-// coalescing itself is asserted in core
-// (TestBatcherAnnouncedArrivalsCoalesce).
-func TestPredictConcurrentCoalesced(t *testing.T) {
+// TestPredictConcurrent drives concurrent clients through the HTTP
+// path and checks bit-identity with sequential local calls under
+// concurrency, with every request counted as served.
+func TestPredictConcurrent(t *testing.T) {
 	ds, eng := fixture(t)
-	srv, client := newTestServer(t, Config{MaxBatch: 4, MaxDelay: 5 * time.Millisecond})
+	srv, client := newTestServer(t, Config{})
 	ctx := context.Background()
 	const N = 12
 	want := make([]*tensor.Tensor, N)
@@ -133,7 +129,7 @@ func TestPredictConcurrentCoalesced(t *testing.T) {
 		}
 	}
 	if s := srv.Stats(); s.Requests != N {
-		t.Fatalf("batcher served %d of %d requests", s.Requests, N)
+		t.Fatalf("server counted %d of %d requests", s.Requests, N)
 	}
 }
 

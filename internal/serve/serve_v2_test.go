@@ -316,7 +316,7 @@ func TestV2SwapUnderLoadHTTP(t *testing.T) {
 	wantA, _ := engA.Predict(ctx, ds.Snapshots[0])
 	wantB, _ := engB.Predict(ctx, ds.Snapshots[0])
 
-	srv, client, _ := newMultiServer(t, Config{MaxBatch: 4, MaxDelay: time.Millisecond, DefaultModel: "m"})
+	srv, client, _ := newMultiServer(t, Config{DefaultModel: "m"})
 	if err := srv.LoadEngine("m", "vA", engA); err != nil {
 		t.Fatal(err)
 	}
@@ -406,8 +406,8 @@ func TestHealthzReportsModels(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint pins the /metrics counters: per-model requests,
-// batches and fill, plus registry swap/model gauges.
+// TestMetricsEndpoint pins the /metrics counters: per-model requests
+// and readiness, plus registry swap/model gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	ds, engA, engB := fixture2(t)
 	ctx := context.Background()
@@ -461,6 +461,105 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range wants {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)
+		}
+	}
+}
+
+// TestPredictInFlightServedOnItsVersion: a predict already in flight
+// when SwapEngine and then Close begin is still served 200 on the
+// version it acquired, Close waits for it, and a predict after Close
+// is refused with 503.
+func TestPredictInFlightServedOnItsVersion(t *testing.T) {
+	ds, engA, engB := fixture2(t)
+	wantA, err := engA.Predict(context.Background(), ds.Snapshots[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _, base := newMultiServer(t, Config{DefaultModel: "m"})
+	if err := srv.LoadEngine("m", "vA", engA); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(PredictRequest{States: []TensorJSON{NewTensorJSON(ds.Snapshots[0])}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The handler acquires vA, then blocks reading a body held open.
+	pr, pw := io.Pipe()
+	defer pw.Close() // a failing test must not leave the handler blocked
+	type result struct {
+		resp *http.Response
+		err  error
+	}
+	posted := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(base+"/v2/models/m/predict", "application/json", pr)
+		posted <- result{resp, err}
+	}()
+	for srv.inflight.Load() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := srv.SwapEngine("m", "vB", engB); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with a predict in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := pw.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	res := <-posted
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	defer res.resp.Body.Close()
+	if res.resp.StatusCode != http.StatusOK {
+		t.Fatalf("in-flight predict: status %d, want 200", res.resp.StatusCode)
+	}
+	var tj TensorJSON
+	if err := json.NewDecoder(res.resp.Body).Decode(&tj); err != nil {
+		t.Fatal(err)
+	}
+	got, err := tj.Tensor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(wantA) {
+		t.Fatal("in-flight predict was not served on the version it acquired")
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v2/models/m/predict", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("predict after Close: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestValidateModelName pins which names route as one /v2 segment.
+func TestValidateModelName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ok   bool
+	}{
+		{"a.b", true},
+		{"...", true},
+		{"", false},
+		{".", false},
+		{"..", false},
+		{"a/b", false},
+		{"a b", false},
+	} {
+		if err := validateModelName(tc.name); (err == nil) != tc.ok {
+			t.Errorf("validateModelName(%q) = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }

@@ -15,9 +15,9 @@ import (
 // caller can correlate its own logs, and the chaos smoke can pin the
 // ID to make golden and fault-run responses byte-comparable), minted
 // otherwise — echoed on the X-Request-ID response header, threaded
-// through the handler context into core (Batcher error delivery,
-// Session step errors), and surfaced in /v2 error envelopes, streamed
-// rollout records and the access log.
+// through the handler context into core (Predict and Session step
+// errors), and surfaced in /v2 error envelopes, streamed rollout
+// records and the access log.
 
 // RequestIDHeader is the request/response header carrying the ID.
 const RequestIDHeader = "X-Request-ID"
@@ -91,17 +91,11 @@ func (w *statusRecorder) Flush() {
 	}
 }
 
-// modelHists is one model name's latency histograms. Keyed by NAME,
-// not version, so the series survive hot swaps the way the retired
-// counter tallies do.
-type modelHists struct {
-	latency stats.Histogram // whole-request latency of predict/rollout
-	fill    stats.Histogram // batch-fill delay (Batcher fill observer)
-}
-
-// histFor returns (creating on first use) the histograms for a model
-// name.
-func (s *Server) histFor(name string) *modelHists {
+// histFor returns (creating on first use) a model name's
+// whole-request latency histogram for predict and rollout. It is keyed
+// by NAME, not version, so the series survive hot swaps the way the
+// retired counter tallies do.
+func (s *Server) histFor(name string) *stats.Histogram {
 	s.mu.RLock()
 	h := s.hists[name]
 	s.mu.RUnlock()
@@ -111,25 +105,25 @@ func (s *Server) histFor(name string) *modelHists {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if h = s.hists[name]; h == nil {
-		h = &modelHists{}
+		h = &stats.Histogram{}
 		s.hists[name] = h
 	}
 	return h
 }
 
-// histExport is one model's histogram snapshots for /metrics.
+// histExport is one model's latency snapshot for /metrics.
 type histExport struct {
-	Name          string
-	Latency, Fill stats.HistogramSnapshot
+	Name     string
+	Snapshot stats.HistogramSnapshot
 }
 
-// histSnapshots returns a name-sorted copy of every model's histograms
-// for /metrics.
+// histSnapshots returns a name-sorted copy of every model's latency
+// histogram for /metrics.
 func (s *Server) histSnapshots() []histExport {
 	s.mu.RLock()
 	out := make([]histExport, 0, len(s.hists))
 	for name, h := range s.hists {
-		out = append(out, histExport{name, h.latency.Snapshot(), h.fill.Snapshot()})
+		out = append(out, histExport{name, h.Snapshot()})
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

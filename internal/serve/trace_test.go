@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // postJSON sends a JSON body with optional request ID and returns the
@@ -170,9 +169,9 @@ func TestAccessLog(t *testing.T) {
 }
 
 // TestMetricsHistograms asserts /metrics exports the request-latency
-// and batch-fill histograms for a served model after traffic.
+// histogram for a served model after traffic.
 func TestMetricsHistograms(t *testing.T) {
-	srv, _ := newTestServer(t, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	srv, _ := newTestServer(t, Config{})
 	ds, _ := fixture(t)
 	traffic := httptest.NewServer(srv)
 	if _, err := NewClient(traffic.URL).Predict(context.Background(), ds.Snapshots[0]); err != nil {
@@ -198,8 +197,6 @@ func TestMetricsHistograms(t *testing.T) {
 		`repro_model_request_latency_seconds_bucket{model="default",le="0.0001"}`,
 		`repro_model_request_latency_seconds_bucket{model="default",le="+Inf"} 1`,
 		`repro_model_request_latency_seconds_count{model="default"} 1`,
-		`# TYPE repro_model_batch_fill_delay_seconds histogram`,
-		`repro_model_batch_fill_delay_seconds_count{model="default"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)

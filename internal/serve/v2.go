@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/stats"
 )
 
 // ErrorBody is the structured error the /v2 routes return.
@@ -46,7 +45,7 @@ func errorCode(err error, status int) string {
 		return "bad_window"
 	case errors.Is(err, core.ErrShapeMismatch):
 		return "shape_mismatch"
-	case errors.Is(err, core.ErrBatcherClosed), errors.Is(err, core.ErrRegistryClosed):
+	case errors.Is(err, core.ErrRegistryClosed):
 		return "draining"
 	case errors.Is(err, core.ErrWorldBusy):
 		return "busy"
@@ -216,8 +215,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text format:
-// per-model request/batch counters and fill, plus registry-level
-// model and swap counts.
+// per-model request counters and readiness, registry-level model and
+// swap counts, and per-model request-latency histograms.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	models := s.Models()
@@ -226,14 +225,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE repro_model_requests_total counter\n")
 	for _, m := range models {
 		fmt.Fprintf(w, "repro_model_requests_total{model=%q,version=%q} %d\n", m.Name, m.Version, m.Requests)
-	}
-	fmt.Fprintf(w, "# TYPE repro_model_batches_total counter\n")
-	for _, m := range models {
-		fmt.Fprintf(w, "repro_model_batches_total{model=%q,version=%q} %d\n", m.Name, m.Version, m.Batches)
-	}
-	fmt.Fprintf(w, "# TYPE repro_model_batch_fill_mean gauge\n")
-	for _, m := range models {
-		fmt.Fprintf(w, "repro_model_batch_fill_mean{model=%q,version=%q} %g\n", m.Name, m.Version, m.MeanFill)
 	}
 	fmt.Fprintf(w, "# TYPE repro_model_ready gauge\n")
 	for _, m := range models {
@@ -246,25 +237,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Latency histograms (DESIGN.md §11): per model NAME so series
 	// survive hot swaps; the fixed log-spaced buckets come from
 	// stats.Histogram.
-	hists := s.histSnapshots()
 	writeHistogram(w, "repro_model_request_latency_seconds",
-		"predict/rollout whole-request latency", hists,
-		func(h histExport) statshist { return h.Latency })
-	writeHistogram(w, "repro_model_batch_fill_delay_seconds",
-		"micro-batch fill delay (oldest request enqueue to dispatch)", hists,
-		func(h histExport) statshist { return h.Fill })
+		"predict/rollout whole-request latency", s.histSnapshots())
 }
-
-// statshist aliases the snapshot type to keep writeHistogram readable.
-type statshist = stats.HistogramSnapshot
 
 // writeHistogram emits one metric family in the Prometheus histogram
 // exposition format: cumulative {le=...} buckets per model, then _sum
 // and _count.
-func writeHistogram(w io.Writer, name, help string, hists []histExport, pick func(histExport) statshist) {
+func writeHistogram(w io.Writer, name, help string, hists []histExport) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 	for _, h := range hists {
-		snap := pick(h)
+		snap := h.Snapshot
 		for i, bound := range snap.Bounds {
 			fmt.Fprintf(w, "%s_bucket{model=%q,le=%q} %d\n",
 				name, h.Name, strconv.FormatFloat(bound.Seconds(), 'g', -1, 64), snap.CumulativeCounts[i])

@@ -5,8 +5,8 @@
 # concurrent-session rollout throughput (1 vs 4 sessions over one
 # Engine; the steps_per_s metric), the rollout per transport
 # (RolloutTransport/{mem,tcp} steps/s),
-# the micro-batched serving throughput (unbatched Predict vs
-# Batcher at batch 1/4/8/16; requests_per_s), the f64-vs-f32 session
+# the one-step serving throughput (PredictThroughput: 16 Predicts
+# sequential vs concurrent; requests_per_s), the f64-vs-f32 session
 # rollout (PrecisionRollout; speedup_vs_f64), the fused zero-alloc
 # f32 steady state (SteadyStateRollout; allocs_per_op pinned at 0), and
 # the HTTP predict path's tensor codec against encoding/json on the
@@ -22,7 +22,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_baseline.json}"
-BENCH="${BENCH:-ConvGEMMWorkers|Table1_LayerForwardBackward|SessionConcurrentRollout|RolloutTransport|BatcherThroughput|PrecisionRollout|SteadyStateRollout|PredictCodec}"
+BENCH="${BENCH:-ConvGEMMWorkers|Table1_LayerForwardBackward|SessionConcurrentRollout|RolloutTransport|PredictThroughput|PrecisionRollout|SteadyStateRollout|PredictCodec}"
 BENCHTIME="${BENCHTIME:-10x}"
 
 RAW="$(mktemp)"

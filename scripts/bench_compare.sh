@@ -6,7 +6,7 @@
 # allocs_per_op grows more than 10% on any gated benchmark.
 #
 #   scripts/bench_compare.sh              # full committed sweep
-#   BENCH=BatcherThroughput scripts/bench_compare.sh   # narrow it
+#   BENCH=PredictThroughput scripts/bench_compare.sh   # narrow it
 #
 # BENCH/BENCHTIME pass through to scripts/bench.sh. The candidate
 # snapshot lands in bench-compare-out/ for inspection on failure.

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Closed-loop load test for cmd/serve's /v1/predict: C concurrent curl
 # workers each fire predictions back to back for D seconds; reports
-# aggregate requests/s. Pair it with the server's exit stats (mean
-# micro-batch fill) to see the coalescer at work:
+# aggregate requests/s (the server prints its predict count on exit):
 #
 #   go run ./cmd/serve -ckpt ckpt -addr 127.0.0.1:8080 &
 #   scripts/loadtest.sh http://127.0.0.1:8080 16 10

@@ -48,7 +48,7 @@ EOF
 
 start_serve() { # args: extra serve flags…
 	"$OUT/serve" -addr 127.0.0.1:0 -ckpt "$OUT/ckpt" -init "$OUT/data.gob" \
-		-max-batch 4 -max-delay 1ms "$@" >"$OUT/serve.log" 2>&1 &
+		"$@" >"$OUT/serve.log" 2>&1 &
 	SERVE_PID=$!
 	ADDR=""
 	for _ in $(seq 1 100); do

@@ -61,8 +61,7 @@ wait_addr() {
 
 # Golden single-replica run: both versions' bit-exact answers for the
 # probe request the fleet load will replay.
-"$OUT/serve" -addr 127.0.0.1:0 -ckpt "$OUT/ckptA" -init "$OUT/data.gob" \
-	-max-batch 4 -max-delay 1ms >"$OUT/golden.log" 2>&1 &
+"$OUT/serve" -addr 127.0.0.1:0 -ckpt "$OUT/ckptA" -init "$OUT/data.gob" >"$OUT/golden.log" 2>&1 &
 GOLDEN_PID=$!
 GADDR=$(wait_addr "$OUT/golden.log" "serving on " "$GOLDEN_PID")
 GBASE="http://$GADDR"
@@ -90,8 +89,7 @@ echo "smoke-cluster: golden answers captured for vA and vB"
 REPLICA_FLAGS=()
 declare -A REPLICA_PID_BY_ID
 for i in 1 2 3 4; do
-	"$OUT/serve" -addr 127.0.0.1:0 -ckpt "$OUT/ckptA" -replica "r$i" \
-		-max-batch 4 -max-delay 1ms >"$OUT/r$i.log" 2>&1 &
+	"$OUT/serve" -addr 127.0.0.1:0 -ckpt "$OUT/ckptA" -replica "r$i" >"$OUT/r$i.log" 2>&1 &
 	pid=$!
 	REPLICA_PIDS+=("$pid")
 	REPLICA_PID_BY_ID[r$i]=$pid

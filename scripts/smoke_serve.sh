@@ -8,11 +8,11 @@
 #   2. POST /v1/predict on rollout frame 1 reproduces rollout frame 2
 #      BIT FOR BIT — the halo exchange inside the session must deliver
 #      exactly what Predict's direct slicing reads, end to end through
-#      JSON encode/decode and the micro-batcher;
-#   3. the same predict twice is bit-identical (the batcher is
-#      invisible to results);
-#   4. 8 concurrent predicts all succeed (coalescing under real HTTP);
-#   5. SIGTERM drains gracefully (exit 0, batch stats printed).
+#      JSON encode/decode;
+#   3. the same predict twice is bit-identical;
+#   4. 8 concurrent predicts all succeed (pooled clone sets under real
+#      HTTP);
+#   5. SIGTERM drains gracefully (exit 0, predict count printed).
 #
 # Run from anywhere: scripts/smoke_serve.sh
 set -euo pipefail
@@ -31,8 +31,7 @@ go build -o "$OUT/serve" ./cmd/serve
 go run ./cmd/datagen -n 24 -snapshots 30 -out "$OUT/data.gob"
 go run ./cmd/train -data "$OUT/data.gob" -ranks 4 -epochs 2 -out "$OUT/ckpt"
 
-"$OUT/serve" -addr 127.0.0.1:0 -ckpt "$OUT/ckpt" -init "$OUT/data.gob" \
-	-max-batch 4 -max-delay 1ms >"$OUT/serve.log" 2>&1 &
+"$OUT/serve" -addr 127.0.0.1:0 -ckpt "$OUT/ckpt" -init "$OUT/data.gob" >"$OUT/serve.log" 2>&1 &
 SERVE_PID=$!
 
 ADDR=""
@@ -76,13 +75,13 @@ out = sys.argv[1]
 p1 = json.load(open(out + "/predict1.json"))
 p2 = json.load(open(out + "/predict2.json"))
 f2 = json.load(open(out + "/rollout_frame2.json"))
-assert p1 == p2, "two identical predicts disagreed (batching is not invisible)"
+assert p1 == p2, "two identical predicts disagreed"
 assert p1["shape"] == f2["shape"] == [4, 24, 24]
 assert p1["data"] == f2["data"], "predict(frame1) != rollout frame 2 (golden bit-identity broken)"
 print("smoke-serve: golden predict/rollout bit-identity holds")
 EOF
 
-# 4. Concurrent predicts through the coalescer. (Wait on the curl
+# 4. Concurrent predicts. (Wait on the curl
 # PIDs only — a bare `wait` would also wait on the server.)
 CURL_PIDS=()
 for i in $(seq 1 8); do
@@ -112,6 +111,6 @@ if kill -0 "$SERVE_PID" 2>/dev/null; then
 fi
 wait "$SERVE_PID" || { echo "server exited non-zero:"; cat "$OUT/serve.log"; exit 1; }
 SERVE_PID=""
-grep -q "served .* predictions in .* micro-batches" "$OUT/serve.log" || {
+grep -q "served .* predictions" "$OUT/serve.log" || {
 	echo "drain stats missing:"; cat "$OUT/serve.log"; exit 1; }
 echo "smoke-serve: OK"

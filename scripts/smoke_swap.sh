@@ -45,8 +45,7 @@ go run ./cmd/inspect -ckpt "$OUT/ckptB" >"$OUT/inspectB.txt"
 grep -q "all payload digests verified" "$OUT/inspectB.txt"
 echo "smoke-swap: artifact digests verified"
 
-"$OUT/serve" -addr 127.0.0.1:0 -ckpt "$OUT/ckptA" -init "$OUT/data.gob" \
-	-max-batch 4 -max-delay 1ms >"$OUT/serve.log" 2>&1 &
+"$OUT/serve" -addr 127.0.0.1:0 -ckpt "$OUT/ckptA" -init "$OUT/data.gob" >"$OUT/serve.log" 2>&1 &
 SERVE_PID=$!
 
 ADDR=""
@@ -162,6 +161,6 @@ if kill -0 "$SERVE_PID" 2>/dev/null; then
 fi
 wait "$SERVE_PID" || { echo "server exited non-zero:"; cat "$OUT/serve.log"; exit 1; }
 SERVE_PID=""
-grep -q "served .* predictions in .* micro-batches" "$OUT/serve.log" || {
+grep -q "served .* predictions" "$OUT/serve.log" || {
 	echo "drain stats missing:"; cat "$OUT/serve.log"; exit 1; }
 echo "smoke-swap: OK"
