@@ -17,7 +17,7 @@ GO ?= go
 # Per-target budget for fuzz-smoke; CI keeps the default.
 FUZZTIME ?= 30s
 
-.PHONY: build test vet fmt race race-predict bench bench-smoke bench-check bench-run-smoke bench-baseline bench-compare smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission lint fuzz-smoke race-stress ci
+.PHONY: build test vet fmt race race-predict bench bench-smoke bench-check bench-run-smoke bench-baseline bench-compare smoke smoke-tcp smoke-serve smoke-swap smoke-cluster smoke-admission lint fuzz-smoke race-stress ci
 
 build:
 	$(GO) build ./...
@@ -118,15 +118,6 @@ smoke-serve:
 smoke-swap:
 	scripts/smoke_swap.sh
 
-# Chaos smoke: rollouts under seeded fault injection (DESIGN.md §11).
-# Delay/jitter on every link must stream byte-identical frames; a cut
-# link must fail stop with the request ID, rank and link named — both
-# in-process and across a 4-process mpirun TCP world. Also asserts the
-# /metrics latency histograms and access-log request tracing
-# (scripts/smoke_chaos.sh).
-smoke-chaos:
-	scripts/smoke_chaos.sh
-
 # Cluster smoke: 3 replica cmd/serve processes + 1 warm standby behind
 # cmd/router, sustained concurrent load, a rolling hot-swap and a
 # kill -9 of one replica both mid-load, then standby promotion —
@@ -156,20 +147,18 @@ lint: vet
 		echo "lint: staticcheck not installed, skipping (CI runs it)"; \
 	fi
 
-# Native fuzz targets as package:target pairs (internal/mpi:
-# wire-frame codec and the chaos rule DSL; internal/admission: the
-# policy parser behind POST /v2/admin/policy and the LPM trie vs its
-# linear-scan oracle; internal/serve: the predict/rollout tensor codec
-# vs encoding/json, decoder, float formatter and float parser vs
-# strconv.ParseFloat; internal/model: the
-# artifact manifest reader behind cmd/serve start-up and POST
-# /v2/admin/load), FUZZTIME each.
+# Native fuzz targets as package:target pairs (internal/mpi: the
+# wire-frame codec; internal/admission: the policy parser behind POST
+# /v2/admin/policy and the LPM trie vs its linear-scan oracle;
+# internal/serve: the predict/rollout tensor codec vs encoding/json,
+# decoder, float formatter and float parser vs strconv.ParseFloat;
+# internal/model: the artifact manifest reader behind cmd/serve
+# start-up and POST /v2/admin/load), FUZZTIME each.
 # `go test -fuzz` accepts exactly one target per invocation, hence the
 # loop.
 FUZZ_TARGETS = \
 	./internal/mpi:FuzzTCPFrameRoundTrip \
 	./internal/mpi:FuzzTCPReadFrameHostile \
-	./internal/mpi:FuzzParseChaosRules \
 	./internal/admission:FuzzPolicyParse \
 	./internal/admission:FuzzTrieLookup \
 	./internal/serve:FuzzPredictBody \
@@ -200,4 +189,4 @@ race-stress:
 smoke-admission:
 	scripts/smoke_admission.sh
 
-ci: build fmt lint test race race-predict bench-smoke bench-check bench-run-smoke fuzz-smoke smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission
+ci: build fmt lint test race race-predict bench-smoke bench-check bench-run-smoke fuzz-smoke smoke smoke-tcp smoke-serve smoke-swap smoke-cluster smoke-admission

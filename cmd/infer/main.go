@@ -4,7 +4,7 @@
 // exchange, validated step by step against the solver's own
 // trajectory. Frames are scored and discarded as they are produced
 // (O(1) memory in the rollout depth), and Ctrl-C cancels the session
-// within one step.
+// at once, ending even a step blocked on a silent peer.
 //
 // Usage:
 //
@@ -26,7 +26,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -54,14 +53,10 @@ func main() {
 		tcpRank   = flag.Int("rank", 0, "this process's rank in the tcp world")
 		worldSize = flag.Int("world-size", 0, "expected tcp world size (0 = len(peers); checked against -peers)")
 		peersFlag = flag.String("peers", "", "comma-separated host:port of every rank, in rank order (tcp transport)")
-
-		chaosSpec   = flag.String("chaos", "", "fault-injection rules, e.g. 'delay:*>*:d=2ms:p=0.5,drop:1>0:p=0.3' (kinds: delay|jitter|drop|dup|partition; testing only)")
-		chaosSeed   = flag.Int64("chaos-seed", 1, "seed for the deterministic chaos fault schedule")
-		chaosRecvTO = flag.Duration("chaos-recv-timeout", 5*time.Second, "receive deadline under chaos: a starved rank fails stop instead of hanging")
 	)
 	flag.Parse()
 
-	// Ctrl-C cancels the session within one step.
+	// Ctrl-C cancels the session, ending the current step at once.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -123,21 +118,9 @@ func main() {
 		core.WithNetModel(nm),
 		core.WithPrecision(prec),
 	}
-	var chaos *mpi.ChaosPlan
-	if *chaosSpec != "" {
-		rules, err := mpi.ParseChaosRules(*chaosSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		chaos = &mpi.ChaosPlan{Seed: *chaosSeed, RecvTimeout: *chaosRecvTO, Rules: rules}
-		fmt.Printf("chaos: %d rule(s), seed %d, recv timeout %v\n", len(rules), chaos.Seed, *chaosRecvTO)
-	}
 	root := true // does this process host rank 0 (score + print)?
 	switch *transport {
 	case "mem":
-		if chaos != nil {
-			engOpts = append(engOpts, core.WithChaos(*chaos))
-		}
 	case "tcp":
 		peers := strings.Split(*peersFlag, ",")
 		if *peersFlag == "" || len(peers) < 2 {
@@ -150,11 +133,7 @@ func main() {
 			log.Fatalf("tcp world of %d processes cannot host the checkpoint's %d ranks (one rank per process)",
 				len(peers), e.Partition.Ranks())
 		}
-		tcpOpts := []mpi.Option{mpi.WithNetModel(nm)}
-		if chaos != nil {
-			tcpOpts = append(tcpOpts, mpi.WithChaos(*chaos))
-		}
-		world, err := mpi.DialTCP(mpi.TCPConfig{Rank: *tcpRank, Peers: peers}, tcpOpts...)
+		world, err := mpi.DialTCP(mpi.TCPConfig{Rank: *tcpRank, Peers: peers}, mpi.WithNetModel(nm))
 		if err != nil {
 			log.Fatal(err)
 		}

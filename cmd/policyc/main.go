@@ -1,17 +1,12 @@
 // Command policyc compiles and checks admission policy files
 // (DESIGN.md §15). It is the offline half of the edge admission
 // pipeline: the same policy document cmd/serve and cmd/router enforce
-// in-process through the longest-prefix-match trie can be validated
-// before a deploy and compiled into an nftables ruleset for
-// kernel-level pre-filtering — the markpash/ir-access approach, where
-// large prefix sets become nft interval sets and the userspace
-// matcher is the portable fallback.
+// in-process through the longest-prefix-match trie is compiled here
+// and summarized, so it can be validated before a deploy.
 //
 // Usage:
 //
-//	policyc -policy policy.json                      # validate + summary
-//	policyc -policy policy.json -emit nftables       # ruleset on stdout
-//	policyc -policy policy.json -emit nftables -port 8080 | nft -c -f -
+//	policyc -policy policy.json
 //
 // Exit status is non-zero on any validation error, so CI can gate
 // policy changes with `policyc -policy FILE`.
@@ -21,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 
 	"repro/internal/admission"
@@ -31,14 +25,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("policyc: ")
 
-	var (
-		policyPath = flag.String("policy", "", "admission policy file to compile (required)")
-		emit       = flag.String("emit", "summary", "output: summary | nftables")
-		port       = flag.Int("port", 0, "scope the nftables filter to this TCP dport (0 = all inbound; required for a default-deny final drop)")
-	)
+	policyPath := flag.String("policy", "", "admission policy file to compile (required)")
 	flag.Parse()
 	if *policyPath == "" {
-		log.Fatal("usage: policyc -policy FILE [-emit summary|nftables] [-port N]")
+		log.Fatal("usage: policyc -policy FILE")
 	}
 
 	pol, err := admission.LoadPolicyFile(*policyPath)
@@ -50,27 +40,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	switch *emit {
-	case "summary":
-		fmt.Printf("policy %s: OK\n", *policyPath)
-		fmt.Printf("  rules:          %d prefixes (default %s)\n", tab.Rules(), defaultAction(pol))
-		fmt.Printf("  classes:        %s (default %s)\n", classList(tab), defaultClass(pol, tab))
-		if pol.Rate > 0 {
-			fmt.Printf("  rate limit:     %g req/s, burst %g per client\n", pol.Rate, effectiveBurst(pol))
-		} else {
-			fmt.Printf("  rate limit:     off\n")
-		}
-		if pol.MaxConcurrent > 0 {
-			fmt.Printf("  shed budget:    %d concurrent\n", pol.MaxConcurrent)
-		} else {
-			fmt.Printf("  shed budget:    off\n")
-		}
-	case "nftables":
-		if err := tab.EmitNFTables(os.Stdout, *port); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatalf("unknown -emit %q (want summary or nftables)", *emit)
+	fmt.Printf("policy %s: OK\n", *policyPath)
+	fmt.Printf("  rules:          %d prefixes (default %s)\n", tab.Rules(), defaultAction(pol))
+	fmt.Printf("  classes:        %s (default %s)\n", classList(tab), defaultClass(pol, tab))
+	if pol.Rate > 0 {
+		fmt.Printf("  rate limit:     %g req/s, burst %g per client\n", pol.Rate, effectiveBurst(pol))
+	} else {
+		fmt.Printf("  rate limit:     off\n")
+	}
+	if pol.MaxConcurrent > 0 {
+		fmt.Printf("  shed budget:    %d concurrent\n", pol.MaxConcurrent)
+	} else {
+		fmt.Printf("  shed budget:    off\n")
 	}
 }
 

@@ -78,7 +78,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/mpi"
 	"repro/internal/nn"
 	"repro/internal/serve"
 	"repro/internal/tensor"
@@ -145,9 +144,6 @@ func main() {
 		accessLog    = flag.Bool("access-log", false, "log one line per request (method, path, status, duration, request ID) plus rollout comm summaries to stderr")
 		policyPath   = flag.String("policy", "", "admission policy file (DESIGN.md §15): CIDR allow/deny/class rules, per-client rate limits, priority shed queues; empty = admission off")
 		policyXFF    = flag.Bool("policy-xff", false, "trust the first X-Forwarded-For entry as the client address (enable ONLY behind cmd/router or another header-overwriting proxy)")
-		chaosSpec    = flag.String("chaos", "", "fault-injection rules for session worlds, e.g. 'delay:*>*:d=2ms:p=0.5,drop:1>0:p=0.3' (kinds: delay|jitter|drop|dup|partition; testing only)")
-		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for the deterministic chaos fault schedule")
-		chaosRecvTO  = flag.Duration("chaos-recv-timeout", 5*time.Second, "receive deadline under chaos: a starved rank fails stop instead of hanging")
 	)
 	flag.Parse()
 
@@ -170,15 +166,6 @@ func main() {
 	}
 	if *workers > 0 {
 		engOpts = append(engOpts, core.WithWorkers(*workers))
-	}
-	if *chaosSpec != "" {
-		rules, err := mpi.ParseChaosRules(*chaosSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		plan := mpi.ChaosPlan{Seed: *chaosSeed, RecvTimeout: *chaosRecvTO, Rules: rules}
-		engOpts = append(engOpts, core.WithChaos(plan))
-		fmt.Printf("chaos: %d rule(s), seed %d, recv timeout %v\n", len(rules), plan.Seed, *chaosRecvTO)
 	}
 	eng, err := core.NewEngine(e, engOpts...)
 	if err != nil {

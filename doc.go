@@ -50,8 +50,9 @@
 // directories, structured JSON error envelopes, /metrics counters
 // (per-model requests, swap count, request latency) and a /healthz that reports per-model readiness. JSON
 // tensors cross the wire through a purpose-built codec (DESIGN.md §9:
-// strconv-based, byte-identical to encoding/json, which remains the
-// fallback and the fuzz oracle) in pooled, Content-Length-sized
+// its own one-pass float formatter and parser, byte-identical to
+// encoding/json; strconv is their fallback, and strconv and
+// encoding/json are the fuzz oracles) in pooled, Content-Length-sized
 // bodies that the router's replay buffer shares. Graceful
 // drain on SIGTERM; internal/serve holds the handler plus the typed
 // Client, scripts/loadtest.sh drives throughput, and
@@ -92,46 +93,48 @@
 // histogram export on /metrics; the policy hot-reloads whole via
 // POST /v2/admin/policy or SIGHUP with zero drops (running requests
 // and bucket balances persist across the swap). cmd/policyc compiles
-// the same rule table into an nftables ruleset for kernel-level
-// pre-filtering, the in-process trie being the portable fallback.
+// and summarizes a policy file offline, so it can be checked before a
+// deploy.
 // `make smoke-admission` saturates a one-slot policy and asserts
 // every request gets exactly one typed outcome, gold-class traffic is
 // never shed while bulk waits, and served bodies stay bit-identical
 // to a no-admission golden run.
 //
-// The runtime is chaos-hardened and the serving path traced end to
-// end (DESIGN.md §11). mpi.WithChaos attaches a seeded, deterministic
-// fault plan (per-link delay / jitter / drop / duplicate / partition,
-// parsed from a tiny rule DSL by mpi.ParseChaosRules) to any
-// transport: order-preserving faults leave rollout frames
-// bit-identical, lossy faults fail stop with the link named, and a
-// starved receive hits a deadline instead of hanging —
-// `make smoke-chaos` asserts all three in-process and across a
-// 4-process TCP world (cmd/serve and cmd/infer take -chaos,
-// -chaos-seed, -chaos-recv-timeout). Every HTTP request carries an
-// X-Request-ID (minted or honored, echoed back, stamped into predict
-// and session errors via core.ContextWithRequestID), so a failed
-// request names its ID, rank and link in one string; per-model
-// request-latency histograms (internal/stats.Histogram,
-// fixed log-spaced buckets) export on /metrics in the Prometheus
-// histogram format, and perf regressions are gated by cmd/benchdiff
-// against BENCH_baseline.json (make bench-compare).
+// A blocked step is bounded by its caller's context, and the serving
+// path is traced end to end (DESIGN.md §11). Session.Step closes the
+// session's world when its context ends, and mpi.World.Run closes the
+// world when a rank panics, so a partition, a hung peer or a crashed
+// rank ends the step at once with an error naming the rank and the
+// (from, tag) it waited on — never a hang. Fault injection is a test
+// fixture, internal/mpi/mpitest (delay, jitter, partition and crash
+// rules around any transport): its tests assert that order-keeping
+// faults leave rollout frames bit-identical and that the two others
+// fail stop within the step's deadline, in-process and over loopback
+// TCP. Every HTTP request carries an X-Request-ID (minted or honored,
+// echoed back, stamped into predict and session errors via
+// core.ContextWithRequestID), so a failed request names its ID, the
+// rank and the (from, tag) in one string; per-model request-latency
+// histograms (internal/stats.Histogram, fixed log-spaced buckets)
+// export on /metrics in the Prometheus histogram format, and perf
+// regressions are gated by cmd/benchdiff against BENCH_baseline.json
+// (make bench-compare).
 //
 // Inference has two compute widths (DESIGN.md §13). Float64 is the
 // default and carries every bit-identity guarantee; core.WithPrecision
 // (nn.F32) opts an Engine into the float32 path — float64 master
 // weights narrowed and panel-packed once per Engine, AVX-512/AVX2 f32
-// GEMM and direct-convolution kernels in between, one widening at the
-// output — for ~1.76x rollout throughput within a documented error
-// budget (EXPERIMENTS.md). The fused steady state allocates nothing
-// per step, and the f32 path keeps its own determinism: bit-identical
-// across worker counts, batch sizes, transports and reruns (cmd/serve,
-// cmd/infer and cmd/train take -precision f64|f32). The float32 path
-// is forward-only — training is always float64 — and both widths run
-// one arena-resident layer chain over the same generic shifted-band
-// kernels (DESIGN.md §3): there is one convolution engine, and the
-// nested-loop reference it is checked against is compiled only into
-// the tests.
+// GEMM and shifted-band kernels in between, one widening at the
+// output — for faster rollouts within a documented error budget
+// (EXPERIMENTS.md; the speedup is BenchmarkPrecisionRollout's
+// speedup_vs_f64 in BENCH_baseline.json). The fused steady state
+// allocates nothing per step, and the f32 path keeps its own
+// determinism: bit-identical across worker counts, batch sizes,
+// transports and reruns (cmd/serve, cmd/infer and cmd/train take
+// -precision f64|f32). The float32 path is forward-only — training is
+// always float64 — and both widths run one arena-resident layer chain
+// over the same generic shifted-band kernels (DESIGN.md §3): there is
+// one convolution engine, and the nested-loop reference it is checked
+// against is compiled only into the tests.
 //
 // The message-passing runtime is transport-agnostic (DESIGN.md §8):
 // the same World/Comm semantics (non-overtaking tagged p2p,
@@ -186,7 +189,7 @@
 // or as `go vet -vettool`, gated by `make lint`, and re-asserted by a
 // tier-1 clean-tree test. Violations are suppressed only line-by-line
 // via `//repolint:allow <analyzer> -- <reason>`. The TCP frame codec,
-// the chaos rule DSL, the admission policy parser, the LPM trie, the
+// the admission policy parser, the LPM trie, the
 // tensor codec and the artifact manifest reader additionally carry
 // native fuzz targets (`make fuzz-smoke`; extended
 // nightly with `make race-stress`).

@@ -6,10 +6,8 @@
 //
 //  1. CIDR policy — a longest-prefix-match radix trie over the
 //     client's IPv4/IPv6 address decides allow / deny / class-assign
-//     (deny → 403 "denied"). The same rule table compiles into an
-//     nftables ruleset (EmitNFTables, cmd/policyc) for kernel-level
-//     pre-filtering, mirroring markpash/ir-access; the in-process
-//     trie is the portable fallback.
+//     (deny → 403 "denied"). cmd/policyc compiles and summarizes the
+//     same rule table offline, to check a policy before a deploy.
 //  2. Per-client token buckets — keyed by the policy's identity
 //     header, else the client IP; configurable rate/burst, lazily
 //     GC'd. Empty bucket → 429 "rate_limited" with a Retry-After

@@ -11,9 +11,9 @@ import (
 
 // Policy is the on-disk admission policy: the JSON document loaded
 // from cmd/serve's and cmd/router's -policy file, POSTed whole to
-// /v2/admin/policy, and compiled by cmd/policyc into an nftables
-// ruleset. Everything a reload may change lives here; the Gate's
-// Config holds only process-lifetime wiring (clock, proxy trust).
+// /v2/admin/policy, and checked offline by cmd/policyc. Everything a
+// reload may change lives here; the Gate's Config holds only
+// process-lifetime wiring (clock, proxy trust).
 //
 // A minimal policy is `{}`: allow everything, no rate limit, no
 // concurrency budget — admission compiled in but fully transparent.

@@ -120,104 +120,3 @@ func TestCompileDefaultClassSelection(t *testing.T) {
 		t.Fatalf("defaultClass = %d, want the named class", tab.defaultClass)
 	}
 }
-
-func TestEmitNFTables(t *testing.T) {
-	pol, err := ParsePolicy([]byte(`{
-		"default_action": "allow",
-		"rules": [
-			{"cidr": "192.0.2.0/24", "action": "deny"},
-			{"cidr": "2001:db8::/32", "action": "deny"},
-			{"cidr": "10.0.0.0/8", "action": "allow", "class": "gold"}
-		],
-		"classes": [{"name": "gold"}]
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := pol.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := tab.EmitNFTables(&sb, 8080); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"table inet repro_admission",
-		"set deny4",
-		"192.0.2.0/24,",
-		"set deny6",
-		"2001:db8::/32,",
-		"type filter hook input priority filter - 10; policy accept;",
-		"tcp dport 8080 ip saddr @deny4 drop",
-		"tcp dport 8080 ip6 saddr @deny6 drop",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("ruleset missing %q:\n%s", want, out)
-		}
-	}
-	// default allow: no allow sets, no final drop.
-	for _, reject := range []string{"set allow4", "set allow6", "\t\tdrop\n"} {
-		if strings.Contains(out, reject) {
-			t.Errorf("default-allow ruleset unexpectedly contains %q:\n%s", reject, out)
-		}
-	}
-}
-
-func TestEmitNFTablesDefaultDeny(t *testing.T) {
-	pol, err := ParsePolicy([]byte(`{
-		"default_action": "deny",
-		"rules": [{"cidr": "10.0.0.0/8", "action": "allow"}]
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := pol.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var withPort strings.Builder
-	if err := tab.EmitNFTables(&withPort, 9000); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(withPort.String(), "tcp dport 9000 ip saddr @allow4 accept") ||
-		!strings.Contains(withPort.String(), "tcp dport 9000 drop") {
-		t.Errorf("default-deny ruleset missing allow set or final drop:\n%s", withPort.String())
-	}
-
-	// Without a port scope the final drop would cut ALL inbound
-	// traffic; the emitter must refuse to emit it and say why.
-	var noPort strings.Builder
-	if err := tab.EmitNFTables(&noPort, 0); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(noPort.String(), "\t\tdrop\n") {
-		t.Errorf("unscoped default-deny emitted a blanket drop:\n%s", noPort.String())
-	}
-	if !strings.Contains(noPort.String(), "pass -port") {
-		t.Errorf("unscoped default-deny ruleset missing the explanatory comment:\n%s", noPort.String())
-	}
-}
-
-func TestEmitNFTablesRefusesConflictingDuplicate(t *testing.T) {
-	pol, err := ParsePolicy([]byte(`{
-		"rules": [
-			{"cidr": "10.0.0.0/8", "action": "allow"},
-			{"cidr": "10.1.0.0/8", "action": "deny"}
-		]
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := pol.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	err = tab.EmitNFTables(&sb, 0)
-	if err == nil || !strings.Contains(err.Error(), "both allow and deny") {
-		t.Fatalf("err = %v, want a duplicate-prefix refusal", err)
-	}
-}

@@ -48,13 +48,12 @@ type trieNode struct {
 }
 
 // Trie is a longest-prefix-match binary trie over IPv4 and IPv6
-// prefixes — the in-process form of the policy table (the portable
-// fallback to the nftables ruleset EmitNFTables compiles from the
-// same rules). Lookup walks the address bit by bit, remembering the
-// deepest rule seen, so the most specific prefix always wins; among
-// duplicate prefixes the later-inserted rule wins, matching the
-// policy file's "later rules override earlier ones" reading and the
-// linear-scan oracle the fuzz target compares against.
+// prefixes — the in-process form of the policy table. Lookup walks
+// the address bit by bit, remembering the deepest rule seen, so the
+// most specific prefix always wins; among duplicate prefixes the
+// later-inserted rule wins, matching the policy file's "later rules
+// override earlier ones" reading and the linear-scan oracle the fuzz
+// target compares against.
 //
 // A Trie is built once per policy compile and read-only afterwards,
 // so concurrent Lookup needs no locking; hot reloads swap the whole

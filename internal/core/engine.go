@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -29,7 +30,6 @@ type Engine struct {
 	workers    int
 	workersSet bool // false = clones inherit the ensemble models' knob
 	netModel   *mpi.NetModel
-	chaos      *mpi.ChaosPlan
 	precision  nn.Precision
 	world      *mpi.World
 	worldBusy  atomic.Bool  // a bound world serves one live session at a time
@@ -66,16 +66,6 @@ func WithWorkers(n int) EngineOption {
 // WithWorld, the world's own NetModel governs instead.
 func WithNetModel(m *mpi.NetModel) EngineOption {
 	return func(e *Engine) { e.netModel = m }
-}
-
-// WithChaos injects the seeded fault plan into every session world
-// this engine builds (mpi.WithChaos; DESIGN.md §11), so rollouts run
-// under reproducible per-link delay/drop/duplicate/partition faults.
-// On a world supplied via WithWorld the plan is ignored — pass
-// mpi.WithChaos when building that world instead (every process of a
-// distributed job must share one plan).
-func WithChaos(plan mpi.ChaosPlan) EngineOption {
-	return func(e *Engine) { e.chaos = &plan }
 }
 
 // WithPrecision selects the numeric width of this engine's compute
@@ -343,9 +333,6 @@ func (eng *Engine) NewSession(ctx context.Context, initials ...*tensor.Tensor) (
 		if eng.netModel != nil {
 			opts = append(opts, mpi.WithNetModel(eng.netModel))
 		}
-		if eng.chaos != nil {
-			opts = append(opts, mpi.WithChaos(*eng.chaos))
-		}
 		world = mpi.NewWorld(p.Ranks(), opts...)
 	} else if !eng.worldBusy.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("core: %w", ErrWorldBusy)
@@ -393,12 +380,17 @@ func subStats(a, b mpi.CommStats) mpi.CommStats {
 // (nil is returned by processes not hosting rank 0 on a distributed
 // world).
 //
-// Cancellation is checked before the step starts; a cancelled context
-// returns ctx.Err() without touching the rollout state, so the session
-// remains usable if the caller retries. A step that fails part-way
-// does not: ranks have advanced unevenly and the world may still hold
-// the failed step's strips, so every later Step returns
-// ErrSessionBroken.
+// The context bounds the whole step. A context already done returns
+// ctx.Err() without touching the rollout state, so the session remains
+// usable if the caller retries. Once the step runs, a cancel or
+// deadline closes the session's world, so a rank blocked on a peer
+// that will never send — a partition, a hung or crashed peer process —
+// fails at once instead of waiting for ever. Such a step returns an
+// error that wraps ctx.Err() and names the blocked rank and the
+// (from, tag) it waited on. A step that fails part-way, cancelled or
+// not, breaks the session: ranks have advanced unevenly and the world
+// is closed (World.Run closes it when a rank fails), so every later
+// Step returns ErrSessionBroken.
 func (s *Session) Step(ctx context.Context) (*tensor.Tensor, error) {
 	if s.closed {
 		return nil, fmt.Errorf("core: Step: %w", ErrSessionClosed)
@@ -415,6 +407,12 @@ func (s *Session) Step(ctx context.Context) (*tensor.Tensor, error) {
 
 	var frame *tensor.Tensor
 	var haloDelta mpi.CommStats
+	// A context that can never be done needs no watcher.
+	stop := func() bool { return true }
+	if ctx.Done() != nil {
+		world := s.world
+		stop = context.AfterFunc(ctx, func() { world.Close() })
+	}
 	err := s.world.Run(func(comm *mpi.Comm) {
 		r := comm.Rank()
 		hist, out := s.hist[r], s.rm.out[r]
@@ -450,12 +448,20 @@ func (s *Session) Step(ctx context.Context) (*tensor.Tensor, error) {
 			frame = p.GatherCHW(parts)
 		}
 	})
+	// stop fails once the cancel has closed the world, even if every
+	// rank finished first: the session cannot step again either way.
+	if !stop() {
+		if err == nil {
+			err = errors.New("the world closed after the step")
+		}
+		err = fmt.Errorf("%w: %w", ctx.Err(), err)
+	}
 	if err != nil {
 		s.broken = true
-		// With the *mpi.RankPanicError and the chaos transport's
-		// attribution inside it, the surfaced error names request, rank
-		// and link.
-		return nil, s.traced(err)
+		// The *mpi.RankPanicError inside names the rank and the
+		// (from, tag) of the receive or send it failed in; traced adds
+		// the request.
+		return nil, s.traced(fmt.Errorf("core: Step: %w", err))
 	}
 	s.lastStats = s.world.TotalStats()
 	s.lastHalo = haloDelta
@@ -479,7 +485,7 @@ func (s *Session) traced(err error) error {
 // Frames are NOT retained by the session, so memory stays O(1) in
 // steps — stream them to disk, metrics, or a network socket from fn.
 // Run stops early and returns the error if the context is cancelled
-// (within one step) or fn returns non-nil.
+// (a blocked step ends at once; see Step) or fn returns non-nil.
 func (s *Session) Run(ctx context.Context, steps int, fn func(k int, frame *tensor.Tensor) error) error {
 	if steps <= 0 {
 		return fmt.Errorf("core: non-positive rollout steps %d", steps)
@@ -522,11 +528,9 @@ func (s *Session) LastStepStats() (comm, halo mpi.CommStats) {
 // to the engine for the next session. Closing twice is a no-op; using
 // the session after Close fails with ErrSessionClosed.
 //
-// A broken session (a rank failed mid-step) leaves its bound world
-// permanently busy: peers' halo/gather messages may still be queued
-// and a new session's receives would silently match them (identical
-// tags and strip sizes). Fail-stop — build a fresh world — rather than
-// serve stale data.
+// A broken session (a rank failed or was cancelled mid-step) has
+// closed its world, so a bound world stays busy for good: build a
+// fresh world for the next session.
 func (s *Session) Close() error {
 	if s.closed {
 		return nil

@@ -20,9 +20,10 @@ var (
 	ErrSessionClosed = errors.New("session is closed")
 
 	// ErrSessionBroken reports a Step/Run call on a session after one
-	// of its steps failed part-way (a rank panicked, a link dropped):
-	// the per-rank histories no longer agree, so the session computes
-	// nothing further. Close it and open a fresh one.
+	// of its steps failed part-way (a rank panicked, or the step's
+	// context ended it): the per-rank histories no longer agree and the
+	// world is closed, so the session computes nothing further. Close
+	// it and open a fresh one.
 	ErrSessionBroken = errors.New("session is broken by an earlier failed step")
 
 	// ErrWorldBusy reports a NewSession call on a WithWorld engine

@@ -11,6 +11,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/model"
 	"repro/internal/mpi"
+	"repro/internal/mpi/mpitest"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -75,46 +76,43 @@ func TestPredictIsSessionStep1(t *testing.T) {
 }
 
 // TestFailedStepBreaksSession: once a Step has failed part-way, ranks
-// disagree on the step and the world may hold its strips, so the
-// session must refuse to compute further instead of serving garbage —
-// and the engine, whose pooled clones it returns, must be unharmed.
+// disagree on the step and the world is closed, so the session must
+// refuse to compute further instead of serving garbage — and the
+// engine, whose pooled clones it returns, must be unharmed.
 func TestFailedStepBreaksSession(t *testing.T) {
 	ds := tinyDataset(t, 16, 6)
 	_, e := trainTinyEnsemble(t, model.NeighborPad, 2, 2)
 	initials := []*tensor.Tensor{ds.Snapshots[0]}
+	eng, err := NewEngine(e)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Link 1→0 carries two messages a step (halo strip, gather piece):
-	// step 1 is clean, any later one may lose a message.
-	rules, err := mpi.ParseChaosRules("drop:1>0:p=0.5:after=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(e, WithChaos(mpi.ChaosPlan{Seed: 5, RecvTimeout: 500 * time.Millisecond, Rules: rules}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// step 1 is clean, then the link is cut, and the deadline of the
+	// steps' context ends the starved step.
 	ctx := ContextWithRequestID(context.Background(), "broken-req-1")
-	ses, err := eng.NewSession(ctx, initials...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ses := faultySession(t, ctx, eng, initials, mpitest.Rule{From: 1, To: 0, After: 2, Partition: true})
+	stepCtx, cancel := context.WithTimeout(ctx, 500*time.Millisecond)
+	defer cancel()
 	var good []*tensor.Tensor
 	var stepErr error
 	for stepErr == nil && len(good) < 64 {
 		var f *tensor.Tensor
-		if f, stepErr = ses.Step(ctx); stepErr == nil {
+		if f, stepErr = ses.Step(stepCtx); stepErr == nil {
 			good = append(good, f)
 		}
 	}
 	if stepErr == nil {
-		t.Fatal("the drop never fired")
+		t.Fatal("the partition never fired")
 	}
-	if errors.Is(stepErr, ErrSessionBroken) {
-		t.Fatalf("the failing step itself reported the sentinel, not its cause: %v", stepErr)
+	if len(good) != 1 {
+		t.Fatalf("%d steps before the partition, want 1", len(good))
 	}
-	for _, want := range []string{"request=broken-req-1", "rank 0", "link 1->0"} {
-		if !strings.Contains(stepErr.Error(), want) {
-			t.Fatalf("step error missing %q: %v", want, stepErr)
-		}
+	if errors.Is(stepErr, ErrSessionBroken) || !errors.Is(stepErr, context.DeadlineExceeded) {
+		t.Fatalf("the failing step did not report its cause, the deadline: %v", stepErr)
+	}
+	if !strings.Contains(stepErr.Error(), "request=broken-req-1") || !attributed.MatchString(stepErr.Error()) {
+		t.Fatalf("step error does not name the request, a rank and its (from, tag): %v", stepErr)
 	}
 
 	frame, err := ses.Step(ctx)
@@ -131,18 +129,18 @@ func TestFailedStepBreaksSession(t *testing.T) {
 		t.Fatalf("Close of a broken session: %v", err)
 	}
 
-	// Same engine, fresh session: its own world replays the same fault
-	// schedule, so the steps before the drop must match an unfaulted
-	// rollout — as the broken session's did.
-	want, _ := memRollout(t, e, initials, len(good))
-	assertFramesEqual(t, "broken session before the drop", good, want)
+	// Same engine, fresh session: the steps before the partition match
+	// an unfaulted rollout, and so does a fresh session on the clones
+	// the broken one returned.
+	want, _ := memRollout(t, e, initials, 3)
+	assertFramesEqual(t, "broken session before the partition", good, want[:len(good)])
 	fresh, err := eng.NewSession(ctx, initials...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
 	var again []*tensor.Tensor
-	if err := fresh.Run(ctx, len(good), func(_ int, f *tensor.Tensor) error {
+	if err := fresh.Run(ctx, len(want), func(_ int, f *tensor.Tensor) error {
 		again = append(again, f)
 		return nil
 	}); err != nil {

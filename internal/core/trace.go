@@ -10,8 +10,7 @@ import (
 // Everything below — Predict's errors, the Session's step errors —
 // stamps the ID onto failures, so an error that surfaces in an HTTP
 // envelope or a streamed rollout record names the request AND (via
-// the mpi panic wrapping and the chaos transport's attribution) the
-// rank and link that killed it.
+// the mpi panic wrapping) the rank and the (from, tag) it failed on.
 
 // requestIDKey is the context key for the request ID.
 type requestIDKey struct{}

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/model"
 	"repro/internal/mpi"
+	"repro/internal/mpi/mpitest"
 	"repro/internal/tensor"
 )
 
@@ -37,40 +39,69 @@ func memRollout(t *testing.T, e *Ensemble, initials []*tensor.Tensor, steps int,
 	return frames, ses.CommStats()
 }
 
-// tcpRollout assembles the ensemble's rank count as separate DialTCP
-// endpoints (all in this test process), runs one session per endpoint
-// concurrently — exactly what N independently launched infer processes
-// do — and returns rank 0's frames plus the summed CommStats of all
-// endpoints (the cross-process equivalent of the in-process total).
-func tcpRollout(t *testing.T, e *Ensemble, initials []*tensor.Tensor, steps int, opts ...EngineOption) ([]*tensor.Tensor, mpi.CommStats) {
+// dialWorlds assembles a TCP world of the given rank count whose
+// endpoints all live in this test process, indexed by rank and closed
+// when the test ends. With rules, every endpoint's sends go through the
+// chaos fixture.
+func dialWorlds(t *testing.T, ranks int, rules ...mpitest.Rule) []*mpi.World {
 	t.Helper()
-	ranks := e.Partition.Ranks()
 	addrs, err := mpi.ReserveLocalAddrs(ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	worlds := make([]*mpi.World, ranks)
-	dialErrs := make([]error, ranks)
+	errs := make([]error, ranks)
 	var wg sync.WaitGroup
-	for r := 0; r < ranks; r++ {
+	for r := range ranks {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			worlds[r], dialErrs[r] = mpi.DialTCP(mpi.TCPConfig{Rank: r, Peers: addrs, HandshakeTimeout: 20 * time.Second})
-		}(r)
+			tr, err := mpi.DialTCPTransport(mpi.TCPConfig{Rank: r, Peers: addrs, HandshakeTimeout: 20 * time.Second})
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			if len(rules) > 0 {
+				tr = mpitest.Wrap(tr, rules...)
+			}
+			worlds[r] = mpi.NewWorldOn(tr)
+		}()
 	}
 	wg.Wait()
-	for r, err := range dialErrs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
+	t.Cleanup(func() {
+		for _, w := range worlds {
+			if w != nil {
+				w.Close()
+			}
 		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
 	}
+	return worlds
+}
+
+// tcpRollout rolls the ensemble out over a fresh dialWorlds world (see
+// worldsRollout).
+func tcpRollout(t *testing.T, e *Ensemble, initials []*tensor.Tensor, steps int, opts ...EngineOption) ([]*tensor.Tensor, mpi.CommStats) {
+	t.Helper()
+	return worldsRollout(t, e, dialWorlds(t, e.Partition.Ranks()), initials, steps, opts...)
+}
+
+// worldsRollout runs one session per endpoint of a TCP world
+// concurrently — exactly what N independently launched infer processes
+// do — closes the world, and returns rank 0's frames plus the summed
+// CommStats of all endpoints (the cross-process equivalent of the
+// in-process total).
+func worldsRollout(t *testing.T, e *Ensemble, worlds []*mpi.World, initials []*tensor.Tensor, steps int, opts ...EngineOption) ([]*tensor.Tensor, mpi.CommStats) {
+	t.Helper()
 	defer func() {
 		for _, w := range worlds {
 			w.Close()
 		}
 	}()
-
+	ranks := len(worlds)
+	var wg sync.WaitGroup
 	frames := make([]*tensor.Tensor, 0, steps)
 	stats := make([]mpi.CommStats, ranks)
 	errs := make([]error, ranks)

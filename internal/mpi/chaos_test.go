@@ -1,315 +1,200 @@
-package mpi
+package mpi_test
 
 import (
-	"fmt"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/mpi"
+	"repro/internal/mpi/mpitest"
 )
 
-// chaosWorld builds a small in-process world under the given plan.
-func chaosWorld(size int, plan ChaosPlan) *World {
-	return NewWorld(size, WithChaos(plan))
+// memWorld builds an in-process world whose sends go through rules.
+func memWorld(size int, rules ...mpitest.Rule) *mpi.World {
+	return mpi.NewWorldOn(mpitest.Wrap(mpi.NewMemTransport(size), rules...))
 }
 
-// runRing performs `rounds` of neighbour exchange on a ring and
-// returns rank 0's received values, or the first rank panic.
-func runRing(w *World, rounds int) (got []float64, err error) {
-	var mu sync.Mutex
-	err = w.Run(func(c *Comm) {
+// tcpWorlds assembles an n-rank TCP world whose ranks all live in this
+// test process, each endpoint's sends going through rules. The worlds
+// are indexed by rank and closed when the test ends.
+func tcpWorlds(t *testing.T, n int, rules ...mpitest.Rule) []*mpi.World {
+	t.Helper()
+	addrs, err := mpi.ReserveLocalAddrs(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds := make([]*mpi.World, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := mpi.DialTCPTransport(mpi.TCPConfig{Rank: r, Peers: addrs, HandshakeTimeout: 20 * time.Second})
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			worlds[r] = mpi.NewWorldOn(mpitest.Wrap(tr, rules...))
+		}()
+	}
+	wg.Wait()
+	t.Cleanup(func() {
+		for _, w := range worlds {
+			if w != nil {
+				w.Close()
+			}
+		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	return worlds
+}
+
+// ring performs `rounds` of neighbour exchange on a ring and records
+// rank 0's received values into got.
+func ring(rounds int, got *[]float64) func(c *mpi.Comm) {
+	return func(c *mpi.Comm) {
 		r, n := c.Rank(), c.Size()
 		for k := 0; k < rounds; k++ {
 			c.Send((r+1)%n, 7, []float64{float64(r*1000 + k)})
 			v := c.Recv((r+n-1)%n, 7)
 			if r == 0 {
-				mu.Lock()
-				got = append(got, v...)
-				mu.Unlock()
+				*got = append(*got, v...)
 			}
 		}
-	})
-	return got, err
+	}
 }
 
-// TestChaosPassThrough asserts an empty plan changes nothing: framing
-// goes on and comes off, values and stats are untouched.
-func TestChaosPassThrough(t *testing.T) {
-	w := chaosWorld(4, ChaosPlan{Seed: 1})
-	got, err := runRing(w, 5)
-	if err != nil {
-		t.Fatal(err)
+// assertRing checks rank 0's values from a ring of size n: round k
+// delivers rank n-1's k-th message, bit for bit and in order.
+func assertRing(t *testing.T, got []float64, n, rounds int) {
+	t.Helper()
+	if len(got) != rounds {
+		t.Fatalf("rank 0 received %d messages, want %d", len(got), rounds)
 	}
 	for k, v := range got {
-		if want := float64(3*1000 + k); v != want {
-			t.Fatalf("round %d: got %v, want %v", k, v, want)
+		if want := float64((n-1)*1000 + k); v != want {
+			t.Fatalf("round %d: got %v, want %v (a fault broke FIFO)", k, v, want)
 		}
 	}
-	// Stats must count user payloads, not chaos frames.
-	if s := w.stats[0]; s.BytesRecv != 5*8 {
-		t.Fatalf("rank 0 recv bytes %d, want %d (chaos framing leaked into stats?)", s.BytesRecv, 5*8)
+}
+
+// TestChaosPassThrough asserts a fixture without rules changes
+// nothing: values and stats are those of the bare transport.
+func TestChaosPassThrough(t *testing.T) {
+	w := memWorld(4)
+	var got []float64
+	if err := w.Run(ring(5, &got)); err != nil {
+		t.Fatal(err)
+	}
+	assertRing(t, got, 4, 5)
+	if s := w.TotalStats(); s.MessagesRecv != 4*5 || s.BytesRecv != 4*5*8 {
+		t.Fatalf("stats %+v, want 20 messages of 8 bytes", s)
 	}
 }
 
 // TestChaosDelayPreservesOrderAndValues asserts the order-preserving
 // faults deliver every message, in order, bit for bit.
 func TestChaosDelayPreservesOrderAndValues(t *testing.T) {
-	plan := ChaosPlan{Seed: 42, Rules: []ChaosRule{
-		{From: -1, To: -1, Kind: FaultDelay, Prob: 0.5, Delay: time.Millisecond},
-		{From: -1, To: 0, Kind: FaultJitter, Delay: 2 * time.Millisecond},
-	}}
-	w := chaosWorld(3, plan)
-	got, err := runRing(w, 8)
-	if err != nil {
+	w := memWorld(3,
+		mpitest.Rule{From: -1, To: -1, Delay: time.Millisecond},
+		mpitest.Rule{From: -1, To: 0, Jitter: 2 * time.Millisecond})
+	var got []float64
+	if err := w.Run(ring(8, &got)); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 8 {
-		t.Fatalf("rank 0 received %d messages, want 8", len(got))
-	}
-	for k, v := range got {
-		if want := float64(2*1000 + k); v != want {
-			t.Fatalf("round %d: got %v, want %v (delay broke FIFO)", k, v, want)
-		}
-	}
+	assertRing(t, got, 3, 8)
 }
 
-// TestChaosDropDetectedAsGap asserts a lost message surfaces as an
-// attributed fail-stop on the link's next arrival — naming the link —
-// rather than a silently reordered or missing value. The loss is
-// simulated white-box (advance the sender's sequence exactly as
-// FaultDrop does) so precisely one known message vanishes.
-func TestChaosDropDetectedAsGap(t *testing.T) {
-	plan := ChaosPlan{Seed: 7, RecvTimeout: 2 * time.Second}
-	w := NewWorld(2, WithChaos(plan))
-	ct := w.tr.(*chaosTransport)
-	err := w.Run(func(c *Comm) {
+// starve runs rank 1 sending `sends` messages to rank 0 while rank 0
+// receives `recvs`, closes the world after the deadline as
+// Session.Step does when its context expires, and returns how long Run
+// took and its error.
+func starve(w *mpi.World, sends, recvs int, deadline time.Duration) (time.Duration, error) {
+	timer := time.AfterFunc(deadline, func() { w.Close() })
+	defer timer.Stop()
+	start := time.Now()
+	err := w.Run(func(c *mpi.Comm) {
 		if c.Rank() == 1 {
-			c.Send(0, 3, []float64{1})
-			l := ct.link(1, 0)
-			l.mu.Lock()
-			l.sent++ // message 2 is lost in flight
-			l.mu.Unlock()
-			c.Send(0, 3, []float64{3})
+			for k := 0; k < sends; k++ {
+				c.Send(0, 3, []float64{float64(k)})
+			}
 			return
 		}
-		c.Recv(1, 3)
-		c.Recv(1, 3) // must fail on the gap, not deliver seq 3 as seq 2
+		for k := 0; k < recvs; k++ {
+			c.Recv(1, 3)
+		}
 	})
-	if err == nil {
-		t.Fatal("dropped message went undetected")
+	return time.Since(start), err
+}
+
+// assertStarved checks a starved Run ended by its deadline, not before
+// and not much after, with rank 0's panic naming the (from, tag) it
+// waited on.
+func assertStarved(t *testing.T, err error, took, deadline time.Duration) {
+	t.Helper()
+	var rp *mpi.RankPanicError
+	if !errors.As(err, &rp) || rp.Rank != 0 {
+		t.Fatalf("err = %v, want rank 0's *RankPanicError", err)
 	}
-	msg := err.Error()
-	if !strings.Contains(msg, "lost message on link 1->0") {
-		t.Fatalf("error does not attribute the lossy link: %v", msg)
+	if !strings.Contains(err.Error(), "rank 0 recv (from 1, tag 3)") {
+		t.Fatalf("error does not name the starved receive: %v", err)
 	}
-	if !strings.Contains(msg, "rank 0") {
-		t.Fatalf("error does not name the failing rank: %v", msg)
+	if took < deadline || took > deadline+time.Second {
+		t.Fatalf("starved Run returned after %v, deadline %v", took, deadline)
 	}
 }
 
-// TestChaosTrailingDropHitsDeadline asserts a drop rule that swallows
-// the tail of a link's traffic — so no later arrival can expose the
-// gap — is caught by the receive deadline, with the silent link named.
+// TestChaosTrailingDropHitsDeadline asserts that losing the tail of a
+// link's traffic — a partition armed after the first message, so no
+// later arrival reveals the loss — ends the starved receive at the
+// caller's deadline, naming the rank and the (from, tag) it waited on.
 func TestChaosTrailingDropHitsDeadline(t *testing.T) {
-	plan := ChaosPlan{Seed: 7, RecvTimeout: 300 * time.Millisecond, Rules: []ChaosRule{
-		{From: 1, To: 0, Kind: FaultDrop, After: 1, Prob: 1},
-	}}
-	w := NewWorld(2, WithChaos(plan))
-	err := w.Run(func(c *Comm) {
-		if c.Rank() == 1 {
-			c.Send(0, 3, []float64{1})
-			c.Send(0, 3, []float64{2}) // dropped; nothing follows
-			return
-		}
-		c.Recv(1, 3)
-		c.Recv(1, 3)
-	})
-	if err == nil {
-		t.Fatal("trailing drop went undetected")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "receive deadline") || !strings.Contains(msg, "link 1->0") {
-		t.Fatalf("deadline error does not attribute the starved link: %v", msg)
-	}
-}
-
-// TestChaosDuplicateDetected asserts a duplicated message fails stop
-// instead of being matched by a later receive.
-func TestChaosDuplicateDetected(t *testing.T) {
-	plan := ChaosPlan{Seed: 7, RecvTimeout: 2 * time.Second, Rules: []ChaosRule{
-		{From: 1, To: 0, Kind: FaultDuplicate},
-	}}
-	w := NewWorld(2, WithChaos(plan))
-	err := w.Run(func(c *Comm) {
-		if c.Rank() == 1 {
-			c.Send(0, 3, []float64{1})
-			return
-		}
-		c.Recv(1, 3)
-		c.Recv(1, 3) // must fail on the duplicate, not deliver it
-	})
-	if err == nil {
-		t.Fatal("duplicate message went undetected")
-	}
-	if !strings.Contains(err.Error(), "duplicate message on link 1->0") {
-		t.Fatalf("error does not attribute the duplicate: %v", err)
-	}
+	const deadline = 300 * time.Millisecond
+	w := memWorld(2, mpitest.Rule{From: 1, To: 0, After: 1, Partition: true})
+	took, err := starve(w, 2, 2, deadline)
+	assertStarved(t, err, took, deadline)
 }
 
 // TestChaosPartitionHitsDeadline asserts a fully cut link starves its
 // receiver into a bounded, attributed failure — never a hang.
 func TestChaosPartitionHitsDeadline(t *testing.T) {
-	plan := ChaosPlan{Seed: 1, RecvTimeout: 300 * time.Millisecond, Rules: []ChaosRule{
-		{From: 1, To: 0, Kind: FaultPartition},
-	}}
-	w := NewWorld(2, WithChaos(plan))
-	start := time.Now()
-	err := w.Run(func(c *Comm) {
-		if c.Rank() == 1 {
-			c.Send(0, 3, []float64{1})
-			return
-		}
-		c.Recv(1, 3)
-	})
-	if err == nil {
-		t.Fatal("partitioned receive returned")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("fail-stop took %v — deadline did not bound the hang", elapsed)
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "receive deadline") || !strings.Contains(msg, "link 1->0") {
-		t.Fatalf("deadline error does not attribute the starved link: %v", msg)
-	}
+	const deadline = 300 * time.Millisecond
+	w := memWorld(2, mpitest.Rule{From: 1, To: 0, Partition: true})
+	took, err := starve(w, 1, 1, deadline)
+	assertStarved(t, err, took, deadline)
 }
 
-// chaosSchedule replays `n` messages through a link's Send decisions
-// and records which sequence numbers were dropped or duplicated — the
-// observable fault schedule.
-func chaosSchedule(t *testing.T, plan ChaosPlan, n int) string {
-	t.Helper()
-	// Capacity must exceed n plus duplicates: nothing drains until the
-	// end, and a full mailbox would block Send.
-	inner := newMemTransport(2, 4*n)
-	tr := newChaosTransport(inner, plan)
-	var sb strings.Builder
-	for i := 0; i < n; i++ {
-		if err := tr.Send(1, 0, 5, []float64{float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Drain what was actually delivered.
-	for {
-		m, ok, err := inner.TryRecv(0)
-		if err != nil || !ok {
-			break
-		}
-		fmt.Fprintf(&sb, "%v;", m.Data[:chaosHeaderLen])
-	}
-	return sb.String()
-}
-
-// TestChaosScheduleDeterministic asserts the same seed yields the
-// same fault schedule — and a different seed a different one.
-func TestChaosScheduleDeterministic(t *testing.T) {
-	rules := []ChaosRule{
-		{From: -1, To: -1, Kind: FaultDrop, Prob: 0.3},
-		{From: -1, To: -1, Kind: FaultDuplicate, Prob: 0.2},
-	}
-	a := chaosSchedule(t, ChaosPlan{Seed: 99, Rules: rules}, 100)
-	b := chaosSchedule(t, ChaosPlan{Seed: 99, Rules: rules}, 100)
-	c := chaosSchedule(t, ChaosPlan{Seed: 100, Rules: rules}, 100)
-	if a != b {
-		t.Fatal("same seed produced different fault schedules")
-	}
-	if a == c {
-		t.Fatal("different seeds produced identical fault schedules (rng not seeded per plan?)")
-	}
-}
-
-// TestChaosOverTCP asserts the chaos layer composes with the TCP
-// transport: loss on a socket link is detected and attributed just
-// like in-process.
+// TestChaosOverTCP asserts the fixture composes with the TCP
+// transport: under delay and jitter on every socket link, a 4-rank
+// ring of goroutine ranks delivers what the fault-free in-process
+// ring does, bit for bit and in order.
 func TestChaosOverTCP(t *testing.T) {
-	addrs, err := ReserveLocalAddrs(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := ChaosPlan{Seed: 5, RecvTimeout: 2 * time.Second}
-	worlds := make([]*World, 2)
+	const n, rounds = 4, 6
+	worlds := tcpWorlds(t, n,
+		mpitest.Rule{From: -1, To: -1, Delay: 200 * time.Microsecond},
+		mpitest.Rule{From: -1, To: -1, Jitter: time.Millisecond})
+	var got []float64
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for r := 0; r < 2; r++ {
+	for r, w := range worlds {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			worlds[r], errs[r] = DialTCP(TCPConfig{Rank: r, Peers: addrs}, WithChaos(plan))
-		}(r)
+			var mine []float64
+			errs[r] = w.Run(ring(rounds, &mine))
+			if r == 0 {
+				got = mine
+			}
+		}()
 	}
 	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d dial: %v", r, err)
-		}
-	}
-	defer worlds[0].Close()
-	defer worlds[1].Close()
-
-	// The sender's chaos layer stamps sequence numbers; losing one in
-	// flight (white-box, as FaultDrop does) must be caught by the
-	// receiver's verification on the other side of the socket.
-	senderChaos := worlds[1].tr.(*chaosTransport)
-	runErrs := make([]error, 2)
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			runErrs[r] = worlds[r].Run(func(c *Comm) {
-				if c.Rank() == 1 {
-					c.Send(0, 3, []float64{1})
-					l := senderChaos.link(1, 0)
-					l.mu.Lock()
-					l.sent++ // message 2 is lost on the wire
-					l.mu.Unlock()
-					c.Send(0, 3, []float64{3}) // exposes the gap
-					return
-				}
-				c.Recv(1, 3)
-				c.Recv(1, 3)
-			})
-		}(r)
-	}
-	wg.Wait()
-	if runErrs[0] == nil {
-		t.Fatal("tcp drop went undetected")
-	}
-	if !strings.Contains(runErrs[0].Error(), "lost message on link 1->0") {
-		t.Fatalf("tcp loss not attributed: %v", runErrs[0])
-	}
-}
-
-// TestParseChaosRules exercises the CLI rule grammar.
-func TestParseChaosRules(t *testing.T) {
-	rules, err := ParseChaosRules("delay:*>*:d=2ms:p=0.5, drop:1>0:p=0.3:after=8,partition:2>3")
-	if err != nil {
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
-	want := []ChaosRule{
-		{From: -1, To: -1, Kind: FaultDelay, Delay: 2 * time.Millisecond, Prob: 0.5},
-		{From: 1, To: 0, Kind: FaultDrop, Prob: 0.3, After: 8},
-		{From: 2, To: 3, Kind: FaultPartition},
-	}
-	if len(rules) != len(want) {
-		t.Fatalf("parsed %d rules, want %d", len(rules), len(want))
-	}
-	for i := range want {
-		if rules[i] != want[i] {
-			t.Fatalf("rule %d: got %+v, want %+v", i, rules[i], want[i])
-		}
-	}
-	for _, bad := range []string{"x:0>1", "delay:0>1", "drop:0-1", "drop:0>1:q=2", "drop:a>b"} {
-		if _, err := ParseChaosRules(bad); err == nil {
-			t.Fatalf("spec %q parsed without error", bad)
-		}
-	}
+	assertRing(t, got, n, rounds)
 }

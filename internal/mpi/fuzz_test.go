@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -102,45 +101,6 @@ func FuzzTCPReadFrameHostile(f *testing.F) {
 		}
 		if !bytes.Equal(buf.Bytes(), raw[:buf.Len()]) {
 			t.Fatalf("re-encoded frame differs from consumed bytes")
-		}
-	})
-}
-
-// FuzzParseChaosRules feeds arbitrary specs to the chaos DSL parser:
-// no panic, and every accepted rule must satisfy the documented
-// invariants (ranks >= -1, known kind, armed delay for the delaying
-// kinds, non-negative after).
-func FuzzParseChaosRules(f *testing.F) {
-	f.Add("delay:*>*:d=2ms:p=0.5")
-	f.Add("jitter:0>1:d=5ms")
-	f.Add("drop:1>0:p=0.3:after=8")
-	f.Add("partition:2>3,dup:0>*:p=0.1")
-	f.Add("delay:*>*")              // missing required d=
-	f.Add("drop:1>0:p=nope")        // bad option value
-	f.Add(":::,>>,=,")              // separator soup
-	f.Add("drop:-1>0")              // negative rank is only spelled *
-	f.Add(strings.Repeat(",", 256)) // empty rules are skipped
-	f.Fuzz(func(t *testing.T, spec string) {
-		rules, err := ParseChaosRules(spec)
-		if err != nil {
-			return
-		}
-		for _, r := range rules {
-			if r.From < -1 || r.To < -1 {
-				t.Fatalf("rule %+v: rank below -1 from spec %q", r, spec)
-			}
-			switch r.Kind {
-			case FaultDelay, FaultJitter:
-				if r.Delay <= 0 {
-					t.Fatalf("rule %+v: %s accepted without a delay from spec %q", r, r.Kind, spec)
-				}
-			case FaultDrop, FaultDuplicate, FaultPartition:
-			default:
-				t.Fatalf("rule %+v: unknown kind from spec %q", r, spec)
-			}
-			if r.After < 0 {
-				t.Fatalf("rule %+v: negative after from spec %q", r, spec)
-			}
 		}
 	})
 }

@@ -23,6 +23,11 @@
 //     framing; Run then executes the rank function once, for the local
 //     rank.
 //
+// Both build their World with NewWorldOn, which takes any Transport.
+// A rank that panics closes the world, so no peer waits for ever on
+// it; a caller bounds a wait on a silent peer by closing the world
+// itself (World.Run).
+//
 // Because the in-process transport is shared memory, real wire time is
 // near zero there; an optional NetModel charges each message a
 // configurable latency + size/bandwidth virtual cost, accumulated per
@@ -34,7 +39,6 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -60,7 +64,6 @@ type World struct {
 	size  int
 	tr    Transport
 	model *NetModel
-	chaos *ChaosPlan
 	stats []CommStats
 
 	mu    sync.Mutex
@@ -91,29 +94,18 @@ func mailboxCapacity(size int) int {
 // NewWorld creates a World of the given number of ranks over the
 // in-process channel transport (all ranks hosted by this process).
 func NewWorld(size int, opts ...Option) *World {
-	if size <= 0 {
-		panic(fmt.Sprintf("mpi: world size must be positive, got %d", size))
-	}
-	w := newWorldShell(size, opts...)
-	w.tr = w.wrapTransport(newMemTransport(size, mailboxCapacity(size)))
-	return w
+	return NewWorldOn(NewMemTransport(size), opts...)
 }
 
-// wrapTransport layers the optional chaos fault injector over a
-// freshly built transport.
-func (w *World) wrapTransport(tr Transport) Transport {
-	if w.chaos != nil {
-		return newChaosTransport(tr, *w.chaos)
-	}
-	return tr
-}
-
-// newWorldShell builds a World without a transport and applies the
-// options; the caller attaches the transport.
-func newWorldShell(size int, opts ...Option) *World {
+// NewWorldOn creates a World over the given transport, which the world
+// owns from then on: Close closes it. NewWorld and DialTCP build their
+// worlds through it, and a test can hand it a transport that wraps one
+// of theirs.
+func NewWorldOn(tr Transport, opts ...Option) *World {
 	w := &World{
-		size:  size,
-		stats: make([]CommStats, size),
+		size:  tr.Size(),
+		tr:    tr,
+		stats: make([]CommStats, tr.Size()),
 		comms: make(map[int]*Comm),
 	}
 	for _, o := range opts {
@@ -185,41 +177,48 @@ func (e *RankPanicError) Error() string {
 // goroutine, and waits for all of them. On an in-process world that is
 // every rank; on a TCP world it is the single rank this process joined
 // as. Per-rank communication statistics for the Run (deltas, not
-// lifetime totals) are gathered into the World afterwards. If any
-// local rank panics, Run returns a *RankPanicError for the lowest such
-// rank (other ranks may then be blocked forever in a real deadlock
-// scenario; here they are abandoned once all non-panicked ranks finish
-// or the test harness times out — callers should treat a returned
-// error as fatal for the whole world).
+// lifetime totals) are gathered into the World afterwards.
+//
+// If a rank panics, Run closes the world at once, so every local rank
+// blocked in Send or Recv fails with ErrTransportClosed instead of
+// waiting for a message the dead rank will never send, and Run returns
+// a *RankPanicError for the first rank that panicked. The world is
+// unusable afterwards. Run itself has no other bound: a caller that
+// must not wait for ever on a silent peer closes the world when its
+// deadline passes (Session.Step does this with its context), which
+// fails the blocked ranks the same way.
 func (w *World) Run(f func(c *Comm)) error {
-	local := append([]int(nil), w.tr.Local()...)
-	sort.Ints(local)
-	var wg sync.WaitGroup
-	errs := make([]*RankPanicError, len(local))
+	local := w.tr.Local()
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first *RankPanicError
+	)
 	before := make([]CommStats, len(local))
 	for i, r := range local {
 		before[i] = w.comm(r).stats
 	}
-	for i, r := range local {
+	for _, r := range local {
 		wg.Add(1)
-		go func(i, rank int) {
+		go func(rank int) {
 			defer wg.Done()
 			defer func() {
 				if v := recover(); v != nil {
-					errs[i] = &RankPanicError{Rank: rank, Value: v}
+					once.Do(func() {
+						first = &RankPanicError{Rank: rank, Value: v}
+						w.tr.Close()
+					})
 				}
 			}()
 			f(w.comm(rank))
-		}(i, r)
+		}(r)
 	}
 	wg.Wait()
 	for i, r := range local {
 		w.stats[r] = statsDelta(w.comm(r).stats, before[i])
 	}
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
+	if first != nil {
+		return first
 	}
 	return nil
 }

@@ -1,10 +1,12 @@
 package mpi
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSendRecvBasic(t *testing.T) {
@@ -98,28 +100,6 @@ func TestSelfSend(t *testing.T) {
 		c.Send(0, 9, []float64{42})
 		if got := c.Recv(0, 9); got[0] != 42 {
 			t.Errorf("self send: got %v", got)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestProbe(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 2, []float64{1})
-			c.Barrier()
-		} else {
-			c.Barrier()
-			if !c.Probe(0, 2) {
-				t.Errorf("Probe missed queued message")
-			}
-			if c.Probe(0, 99) {
-				t.Errorf("Probe false positive")
-			}
-			c.Recv(0, 2)
 		}
 	})
 	if err != nil {
@@ -329,6 +309,64 @@ func TestRunReportsPanic(t *testing.T) {
 	if !ok || rp.Rank != 1 {
 		t.Fatalf("err = %v, want RankPanicError rank 1", err)
 	}
+}
+
+// TestRunPanicClosesWorld: a rank that panics before its send must not
+// leave its peer blocked in Recv for ever. Run closes the world on the
+// first panic, so it returns that rank's *RankPanicError within a
+// second — in-process, and over a loopback TCP world of goroutine
+// ranks, where the peer's endpoint fails once the dead rank's sockets
+// close.
+func TestRunPanicClosesWorld(t *testing.T) {
+	f := func(c *Comm) {
+		if c.Rank() == 0 {
+			panic("dies before its send")
+		}
+		c.Recv(0, 5)
+	}
+	// within runs each world's Run concurrently and returns their
+	// errors, failing the test if any is still running after a second.
+	within := func(t *testing.T, worlds ...*World) []error {
+		t.Helper()
+		errs := make([]error, len(worlds))
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, w := range worlds {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = w.Run(f)
+			}()
+		}
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatal("Run still blocked 1 s after rank 0 panicked")
+		}
+		return errs
+	}
+	wantRank0 := func(t *testing.T, err error) {
+		t.Helper()
+		var rp *RankPanicError
+		if !errors.As(err, &rp) || rp.Rank != 0 {
+			t.Fatalf("err = %v, want rank 0's *RankPanicError", err)
+		}
+	}
+
+	t.Run("mem", func(t *testing.T) {
+		wantRank0(t, within(t, NewWorld(2))[0])
+	})
+	t.Run("tcp", func(t *testing.T) {
+		errs := within(t, dialTestWorlds(t, 2)...)
+		wantRank0(t, errs[0])
+		if errs[1] == nil {
+			t.Fatal("rank 1 received from a dead peer")
+		}
+	})
 }
 
 func TestStatsCounting(t *testing.T) {

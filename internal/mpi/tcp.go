@@ -72,6 +72,16 @@ type TCPConfig struct {
 // collectives/point-to-point calls inside it transparently cross
 // process boundaries. Callers must Close the world when done.
 func DialTCP(cfg TCPConfig, opts ...Option) (*World, error) {
+	tr, err := DialTCPTransport(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return NewWorldOn(tr, opts...), nil
+}
+
+// DialTCPTransport performs DialTCP's rendezvous and returns the
+// connected transport without a World around it, for NewWorldOn.
+func DialTCPTransport(cfg TCPConfig) (Transport, error) {
 	size := len(cfg.Peers)
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: DialTCP needs a non-empty peer table")
@@ -79,13 +89,11 @@ func DialTCP(cfg TCPConfig, opts ...Option) (*World, error) {
 	if cfg.Rank < 0 || cfg.Rank >= size {
 		return nil, fmt.Errorf("mpi: DialTCP rank %d out of range for %d peers", cfg.Rank, size)
 	}
-	w := newWorldShell(size, opts...)
-	tr, err := dialTCPTransport(cfg, mailboxCapacity(w.size))
+	tr, err := dialTCPTransport(cfg, mailboxCapacity(size))
 	if err != nil {
 		return nil, err
 	}
-	w.tr = w.wrapTransport(tr)
-	return w, nil
+	return tr, nil
 }
 
 // ReserveLocalAddrs picks n distinct free TCP ports on 127.0.0.1 and
@@ -559,24 +567,6 @@ func (t *tcpTransport) Recv(rank int) (Message, error) {
 			return m, nil
 		default:
 			return Message{}, fmt.Errorf("mpi: rank %d: all peers disconnected: %w", t.rank, ErrTransportClosed)
-		}
-	}
-}
-
-// TryRecv implements Transport.
-func (t *tcpTransport) TryRecv(rank int) (Message, bool, error) {
-	if rank != t.rank {
-		return Message{}, false, fmt.Errorf("mpi: tcp endpoint of rank %d cannot receive for rank %d", t.rank, rank)
-	}
-	select {
-	case m := <-t.inbox:
-		return m, true, nil
-	default:
-		select {
-		case <-t.done:
-			return Message{}, false, ErrTransportClosed
-		default:
-			return Message{}, false, nil
 		}
 	}
 }

@@ -22,8 +22,9 @@ var ErrTransportClosed = errors.New("mpi: transport closed")
 
 // Transport is the wire under a World: it moves framed tagged messages
 // between rank endpoints. Two implementations ship with the package —
-// the in-process channel transport behind NewWorld and the TCP
-// transport behind DialTCP — and they make the same guarantees:
+// the in-process channel transport (NewMemTransport, behind NewWorld)
+// and the TCP transport (DialTCPTransport, behind DialTCP) — and they
+// make the same guarantees:
 //
 //   - Send takes ownership of data (callers copy first) and preserves
 //     per-(from, to) FIFO order. It may block for flow control
@@ -54,9 +55,6 @@ type Transport interface {
 	// Recv returns the next message addressed to the local rank `rank`,
 	// blocking until one arrives or the transport closes/fails.
 	Recv(rank int) (Message, error)
-	// TryRecv is Recv without blocking; ok reports whether a message
-	// was available.
-	TryRecv(rank int) (msg Message, ok bool, err error)
 	// Close shuts the transport down after flushing queued outbound
 	// messages. It is idempotent.
 	Close() error
@@ -73,9 +71,14 @@ type memTransport struct {
 	once  sync.Once
 }
 
-// newMemTransport builds the channel transport with the given per-rank
-// mailbox capacity.
-func newMemTransport(size, capacity int) *memTransport {
+// NewMemTransport builds the in-process channel transport behind
+// NewWorld: every rank of a world of the given size lives in this
+// process, each with a mailbox of mailboxCapacity(size) messages.
+func NewMemTransport(size int) Transport {
+	if size <= 0 {
+		panic(fmt.Sprintf("mpi: world size must be positive, got %d", size))
+	}
+	capacity := mailboxCapacity(size)
 	t := &memTransport{
 		mail:  make([]chan Message, size),
 		local: make([]int, size),
@@ -123,21 +126,6 @@ func (t *memTransport) Recv(rank int) (Message, error) {
 		return m, nil
 	case <-t.done:
 		return Message{}, ErrTransportClosed
-	}
-}
-
-// TryRecv implements Transport.
-func (t *memTransport) TryRecv(rank int) (Message, bool, error) {
-	select {
-	case m := <-t.mail[rank]:
-		return m, true, nil
-	default:
-		select {
-		case <-t.done:
-			return Message{}, false, ErrTransportClosed
-		default:
-			return Message{}, false, nil
-		}
 	}
 }
 

@@ -5,9 +5,9 @@ import "fmt"
 // Code no binary, example or benchmark reaches (repolint's reach
 // analyzer), kept out of the product tree and alive only because tests
 // in this package are about it: the max/min reduction operators, the
-// Barrier and Allgather collectives, Probe, the non-blocking Request
-// API, the ring allreduce with its reduce-scatter, and the callback
-// halo exchange on Cart. Delete each together with the tests CHANGES.md
+// Barrier and Allgather collectives, the non-blocking Request API, the
+// ring allreduce with its reduce-scatter, and the callback halo
+// exchange on Cart. Delete each together with the tests CHANGES.md
 // (PR 24) lists for it.
 
 const (
@@ -67,27 +67,6 @@ func (c *Comm) Allgather(data []float64) [][]float64 {
 		out[cur] = c.Recv(left, tagAllgath)
 	}
 	return out
-}
-
-// Probe reports whether a message matching (from, tag) can be received
-// without blocking. It drains the mailbox into the pending queue while
-// checking, so it is O(queued messages).
-func (c *Comm) Probe(from, tag int) bool {
-	for _, m := range c.pending {
-		if matches(m, from, tag) {
-			return true
-		}
-	}
-	for {
-		m, ok, err := c.world.tr.TryRecv(c.rank)
-		if err != nil || !ok {
-			return false
-		}
-		c.pending = append(c.pending, m)
-		if matches(m, from, tag) {
-			return true
-		}
-	}
 }
 
 // Request represents an in-flight non-blocking operation. A Request

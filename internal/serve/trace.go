@@ -12,8 +12,8 @@ import (
 
 // Per-request tracing (DESIGN.md §11). Every request gets an ID —
 // honored from the client's X-Request-ID header when present (so a
-// caller can correlate its own logs, and the chaos smoke can pin the
-// ID to make golden and fault-run responses byte-comparable), minted
+// caller can correlate its own logs, and pin the ID to make two runs'
+// responses byte-comparable), minted
 // otherwise — echoed on the X-Request-ID response header, threaded
 // through the handler context into core (Predict and Session step
 // errors), and surfaced in /v2 error envelopes, streamed rollout
