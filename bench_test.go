@@ -14,7 +14,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -161,7 +160,7 @@ var hostPeakGFLOPS = sync.OnceValue(func() float64 {
 	for rep := 0; rep < 5; rep++ {
 		t0 := time.Now()
 		for i := 0; i < calls; i++ {
-			tensor.ShiftedNN(m, n, a, taps, band, tp, c, n, false, 1)
+			tensor.ShiftedNN(m, n, a, taps, band, tp, c, n, false)
 		}
 		best = max(best, 2*float64(m*n*taps*calls)/time.Since(t0).Seconds()/1e9)
 	}
@@ -188,25 +187,18 @@ func BenchmarkTable1_FullNetwork(b *testing.B) {
 // Convolution engine.
 // -----------------------------------------------------------------------------
 
-// BenchmarkConvGEMMWorkers measures the Workers knob on the GEMM
-// engine's forward pass (Table-I at 128×128). Results are
-// bit-identical for any worker count; on a single-core machine the
-// higher counts only measure scheduling overhead.
-func BenchmarkConvGEMMWorkers(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			m, err := model.Build(model.PaperConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.SetScratch(nn.NewArena())
-			m.SetWorkers(workers)
-			x := tensor.Normal(tensor.NewRNG(1), 0, 1, 1, grid.NumChannels, 128, 128)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Forward(x)
-			}
-		})
+// BenchmarkNetForward times the whole Table-I network's f64 forward
+// pass over the full 128×128 grid as one rank, on its own arena.
+func BenchmarkNetForward(b *testing.B) {
+	m, err := model.Build(model.PaperConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.SetScratch(nn.NewArena())
+	x := tensor.Normal(tensor.NewRNG(1), 0, 1, 1, grid.NumChannels, 128, 128)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Forward(x)
 	}
 }
 
@@ -945,9 +937,9 @@ func servingEnsemble(b *testing.B, n, px, py int) *core.Ensemble {
 // at the paper's 8×8 decomposition: one caller issuing 16 Predicts in
 // a row (sequential) against 16 callers issuing one each at once
 // (concurrent). Every Predict runs the per-rank forward of a session
-// step on a pooled clone set and fans the ranks out over
-// WithWorkers(GOMAXPROCS); concurrent callers each take a clone set of
-// their own, so on more than one processor they compute in parallel.
+// step on a pooled clone set, one rank after another; concurrent
+// callers each take a clone set of their own, so on more than one
+// processor they compute in parallel.
 // The concurrent cell reports speedup_vs_sequential. scripts/bench.sh
 // snapshots requests_per_s into BENCH_baseline.json.
 func BenchmarkPredictThroughput(b *testing.B) {
@@ -965,7 +957,7 @@ func BenchmarkPredictThroughput(b *testing.B) {
 	}
 	ctx := context.Background()
 	warmEngine := func(b *testing.B) *core.Engine {
-		eng, err := core.NewEngine(ens, core.WithWorkers(runtime.GOMAXPROCS(0)))
+		eng, err := core.NewEngine(ens)
 		if err != nil {
 			b.Fatal(err)
 		}

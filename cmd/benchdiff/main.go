@@ -22,9 +22,8 @@
 // missing from either side and a Go-version mismatch are warnings,
 // not failures, so adding or retiring a benchmark doesn't wedge CI.
 // When the baseline was captured on a single-CPU host (cpus == 1 in
-// the snapshot), throughput drops on worker-/session-scaling variants
-// (names containing "workers=" or "sessions=") are downgraded to
-// warnings: a 1-CPU baseline encodes no scaling information, so the
+// the snapshot), throughput drops on session-scaling variants (names
+// containing "sessions=") are downgraded to warnings: a 1-CPU baseline encodes no scaling information, so the
 // delta measures the host, not the change under review.
 package main
 
@@ -73,7 +72,7 @@ type Finding struct {
 	Regression bool
 	// Warning marks findings that would breach their gate but are
 	// downgraded because the baseline can't support the comparison —
-	// today that is worker-scaling throughput measured against a
+	// today that is session-scaling throughput measured against a
 	// baseline captured on a single-CPU box, where scaling curves are
 	// flat by construction and the delta measures the host, not the
 	// code.
@@ -92,11 +91,11 @@ func (f Finding) String() string {
 		f.Bench, f.Metric, f.Base, f.Cand, f.DeltaPct, verdict)
 }
 
-// workerScaling reports whether a benchmark name is a worker- or
+// sessionScaling reports whether a benchmark name is a
 // session-scaling variant — the sub-benchmarks whose whole point is
 // how throughput changes with parallelism.
-func workerScaling(name string) bool {
-	return strings.Contains(name, "workers=") || strings.Contains(name, "sessions=")
+func sessionScaling(name string) bool {
+	return strings.Contains(name, "sessions=")
 }
 
 // Compare applies the gates to every benchmark present in both files
@@ -127,11 +126,11 @@ func Compare(baseline, candidate BenchFile, maxDropPct, maxAllocGrowthPct float6
 				DeltaPct: delta, Regression: delta < -maxDropPct,
 			}
 			// A 1-CPU baseline has nothing to say about scaling
-			// behaviour: every workers=N / sessions=N variant collapses
+			// behaviour: every sessions=N variant collapses
 			// onto the serial curve, so a later multi-core (or
 			// differently loaded single-core) run comparing against it
 			// measures the host. Surface the delta, don't gate on it.
-			if f.Regression && baseline.CPUs == 1 && workerScaling(base.Name) {
+			if f.Regression && baseline.CPUs == 1 && sessionScaling(base.Name) {
 				f.Regression = false
 				f.Warning = true
 			}
@@ -214,7 +213,7 @@ func main() {
 		}
 	}
 	if warned > 0 {
-		log.Printf("warning: %d worker-scaling throughput drop(s) not gated — the baseline was captured on a 1-CPU host and carries no scaling signal", warned)
+		log.Printf("warning: %d session-scaling throughput drop(s) not gated — the baseline was captured on a 1-CPU host and carries no scaling signal", warned)
 	}
 	for _, name := range onlyBase {
 		log.Printf("warning: %s in baseline only (benchmark removed?)", name)

@@ -109,21 +109,21 @@ func TestCompareZeroAllocBaselineIsAbsolute(t *testing.T) {
 	}
 }
 
-// TestCompareOneCPUBaselineDowngradesScaling asserts worker-scaling
+// TestCompareOneCPUBaselineDowngradesScaling asserts session-scaling
 // throughput drops are warnings, not regressions, when the baseline
 // snapshot was captured on a single-CPU host — and stay hard failures
 // when the baseline had real parallelism, or when the benchmark isn't
 // a scaling variant.
 func TestCompareOneCPUBaselineDowngradesScaling(t *testing.T) {
 	bs := []Benchmark{
-		bench("BenchmarkConvGEMMWorkers/workers=4", map[string]float64{"steps_per_s": 400}),
+		bench("BenchmarkRollout/sessions=4", map[string]float64{"steps_per_s": 400}),
 		bench("BenchmarkRollout/sessions=8", map[string]float64{"steps_per_s": 200}),
 		bench("BenchmarkRollout/mem", map[string]float64{"steps_per_s": 260}),
 	}
 	cs := []Benchmark{
-		bench("BenchmarkConvGEMMWorkers/workers=4", map[string]float64{"steps_per_s": 200}), // halved
-		bench("BenchmarkRollout/sessions=8", map[string]float64{"steps_per_s": 100}),        // halved
-		bench("BenchmarkRollout/mem", map[string]float64{"steps_per_s": 130}),               // halved
+		bench("BenchmarkRollout/sessions=4", map[string]float64{"steps_per_s": 200}), // halved
+		bench("BenchmarkRollout/sessions=8", map[string]float64{"steps_per_s": 100}), // halved
+		bench("BenchmarkRollout/mem", map[string]float64{"steps_per_s": 130}),        // halved
 	}
 
 	oneCPU := BenchFile{Go: "go1.24.0", CPUs: 1, Benchmarks: bs}
@@ -139,7 +139,7 @@ func TestCompareOneCPUBaselineDowngradesScaling(t *testing.T) {
 	for _, f := range findings {
 		if f.Warning {
 			warned++
-			if !workerScaling(f.Bench) {
+			if !sessionScaling(f.Bench) {
 				t.Fatalf("non-scaling benchmark downgraded: %v", f)
 			}
 		}

@@ -47,11 +47,9 @@ func main() {
 		startAt   = flag.Int("start", -1, "snapshot index to start from (-1 = first validation snapshot)")
 		trainFrac = flag.Float64("trainfrac", 2.0/3.0, "train fraction used at training time")
 		network   = flag.String("network", "ethernet", "virtual network model: ethernet | infiniband | none")
-		workers   = flag.Int("workers", 1, "intra-layer parallelism of the convolution kernels (results are bit-identical for any value)")
 		precision = flag.String("precision", "f64", "compute precision: f64 (reference, bit-reproducible) | f32 (faster, within documented error budget)")
 		transport = flag.String("transport", "mem", "mpi transport: mem (in-process) | tcp (multi-process; see cmd/mpirun)")
 		tcpRank   = flag.Int("rank", 0, "this process's rank in the tcp world")
-		worldSize = flag.Int("world-size", 0, "expected tcp world size (0 = len(peers); checked against -peers)")
 		peersFlag = flag.String("peers", "", "comma-separated host:port of every rank, in rank order (tcp transport)")
 	)
 	flag.Parse()
@@ -114,7 +112,6 @@ func main() {
 	// touch the shared models, so any number of infer processes'
 	// worth of sessions could share one engine.
 	engOpts := []core.EngineOption{
-		core.WithWorkers(*workers),
 		core.WithNetModel(nm),
 		core.WithPrecision(prec),
 	}
@@ -125,9 +122,6 @@ func main() {
 		peers := strings.Split(*peersFlag, ",")
 		if *peersFlag == "" || len(peers) < 2 {
 			log.Fatal("-transport tcp needs -peers with at least two host:port entries (use cmd/mpirun)")
-		}
-		if *worldSize != 0 && *worldSize != len(peers) {
-			log.Fatalf("-world-size %d does not match %d peers", *worldSize, len(peers))
 		}
 		if len(peers) != e.Partition.Ranks() {
 			log.Fatalf("tcp world of %d processes cannot host the checkpoint's %d ranks (one rank per process)",

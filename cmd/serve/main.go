@@ -137,7 +137,6 @@ func main() {
 		modelVersion = flag.String("version", "", "version label for the boot model (default: the manifest's)")
 		initPath     = flag.String("init", "", "dataset (.gob) whose opening snapshots seed GET rollouts")
 		replicaID    = flag.String("replica", "", "fleet identity reported in /healthz when this process runs behind cmd/router")
-		workers      = flag.Int("workers", 0, "serving parallelism: ranks fan out per request and convolution kernels tile-parallelize (0 = single-threaded; results are bit-identical for any value)")
 		precision    = flag.String("precision", "f64", "serving compute precision: f64 (reference, bit-reproducible) | f32 (faster, within documented error budget)")
 		maxSteps     = flag.Int("max-steps", 10000, "cap on the rollout steps query parameter")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
@@ -163,9 +162,6 @@ func main() {
 
 	engOpts := []core.EngineOption{
 		core.WithPrecision(prec),
-	}
-	if *workers > 0 {
-		engOpts = append(engOpts, core.WithWorkers(*workers))
 	}
 	eng, err := core.NewEngine(e, engOpts...)
 	if err != nil {

@@ -59,12 +59,10 @@ func main() {
 		mName      = flag.String("model-name", "", "model name recorded in the artifact manifest (default: the output directory's base name)")
 		mVersion   = flag.String("model-version", "", "model version recorded in the artifact manifest (default: v1)")
 		concurrent = flag.Bool("concurrent", false, "execute ranks concurrently (goroutines) instead of critical-path timing mode")
-		workers    = flag.Int("workers", 1, "intra-layer parallelism of the convolution kernels (results are bit-identical for any value)")
 		precision  = flag.String("precision", "f64", "f64 | f32: training always runs f64; f32 verifies after training that the artifact can be served on the float32 path (core.WithPrecision)")
 		progress   = flag.Bool("progress", false, "print per-rank per-epoch training losses as they happen")
 		transport  = flag.String("transport", "mem", "mpi transport: mem (in-process) | tcp (multi-process; see cmd/mpirun)")
 		tcpRank    = flag.Int("rank", 0, "this process's rank in the tcp world")
-		worldSize  = flag.Int("world-size", 0, "expected tcp world size (0 = len(peers); checked against -peers)")
 		peersFlag  = flag.String("peers", "", "comma-separated host:port of every rank, in rank order (tcp transport)")
 	)
 	flag.Parse()
@@ -100,7 +98,6 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := core.DefaultTrainConfig()
-	cfg.Workers = *workers
 	cfg.Epochs = *epochs
 	cfg.BatchSize = *batch
 	cfg.LR = *lr
@@ -133,9 +130,6 @@ func main() {
 		peers := strings.Split(*peersFlag, ",")
 		if *peersFlag == "" || len(peers) < 2 {
 			log.Fatal("-transport tcp needs -peers with at least two host:port entries (use cmd/mpirun)")
-		}
-		if *worldSize != 0 && *worldSize != len(peers) {
-			log.Fatalf("-world-size %d does not match %d peers", *worldSize, len(peers))
 		}
 		if len(peers) != *ranks {
 			log.Fatalf("tcp world of %d processes cannot host %d ranks (one rank per process)", len(peers), *ranks)

@@ -128,8 +128,8 @@
 // (EXPERIMENTS.md; the speedup is BenchmarkPrecisionRollout's
 // speedup_vs_f64 in BENCH_baseline.json). The fused steady state
 // allocates nothing per step, and the f32 path keeps its own
-// determinism: bit-identical across worker counts, batch sizes,
-// transports and reruns (cmd/serve, cmd/infer and cmd/train take
+// determinism: bit-identical across batch sizes, transports and
+// reruns (cmd/serve, cmd/infer and cmd/train take
 // -precision f64|f32). The float32 path is forward-only — training is
 // always float64 — and both widths run one arena-resident layer chain
 // over the same generic shifted-band kernels (DESIGN.md §3): there is

@@ -50,12 +50,6 @@ type TrainConfig struct {
 	// direction of feeding time-series; Model.Channels[0] must then be
 	// window · grid.NumChannels.
 	TemporalWindow int
-	// Workers enables intra-layer parallelism inside each rank's
-	// convolution kernels (0 or 1 = single-threaded, the default the
-	// critical-path timing model assumes; see DESIGN.md §5). Results
-	// are bit-identical for any value, so this only trades goroutines
-	// for per-rank wall-clock on multi-core nodes.
-	Workers int
 }
 
 // DefaultTrainConfig returns the paper's training setup: Table-I CNN,
@@ -86,9 +80,6 @@ func (c TrainConfig) Validate() error {
 	}
 	if c.TemporalWindow < 0 {
 		return fmt.Errorf("core: negative temporal window %d", c.TemporalWindow)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("core: negative workers %d", c.Workers)
 	}
 	if w := c.Window(); c.Model.Channels[0] != w*grid.NumChannels {
 		return fmt.Errorf("core: temporal window %d needs %d input channels, model has %d",

@@ -17,24 +17,22 @@ import (
 // Ensemble. It never mutates the ensemble it wraps: every session (and
 // every Predict call) runs on weight-sharing clones of the rank models
 // (nn.Sequential.CloneShared) drawn from an internal pool, each with
-// its own scratch arena and worker count. Any number of sessions can therefore roll out concurrently over one
-// Engine — the serving property the paper's cheap per-subdomain
-// inference (§III) is meant to enable.
+// its own scratch arena. Any number of sessions can therefore roll out
+// concurrently over one Engine — the serving property the paper's
+// cheap per-subdomain inference (§III) is meant to enable.
 //
 // By default each session communicates over its own in-process mpi
 // world. WithWorld instead binds the engine to an externally built
 // world — in particular a TCP world from mpi.DialTCP, which turns a
 // session into one rank of a multi-process rollout (DESIGN.md §8).
 type Engine struct {
-	ens        *Ensemble
-	workers    int
-	workersSet bool // false = clones inherit the ensemble models' knob
-	netModel   *mpi.NetModel
-	precision  nn.Precision
-	world      *mpi.World
-	worldBusy  atomic.Bool  // a bound world serves one live session at a time
-	local      map[int]bool // non-nil on a distributed world: ranks this process hosts
-	pool       sync.Pool    // of *rankModels
+	ens       *Ensemble
+	netModel  *mpi.NetModel
+	precision nn.Precision
+	world     *mpi.World
+	worldBusy atomic.Bool  // a bound world serves one live session at a time
+	local     map[int]bool // non-nil on a distributed world: ranks this process hosts
+	pool      sync.Pool    // of *rankModels
 }
 
 // rankModels is one pooled set of per-rank inference clones with the
@@ -48,17 +46,6 @@ type rankModels struct {
 
 // EngineOption configures an Engine at construction time.
 type EngineOption func(*Engine)
-
-// WithWorkers sets the serving parallelism for this engine (0 or 1 =
-// single-threaded; results are bit-identical for any value): the
-// intra-layer tile parallelism of the convolution kernels in every
-// session, and the per-rank fan-out of every Predict.
-// This never touches the shared models — the knob is applied to each
-// session's private clones. Without this option, clones inherit whatever knob the
-// ensemble's models already carry (e.g. from TrainConfig.Workers).
-func WithWorkers(n int) EngineOption {
-	return func(e *Engine) { e.workers, e.workersSet = n, true }
-}
 
 // WithNetModel attaches a virtual network-cost model: every session
 // message is charged latency + size/bandwidth virtual time in its
@@ -76,7 +63,7 @@ func WithNetModel(m *mpi.NetModel) EngineOption {
 // per request at the input, and results widen once at the output
 // boundary. Frames agree with the f64 path to the documented error
 // budget (EXPERIMENTS.md), never bit-for-bit; within the f32 path,
-// results remain bit-identical for any worker count and transport.
+// results remain bit-identical for any transport.
 // NewEngine fails if any layer of the ensemble's models has no float32
 // path.
 func WithPrecision(p nn.Precision) EngineOption {
@@ -107,9 +94,6 @@ func NewEngine(e *Ensemble, opts ...EngineOption) (*Engine, error) {
 	eng := &Engine{ens: e}
 	for _, o := range opts {
 		o(eng)
-	}
-	if eng.workersSet && eng.workers < 0 {
-		return nil, fmt.Errorf("core: negative engine workers %d", eng.workers)
 	}
 	if eng.world != nil && eng.world.Size() != e.Partition.Ranks() {
 		return nil, fmt.Errorf("core: engine world has %d ranks, partition needs %d",
@@ -161,9 +145,6 @@ func (eng *Engine) newRankModels() *rankModels {
 		rm.in[r] = tensor.New(1, ch[0], b.Height()+2*halo, b.Width()+2*halo)
 		rm.out[r] = tensor.New(1, ch[len(ch)-1], b.Height(), b.Width())
 		c := m.CloneShared()
-		if eng.workersSet {
-			c.SetWorkers(eng.workers)
-		}
 		if err := c.SetPrecision(eng.precision); err != nil {
 			panic(fmt.Sprintf("core: precision: %v", err)) // NewEngine probed every model
 		}
@@ -232,23 +213,15 @@ func (eng *Engine) Predict(ctx context.Context, states ...*tensor.Tensor) (*tens
 // rank writes the halo-extended windows of the request's newest Window
 // frames into the channel slabs of rm.in[r], forwards them into
 // rm.out[r] and copies its block into a fresh frame the caller owns.
-//
-// Ranks are independent models with disjoint outputs, so with
-// WithWorkers(n) they fan out to goroutines on top of each clone's own
-// intra-layer parallelism; each rank is served by exactly one task, so
-// clone caches and buffers are never shared, and the assignment of
-// ranks to workers cannot change any result.
+// The ranks run one after another on the caller's goroutine;
+// concurrent callers each hold their own clone set.
 func (eng *Engine) predictOne(rm *rankModels, states []*tensor.Tensor) *tensor.Tensor {
 	p := eng.ens.Partition
 	halo := eng.ens.ModelCfg.Halo()
 	states = states[len(states)-eng.ens.window():]
 	c := states[0].Dim(0)
 	frame := tensor.New(1, c, p.Ny, p.Nx)
-	rankWorkers := 1
-	if eng.workersSet && eng.workers > 1 {
-		rankWorkers = eng.workers
-	}
-	tensor.ParallelFor(p.Ranks(), rankWorkers, func(r int) {
+	for r := range p.Ranks() {
 		in, out := rm.in[r], rm.out[r]
 		slab := in.Size() / len(states)
 		for k, st := range states {
@@ -257,7 +230,7 @@ func (eng *Engine) predictOne(rm *rankModels, states []*tensor.Tensor) *tensor.T
 		rm.models[r].ForwardInto(in, out)
 		b := p.BlockOfRank(r)
 		tensor.SetSubImage(frame, out, b.J0, b.I0)
-	})
+	}
 	return frame.Reshape(c, p.Ny, p.Nx)
 }
 

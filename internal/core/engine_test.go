@@ -14,9 +14,7 @@ import (
 
 func TestEngineDoesNotMutateEnsemble(t *testing.T) {
 	_, e := trainTinyEnsemble(t, model.NeighborPad, 2, 2)
-	conv := e.Models[0].Layers()[0].(*nn.Conv2D)
-	before := conv.Workers
-	eng, err := NewEngine(e, WithWorkers(4))
+	eng, err := NewEngine(e, WithPrecision(nn.F32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,34 +27,10 @@ func TestEngineDoesNotMutateEnsemble(t *testing.T) {
 		t.Fatal(err)
 	}
 	ses.Close()
-	if conv.Workers != before {
-		t.Fatalf("engine mutated the shared model: Workers %d → %d", before, conv.Workers)
-	}
-}
-
-func TestEngineWorkersInheritedWithoutOption(t *testing.T) {
-	// Without WithWorkers, clones keep the knob the ensemble models
-	// carry (e.g. from TrainConfig.Workers); the option overrides it.
-	_, e := trainTinyEnsemble(t, model.ZeroPad, 2, 1)
-	for _, m := range e.Models {
-		m.SetWorkers(3)
-	}
-	inherit, err := NewEngine(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := inherit.newRankModels().models[0].Layers()[0].(*nn.Conv2D).Workers; got != 3 {
-		t.Fatalf("clone Workers = %d, want inherited 3", got)
-	}
-	override, err := NewEngine(e, WithWorkers(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := override.newRankModels().models[0].Layers()[0].(*nn.Conv2D).Workers; got != 5 {
-		t.Fatalf("clone Workers = %d, want option 5", got)
-	}
-	if _, err := NewEngine(e, WithWorkers(-1)); err == nil {
-		t.Fatal("negative WithWorkers accepted")
+	for r, m := range e.Models {
+		if p := m.Precision(); p != nn.F64 {
+			t.Fatalf("engine mutated the shared model of rank %d: precision %v", r, p)
+		}
 	}
 }
 
@@ -91,43 +65,39 @@ func TestConcurrentSessionsBitIdentical(t *testing.T) {
 				k, state.Sub(ref.Steps[k]).AbsMax())
 		}
 	}
-	// Different engine knobs per run to stress the clone isolation:
-	// workers differ, results may not.
-	for _, workers := range []int{1, 3} {
-		eng, err := NewEngine(e, WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		const sessions = 2
-		frames := make([][]*tensor.Tensor, sessions)
-		errs := make([]error, sessions)
-		var wg sync.WaitGroup
-		for s := 0; s < sessions; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				ses, err := eng.NewSession(context.Background(), ds.Snapshots[0])
-				if err != nil {
-					errs[s] = err
-					return
-				}
-				defer ses.Close()
-				frames[s] = make([]*tensor.Tensor, 0, steps)
-				errs[s] = ses.Run(context.Background(), steps, func(k int, f *tensor.Tensor) error {
-					frames[s] = append(frames[s], f)
-					return nil
-				})
-			}(s)
-		}
-		wg.Wait()
-		for s := 0; s < sessions; s++ {
-			if errs[s] != nil {
-				t.Fatalf("workers=%d session %d: %v", workers, s, errs[s])
+	eng, err := NewEngine(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sessions = 2
+	frames := make([][]*tensor.Tensor, sessions)
+	errs := make([]error, sessions)
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			ses, err := eng.NewSession(context.Background(), ds.Snapshots[0])
+			if err != nil {
+				errs[s] = err
+				return
 			}
-			for k := 0; k < steps; k++ {
-				if !frames[s][k].Equal(ref.Steps[k]) {
-					t.Fatalf("workers=%d session %d step %d differs from the lone sequential session", workers, s, k)
-				}
+			defer ses.Close()
+			frames[s] = make([]*tensor.Tensor, 0, steps)
+			errs[s] = ses.Run(context.Background(), steps, func(k int, f *tensor.Tensor) error {
+				frames[s] = append(frames[s], f)
+				return nil
+			})
+		}(s)
+	}
+	wg.Wait()
+	for s := 0; s < sessions; s++ {
+		if errs[s] != nil {
+			t.Fatalf("session %d: %v", s, errs[s])
+		}
+		for k := 0; k < steps; k++ {
+			if !frames[s][k].Equal(ref.Steps[k]) {
+				t.Fatalf("session %d step %d differs from the lone sequential session", s, k)
 			}
 		}
 	}
@@ -136,40 +106,34 @@ func TestConcurrentSessionsBitIdentical(t *testing.T) {
 func TestConcurrentPredict(t *testing.T) {
 	ds := tinyDataset(t, 16, 6)
 	_, e := trainTinyEnsemble(t, model.ZeroPad, 2, 2)
-	for _, workers := range []int{0, 2} {
-		var opts []EngineOption
-		if workers > 0 {
-			opts = append(opts, WithWorkers(workers))
-		}
-		eng, err := NewEngine(e, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := eng.Predict(context.Background(), ds.Snapshots[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, 4)
-		for i := range errs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				got, err := eng.Predict(context.Background(), ds.Snapshots[0])
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if !got.Equal(want) {
-					errs[i] = fmt.Errorf("workers=%d: concurrent Predict %d differs", workers, i)
-				}
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
+	eng, err := NewEngine(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Predict(context.Background(), ds.Snapshots[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got, err := eng.Predict(context.Background(), ds.Snapshots[0])
 			if err != nil {
-				t.Fatal(err)
+				errs[i] = err
+				return
 			}
+			if !got.Equal(want) {
+				errs[i] = fmt.Errorf("concurrent Predict %d differs", i)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

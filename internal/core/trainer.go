@@ -264,9 +264,7 @@ func (t *Trainer) trainOne(ctx context.Context, samples []dataset.Sample, cfg Tr
 	}
 	// The rank model's activations, gradient buffers and band buffers
 	// all live in its arena, so after the first step a whole epoch
-	// allocates nothing in the network. The Workers knob fans the bands
-	// out without changing results.
-	m.SetWorkers(cfg.Workers)
+	// allocates nothing in the network.
 	optimizer, err := NewOptimizer(cfg.Optimizer, cfg.lr())
 	if err != nil {
 		return nil, nil, err

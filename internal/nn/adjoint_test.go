@@ -54,7 +54,7 @@ func perImage(b *tensor.Tensor, i int) *tensor.Tensor {
 // is the adjoint of Forward (⟨Forward(x), dy⟩ = ⟨x, dX⟩; the bias is
 // zero at construction, so Forward is linear), that it matches the
 // nested-loop oracle, and that a batch's dX equals the per-image dX bit
-// for bit for every worker count.
+// for bit.
 func TestConv2DBackwardIsAdjoint(t *testing.T) {
 	for _, ch := range adjointChannels {
 		for _, ag := range adjointGeometries() {
@@ -76,15 +76,10 @@ func TestConv2DBackwardIsAdjoint(t *testing.T) {
 					ref.Forward(x)
 					closeTensors(t, "dx vs oracle", dx, ref.Backward(dy), 1e-12)
 
-					for _, workers := range []int{1, 4} {
-						conv.Workers = workers
-						conv.Forward(x)
-						assertSameBits(t, fmt.Sprintf("dx workers=%d", workers), conv.Backward(dy).Data(), dx.Data())
-						for i := 0; i < n; i++ {
-							conv.Forward(perImage(x, i))
-							dxi := conv.Backward(perImage(dy, i))
-							assertSameBits(t, fmt.Sprintf("dx image %d workers=%d", i, workers), dxi.Data(), imageBits(dx, i))
-						}
+					for i := 0; i < n; i++ {
+						conv.Forward(perImage(x, i))
+						dxi := conv.Backward(perImage(dy, i))
+						assertSameBits(t, fmt.Sprintf("dx image %d", i), dxi.Data(), imageBits(dx, i))
 					}
 				})
 			}
@@ -116,7 +111,7 @@ func TestConv2DPadBeyondKernelRejected(t *testing.T) {
 // TestConvTranspose2DForwardIsFlippedConv runs the other direction of
 // the identity over the same channel table: the gather-form forward
 // matches the scatter-form oracle, and a batch equals its images bit
-// for bit for every worker count.
+// for bit.
 func TestConvTranspose2DForwardIsFlippedConv(t *testing.T) {
 	for _, ch := range adjointChannels {
 		for _, k := range []int{1, 3, 5} {
@@ -128,13 +123,9 @@ func TestConvTranspose2DForwardIsFlippedConv(t *testing.T) {
 					x := tensor.Normal(g, 0, 1, n, ch[0], 4, 7)
 					y := ct.Forward(x)
 					closeTensors(t, "forward vs oracle", y, (&refConvTranspose2D{ConvTranspose2D: ct}).Forward(x), 1e-12)
-					for _, workers := range []int{1, 4} {
-						ct.Workers = workers
-						assertSameBits(t, fmt.Sprintf("y workers=%d", workers), ct.Forward(x).Data(), y.Data())
-						for i := 0; i < n; i++ {
-							yi := ct.Forward(perImage(x, i))
-							assertSameBits(t, fmt.Sprintf("y image %d workers=%d", i, workers), yi.Data(), imageBits(y, i))
-						}
+					for i := 0; i < n; i++ {
+						yi := ct.Forward(perImage(x, i))
+						assertSameBits(t, fmt.Sprintf("y image %d", i), yi.Data(), imageBits(y, i))
 					}
 				})
 			}

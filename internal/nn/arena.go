@@ -97,18 +97,3 @@ func (a *Arena) Release(m ArenaMark) {
 	a.f64.release(m.f64)
 	a.f32.release(m.f32)
 }
-
-// workersUser is implemented by layers with an intra-layer parallelism
-// knob.
-type workersUser interface{ SetWorkers(int) }
-
-// SetWorkers sets the Workers knob on every contained layer that has
-// one. Results are bit-identical for any worker count (the kernels'
-// determinism contract), so this only trades goroutines for speed.
-func (s *Sequential) SetWorkers(workers int) {
-	for _, l := range s.layers {
-		if u, ok := l.(workersUser); ok {
-			u.SetWorkers(workers)
-		}
-	}
-}

@@ -77,37 +77,32 @@ func batchedForwardCases(g *tensor.RNG) []batchCase {
 
 // TestBatchedForwardBitIdentical asserts Forward on a batch of B
 // images equals B batch-of-1 Forwards bit-for-bit, on the engine and
-// on the reference loops, per worker count.
+// on the reference loops.
 func TestBatchedForwardBitIdentical(t *testing.T) {
 	const B = 5
 	for _, reference := range []bool{false, true} {
-		for _, workers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("reference=%v/workers=%d", reference, workers), func(t *testing.T) {
-				g := tensor.NewRNG(42)
-				for _, tc := range batchedForwardCases(g) {
-					if reference {
-						tc.layer = asReference(tc.layer)
-					}
-					if s, ok := tc.layer.(interface{ SetWorkers(int) }); ok {
-						s.SetWorkers(workers)
-					}
-					xs := make([]*tensor.Tensor, B)
-					for i := range xs {
-						shape := append([]int{1}, tc.shape...)
-						xs[i] = tensor.Normal(g, 0, 1, shape...)
-					}
-					batch := stackImages(t, xs)
-					// Reshape per-image inputs from [1, ...] to the
-					// batched layout row; the batched call sees the
-					// same bytes at offset i.
-					yb := tc.layer.Forward(batch).Clone()
-					for i := range xs {
-						yi := tc.layer.Forward(xs[i])
-						assertSameBits(t, fmt.Sprintf("%s image %d", tc.name, i), imageBits(yb, i), yi.Data())
-					}
+		t.Run(fmt.Sprintf("reference=%v", reference), func(t *testing.T) {
+			g := tensor.NewRNG(42)
+			for _, tc := range batchedForwardCases(g) {
+				if reference {
+					tc.layer = asReference(tc.layer)
 				}
-			})
-		}
+				xs := make([]*tensor.Tensor, B)
+				for i := range xs {
+					shape := append([]int{1}, tc.shape...)
+					xs[i] = tensor.Normal(g, 0, 1, shape...)
+				}
+				batch := stackImages(t, xs)
+				// Reshape per-image inputs from [1, ...] to the
+				// batched layout row; the batched call sees the
+				// same bytes at offset i.
+				yb := tc.layer.Forward(batch).Clone()
+				for i := range xs {
+					yi := tc.layer.Forward(xs[i])
+					assertSameBits(t, fmt.Sprintf("%s image %d", tc.name, i), imageBits(yb, i), yi.Data())
+				}
+			}
+		})
 	}
 }
 

@@ -22,14 +22,6 @@ type Conv2D struct {
 	Kernel      int
 	Pad         int
 
-	// Workers enables intra-layer parallelism: the forward pass and the
-	// input-gradient sweep (the same engine) fan output-column tiles out
-	// to goroutines, and the dW product parallelizes its row blocks. 0 or
-	// 1 (the default) keeps the layer strictly single-threaded, which
-	// the critical-path timing model relies on (DESIGN.md §5); results
-	// are bit-identical either way.
-	Workers int
-
 	weight *Param // [Cout, Cin, K, K]
 	bias   *Param // [Cout]
 
@@ -76,9 +68,6 @@ func (c *Conv2D) Name() string { return c.name }
 
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.weight, c.bias} }
-
-// SetWorkers sets the intra-layer parallelism knob.
-func (c *Conv2D) SetWorkers(workers int) { c.Workers = workers }
 
 // convShape is the geometry of one batched convolution call: n images
 // of cin×h×w through a cout-channel k×k kernel with zero padding pad,
@@ -140,21 +129,21 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 // the Sequential chain alike: it records x (keep) and runs convStage.
 func conv2DStage[T tensor.Float](c *Conv2D, x act[T], a *Arena, y []T) act[T] {
 	keep(&c.in, x)
-	return convStage(c.shapeFor(x.nchw(c.name)), c.pack, c.weight, c.bias, c.Workers, x, a, y)
+	return convStage(c.shapeFor(x.nchw(c.name)), c.pack, c.weight, c.bias, x, a, y)
 }
 
 // convStage is the forward of both convolution layers at width T: the
 // sweep g over x with the layer's weights, into y — or into a fresh
 // slice of a when y is nil. The weight scratch and band buffers sit
 // above the output and are released before it returns.
-func convStage[T tensor.Float](g convShape, p *pack32, w, b *Param, workers int, x act[T], a *Arena, y []T) act[T] {
+func convStage[T tensor.Float](g convShape, p *pack32, w, b *Param, x act[T], a *Arena, y []T) act[T] {
 	oh, ow := g.out()
 	if y == nil {
 		y = bumpOf[T](a).alloc(g.n * g.cout * oh * ow)
 	}
 	mark := a.Mark()
 	wd, bd := weights[T](p, w, b, a)
-	convForward(bumpOf[T](a), workers, g, x.d, wd, bd, y)
+	convForward(bumpOf[T](a), g, x.d, wd, bd, y)
 	a.Release(mark)
 	return act[T]{dims: [4]int{g.n, g.cout, oh, ow}, rank: 4, d: y}
 }
@@ -172,8 +161,8 @@ const convBandFloats = 1 << 15
 // image into bands of rows output rows — the last band may be shorter
 // — whose padded input rows, rows+K−1 of them at width wp, are copied
 // once per band. The band height depends only on the layer shape and
-// the input width, never on the worker count or the batch size, which
-// is what keeps results bit-identical across both.
+// the input width, never on the batch size, which is what keeps
+// results bit-identical across batch sizes.
 type convPlan struct {
 	convShape
 	oh, ow, wp, rows, bands int
@@ -228,34 +217,16 @@ func loadBand[T tensor.Float](p convPlan, t int, xd, buf []T) (convBand, []T, []
 // of N images is one sweep over N·bands (image, band) tasks. Bands
 // never span images, and the SIMD kernels' rounding depends only on a
 // band's own geometry, so a batched forward is bit-identical, image
-// for image, to N batch-of-1 forwards (nn/batched_test.go). With
-// workers > 1 the tasks — whose output rows are disjoint — fan out to
-// goroutines, each with its own band buffer; with workers <= 1 the
-// sweep is a plain loop over one buffer that builds no closure, the
-// zero-allocation steady state of the rollout loop.
-func convForward[T tensor.Float](scratch *bump[T], workers int, g convShape, xd, wd, bd, yd []T) {
+// for image, to N batch-of-1 forwards (nn/batched_test.go). The sweep
+// is a plain loop over one band buffer, on the caller's goroutine: a
+// rank is one thread (DESIGN.md §5).
+func convForward[T tensor.Float](scratch *bump[T], g convShape, xd, wd, bd, yd []T) {
 	p := g.plan()
 	tasks := g.n * p.bands
-	nw := min(workers, tasks)
-	if nw <= 1 {
-		buf := scratch.alloc(p.bandLen())
-		for t := 0; t < tasks; t++ {
-			convForwardBand(p, t, xd, wd, bd, yd, buf)
-		}
-		return
+	buf := scratch.alloc(p.bandLen())
+	for t := 0; t < tasks; t++ {
+		convForwardBand(p, t, xd, wd, bd, yd, buf)
 	}
-	bufs := make([][]T, nw)
-	for w := range bufs {
-		bufs[w] = scratch.alloc(p.bandLen())
-	}
-	// Worker w sweeps its contiguous range of (image, band) tasks with
-	// its own buffer; task output rows are disjoint, so any assignment
-	// of tasks to goroutines produces identical results.
-	parallelFor(nw, nw, func(w int) {
-		for t := w * tasks / nw; t < (w+1)*tasks/nw; t++ {
-			convForwardBand(p, t, xd, wd, bd, yd, bufs[w])
-		}
-	})
 }
 
 // convForwardBand runs task t of convForward. A nil bd means no bias:
@@ -268,7 +239,7 @@ func convForwardBand[T tensor.Float](p convPlan, t int, xd, wd, bd, yd, buf []T)
 			row[i] = bv
 		}
 	}
-	tensor.ShiftedNN(p.cout, b.n, wd, p.cin*p.k*p.k, xb, b.tp, acc, b.ld, bd != nil, 1)
+	tensor.ShiftedNN(p.cout, b.n, wd, p.cin*p.k*p.k, xb, b.tp, acc, b.ld, bd != nil)
 	out := yd[b.img*p.cout*p.oh*p.ow:]
 	for co := 0; co < p.cout; co++ {
 		for y := 0; y < b.r; y++ {
@@ -282,10 +253,9 @@ func convForwardBand[T tensor.Float](p convPlan, t int, xd, wd, bd, yd, buf []T)
 // ox+kx] with x̃ the zero-padded input, in convForward's bands: per band
 // the padded input rows, dY copied into the band's full-width layout
 // with zeros in the dropped columns, and one ShiftedNT. Bands run in
-// order (their contributions overlap); workers > 1 parallelizes the row
-// blocks of each product, which keeps every accumulation order fixed.
-// Conv2D's dW and ConvTranspose2D's both come from here.
-func convWeightGrad(a *Arena, workers int, g convShape, xd, dyd, dwd []float64) {
+// order (their contributions overlap). Conv2D's dW and
+// ConvTranspose2D's both come from here.
+func convWeightGrad(a *Arena, g convShape, xd, dyd, dwd []float64) {
 	p := g.plan()
 	mark := a.Mark()
 	buf := a.f64.alloc(p.bandLen())
@@ -299,7 +269,7 @@ func convWeightGrad(a *Arena, workers int, g convShape, xd, dyd, dwd []float64) 
 				clear(row[p.ow:])
 			}
 		}
-		tensor.ShiftedNT(p.cout, b.n, dyb, b.ld, xb, b.tp, dwd, p.cin*p.k*p.k, true, workers)
+		tensor.ShiftedNT(p.cout, b.n, dyb, b.ld, xb, b.tp, dwd, p.cin*p.k*p.k, true)
 	}
 	a.Release(mark)
 }
@@ -371,7 +341,7 @@ func (c *Conv2D) backwardParams(dy act[float64], a *Arena) act[float64] {
 		panic(fmt.Sprintf("nn: conv backward shape mismatch x=%v w=%v dy=%v", x, c.weight.Value.Shape(), dy))
 	}
 	addChannelSums(c.bias.Grad.Data(), dy.d, oh*ow)
-	convWeightGrad(a, c.Workers, g, x.d, dy.d, c.weight.Grad.Data())
+	convWeightGrad(a, g, x.d, dy.d, c.weight.Grad.Data())
 	return x
 }
 
@@ -380,8 +350,8 @@ func (c *Conv2D) backwardParams(dy act[float64], a *Arena) act[float64] {
 // convolution, of the flipped, channel-transposed kernel with padding
 // K-1-P, so dX is the forward sweep over that kernel (gather form, no
 // scatter): every dX element is written exactly once, and results are
-// bit-identical for any worker count and, image for image, any batch
-// size (convForward's per-image bands). The flipped kernel is rebuilt
+// bit-identical, image for image, for any batch size (convForward's
+// per-image bands). The flipped kernel is rebuilt
 // per call into arena scratch (Cin·Cout·K² values): there is no cache
 // to invalidate when the optimizer steps. backwardParams released its
 // band before this sweep takes its own, so the live scratch is the
@@ -392,7 +362,7 @@ func (c *Conv2D) inputGrad(dy, dx act[float64], a *Arena) act[float64] {
 	mark := a.Mark()
 	wflip := a.f64.alloc(len(wd))
 	flipKernel(wflip, wd, g.cin, g.cout, g.k*g.k)
-	convForward(&a.f64, c.Workers, g, dy.d, wflip, nil, dx.d)
+	convForward(&a.f64, g, dy.d, wflip, nil, dx.d)
 	a.Release(mark)
 	return dx
 }

@@ -26,10 +26,6 @@ type ConvTranspose2D struct {
 	OutChannels int
 	Kernel      int
 
-	// Workers enables intra-layer parallelism of the GEMM engine;
-	// results are bit-identical for any value.
-	Workers int
-
 	weight *Param // [Cin, Cout, K, K]
 	bias   *Param // [Cout]
 
@@ -66,16 +62,13 @@ func (c *ConvTranspose2D) Name() string { return c.name }
 // Params implements Layer.
 func (c *ConvTranspose2D) Params() []*Param { return []*Param{c.weight, c.bias} }
 
-// SetWorkers sets the intra-layer parallelism knob.
-func (c *ConvTranspose2D) SetWorkers(workers int) { c.Workers = workers }
-
 // Forward implements Layer:
 // y[n,co,iy+ky,ix+kx] += x[n,ci,iy,ix] · w[ci,co,ky,kx], plus bias —
 // computed not as that scatter but as the convolution it equals (the
 // sweep over the flipped kernel at pad K-1, the one Conv2D's input
 // gradient runs). Every output element is written by exactly one
-// (image, band) task, so results are bit-identical for any worker count
-// and, image for image, any batch size. x is recorded by reference, as
+// (image, band) task, so results are bit-identical, image for image,
+// for any batch size. x is recorded by reference, as
 // in Conv2D.Forward.
 func (c *ConvTranspose2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	in := view(x)
@@ -88,7 +81,7 @@ func (c *ConvTranspose2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 // conv2DStage).
 func convTransposeStage[T tensor.Float](c *ConvTranspose2D, x act[T], a *Arena, y []T) act[T] {
 	keep(&c.in, x)
-	return convStage(c.shapeFor(x.nchw(c.name)), c.pack, c.weight, c.bias, c.Workers, x, a, y)
+	return convStage(c.shapeFor(x.nchw(c.name)), c.pack, c.weight, c.bias, x, a, y)
 }
 
 // shapeFor validates an NCHW input against the layer and returns the
@@ -126,7 +119,7 @@ func (c *ConvTranspose2D) backwardParams(dy act[float64], a *Arena) act[float64]
 		panic(fmt.Sprintf("nn: ConvTranspose2D backward shape mismatch x=%v dy=%v", x, dy))
 	}
 	addChannelSums(c.bias.Grad.Data(), dy.d, oh*ow)
-	convWeightGrad(a, c.Workers, c.adjoint(dy), dy.d, x.d, c.weight.Grad.Data())
+	convWeightGrad(a, c.adjoint(dy), dy.d, x.d, c.weight.Grad.Data())
 	return x
 }
 
@@ -139,7 +132,7 @@ func (c *ConvTranspose2D) adjoint(dy act[float64]) convShape {
 // inputGrad writes dX, the adjoint sweep over dY, into dx.
 func (c *ConvTranspose2D) inputGrad(dy, dx act[float64], a *Arena) act[float64] {
 	mark := a.Mark()
-	convForward(&a.f64, c.Workers, c.adjoint(dy), dy.d, c.weight.Value.Data(), nil, dx.d)
+	convForward(&a.f64, c.adjoint(dy), dy.d, c.weight.Value.Data(), nil, dx.d)
 	a.Release(mark)
 	return dx
 }

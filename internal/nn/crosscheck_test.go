@@ -96,8 +96,7 @@ func TestConvGradCrossCheckAutodiff(t *testing.T) {
 }
 
 // CopyParams copies parameter values from src into dst, so the engine
-// and the reference loops (or two worker counts) start from the same
-// weights; the models must have identical architectures.
+// and the reference loops start from the same weights; the models must have identical architectures.
 func CopyParams(dst, src Layer) error {
 	dp, sp := dst.Params(), src.Params()
 	if len(dp) != len(sp) {
@@ -129,7 +128,7 @@ func closeTensors(t *testing.T, what string, got, want *tensor.Tensor, tol float
 }
 
 // TestConvFastSlowCrosscheck is the correctness contract of the GEMM
-// engine: for every padding regime and worker count, the engine must
+// engine: for every padding regime, the engine must
 // match the naive reference loops (reference_test.go) to ~1e-12 on the
 // forward output and on every gradient (dx, dW, dB). The two
 // accumulate in different orders (and the engine may use FMA), so
@@ -139,14 +138,12 @@ func TestConvFastSlowCrosscheck(t *testing.T) {
 		name              string
 		cin, cout, k, pad int
 		h, w              int
-		workers           int
 	}{
-		{"valid_pad0", 2, 3, 3, 0, 7, 6, 1},
-		{"valid_pad0_workers", 3, 4, 5, 0, 9, 8, 4},
-		{"same_pad_k5", 4, 6, 5, 2, 12, 12, 1},
-		{"same_pad_k5_workers", 4, 6, 5, 2, 12, 12, 3},
-		{"pad1_k3", 2, 2, 3, 1, 6, 9, 1},
-		{"table1_layer2", 6, 16, 5, 2, 16, 16, 1},
+		{"valid_pad0", 2, 3, 3, 0, 7, 6},
+		{"valid_pad0_k5", 3, 4, 5, 0, 9, 8},
+		{"same_pad_k5", 4, 6, 5, 2, 12, 12},
+		{"pad1_k3", 2, 2, 3, 1, 6, 9},
+		{"table1_layer2", 6, 16, 5, 2, 16, 16},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,8 +153,6 @@ func TestConvFastSlowCrosscheck(t *testing.T) {
 			if err := CopyParams(slow, fast); err != nil {
 				t.Fatal(err)
 			}
-			fast.Workers = tc.workers
-			slow.Workers = tc.workers
 			x := tensor.Normal(g, 0, 1, 2, tc.cin, tc.h, tc.w)
 
 			yf := fast.Forward(x)
@@ -178,28 +173,25 @@ func TestConvFastSlowCrosscheck(t *testing.T) {
 // TestConvTransposeFastSlowCrosscheck is the same contract for the
 // transpose convolution.
 func TestConvTransposeFastSlowCrosscheck(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		g := tensor.NewRNG(41)
-		fast := NewConvTranspose2D("fast", g, 3, 2, 5)
-		slow := &refConvTranspose2D{ConvTranspose2D: NewConvTranspose2D("slow", tensor.NewRNG(42), 3, 2, 5)}
-		if err := CopyParams(slow, fast); err != nil {
-			t.Fatal(err)
-		}
-		fast.Workers = workers
-		x := tensor.Normal(g, 0, 1, 2, 3, 6, 7)
+	g := tensor.NewRNG(41)
+	fast := NewConvTranspose2D("fast", g, 3, 2, 5)
+	slow := &refConvTranspose2D{ConvTranspose2D: NewConvTranspose2D("slow", tensor.NewRNG(42), 3, 2, 5)}
+	if err := CopyParams(slow, fast); err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.Normal(g, 0, 1, 2, 3, 6, 7)
 
-		yf := fast.Forward(x)
-		ZeroGrads(fast)
-		dxf := fast.Backward(yf.Clone())
-		ys := slow.Forward(x)
-		ZeroGrads(slow)
-		dxs := slow.Backward(ys.Clone())
+	yf := fast.Forward(x)
+	ZeroGrads(fast)
+	dxf := fast.Backward(yf.Clone())
+	ys := slow.Forward(x)
+	ZeroGrads(slow)
+	dxs := slow.Backward(ys.Clone())
 
-		closeTensors(t, "forward", yf, ys, 1e-12)
-		closeTensors(t, "dx", dxf, dxs, 1e-12)
-		for i := range fast.Params() {
-			closeTensors(t, fast.Params()[i].Name, fast.Params()[i].Grad, slow.Params()[i].Grad, 1e-11)
-		}
+	closeTensors(t, "forward", yf, ys, 1e-12)
+	closeTensors(t, "dx", dxf, dxs, 1e-12)
+	for i := range fast.Params() {
+		closeTensors(t, fast.Params()[i].Name, fast.Params()[i].Grad, slow.Params()[i].Grad, 1e-11)
 	}
 }
 

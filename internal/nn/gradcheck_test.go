@@ -109,10 +109,7 @@ func TestConv2DGradientsSamePadding(t *testing.T) {
 
 // The tests above finite-difference-check the GEMM engine; the
 // Reference variants below keep the naive reference loops the engine is
-// crosschecked against (reference_test.go) under the same scrutiny,
-// and the Workers variants cover the parallel tiling of the engine
-// (including the Pad=0 valid convolution the neighbour-padding
-// strategy uses).
+// crosschecked against (reference_test.go) under the same scrutiny.
 
 func TestConv2DGradientsValidReference(t *testing.T) {
 	g := tensor.NewRNG(1)
@@ -128,22 +125,6 @@ func TestConv2DGradientsSamePaddingReference(t *testing.T) {
 	checkLayerGradients(t, asReference(layer), x, 1e-5)
 }
 
-func TestConv2DGradientsWorkersPad0(t *testing.T) {
-	g := tensor.NewRNG(12)
-	layer := NewConv2D("conv", g, 2, 3, 5, 0)
-	layer.Workers = 3
-	x := tensor.Normal(g, 0, 1, 2, 2, 8, 7)
-	checkLayerGradients(t, layer, x, 1e-5)
-}
-
-func TestConv2DGradientsWorkersSamePad(t *testing.T) {
-	g := tensor.NewRNG(13)
-	layer := NewConv2D("conv", g, 3, 2, 3, SamePad(3))
-	layer.Workers = 4
-	x := tensor.Normal(g, 0, 1, 1, 3, 9, 6)
-	checkLayerGradients(t, layer, x, 1e-5)
-}
-
 func TestConvTranspose2DGradients(t *testing.T) {
 	g := tensor.NewRNG(3)
 	layer := NewConvTranspose2D("deconv", g, 2, 3, 3)
@@ -156,14 +137,6 @@ func TestConvTranspose2DGradientsReference(t *testing.T) {
 	layer := NewConvTranspose2D("deconv", g, 2, 3, 3)
 	x := tensor.Normal(g, 0, 1, 2, 2, 4, 5)
 	checkLayerGradients(t, asReference(layer), x, 1e-5)
-}
-
-func TestConvTranspose2DGradientsWorkers(t *testing.T) {
-	g := tensor.NewRNG(14)
-	layer := NewConvTranspose2D("deconv", g, 2, 3, 5)
-	layer.Workers = 3
-	x := tensor.Normal(g, 0, 1, 1, 2, 6, 6)
-	checkLayerGradients(t, layer, x, 1e-5)
 }
 
 func TestLeakyReLUGradients(t *testing.T) {

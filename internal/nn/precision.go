@@ -47,8 +47,8 @@ func ParsePrecision(s string) (Precision, error) {
 // reported by name and the network is left unchanged. Pinning packs the
 // convolutions' float32 weights at once — once per Engine, since clones
 // share the packs — so serving never pays the narrowing on a request
-// path. Pinning is a per-instance property, like SetWorkers: clones made
-// before a pin do not see it, and CloneShared propagates the current pin
+// path. Pinning is a per-instance property: clones made before a pin
+// do not see it, and CloneShared propagates the current pin
 // to new clones. A pinned network is forward-only: Backward panics until
 // SetPrecision(F64).
 func (s *Sequential) SetPrecision(p Precision) error {

@@ -49,40 +49,36 @@ func maxRelDiff(t *testing.T, label string, got, want []float64, tol float64) fl
 }
 
 // TestF32ForwardWithinBudget compares the pinned f32 forward against
-// the f64 engine (itself checked against the reference loops) with
-// intra-layer parallelism on — the f32 twin of the crosscheck.
+// the f64 engine (itself checked against the reference loops) — the
+// f32 twin of the crosscheck.
 func TestF32ForwardWithinBudget(t *testing.T) {
 	g := tensor.NewRNG(3)
 	x := tensor.Normal(g, 0, 1, 2, 4, 12, 14)
-	for _, workers := range []int{1, 3} {
-		ref := buildPrecisionNet(7)
-		ref.SetWorkers(workers)
-		want := ref.Forward(x)
+	ref := buildPrecisionNet(7)
+	want := ref.Forward(x)
 
-		wantSlow := asReference(buildPrecisionNet(7)).Forward(x)
-		maxRelDiff(t, "f64 naive vs gemm", wantSlow.Data(), want.Data(), 1e-12)
+	wantSlow := asReference(buildPrecisionNet(7)).Forward(x)
+	maxRelDiff(t, "f64 naive vs gemm", wantSlow.Data(), want.Data(), 1e-12)
 
-		net := buildPrecisionNet(7)
-		net.SetWorkers(workers)
-		if err := net.SetPrecision(F32); err != nil {
-			t.Fatal(err)
-		}
-		if net.Precision() != F32 {
-			t.Fatal("Precision() != F32 after pin")
-		}
-		got := net.Forward(x)
-		if !got.SameShape(want) {
-			t.Fatalf("f32 output shape %v, want %v", got.Shape(), want.Shape())
-		}
-		maxRelDiff(t, "f32 forward", got.Data(), want.Data(), f32Tol)
+	net := buildPrecisionNet(7)
+	if err := net.SetPrecision(F32); err != nil {
+		t.Fatal(err)
+	}
+	if net.Precision() != F32 {
+		t.Fatal("Precision() != F32 after pin")
+	}
+	got := net.Forward(x)
+	if !got.SameShape(want) {
+		t.Fatalf("f32 output shape %v, want %v", got.Shape(), want.Shape())
+	}
+	maxRelDiff(t, "f32 forward", got.Data(), want.Data(), f32Tol)
 
-		// Unpinning restores the reference path bit for bit.
-		if err := net.SetPrecision(F64); err != nil {
-			t.Fatal(err)
-		}
-		if back := net.Forward(x); !back.Equal(want) {
-			t.Fatal("unpinned forward differs from f64 reference")
-		}
+	// Unpinning restores the reference path bit for bit.
+	if err := net.SetPrecision(F64); err != nil {
+		t.Fatal(err)
+	}
+	if back := net.Forward(x); !back.Equal(want) {
+		t.Fatal("unpinned forward differs from f64 reference")
 	}
 }
 
@@ -167,28 +163,6 @@ func mustPanicWith(t *testing.T, label, want string, f func()) {
 		}
 	}()
 	f()
-}
-
-// TestF32WorkersBitIdentical asserts the f32 path keeps the kernels'
-// determinism contract: results are bit-identical for any worker count.
-func TestF32WorkersBitIdentical(t *testing.T) {
-	g := tensor.NewRNG(9)
-	x := tensor.Normal(g, 0, 1, 3, 4, 12, 12)
-	base := buildPrecisionNet(13)
-	if err := base.SetPrecision(F32); err != nil {
-		t.Fatal(err)
-	}
-	want := base.Forward(x)
-	for _, workers := range []int{2, 3, 8} {
-		net := buildPrecisionNet(13)
-		net.SetWorkers(workers)
-		if err := net.SetPrecision(F32); err != nil {
-			t.Fatal(err)
-		}
-		if got := net.Forward(x); !got.Equal(want) {
-			t.Fatalf("f32 forward differs with %d workers", workers)
-		}
-	}
 }
 
 // TestF32BatchedMatchesBatchOf1 asserts the f32 engines preserve the

@@ -28,12 +28,12 @@ func (r *refConv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 		xp = x.Clone() // keep an immutable copy for backward
 	}
 	r.cache = xp
-	return validConvForward(xp, r.weight.Value, r.bias.Value, r.Workers)
+	return validConvForward(xp, r.weight.Value, r.bias.Value)
 }
 
 // Backward implements Layer.
 func (r *refConv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	dxPadded := validConvBackward(r.cache, r.weight.Value, gradOut, r.weight.Grad, r.bias.Grad, r.Workers)
+	dxPadded := validConvBackward(r.cache, r.weight.Value, gradOut, r.weight.Grad, r.bias.Grad)
 	r.cache = nil
 	if r.Pad > 0 {
 		return tensor.Crop2D(dxPadded, r.Pad)
@@ -162,9 +162,7 @@ func asReference(l Layer) Layer {
 
 // validConvForward computes a stride-1 valid cross-correlation:
 // y[n,co,oy,ox] = b[co] + Σ_{ci,ky,kx} x[n,ci,oy+ky,ox+kx] · w[co,ci,ky,kx].
-// With workers > 1, (batch, output-channel) tasks run concurrently;
-// their output regions are disjoint, so the result is identical.
-func validConvForward(x, w, b *tensor.Tensor, workers int) *tensor.Tensor {
+func validConvForward(x, w, b *tensor.Tensor) *tensor.Tensor {
 	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	cout, k := w.Dim(0), w.Dim(2)
 	oh, ow := h-k+1, wid-k+1
@@ -173,7 +171,7 @@ func validConvForward(x, w, b *tensor.Tensor, workers int) *tensor.Tensor {
 	}
 	y := tensor.New(n, cout, oh, ow)
 	xd, wd, yd, bd := x.Data(), w.Data(), y.Data(), b.Data()
-	parallelFor(n*cout, workers, func(task int) {
+	for task := 0; task < n*cout; task++ {
 		in, co := task/cout, task%cout
 		outBase := (in*cout + co) * oh * ow
 		bv := bd[co]
@@ -201,16 +199,13 @@ func validConvForward(x, w, b *tensor.Tensor, workers int) *tensor.Tensor {
 				}
 			}
 		}
-	})
+	}
 	return y
 }
 
 // validConvBackward accumulates dW and dB from gradOut and returns
-// dL/dx for the (already padded) input of validConvForward. With
-// workers > 1 the bias gradient is computed serially (it is cheap),
-// and the main sweep fans out over input channels, whose dW and dx
-// regions are disjoint — results are identical to the serial path.
-func validConvBackward(x, w, gradOut, dW, dB *tensor.Tensor, workers int) *tensor.Tensor {
+// dL/dx for the (already padded) input of validConvForward.
+func validConvBackward(x, w, gradOut, dW, dB *tensor.Tensor) *tensor.Tensor {
 	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	cout, k := w.Dim(0), w.Dim(2)
 	oh, ow := gradOut.Dim(2), gradOut.Dim(3)
@@ -233,7 +228,7 @@ func validConvBackward(x, w, gradOut, dW, dB *tensor.Tensor, workers int) *tenso
 		}
 	}
 
-	parallelFor(cin, workers, func(ci int) {
+	for ci := 0; ci < cin; ci++ {
 		for in := 0; in < n; in++ {
 			inBase := (in*cin + ci) * h * wid
 			for co := 0; co < cout; co++ {
@@ -259,6 +254,6 @@ func validConvBackward(x, w, gradOut, dW, dB *tensor.Tensor, workers int) *tenso
 				}
 			}
 		}
-	})
+	}
 	return dx
 }

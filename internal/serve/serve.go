@@ -150,8 +150,8 @@ type Config struct {
 	// (default "default").
 	DefaultModel string
 	// EngineOptions are applied to engines the admin load/swap routes
-	// build from artifact directories (cmd/serve passes its -workers
-	// and -precision settings here).
+	// build from artifact directories (cmd/serve passes its -precision
+	// setting here).
 	EngineOptions []core.EngineOption
 	// AccessLog, when set, receives one line per request (method, path,
 	// status, duration, request ID) plus a per-rollout summary with the

@@ -2,12 +2,11 @@ package stats
 
 import (
 	"fmt"
-	"io"
 	"strings"
 )
 
 // Table is a simple text table for experiment output: fixed headers,
-// string cells, rendered with aligned columns or as CSV.
+// string cells, rendered with aligned columns.
 type Table struct {
 	Title   string
 	Headers []string
@@ -64,20 +63,6 @@ func (t *Table) String() string {
 		line(row)
 	}
 	return b.String()
-}
-
-// WriteCSV emits the table in CSV form (no quoting — cells in this
-// repository never contain commas).
-func (t *Table) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(t.Headers, ",")); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ScalingPoint is one row of a strong-scaling study.

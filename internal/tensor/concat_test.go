@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestConcatSplitChannels(t *testing.T) {
 	g := NewRNG(1)
@@ -17,26 +14,6 @@ func TestConcatSplitChannels(t *testing.T) {
 	if cat.At(1, 3, 2, 2) != b.At(1, 0, 2, 2) {
 		t.Fatalf("concat misplaced data")
 	}
-	parts := SplitChannels(cat, 3, 2)
-	if !parts[0].Equal(a) || !parts[1].Equal(b) {
-		t.Fatalf("split(concat) != identity")
-	}
-}
-
-// Property: concat-then-split is the identity for random splits.
-func TestQuickConcatSplitIdentity(t *testing.T) {
-	f := func(seed int64, c1Raw, c2Raw uint8) bool {
-		c1 := int(c1Raw%4) + 1
-		c2 := int(c2Raw%4) + 1
-		g := NewRNG(seed)
-		a := Normal(g, 0, 1, 2, c1, 3, 3)
-		b := Normal(g, 0, 1, 2, c2, 3, 3)
-		parts := SplitChannels(ConcatChannels(a, b), c1, c2)
-		return parts[0].Equal(a) && parts[1].Equal(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestConcatValidation(t *testing.T) {
@@ -45,7 +22,5 @@ func TestConcatValidation(t *testing.T) {
 	b := Normal(g, 0, 1, 1, 2, 4, 3) // spatial mismatch
 	assertPanics(t, func() { ConcatChannels(a, b) })
 	assertPanics(t, func() { ConcatChannels() })
-	assertPanics(t, func() { SplitChannels(a, 3) })
-	assertPanics(t, func() { SplitChannels(a, 2, 0) })
 	assertPanics(t, func() { ConcatChannels(Normal(g, 0, 1, 2, 3)) })
 }

@@ -58,7 +58,7 @@ func DirectConv32(x []float32, cin, h, w int, wgt []float32, cout, k, pad int, b
 		for i := range f {
 			f[i] = bv
 		}
-		ShiftedNN(1, len(f), wgt[co*taps:], taps, xp, Taps{C: cin, K: k, CS: hp * wp, RS: wp}, f, len(f), true, 1)
+		ShiftedNN(1, len(f), wgt[co*taps:], taps, xp, Taps{C: cin, K: k, CS: hp * wp, RS: wp}, f, len(f), true)
 		for oy := 0; oy < oh; oy++ {
 			copy(y[(co*oh+oy)*ow:][:ow], f[oy*wp:])
 		}

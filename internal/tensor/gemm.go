@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // This file is the dense-linear-algebra engine behind the convolution
 // layers (see internal/nn/conv.go and DESIGN.md §3). Two shifted sweeps
@@ -29,19 +26,16 @@ import (
 // micro-kernel (AVX2+FMA in gemm_amd64.s, a pure-Go loop elsewhere) and
 // NT is a two-row dot-product tile. None of the kernels allocate:
 // callers own every buffer, which is what lets the convolution layers
-// reuse scratch arenas across steps — and with workers <= 1 they build
-// no closure either, so the single-worker rollout loop stays
-// allocation-free.
+// reuse scratch arenas across steps and keeps the rollout loop
+// allocation-free. Every kernel runs on its caller's goroutine: a rank
+// is one thread (DESIGN.md §5).
 //
 // The kernels are generic over the element width (Float): training
 // instantiates them on float64, the inference path of DESIGN.md §13 on
 // float32. Only the SIMD micro-kernels are width-specific.
 //
 // Determinism contract: for a fixed kernel the per-element accumulation
-// order depends only on the operand dimensions, never on the worker
-// count — tasks partition C disjointly and each element is produced by
-// exactly one worker in the same order as the serial sweep. Results
-// are therefore bit-identical for any workers value.
+// order depends only on the operand dimensions.
 
 // Float is the element type of the kernels.
 type Float interface{ ~float32 | ~float64 }
@@ -50,43 +44,6 @@ type Float interface{ ~float32 | ~float64 }
 // kernels: 2048 columns = 16 KiB of float64 per C-row panel, small
 // enough that the panel survives in L1 across the full reduction sweep.
 const gemmColBlock = 2048
-
-// ParallelFor runs f(i) for i in [0, n) across min(workers, n)
-// goroutines; workers <= 1 degrades to a plain serial loop. The GEMM
-// kernels use it to fan the independent (row × column-block) tasks of
-// C out to workers, and the nn package's layer-level parallelism
-// delegates to it.
-func ParallelFor(n, workers int, f func(i int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
-
-// colBlocks returns the number of gemmColBlock-wide column blocks
-// covering n columns.
-func colBlocks(n int) int { return (n + gemmColBlock - 1) / gemmColBlock }
 
 // The two micro-kernels of the sweeps that run without the register
 // tiles (and of GemmPanelTN always). The sweeps pick theirs once per
@@ -212,29 +169,17 @@ func gemmPanelRow[T Float](axpy4 axpy4Func[T], ci []T, a []T, astride int, b []T
 	}
 }
 
-// gemmPanelRows is the sweep shared by the NN and TN kernels: task
-// t = i·nb + jb produces column block jb of C row i, reading A element
-// (i, p) at a[i·arow + p·astride] — (lda, 1) for NN, (1, lda) for TN.
-func gemmPanelRows[T Float](m, n int, a []T, arow, astride int, b []T, tp Taps, c []T, ldc int, acc bool, workers int) {
-	nb := colBlocks(n)
+// gemmPanelRows is the sweep shared by the NN and TN kernels: row by
+// row of C, column block by column block, reading A element (i, p) at
+// a[i·arow + p·astride] — (lda, 1) for NN, (1, lda) for TN.
+func gemmPanelRows[T Float](m, n int, a []T, arow, astride int, b []T, tp Taps, c []T, ldc int, acc bool) {
 	axpy4 := axpy4For[T]()
-	if workers <= 1 {
-		for t := 0; t < m*nb; t++ {
-			gemmPanelTask(axpy4, t, nb, n, a, arow, astride, b, tp, c, ldc, acc)
+	for i := 0; i < m; i++ {
+		for j0 := 0; j0 < n; j0 += gemmColBlock {
+			j1 := min(j0+gemmColBlock, n)
+			gemmPanelRow(axpy4, c[i*ldc+j0:i*ldc+j1], a[i*arow:], astride, b[j0:], tp, acc)
 		}
-		return
 	}
-	ParallelFor(m*nb, workers, func(t int) {
-		gemmPanelTask(axpy4, t, nb, n, a, arow, astride, b, tp, c, ldc, acc)
-	})
-}
-
-// gemmPanelTask runs one (row × column-block) task of gemmPanelRows.
-func gemmPanelTask[T Float](axpy4 axpy4Func[T], t, nb, n int, a []T, arow, astride int, b []T, tp Taps, c []T, ldc int, acc bool) {
-	i, jb := t/nb, t%nb
-	j0 := jb * gemmColBlock
-	j1 := min(j0+gemmColBlock, n)
-	gemmPanelRow(axpy4, c[i*ldc+j0:i*ldc+j1], a[i*arow:], astride, b[j0:], tp, acc)
 }
 
 // ShiftedNN computes C = A·B (or C += A·B when acc is true) where row p
@@ -242,13 +187,11 @@ func gemmPanelTask[T Float](axpy4 axpy4Func[T], t, nb, n int, a []T, arow, astri
 // Σ_p A[i·lda+p]·b[off(p)+j] over p < C·K². Over a padded band this is
 // a stride-1 convolution's forward at every full-width output position,
 // with no lowering. On the register tiles each element is one FMA chain
-// over the taps in order, however the sweep is tiled. workers > 1 fans
-// disjoint blocks of C out to that many goroutines; results are
-// bit-identical for any worker count.
-func ShiftedNN[T Float](m, n int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool, workers int) {
+// over the taps in order, however the sweep is tiled.
+func ShiftedNN[T Float](m, n int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool) {
 	checkPanel("ShiftedNN", m, n, len(a), lda, m, tp.rows(), len(b), tp, n, len(c), ldc)
-	if !shiftedNNTiled(m, n, a, lda, b, tp, c, ldc, acc, workers) {
-		gemmPanelRows(m, n, a, lda, 1, b, tp, c, ldc, acc, workers)
+	if !shiftedNNTiled(m, n, a, lda, b, tp, c, ldc, acc) {
+		gemmPanelRows(m, n, a, lda, 1, b, tp, c, ldc, acc)
 	}
 }
 
@@ -261,24 +204,17 @@ func ShiftedNN[T Float](m, n int, a []T, lda int, b []T, tp Taps, c []T, ldc int
 // swept in ntBlock-wide slices of the reduction so the A slices and one
 // channel's window of the band stay L1-resident across that channel's
 // taps. The register tiles stream each B slice once per four A rows;
-// the fallback once per pair. workers > 1 fans those row blocks out to
-// goroutines; bit-identical for any worker count.
-func ShiftedNT[T Float](m, k int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool, workers int) {
+// the fallback once per pair.
+func ShiftedNT[T Float](m, k int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool) {
 	checkPanel("ShiftedNT", m, tp.rows(), len(a), lda, m, k, len(b), tp, k, len(c), ldc)
-	if shiftedNTTiled(m, k, a, lda, b, tp, c, ldc, acc, workers) {
+	if shiftedNTTiled(m, k, a, lda, b, tp, c, ldc, acc) {
 		return
 	}
 	pairs := (m + 1) / 2
 	dot2 := dot2For[T]()
-	if workers <= 1 {
-		for ip := 0; ip < pairs; ip++ {
-			gemmPanelNTPair(dot2, ip, m, k, a, lda, b, tp, c, ldc, acc)
-		}
-		return
-	}
-	ParallelFor(pairs, workers, func(ip int) {
+	for ip := 0; ip < pairs; ip++ {
 		gemmPanelNTPair(dot2, ip, m, k, a, lda, b, tp, c, ldc, acc)
-	})
+	}
 }
 
 // ntBlock is the reduction slice of the NT sweep: 8 KiB of float64 per
@@ -317,35 +253,38 @@ func gemmPanelNTPair[T Float](dot2 dot2Func[T], ip, m, k int, a []T, lda int, b 
 
 // GemmPanelNN computes C = A·B (or C += A·B when acc is true) over
 // row-major panels: C[i·ldc+j] for i<m, j<n accumulates
-// Σ_p A[i·lda+p]·B[p·ldb+j]. It is ShiftedNN with K = 1; bit-identical
-// for any worker count.
-func GemmPanelNN[T Float](m, n, k int, a []T, lda int, b []T, ldb int, c []T, ldc int, acc bool, workers int) {
-	ShiftedNN(m, n, a, lda, b, Taps{C: k, K: 1, CS: ldb}, c, ldc, acc, workers)
+// Σ_p A[i·lda+p]·B[p·ldb+j]. It is ShiftedNN with K = 1.
+//
+// The trailing int of this and the other GemmPanel/Gemm wrappers is
+// ignored: it was a worker count, and the frozen bench/ module still
+// passes one. The parameter goes when bench/ next changes.
+func GemmPanelNN[T Float](m, n, k int, a []T, lda int, b []T, ldb int, c []T, ldc int, acc bool, _ int) {
+	ShiftedNN(m, n, a, lda, b, Taps{C: k, K: 1, CS: ldb}, c, ldc, acc)
 }
 
 // GemmPanelNN32 is GemmPanelNN on float32, kept under its old name for
-// the frozen bench/ module only.
-func GemmPanelNN32(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, acc bool, workers int) {
-	GemmPanelNN(m, n, k, a, lda, b, ldb, c, ldc, acc, workers)
+// the frozen bench/ module only. The trailing int is ignored.
+func GemmPanelNN32(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, acc bool, _ int) {
+	GemmPanelNN(m, n, k, a, lda, b, ldb, c, ldc, acc, 1)
 }
 
 // GemmPanelTN computes C = Aᵀ·B (or C += Aᵀ·B when acc is true) over
 // row-major panels: C[i·ldc+j] for i<m, j<n accumulates
 // Σ_p A[p·lda+i]·B[p·ldb+j]. A is read column-wise, so it should be
-// the small operand whose strided loads stay cache-resident.
-// Bit-identical for any worker count.
-func GemmPanelTN[T Float](m, n, k int, a []T, lda int, b []T, ldb int, c []T, ldc int, acc bool, workers int) {
+// the small operand whose strided loads stay cache-resident. The
+// trailing int is ignored.
+func GemmPanelTN[T Float](m, n, k int, a []T, lda int, b []T, ldb int, c []T, ldc int, acc bool, _ int) {
 	tp := Taps{C: k, K: 1, CS: ldb}
 	checkPanel("GemmPanelTN", m, n, len(a), lda, k, m, len(b), tp, n, len(c), ldc)
-	gemmPanelRows(m, n, a, 1, lda, b, tp, c, ldc, acc, workers)
+	gemmPanelRows(m, n, a, 1, lda, b, tp, c, ldc, acc)
 }
 
 // GemmPanelNT computes C = A·Bᵀ (or C += A·Bᵀ when acc is true) over
 // row-major panels: C[i·ldc+j] for i<m, j<n accumulates
-// Σ_p A[i·lda+p]·B[j·ldb+p]. It is ShiftedNT with K = 1; bit-identical
-// for any worker count.
-func GemmPanelNT[T Float](m, n, k int, a []T, lda int, b []T, ldb int, c []T, ldc int, acc bool, workers int) {
-	ShiftedNT(m, k, a, lda, b, Taps{C: n, K: 1, CS: ldb}, c, ldc, acc, workers)
+// Σ_p A[i·lda+p]·B[j·ldb+p]. It is ShiftedNT with K = 1. The trailing
+// int is ignored.
+func GemmPanelNT[T Float](m, n, k int, a []T, lda int, b []T, ldb int, c []T, ldc int, acc bool, _ int) {
+	ShiftedNT(m, k, a, lda, b, Taps{C: n, K: 1, CS: ldb}, c, ldc, acc)
 }
 
 // gemmDot2Go is the portable dot micro-kernel: it returns (a0·b, a1·b)
@@ -379,21 +318,24 @@ func gemmDot2Go[T Float](a0, a1, b []T) (T, T) {
 }
 
 // GemmNN computes C = A·B (or C += A·B when acc is true) for dense
-// row-major flat matrices A [m×k], B [k×n], C [m×n].
-func GemmNN[T Float](m, n, k int, a, b, c []T, acc bool, workers int) {
-	GemmPanelNN(m, n, k, a, k, b, n, c, n, acc, workers)
+// row-major flat matrices A [m×k], B [k×n], C [m×n]. The trailing int
+// is ignored.
+func GemmNN[T Float](m, n, k int, a, b, c []T, acc bool, _ int) {
+	GemmPanelNN(m, n, k, a, k, b, n, c, n, acc, 1)
 }
 
 // GemmTN computes C = Aᵀ·B (or C += Aᵀ·B when acc is true) for dense
-// row-major flat matrices A [k×m], B [k×n], C [m×n].
-func GemmTN[T Float](m, n, k int, a, b, c []T, acc bool, workers int) {
-	GemmPanelTN(m, n, k, a, m, b, n, c, n, acc, workers)
+// row-major flat matrices A [k×m], B [k×n], C [m×n]. The trailing int
+// is ignored.
+func GemmTN[T Float](m, n, k int, a, b, c []T, acc bool, _ int) {
+	GemmPanelTN(m, n, k, a, m, b, n, c, n, acc, 1)
 }
 
 // GemmNT computes C = A·Bᵀ (or C += A·Bᵀ when acc is true) for dense
-// row-major flat matrices A [m×k], B [n×k], C [m×n].
-func GemmNT[T Float](m, n, k int, a, b, c []T, acc bool, workers int) {
-	GemmPanelNT(m, n, k, a, k, b, k, c, n, acc, workers)
+// row-major flat matrices A [m×k], B [n×k], C [m×n]. The trailing int
+// is ignored.
+func GemmNT[T Float](m, n, k int, a, b, c []T, acc bool, _ int) {
+	GemmPanelNT(m, n, k, a, k, b, k, c, n, acc, 1)
 }
 
 // checkPanel panics when an operand cannot hold its stated extent

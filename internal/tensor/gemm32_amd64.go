@@ -6,8 +6,7 @@ package tensor
 // gemm_amd64.go at twice the lane width: the AVX2 loop covers sixteen
 // float32 lanes per iteration. The same useAVX2FMA gate applies, and
 // the split between SIMD body and Go tail depends only on the span
-// length, never on the worker count, so the determinism contract
-// carries over unchanged.
+// length, so the determinism contract carries over unchanged.
 
 //go:noescape
 func axpy4AVX2F32(c, b0, b1, b2, b3 *float32, n int, coef *[4]float32)

@@ -15,8 +15,8 @@ package tensor
 // FMA rounds once where the Go loop rounds twice, so the variants
 // differ by float round-off; every cross-implementation comparison in
 // this repository is tolerance-based, and the determinism contract
-// (bit-identical results for any worker count) holds within each
-// variant because dispatch never depends on the worker count.
+// (an element's accumulation order depends only on the operand
+// dimensions) holds within each variant.
 
 // useAVX2FMA / useAVX512 gate the assembly kernels. They are variables
 // (not constants) so tests can force each fallback level and compare.
@@ -77,8 +77,7 @@ func detectAVX512() bool {
 
 // axpy4f64 adds a0·b0 + a1·b1 + a2·b2 + a3·b3 elementwise into c. The b
 // slices must be at least len(c) long. The SIMD/scalar split depends
-// only on len(c) — never on worker count — preserving the kernels'
-// determinism contract.
+// only on len(c), preserving the kernels' determinism contract.
 func axpy4f64(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 	i := 0
 	if useAVX2FMA && len(c) >= 8 {
@@ -96,7 +95,7 @@ func axpy4f64(c, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 // gemmDot2f64 returns (a0·b, a1·b). The AVX2+FMA kernel reduces the bulk
 // of b into vector lanes that are horizontally summed in a fixed
 // order; the scalar tail is then added on top, so the split point (and
-// the result) depends only on len(b) — never on worker count.
+// the result) depends only on len(b).
 func gemmDot2f64(a0, a1, b []float64) (float64, float64) {
 	var d0, d1 float64
 	i := 0

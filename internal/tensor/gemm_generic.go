@@ -17,10 +17,10 @@ func gemmDot2f64(a0, a1, b []float64) (float64, float64) {
 	return gemmDot2Go(a0, a1, b)
 }
 
-func shiftedNNTiled[T Float](m, n int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool, workers int) bool {
+func shiftedNNTiled[T Float](m, n int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool) bool {
 	return false
 }
 
-func shiftedNTTiled[T Float](m, k int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool, workers int) bool {
+func shiftedNTTiled[T Float](m, k int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool) bool {
 	return false
 }

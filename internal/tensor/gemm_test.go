@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 	"testing"
 )
@@ -140,62 +139,29 @@ func testGemmKernelsMatchNaive[T Float](t *testing.T, tol float64) {
 		}
 		want := naiveNN(d.m, d.n, d.k, widen(a), widen(b))
 
-		for _, workers := range []int{1, 3} {
-			c := make([]T, d.m*d.n)
-			GemmNN(d.m, d.n, d.k, a, b, c, false, workers)
-			closeSlices(t, "GemmNN", c, want, tol)
+		c := make([]T, d.m*d.n)
+		GemmNN(d.m, d.n, d.k, a, b, c, false, 1)
+		closeSlices(t, "GemmNN", c, want, tol)
 
-			c = make([]T, d.m*d.n)
-			GemmTN(d.m, d.n, d.k, at, b, c, false, workers)
-			closeSlices(t, "GemmTN", c, naiveTN(d.m, d.n, d.k, widen(at), widen(b)), tol)
+		c = make([]T, d.m*d.n)
+		GemmTN(d.m, d.n, d.k, at, b, c, false, 1)
+		closeSlices(t, "GemmTN", c, naiveTN(d.m, d.n, d.k, widen(at), widen(b)), tol)
 
-			c = make([]T, d.m*d.n)
-			GemmNT(d.m, d.n, d.k, a, bt, c, false, workers)
-			closeSlices(t, "GemmNT", c, naiveNT(d.m, d.n, d.k, widen(a), widen(bt)), tol)
+		c = make([]T, d.m*d.n)
+		GemmNT(d.m, d.n, d.k, a, bt, c, false, 1)
+		closeSlices(t, "GemmNT", c, naiveNT(d.m, d.n, d.k, widen(a), widen(bt)), tol)
 
-			// Accumulating form: C starts at 1 everywhere.
-			c = make([]T, d.m*d.n)
-			for i := range c {
-				c[i] = 1
-			}
-			GemmNN(d.m, d.n, d.k, a, b, c, true, workers)
-			acc := make([]float64, len(want))
-			for i := range acc {
-				acc[i] = want[i] + 1
-			}
-			closeSlices(t, "GemmNN acc", c, acc, tol)
+		// Accumulating form: C starts at 1 everywhere.
+		c = make([]T, d.m*d.n)
+		for i := range c {
+			c[i] = 1
 		}
-	}
-}
-
-// TestGemmWorkersBitIdentical is the determinism contract: the same
-// kernel must produce bit-identical output for any worker count.
-func TestGemmWorkersBitIdentical(t *testing.T) {
-	bothWidths(t, testGemmWorkersBitIdentical[float64], testGemmWorkersBitIdentical[float32])
-}
-
-func testGemmWorkersBitIdentical[T Float](t *testing.T) {
-	g := NewRNG(7)
-	const m, n, k = 6, 5000, 37
-	a := randSlice[T](g, m*k) // also read as the [k×m] operand of TN
-	b := randSlice[T](g, k*n)
-	bt := randSlice[T](g, n*k)
-	ref := make([]T, m*n)
-	GemmNN(m, n, k, a, b, ref, false, 1)
-	refNT := make([]T, m*n)
-	GemmNT(m, n, k, a, bt, refNT, false, 1)
-	refTN := make([]T, m*n)
-	GemmTN(m, n, k, a, b, refTN, false, 1)
-	for _, workers := range []int{2, 3, 8} {
-		c := make([]T, m*n)
-		GemmNN(m, n, k, a, b, c, false, workers)
-		sameBits(t, fmt.Sprintf("GemmNN workers=%d", workers), c, ref)
-		c = make([]T, m*n)
-		GemmNT(m, n, k, a, bt, c, false, workers)
-		sameBits(t, fmt.Sprintf("GemmNT workers=%d", workers), c, refNT)
-		c = make([]T, m*n)
-		GemmTN(m, n, k, a, b, c, false, workers)
-		sameBits(t, fmt.Sprintf("GemmTN workers=%d", workers), c, refTN)
+		GemmNN(d.m, d.n, d.k, a, b, c, true, 1)
+		acc := make([]float64, len(want))
+		for i := range acc {
+			acc[i] = want[i] + 1
+		}
+		closeSlices(t, "GemmNN acc", c, acc, tol)
 	}
 }
 
@@ -222,21 +188,6 @@ func testGemmPanelBoundsPanic[T Float](t *testing.T) {
 			call()
 		}()
 	}
-}
-
-// TestMatMulBlockedMatchesReference checks the rewired tensor.MatMul
-// against the scalar product.
-func TestMatMulBlockedMatchesReference(t *testing.T) {
-	g := NewRNG(3)
-	a := Normal(g, 0, 1, 9, 13)
-	b := Normal(g, 0, 1, 13, 11)
-	got := MatMul(a, b)
-	want := naiveNN(9, 11, 13, a.Data(), b.Data())
-	closeSlices(t, "MatMul", got.Data(), want, tol64)
-
-	dst := New(9, 11)
-	MatMulInto(dst, a, b, 2)
-	closeSlices(t, "MatMulInto", dst.Data(), want, tol64)
 }
 
 // im2colRef indexes the lowered matrix entry directly from the image.
@@ -443,7 +394,7 @@ func testGemmPanelStridedMatchesFlat[T Float](t *testing.T, tol float64) {
 	}
 	want = naiveNN(m, n, k, atf, bf)
 	got = append([]T(nil), c...)
-	GemmPanelTN(m, n, k, at, lda, b, ldb, got, ldc, false, 2)
+	GemmPanelTN(m, n, k, at, lda, b, ldb, got, ldc, false, 1)
 	for i := 0; i < m; i++ {
 		closeSlices(t, "GemmPanelTN row", got[i*ldc:i*ldc+n], want[i*n:(i+1)*n], tol)
 	}
@@ -458,7 +409,7 @@ func testGemmPanelStridedMatchesFlat[T Float](t *testing.T, tol float64) {
 	}
 	want = naiveNN(m, n, k, af, btf)
 	got = append([]T(nil), c...)
-	GemmPanelNT(m, n, k, a, lda, bt, ldb, got, ldc, false, 2)
+	GemmPanelNT(m, n, k, a, lda, bt, ldb, got, ldc, false, 1)
 	for i := 0; i < m; i++ {
 		closeSlices(t, "GemmPanelNT row", got[i*ldc:i*ldc+n], want[i*n:(i+1)*n], tol)
 	}

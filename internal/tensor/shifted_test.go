@@ -14,7 +14,7 @@ import (
 // {1, 3, 5} × pad ∈ {0, 1, K−1}, frames narrower than one SIMD vector,
 // bands that start and end mid-frame, Cout ∈ {1, 3, 4, 5, 6, 16} (the
 // NT row-block remainders), tap counts ≡ 0–3 mod 4 and reduction tails
-// 1–7 mod 8. ShiftedNT must be bit-identical for workers ∈ {1, 2, 3}.
+// 1–7 mod 8.
 func TestShiftedSweepsMatchLowered(t *testing.T) {
 	bothWidths(t,
 		func(t *testing.T) { testShiftedSweepsMatchLowered[float64](t, tol64) },
@@ -80,7 +80,7 @@ func checkShiftedBand[T Float](t *testing.T, g *RNG, name string, cin, cout, h, 
 	for i := range got {
 		got[i] = 1
 	}
-	ShiftedNN(cout, n, wgt, ckk, xb, tp, got, ld, true, 1)
+	ShiftedNN(cout, n, wgt, ckk, xb, tp, got, ld, true)
 	want := naiveNN(cout, r*ow, ckk, widen(wgt), widen(cols))
 	for co := 0; co < cout; co++ {
 		for y := 0; y < r; y++ {
@@ -107,17 +107,9 @@ func checkShiftedBand[T Float](t *testing.T, g *RNG, name string, cin, cout, h, 
 		}
 	}
 	wantDW := naiveNN(cout, ckk, r*ow, widen(dy), colsT)
-	var first []T
-	for _, workers := range []int{1, 2, 3} {
-		dw := make([]T, cout*ckk)
-		ShiftedNT(cout, n, dyb, ld, xb, tp, dw, ckk, false, workers)
-		if first == nil {
-			closeSlices(t, name+" ShiftedNT", dw, wantDW, tol)
-			first = dw
-			continue
-		}
-		sameBits(t, fmt.Sprintf("%s ShiftedNT workers=%d", name, workers), dw, first)
-	}
+	dw := make([]T, cout*ckk)
+	ShiftedNT(cout, n, dyb, ld, xb, tp, dw, ckk, false)
+	closeSlices(t, name+" ShiftedNT", dw, wantDW, tol)
 	return n
 }
 
@@ -128,8 +120,8 @@ func TestShiftedBoundsPanic(t *testing.T) {
 	a, c := make([]float64, 2*18), make([]float64, 2*18)
 	need := tp.span(8)
 	for name, call := range map[string]func(){
-		"NN short band": func() { ShiftedNN(2, 8, a, 18, make([]float64, need-1), tp, c, 8, false, 1) },
-		"NT short band": func() { ShiftedNT(2, 8, a, 18, make([]float64, need-1), tp, c, 18, false, 1) },
+		"NN short band": func() { ShiftedNN(2, 8, a, 18, make([]float64, need-1), tp, c, 8, false) },
+		"NT short band": func() { ShiftedNT(2, 8, a, 18, make([]float64, need-1), tp, c, 18, false) },
 	} {
 		func() {
 			defer func() {
@@ -140,5 +132,5 @@ func TestShiftedBoundsPanic(t *testing.T) {
 			call()
 		}()
 	}
-	ShiftedNN(2, 8, a, 18, make([]float64, need), tp, c, 8, false, 1)
+	ShiftedNN(2, 8, a, 18, make([]float64, need), tp, c, 8, false)
 }

@@ -106,13 +106,6 @@ func TestReductions(t *testing.T) {
 	if x.AbsMax() != 4 {
 		t.Fatalf("AbsMax = %g", x.AbsMax())
 	}
-	want := math.Sqrt(9 + 1 + 16 + 1)
-	if math.Abs(x.Norm2()-want) > 1e-15 {
-		t.Fatalf("Norm2 = %g, want %g", x.Norm2(), want)
-	}
-	if x.Dot(x) != 27 {
-		t.Fatalf("Dot = %g, want 27", x.Dot(x))
-	}
 }
 
 func TestReshapeSharesData(t *testing.T) {
@@ -178,20 +171,6 @@ func TestQuickAdditiveInverse(t *testing.T) {
 		a := FromSlice(append([]float64(nil), raw...), len(raw))
 		z := a.Add(a.Clone().ScaleInPlace(-1))
 		return z.AbsMax() == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Dot(a,a) == Norm2(a)^2 within tolerance.
-func TestQuickDotNormConsistent(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		m := int(n%32) + 1
-		a := Normal(NewRNG(seed), 0, 1, m)
-		d := a.Dot(a)
-		nn := a.Norm2()
-		return math.Abs(d-nn*nn) <= 1e-9*(1+math.Abs(d))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -272,9 +251,8 @@ func TestStackUnstack(t *testing.T) {
 	if st.Dim(0) != 2 || st.Dim(1) != 2 || st.Dim(2) != 3 {
 		t.Fatalf("Stack shape = %v", st.Shape())
 	}
-	us := Unstack(st)
-	if !us[0].Equal(a) || !us[1].Equal(b) {
-		t.Fatalf("Unstack(Stack) != identity")
+	if st.At(1, 0, 2, 1) != b.At(0, 2, 1) {
+		t.Fatalf("Stack misplaced data")
 	}
 }
 
@@ -287,33 +265,6 @@ func TestChannelExtract(t *testing.T) {
 	}
 	if ch.Rank() != 2 {
 		t.Fatalf("Channel rank = %d", ch.Rank())
-	}
-}
-
-func TestMatMul(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
-	want := FromSlice([]float64{58, 64, 139, 154}, 2, 2)
-	if !c.AllClose(want, 1e-12) {
-		t.Fatalf("MatMul = %v, want %v", c.Data(), want.Data())
-	}
-	assertPanics(t, func() { MatMul(a, a) })
-}
-
-// Property: MatMul distributes over addition: A(B+C) == AB + AC.
-func TestQuickMatMulDistributive(t *testing.T) {
-	f := func(seed int64) bool {
-		g := NewRNG(seed)
-		a := Normal(g, 0, 1, 3, 4)
-		b := Normal(g, 0, 1, 4, 2)
-		c := Normal(g, 0, 1, 4, 2)
-		left := MatMul(a, b.Add(c))
-		right := MatMul(a, b).Add(MatMul(a, c))
-		return left.AllClose(right, 1e-10)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -368,17 +319,5 @@ func TestNormalMoments(t *testing.T) {
 	std := math.Sqrt(varSum / float64(x.Size()))
 	if math.Abs(std-2.0) > 0.1 {
 		t.Fatalf("Normal std = %g, want ≈2", std)
-	}
-}
-
-func TestApply(t *testing.T) {
-	x := FromSlice([]float64{1, 4, 9}, 3)
-	y := x.Apply(math.Sqrt)
-	if !y.AllClose(FromSlice([]float64{1, 2, 3}, 3), 1e-15) {
-		t.Fatalf("Apply = %v", y.Data())
-	}
-	x.ApplyInPlace(func(v float64) float64 { return -v })
-	if !x.Equal(FromSlice([]float64{-1, -4, -9}, 3)) {
-		t.Fatalf("ApplyInPlace = %v", x.Data())
 	}
 }

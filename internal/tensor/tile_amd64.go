@@ -7,7 +7,7 @@ package tensor
 // not apply — no AVX-512, another element type, an empty reduction —
 // shiftedNNTiled/shiftedNTTiled return false and the sweeps of gemm.go
 // run on the axpy4/dot2 kernels instead. The choice depends on the CPU
-// and the element type only, never on the worker count.
+// and the element type only.
 
 //go:noescape
 func nnTileF64(c *float64, ldc int, a *float64, lda int, b *float64, offs *int, k int, mask uint64, rows int, acc bool)
@@ -41,26 +41,17 @@ func nnLanes[T Float]() int {
 }
 
 // shiftedNNTiled runs ShiftedNN on the register tiles and reports
-// whether it did. workers > 1 fans out column blocks; every element is
-// the same FMA chain in any tile, so the result is bit-identical for
-// any worker count.
-func shiftedNNTiled[T Float](m, n int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool, workers int) bool {
+// whether it did.
+func shiftedNNTiled[T Float](m, n int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool) bool {
 	lanes := nnLanes[T]()
 	if lanes == 0 || tp.rows() == 0 {
 		return false
 	}
-	if workers <= 1 {
-		nnTiles(lanes, m, 0, n, a, lda, b, tp, c, ldc, acc)
-		return true
-	}
-	ParallelFor(colBlocks(n), workers, func(jb int) {
-		j0 := jb * gemmColBlock
-		nnTiles(lanes, m, j0, min(j0+gemmColBlock, n), a, lda, b, tp, c, ldc, acc)
-	})
+	nnTiles(lanes, m, n, a, lda, b, tp, c, ldc, acc)
 	return true
 }
 
-// nnTiles sweeps columns [j0, j1) of the NN product: column tiles of
+// nnTiles sweeps the n columns of the NN product: column tiles of
 // lanes on the outside, blocks of four C rows on the inside (two, then
 // one, for the remainder), so a tile's window of B stays in L1 across
 // every row block. The last tile masks its missing lanes. Every tap is
@@ -68,7 +59,7 @@ func shiftedNNTiled[T Float](m, n int, a []T, lda int, b []T, tp Taps, c []T, ld
 // coefficients. That is safe because each B value read is band data or
 // its zero padding and masked-off lanes are never read, so a zero
 // coefficient adds a zero.
-func nnTiles[T Float](lanes, m, j0, j1 int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool) {
+func nnTiles[T Float](lanes, m, n int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool) {
 	var offs [nnTapTable]int
 	walk := tapWalk{Taps: tp}
 	k := tp.rows()
@@ -78,8 +69,8 @@ func nnTiles[T Float](lanes, m, j0, j1 int, a []T, lda int, b []T, tp Taps, c []
 			offs[q] = walk.next()
 		}
 		onto := acc || p0 > 0
-		for j := j0; j < j1; j += lanes {
-			mask := ^uint64(0) >> (64 - min(lanes, j1-j))
+		for j := 0; j < n; j += lanes {
+			mask := ^uint64(0) >> (64 - min(lanes, n-j))
 			for i := 0; i < m; {
 				rows := min(4, m-i)
 				if rows == 3 {
@@ -104,9 +95,8 @@ func nnTile[T Float](c *T, ldc int, a *T, lda int, b *T, offs *int, k int, mask 
 }
 
 // shiftedNTTiled runs ShiftedNT on 4 × 4 register tiles of dot
-// products and reports whether it did (float64 only). workers > 1 fans
-// out the four-row blocks of C; bit-identical for any worker count.
-func shiftedNTTiled[T Float](m, k int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool, workers int) bool {
+// products and reports whether it did (float64 only).
+func shiftedNTTiled[T Float](m, k int, a []T, lda int, b []T, tp Taps, c []T, ldc int, acc bool) bool {
 	var z T
 	if _, ok := any(z).(float64); !ok || !useAVX512 || k == 0 {
 		return false
@@ -117,15 +107,9 @@ func shiftedNTTiled[T Float](m, k int, a []T, lda int, b []T, tp Taps, c []T, ld
 		}
 	}
 	blocks := (m + 3) / 4
-	if workers <= 1 {
-		for ib := range blocks {
-			ntTiles(ib, m, k, a, lda, b, tp, c, ldc)
-		}
-		return true
-	}
-	ParallelFor(blocks, workers, func(ib int) {
+	for ib := range blocks {
 		ntTiles(ib, m, k, a, lda, b, tp, c, ldc)
-	})
+	}
 	return true
 }
 

@@ -66,7 +66,7 @@ func checkFMAChain(t *testing.T, g *RNG, cin, m, n, k, pad int, acc bool) {
 	a := randSlice[float64](g, m*lda)
 	c := randSlice[float64](g, m*ldc)
 	c0 := append([]float64(nil), c...)
-	ShiftedNN(m, n, a, lda, xb, tp, c, ldc, acc, 1)
+	ShiftedNN(m, n, a, lda, xb, tp, c, ldc, acc)
 
 	name := fmt.Sprintf("cin%d m%d n%d k%d pad%d acc=%v", cin, m, n, k, pad, acc)
 	for i := 0; i < m; i++ {
@@ -112,10 +112,10 @@ func testShiftedNNTilingInvariant[T Float](t *testing.T) {
 		for _, n := range []int{7, 64, 100, 301} {
 			a := randSlice[T](g, m*taps)
 			full := make([]T, m*n)
-			ShiftedNN(m, n, a, taps, xb, tp, full, n, false, 1)
+			ShiftedNN(m, n, a, taps, xb, tp, full, n, false)
 			for i := 0; i < m; i++ {
 				row := make([]T, n)
-				ShiftedNN(1, n, a[i*taps:], taps, xb, tp, row, n, false, 1)
+				ShiftedNN(1, n, a[i*taps:], taps, xb, tp, row, n, false)
 				sameBits(t, fmt.Sprintf("m%d n%d row %d alone", m, n, i), row, full[i*n:][:n])
 			}
 			for _, s := range []int{1, 5, 33} {
@@ -123,7 +123,7 @@ func testShiftedNNTilingInvariant[T Float](t *testing.T) {
 					continue
 				}
 				part := make([]T, m*(n-s))
-				ShiftedNN(m, n-s, a, taps, xb[s:], tp, part, n-s, false, 1)
+				ShiftedNN(m, n-s, a, taps, xb[s:], tp, part, n-s, false)
 				for i := 0; i < m; i++ {
 					sameBits(t, fmt.Sprintf("m%d n%d from column %d", m, n, s), part[i*(n-s):][:n-s], full[i*n+s:][:n-s])
 				}

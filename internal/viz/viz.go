@@ -1,6 +1,6 @@
 // Package viz renders 2-D scalar fields for inspection without a
-// plotting stack: coarse ASCII heat maps for terminal output (the
-// Fig. 3 comparisons in cmd/accuracy), and binary PGM/PPM images for
+// plotting stack: coarse ASCII heat maps for terminal output
+// (cmd/inspect), and binary PGM/PPM images for
 // anything that wants real pixels. Everything is deterministic and
 // dependency-free.
 package viz
@@ -49,19 +49,6 @@ func AsciiMap(f *tensor.Tensor, rows, cols int) []string {
 			b.WriteByte(shades[idx])
 		}
 		out[r] = b.String()
-	}
-	return out
-}
-
-// SideBySide merges two equal-height line blocks with a separator,
-// the layout of the paper's Fig. 3 target-vs-prediction panels.
-func SideBySide(left, right []string, sep string) []string {
-	if len(left) != len(right) {
-		panic(fmt.Sprintf("viz: SideBySide height mismatch %d vs %d", len(left), len(right)))
-	}
-	out := make([]string, len(left))
-	for i := range left {
-		out[i] = left[i] + sep + right[i]
 	}
 	return out
 }

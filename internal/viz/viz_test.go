@@ -61,21 +61,6 @@ func TestAsciiMapValidation(t *testing.T) {
 	AsciiMap(tensor.New(2, 2, 2), 2, 2)
 }
 
-func TestSideBySide(t *testing.T) {
-	a := []string{"aa", "bb"}
-	b := []string{"cc", "dd"}
-	out := SideBySide(a, b, " | ")
-	if out[0] != "aa | cc" || out[1] != "bb | dd" {
-		t.Fatalf("SideBySide = %v", out)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("height mismatch accepted")
-		}
-	}()
-	SideBySide(a, b[:1], "|")
-}
-
 func TestWritePGM(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WritePGM(&buf, gradientField()); err != nil {

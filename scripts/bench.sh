@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_baseline.json: the committed perf-trajectory
-# snapshot of the convolution engine (the Workers sweep of the forward
+# snapshot of the convolution engine (the whole network's forward
 # pass), the per-layer Table-I costs, the serving API's
 # concurrent-session rollout throughput (1 vs 4 sessions over one
 # Engine; the steps_per_s metric), the rollout per transport
@@ -22,7 +22,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_baseline.json}"
-BENCH="${BENCH:-ConvGEMMWorkers|Table1_LayerForwardBackward|SessionConcurrentRollout|RolloutTransport|PredictThroughput|PrecisionRollout|SteadyStateRollout|PredictCodec}"
+BENCH="${BENCH:-NetForward|Table1_LayerForwardBackward|SessionConcurrentRollout|RolloutTransport|PredictThroughput|PrecisionRollout|SteadyStateRollout|PredictCodec}"
 BENCHTIME="${BENCHTIME:-10x}"
 
 RAW="$(mktemp)"
